@@ -15,10 +15,8 @@ from .assertions import (
 )
 from .delegates import (
     DelegateAssertionSet,
-    enumerate_allocations,
     find_violated_assertion,
     gen_delegate_assertions,
-    qualified_tallies,
 )
 from .model import (
     IRV,
@@ -26,7 +24,6 @@ from .model import (
     STATUS_COMPLETE,
     STATUS_FULL_COUNT,
     AuditSpec,
-    Candidate,
     CvrRecord,
     ElectionDataError,
     ElectionProfile,

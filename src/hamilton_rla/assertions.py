@@ -6,20 +6,22 @@ bounded by ``upper_bound``.  The assertion holds on a profile exactly when
 the assorter's mean over all cast ballots exceeds 1/2, i.e. when the
 margin ``2 * mean - 1`` is positive.
 
-Four assertion forms are supported:
+Every assorter classes a non-blank ballot by its top choice once the
+assertion's eliminated set is removed (``None`` when the ballot exhausts)
+and scores it by that class.  Blank ballots score 1/2 under every
+assertion.  The four forms:
 
 ``Viable(c, E, t)``
     Candidate ``c`` holds more than proportion ``t`` of the valid vote
     once the candidates in ``E`` are eliminated.  Ballots whose top
     remaining choice is ``c`` score ``1/(2t)``; other non-blank ballots
-    score 0 (including ballots exhausted after ``E``); blank ballots
-    score 1/2.
+    score 0 (including ballots exhausted after ``E``).
 
 ``NonViable(c, E, t)``
     Candidate ``c`` holds less than proportion ``t`` after eliminating
     ``E``.  Non-blank ballots not currently for ``c`` score
     ``1/(2(1-t))`` (exhausted ballots included); ballots for ``c`` score
-    0; blanks score 1/2.
+    0.
 
 ``IrvWins(w, l, E)``
     ``w`` out-tallies ``l`` after eliminating ``E``: 1 for ``w``'s pile,
@@ -27,28 +29,70 @@ Four assertion forms are supported:
 
 ``PairwiseDiff(m, n, d, V)``
     Among ballots qualified for the viable set ``V`` (top choice within
-    ``V`` exists), ``m``'s share beats ``n``'s share by more than ``d``:
+    ``V`` exists), ``m``'s share beats ``n``'s share by more than ``d``.
+    Its classes are the piles with everyone outside ``V`` eliminated:
     ``1/(1+d)`` for class ``m``, 0 for class ``n``, ``1/(2(1+d))`` for a
-    vote for another viable candidate, 1/2 for unqualified or blank
+    vote for another viable candidate, 1/2 for unqualified (exhausted)
     ballots.
 
-All arithmetic is exact (`fractions.Fraction`); convert to float only for
-display.
+Each class below holds everything that differs between the forms; the
+functions at the end of the module apply that protocol one ballot at a
+time.  All arithmetic is exact (`fractions.Fraction`); convert to float
+only for display.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
+from functools import cached_property
+from typing import TYPE_CHECKING, ClassVar, Collection, Mapping
+
+from .tabulation import top_remaining
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ElectionProfile, Ranking
 
+ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+ONE = Fraction(1)
+
+
+class Assertion:
+    """The protocol shared by the four assertion forms.
+
+    Subclasses define ``tag`` (the spec JSON type), ``upper_bound``, the
+    per-class ``scores`` with ``other_score`` for every class not named
+    there, ``holds`` on integer tallies, and ``key``, ``__str__`` and the
+    dict form.
+    """
+
+    tag: ClassVar[str]
+    eliminated: frozenset[str]
+    upper_bound: Fraction
+    scores: Mapping[str | None, Fraction]
+    other_score: Fraction
+    key: str
+
+    def removed(self, labels: Collection[str]) -> frozenset[str]:
+        """Candidates treated as eliminated when classing ballots that rank
+        only candidates in ``labels``."""
+        return self.eliminated
+
+    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
+        """Exact margin positivity from the class tallies (the piles of the
+        standing candidates after ``removed``) and the valid-ballot count."""
+        raise NotImplementedError
+
+
+def _set_repr(labels: frozenset[str]) -> str:
+    return "{" + ",".join(sorted(labels)) + "}"
 
 
 @dataclass(frozen=True)
-class Viable:
+class _ThresholdAssertion(Assertion):
+    """Shared shape of ``Viable`` and ``NonViable``: ``candidate`` against
+    proportion ``threshold`` of the valid vote once ``eliminated`` are out."""
+
     candidate: str
     eliminated: frozenset[str]
     threshold: Fraction
@@ -56,28 +100,84 @@ class Viable:
     def __post_init__(self) -> None:
         if self.candidate in self.eliminated:
             raise ValueError(f"candidate {self.candidate!r} cannot be in its own elimination set")
+
+    @cached_property
+    def key(self) -> str:
+        return f"{self.tag}:{self.candidate}:E={','.join(sorted(self.eliminated))}:t={self.threshold}"
+
+    def __str__(self) -> str:
+        return f"{type(self).__name__}({self.candidate} | out {_set_repr(self.eliminated)} | t={self.threshold})"
+
+    def to_dict(self) -> dict:
+        return {
+            "type": self.tag,
+            "winner": self.candidate,
+            "eliminated": sorted(self.eliminated),
+            "t": str(self.threshold),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> Assertion:
+        return cls(data["winner"], frozenset(data["eliminated"]), Fraction(data["t"]))
+
+
+class Viable(_ThresholdAssertion):
+    tag = "viable"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if not 0 < self.threshold <= 1:
             raise ValueError(f"threshold {self.threshold} outside (0, 1]")
 
+    @cached_property
+    def upper_bound(self) -> Fraction:
+        return 1 / (2 * self.threshold)
 
-@dataclass(frozen=True)
-class NonViable:
-    candidate: str
-    eliminated: frozenset[str]
-    threshold: Fraction
+    @cached_property
+    def scores(self) -> Mapping[str | None, Fraction]:
+        return {self.candidate: self.upper_bound}
+
+    other_score = ZERO
+
+    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
+        t = self.threshold
+        return piles[self.candidate] * t.denominator > t.numerator * valid
+
+
+class NonViable(_ThresholdAssertion):
+    tag = "nonviable"
 
     def __post_init__(self) -> None:
-        if self.candidate in self.eliminated:
-            raise ValueError(f"candidate {self.candidate!r} cannot be in its own elimination set")
+        super().__post_init__()
         if not 0 < self.threshold < 1:
             raise ValueError(f"non-viability threshold {self.threshold} outside (0, 1)")
 
+    @cached_property
+    def upper_bound(self) -> Fraction:
+        return 1 / (2 * (1 - self.threshold))
+
+    @cached_property
+    def scores(self) -> Mapping[str | None, Fraction]:
+        return {self.candidate: ZERO}
+
+    @cached_property
+    def other_score(self) -> Fraction:
+        return self.upper_bound
+
+    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
+        t = self.threshold
+        return piles[self.candidate] * t.denominator < t.numerator * valid
+
 
 @dataclass(frozen=True)
-class IrvWins:
+class IrvWins(Assertion):
     winner: str
     loser: str
     eliminated: frozenset[str]
+
+    tag: ClassVar[str] = "irv_wins"
+    upper_bound: ClassVar[Fraction] = ONE
+    other_score: ClassVar[Fraction] = HALF
 
     def __post_init__(self) -> None:
         if self.winner == self.loser:
@@ -85,13 +185,41 @@ class IrvWins:
         if self.winner in self.eliminated or self.loser in self.eliminated:
             raise ValueError("winner/loser cannot be in the elimination set")
 
+    @cached_property
+    def scores(self) -> Mapping[str | None, Fraction]:
+        return {self.winner: ONE, self.loser: ZERO}
+
+    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
+        return piles[self.winner] > piles[self.loser]
+
+    @cached_property
+    def key(self) -> str:
+        return f"{self.tag}:{self.winner}>{self.loser}:E={','.join(sorted(self.eliminated))}"
+
+    def __str__(self) -> str:
+        return f"IrvWins({self.winner} > {self.loser} | out {_set_repr(self.eliminated)})"
+
+    def to_dict(self) -> dict:
+        return {
+            "type": self.tag,
+            "winner": self.winner,
+            "loser": self.loser,
+            "eliminated": sorted(self.eliminated),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> Assertion:
+        return cls(data["winner"], data["loser"], frozenset(data["eliminated"]))
+
 
 @dataclass(frozen=True)
-class PairwiseDiff:
+class PairwiseDiff(Assertion):
     winner: str
     loser: str
     offset: Fraction
     viable: frozenset[str]
+
+    tag: ClassVar[str] = "pairwise_diff"
 
     def __post_init__(self) -> None:
         if self.winner == self.loser:
@@ -101,8 +229,47 @@ class PairwiseDiff:
         if not -1 < self.offset < 1:
             raise ValueError(f"offset {self.offset} outside (-1, 1)")
 
+    def removed(self, labels: Collection[str]) -> frozenset[str]:
+        return frozenset(labels) - self.viable
 
-Assertion = Union[Viable, NonViable, IrvWins, PairwiseDiff]
+    @cached_property
+    def upper_bound(self) -> Fraction:
+        return 1 / (1 + self.offset)
+
+    @cached_property
+    def scores(self) -> Mapping[str | None, Fraction]:
+        return {self.winner: self.upper_bound, self.loser: ZERO, None: HALF}
+
+    @cached_property
+    def other_score(self) -> Fraction:
+        return self.upper_bound / 2
+
+    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
+        d = self.offset
+        return (piles[self.winner] - piles[self.loser]) * d.denominator > d.numerator * sum(piles.values())
+
+    @cached_property
+    def key(self) -> str:
+        return f"{self.tag}:{self.winner}>{self.loser}:d={self.offset}:V={','.join(sorted(self.viable))}"
+
+    def __str__(self) -> str:
+        return f"PairwiseDiff({self.winner} > {self.loser} + {self.offset} | viable {_set_repr(self.viable)})"
+
+    def to_dict(self) -> dict:
+        return {
+            "type": self.tag,
+            "winner": self.winner,
+            "loser": self.loser,
+            "d": str(self.offset),
+            "viable": sorted(self.viable),
+        }
+
+    @classmethod
+    def from_dict(cls, data: Mapping) -> Assertion:
+        return cls(data["winner"], data["loser"], Fraction(data["d"]), frozenset(data["viable"]))
+
+
+ASSERTION_TYPES: dict[str, type] = {cls.tag: cls for cls in (Viable, NonViable, IrvWins, PairwiseDiff)}
 
 
 @dataclass(frozen=True)
@@ -115,62 +282,20 @@ class AssorterSummary:
 
 
 def upper_bound(assertion: Assertion) -> Fraction:
-    if isinstance(assertion, Viable):
-        return 1 / (2 * assertion.threshold)
-    if isinstance(assertion, NonViable):
-        return 1 / (2 * (1 - assertion.threshold))
-    if isinstance(assertion, IrvWins):
-        return Fraction(1)
-    if isinstance(assertion, PairwiseDiff):
-        return 1 / (1 + assertion.offset)
-    raise TypeError(f"not an assertion: {assertion!r}")
-
-
-def _top_remaining(ranking: "Ranking", eliminated: frozenset[str]) -> str | None:
-    for choice in ranking:
-        if choice not in eliminated:
-            return choice
-    return None
-
-
-def _first_choice_in(ranking: "Ranking", allowed: frozenset[str]) -> str | None:
-    for choice in ranking:
-        if choice in allowed:
-            return choice
-    return None
+    return assertion.upper_bound
 
 
 def assorter_value(assertion: Assertion, ranking: "Ranking") -> Fraction:
     """Score one ballot ranking under the assertion's assorter."""
     if not ranking:  # blank for the contest
         return HALF
-    if isinstance(assertion, Viable):
-        top = _top_remaining(ranking, assertion.eliminated)
-        return upper_bound(assertion) if top == assertion.candidate else Fraction(0)
-    if isinstance(assertion, NonViable):
-        top = _top_remaining(ranking, assertion.eliminated)
-        return Fraction(0) if top == assertion.candidate else upper_bound(assertion)
-    if isinstance(assertion, IrvWins):
-        top = _top_remaining(ranking, assertion.eliminated)
-        if top == assertion.winner:
-            return Fraction(1)
-        if top == assertion.loser:
-            return Fraction(0)
-        return HALF
-    if isinstance(assertion, PairwiseDiff):
-        choice = _first_choice_in(ranking, assertion.viable)
-        if choice is None:  # unqualified: no viable candidate ranked
-            return HALF
-        if choice == assertion.winner:
-            return upper_bound(assertion)
-        if choice == assertion.loser:
-            return Fraction(0)
-        return upper_bound(assertion) / 2
-    raise TypeError(f"not an assertion: {assertion!r}")
+    top = top_remaining(ranking, assertion.removed(ranking))
+    return assertion.scores.get(top, assertion.other_score)
 
 
 def margin(assertion: Assertion, profile: "ElectionProfile") -> AssorterSummary:
-    """Exact assorter mean and margin over every cast ballot (blanks included)."""
+    """Exact assorter mean and margin over every cast ballot (blanks included),
+    scored one ballot at a time: the reference the tally path is tested against."""
     total = profile.total_ballots
     if total == 0:
         raise ValueError("cannot score an empty profile")
@@ -188,35 +313,9 @@ def holds_on(assertion: Assertion, profile: "ElectionProfile") -> bool:
 
 def assertion_key(assertion: Assertion) -> str:
     """Canonical identity string: used for deduplication, ordering and PRNG streams."""
-    if isinstance(assertion, Viable):
-        return f"viable:{assertion.candidate}:E={','.join(sorted(assertion.eliminated))}:t={assertion.threshold}"
-    if isinstance(assertion, NonViable):
-        return f"nonviable:{assertion.candidate}:E={','.join(sorted(assertion.eliminated))}:t={assertion.threshold}"
-    if isinstance(assertion, IrvWins):
-        return f"irv_wins:{assertion.winner}>{assertion.loser}:E={','.join(sorted(assertion.eliminated))}"
-    if isinstance(assertion, PairwiseDiff):
-        return (
-            f"pairwise_diff:{assertion.winner}>{assertion.loser}"
-            f":d={assertion.offset}:V={','.join(sorted(assertion.viable))}"
-        )
-    raise TypeError(f"not an assertion: {assertion!r}")
+    return assertion.key
 
 
 def describe(assertion: Assertion) -> str:
     """Short human-readable rendering for tables and proof logs."""
-    if isinstance(assertion, Viable):
-        return f"Viable({assertion.candidate} | out {_set_repr(assertion.eliminated)} | t={assertion.threshold})"
-    if isinstance(assertion, NonViable):
-        return f"NonViable({assertion.candidate} | out {_set_repr(assertion.eliminated)} | t={assertion.threshold})"
-    if isinstance(assertion, IrvWins):
-        return f"IrvWins({assertion.winner} > {assertion.loser} | out {_set_repr(assertion.eliminated)})"
-    if isinstance(assertion, PairwiseDiff):
-        return (
-            f"PairwiseDiff({assertion.winner} > {assertion.loser} + {assertion.offset}"
-            f" | viable {_set_repr(assertion.viable)})"
-        )
-    raise TypeError(f"not an assertion: {assertion!r}")
-
-
-def _set_repr(labels: frozenset[str]) -> str:
-    return "{" + ",".join(sorted(labels)) + "}"
+    return str(assertion)

@@ -227,15 +227,28 @@ def _load_state(path: str) -> dict:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ElectionDataError(f"cannot read audit state {path}: {exc}") from None
+    if not isinstance(document, dict):
+        raise ElectionDataError(f"audit state {path} must hold a JSON object")
     state = document.get("state")
-    if state is None or document.get("checksum") != _state_checksum(state):
+    if not isinstance(state, dict) or document.get("checksum") != _state_checksum(state):
         raise ElectionDataError(f"audit state {path} is missing or tampered (checksum mismatch)")
     return state
 
 
+def _load_contest_cvrs(path: str, spec: AuditSpec) -> list[model.CvrRecord]:
+    """The CVR file, which must hold one record per ballot of the contest:
+    ballots missing from it could never be drawn."""
+    cvrs = model.load_cvrs(path)
+    if len(cvrs) != spec.total_ballots:
+        raise ElectionDataError(
+            f"CVR file {path} holds {len(cvrs)} records but the contest has {spec.total_ballots} ballots"
+        )
+    return cvrs
+
+
 def cmd_audit_init(args: argparse.Namespace) -> int:
     spec = model.load_audit_spec(args.spec)
-    cvrs = model.load_cvrs(args.cvrs)
+    cvrs = _load_contest_cvrs(args.cvrs, spec)
     if spec.status == STATUS_FULL_COUNT:
         print("spec requires a full manual count; nothing to sample", file=sys.stderr)
         return EXIT_FULL_COUNT
@@ -264,7 +277,7 @@ def cmd_audit_init(args: argparse.Namespace) -> int:
 
 def cmd_audit_round(args: argparse.Namespace) -> int:
     spec = model.load_audit_spec(args.spec)
-    cvr_records = model.load_cvrs(args.cvrs)
+    cvr_records = _load_contest_cvrs(args.cvrs, spec)
     cvrs = {r.ballot_id: r.ranking for r in cvr_records}
     manifest = risk.read_manifest(args.manifest)
     interp_records = model.load_cvrs(args.interpretations)

@@ -41,11 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .assertions import PairwiseDiff
 from .model import ElectionProfile, ReportedOutcome
-from .tabulation import tabulate
+from .tabulation import count_piles, tabulate
 
 LEVEL_SLACK = {2: 2, 3: 1}
 
@@ -96,31 +96,6 @@ def gen_delegate_assertions(outcome: ReportedOutcome, level: int) -> DelegateAss
     return DelegateAssertionSet(tuple(assertions), level, tuple(skipped), outcome.tie_flag)
 
 
-def qualified_tallies(profile: ElectionProfile, viable: frozenset[str]) -> dict[str, int]:
-    """Ballot counts by first choice within the viable set (the qualified classes)."""
-    tallies = {c: 0 for c in profile.labels if c in viable}
-    for ranking, count in profile.rankings.items():
-        for choice in ranking:
-            if choice in viable:
-                tallies[choice] += count
-                break
-    return tallies
-
-
-def pairwise_diff_margin(
-    q_m: int, q_n: int, qualified: int, total: int, offset: Fraction
-) -> Fraction:
-    """Exact margin of a pairwise-difference assertion from class tallies.
-
-    Equals the full assorter-mean computation: class m scores
-    ``1/(1+d)``, class n scores 0, other qualified ballots ``1/(2(1+d))``,
-    and the ``total - qualified`` unqualified or blank ballots 1/2.
-    """
-    u = 1 / (1 + offset)
-    mean = (q_m * u + (qualified - q_m - q_n) * u / 2 + Fraction(total - qualified, 2)) / total
-    return 2 * mean - 1
-
-
 def find_violated_assertion(
     profile: ElectionProfile,
     alt_allocation: Mapping[str, int],
@@ -132,8 +107,7 @@ def find_violated_assertion(
 
     Any allocation differing from the true largest-remainder result admits
     such a witness (see module docstring); the search checks every
-    non-vacuous ordered pair with integer arithmetic and confirms the
-    winner with the exact assorter margin.
+    non-vacuous ordered pair on the qualified tallies, exactly.
     """
     outcome = outcome or tabulate(profile)
     viable = [c for c in profile.labels if c in outcome.viable]
@@ -144,38 +118,14 @@ def find_violated_assertion(
     if dict(alt_allocation) == dict(outcome.allocation):
         return None
 
-    tallies = qualified_tallies(profile, outcome.viable)
-    qualified = sum(tallies.values())
-    D = outcome.delegates
+    witnesses = []
     for m in viable:
         for n in viable:
-            if m == n:
-                continue
-            num = alt_allocation[m] - alt_allocation[n] - 1
-            if num <= -D:  # d <= -1: vacuous, never the witness
-                continue
-            # margin <= 0  <=>  (q_m - q_n) * D <= (a_m - a_n - 1) * Q
-            if (tallies[m] - tallies[n]) * D <= num * qualified:
-                d = Fraction(num, D)
-                assertion = PairwiseDiff(m, n, d, outcome.viable)
-                margin = pairwise_diff_margin(tallies[m], tallies[n], qualified, profile.total_ballots, d)
-                assert margin <= 0
-                return assertion
-    return None
-
-
-def enumerate_allocations(viable: Sequence[str], delegates: int):
-    """All ways to award ``delegates`` over ``viable`` (compositions)."""
-    labels = list(viable)
-
-    def rec(i: int, remaining: int, acc: dict[str, int]):
-        if i == len(labels) - 1:
-            acc[labels[i]] = remaining
-            yield dict(acc)
-            return
-        for take in range(remaining + 1):
-            acc[labels[i]] = take
-            yield from rec(i + 1, remaining - take, acc)
-
-    if labels:
-        yield from rec(0, delegates, {})
+            d = pair_offset(alt_allocation, outcome.delegates, m, n, LEVEL_SLACK[3])
+            if m != n and d > -1:  # d <= -1 is vacuous, never the witness
+                witnesses.append(PairwiseDiff(m, n, d, outcome.viable))
+    if not witnesses:
+        return None
+    # every witness shares the viable set, hence its classes
+    classes, _ = count_piles(profile, witnesses[0].removed(profile.labels))
+    return next((a for a in witnesses if not a.holds(classes, profile.valid_ballots)), None)

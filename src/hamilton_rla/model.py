@@ -20,16 +20,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .assertions import (
-    Assertion,
-    IrvWins,
-    NonViable,
-    PairwiseDiff,
-    Viable,
-)
-from .risk import RiskParams
+if TYPE_CHECKING:  # pragma: no cover
+    from .assertions import Assertion
+    from .risk import RiskParams
 
 PLURALITY = "plurality"
 IRV = "irv"
@@ -52,12 +47,6 @@ class UnsupportedOutcomeError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Candidate:
-    index: int
-    label: str
-
-
-@dataclass(frozen=True)
 class CvrRecord:
     ballot_id: str
     ranking: Ranking
@@ -67,24 +56,16 @@ class CvrRecord:
 class ElectionProfile:
     """A contest: roster, aggregated ranking counts, threshold, delegates, style.
 
-    Immutable after construction; safe to share.  ``rankings`` maps each
-    distinct ranking (a tuple of labels, possibly empty = blank) to its
-    ballot count, in first-seen order.
+    Immutable after construction; safe to share.  ``labels`` is the roster
+    in order; ``rankings`` maps each distinct ranking (a tuple of labels,
+    possibly empty = blank) to its ballot count, in first-seen order.
     """
 
-    candidates: tuple[Candidate, ...]
+    labels: tuple[str, ...]
     rankings: Mapping[Ranking, int]
     threshold: Fraction
     delegates: int
     style: str
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(c.label for c in self.candidates)
-
-    @property
-    def label_set(self) -> frozenset[str]:
-        return frozenset(c.label for c in self.candidates)
 
     @property
     def total_ballots(self) -> int:
@@ -94,12 +75,6 @@ class ElectionProfile:
     def valid_ballots(self) -> int:
         """Ballots with at least one choice in the contest."""
         return sum(n for r, n in self.rankings.items() if r)
-
-    def index(self, label: str) -> int:
-        for cand in self.candidates:
-            if cand.label == label:
-                return cand.index
-        raise KeyError(label)
 
 
 @dataclass(frozen=True)
@@ -217,7 +192,7 @@ def build_profile(
         prefs = tuple(ranking)
         seen: set[str] = set()
         for choice in prefs:
-            if choice not in roster:
+            if not isinstance(choice, str) or choice not in roster:
                 raise ElectionDataError(f"unknown candidate {choice!r} in ranking {list(prefs)}")
             if choice in seen:
                 raise ElectionDataError(f"candidate {choice!r} repeated in ranking {list(prefs)}")
@@ -230,8 +205,7 @@ def build_profile(
             continue
         merged[prefs] = merged.get(prefs, 0) + count
 
-    cands = tuple(Candidate(i, label) for i, label in enumerate(labels))
-    return ElectionProfile(cands, merged, tau, delegates, style)
+    return ElectionProfile(tuple(labels), merged, tau, delegates, style)
 
 
 def load_election(path: str | Path) -> ElectionProfile:
@@ -241,15 +215,24 @@ def load_election(path: str | Path) -> ElectionProfile:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ElectionDataError(f"cannot read election file {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ElectionDataError(f"election file {path} must hold a JSON object")
     for field in ("candidates", "threshold", "delegates", "style", "ballots"):
         if field not in raw:
             raise ElectionDataError(f"election file missing {field!r}")
+    candidates = raw["candidates"]
+    if not isinstance(candidates, list) or not all(isinstance(label, str) for label in candidates):
+        raise ElectionDataError("'candidates' must be a list of strings")
+    if not isinstance(raw["ballots"], list):
+        raise ElectionDataError("'ballots' must be a list of objects")
     ballots = []
     for i, entry in enumerate(raw["ballots"]):
         if not isinstance(entry, dict) or "ranking" not in entry or "count" not in entry:
             raise ElectionDataError(f"ballot entry {i} must have 'ranking' and 'count'")
+        if not isinstance(entry["ranking"], list):  # build_profile checks the labels
+            raise ElectionDataError(f"ballot entry {i}: 'ranking' must be a list of strings")
         ballots.append((entry["ranking"], entry["count"]))
-    return build_profile(raw["candidates"], ballots, raw["threshold"], raw["delegates"], raw["style"])
+    return build_profile(candidates, ballots, raw["threshold"], raw["delegates"], raw["style"])
 
 
 def save_election(profile: ElectionProfile, path: str | Path) -> None:
@@ -304,45 +287,14 @@ def parse_ranking_cell(cell: str, where: str = "ranking") -> Ranking:
 # ---------------------------------------------------------------------------
 # Audit-spec serialization
 
-_TYPE_TAGS = {Viable: "viable", NonViable: "nonviable", IrvWins: "irv_wins", PairwiseDiff: "pairwise_diff"}
-
-
-def assertion_to_dict(assertion: Assertion) -> dict:
-    tag = _TYPE_TAGS[type(assertion)]
-    if isinstance(assertion, (Viable, NonViable)):
-        return {
-            "type": tag,
-            "winner": assertion.candidate,
-            "eliminated": sorted(assertion.eliminated),
-            "t": str(assertion.threshold),
-        }
-    if isinstance(assertion, IrvWins):
-        return {
-            "type": tag,
-            "winner": assertion.winner,
-            "loser": assertion.loser,
-            "eliminated": sorted(assertion.eliminated),
-        }
-    return {
-        "type": tag,
-        "winner": assertion.winner,
-        "loser": assertion.loser,
-        "d": str(assertion.offset),
-        "viable": sorted(assertion.viable),
-    }
-
-
 def assertion_from_dict(data: dict) -> Assertion:
+    # imported here: assertions imports tabulation, which imports this module
+    from .assertions import ASSERTION_TYPES
+
     try:
-        tag = data["type"]
-        if tag == "viable":
-            return Viable(data["winner"], frozenset(data["eliminated"]), Fraction(data["t"]))
-        if tag == "nonviable":
-            return NonViable(data["winner"], frozenset(data["eliminated"]), Fraction(data["t"]))
-        if tag == "irv_wins":
-            return IrvWins(data["winner"], data["loser"], frozenset(data["eliminated"]))
-        if tag == "pairwise_diff":
-            return PairwiseDiff(data["winner"], data["loser"], Fraction(data["d"]), frozenset(data["viable"]))
+        cls = ASSERTION_TYPES.get(data["type"])
+        if cls is not None:
+            return cls.from_dict(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise ElectionDataError(f"bad assertion object {data!r}: {exc}") from None
     raise ElectionDataError(f"unknown assertion type tag {data.get('type')!r}")
@@ -371,7 +323,7 @@ def audit_spec_to_dict(spec: AuditSpec) -> dict:
         },
         "assertions": [
             dict(
-                assertion_to_dict(e.assertion),
+                e.assertion.to_dict(),
                 upper_bound=str(e.upper_bound),
                 mean=str(e.mean),
                 margin=str(e.margin),
@@ -383,6 +335,10 @@ def audit_spec_to_dict(spec: AuditSpec) -> dict:
 
 
 def audit_spec_from_dict(data: dict) -> AuditSpec:
+    from .risk import RiskParams  # see assertion_from_dict
+
+    if not isinstance(data, dict):
+        raise ElectionDataError("audit spec must be a JSON object")
     version = data.get("schema_version")
     if version != SPEC_SCHEMA_VERSION:
         raise ElectionDataError(

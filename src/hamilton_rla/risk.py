@@ -217,23 +217,10 @@ def estimate_asn(
     return med if math.isinf(med) else int(math.ceil(med))
 
 
-def estimate_assertion_asn(assertion: Assertion, margin: float | Fraction, params: RiskParams, population: int) -> float:
-    return estimate_asn(margin, params, population, stream=assertion_key(assertion))
-
-
-def estimate_audit_asn(spec: "AuditSpec", params: RiskParams | None = None) -> float:
-    """Overall expected draws: the max over assertions, since every drawn
-    ballot is scored against every assertion."""
-    params = params or spec.params
-    if not spec.entries:
-        return 0
-    worst = 0.0
-    for entry in spec.entries:
-        est = estimate_asn(entry.margin, params, spec.total_ballots, stream=assertion_key(entry.assertion))
-        worst = max(worst, est)
-        if math.isinf(worst):
-            return FULL_COUNT
-    return int(worst)
+def estimate_audit_asn(spec: "AuditSpec") -> float:
+    """Overall expected draws: the largest estimate stored in the spec, since
+    every drawn ballot is scored against every assertion."""
+    return max((entry.eae for entry in spec.entries), default=0)
 
 
 def draw_sample(seed: int, count: int, universe: Sequence[str], skip: int = 0) -> list[str]:

@@ -45,13 +45,12 @@ from .assertions import (
     AssorterSummary,
     IrvWins,
     NonViable,
-    PairwiseDiff,
     Viable,
     assertion_key,
     describe,
     upper_bound,
 )
-from .delegates import gen_delegate_assertions, pairwise_diff_margin, qualified_tallies
+from .delegates import gen_delegate_assertions
 from .model import (
     IRV,
     PLURALITY,
@@ -62,7 +61,7 @@ from .model import (
     ReportedOutcome,
     SpecEntry,
 )
-from .risk import RiskParams, estimate_assertion_asn
+from .risk import RiskParams, estimate_asn
 from .tabulation import count_piles
 
 
@@ -74,7 +73,12 @@ def max_viable(threshold: Fraction) -> int:
 
 
 class AuditContext:
-    """Per-profile caches: piles by elimination set, margins and effort by assertion."""
+    """Per-profile caches: piles by elimination set, margins and effort by assertion.
+
+    Every tally-based answer starts from ``piles``: an assertion's classes
+    are the piles of the candidates left standing once its ``removed`` set
+    is eliminated, plus the ballots that exhaust.
+    """
 
     def __init__(self, profile: ElectionProfile, params: RiskParams | None = None):
         self.profile = profile
@@ -86,7 +90,6 @@ class AuditContext:
         self.labels = profile.labels
         self.index = {c: i for i, c in enumerate(self.labels)}
         self._piles: dict[frozenset[str], dict[str, int]] = {}
-        self._qualified: dict[frozenset[str], dict[str, int]] = {}
         self._summaries: dict[str, AssorterSummary] = {}
         self._eae: dict[str, float] = {}
 
@@ -97,62 +100,25 @@ class AuditContext:
             self._piles[eliminated] = cached
         return cached
 
-    def pile(self, candidate: str, eliminated: frozenset[str]) -> int:
-        return self.piles(eliminated)[candidate]
-
-    def qualified(self, viable: frozenset[str]) -> dict[str, int]:
-        cached = self._qualified.get(viable)
-        if cached is None:
-            cached = qualified_tallies(self.profile, viable)
-            self._qualified[viable] = cached
-        return cached
-
     def holds(self, assertion: Assertion) -> bool:
         """Exact margin-positivity test via integer tallies."""
-        if isinstance(assertion, Viable):
-            tally = self.pile(assertion.candidate, assertion.eliminated)
-            return tally * assertion.threshold.denominator > assertion.threshold.numerator * self.valid
-        if isinstance(assertion, NonViable):
-            tally = self.pile(assertion.candidate, assertion.eliminated)
-            return tally * assertion.threshold.denominator < assertion.threshold.numerator * self.valid
-        if isinstance(assertion, IrvWins):
-            piles = self.piles(assertion.eliminated)
-            return piles[assertion.winner] > piles[assertion.loser]
-        if isinstance(assertion, PairwiseDiff):
-            tallies = self.qualified(assertion.viable)
-            q = sum(tallies.values())
-            d = assertion.offset
-            return (tallies[assertion.winner] - tallies[assertion.loser]) * d.denominator > d.numerator * q
-        raise TypeError(f"not an assertion: {assertion!r}")
+        return assertion.holds(self.piles(assertion.removed(self.labels)), self.valid)
 
     def summary(self, assertion: Assertion) -> AssorterSummary:
-        """Exact assorter summary computed from cached tallies."""
+        """Exact assorter summary computed from cached tallies: every valid
+        ballot scores ``other_score`` except the classes named in ``scores``."""
         key = assertion_key(assertion)
         cached = self._summaries.get(key)
         if cached is not None:
             return cached
-        u = upper_bound(assertion)
-        half_blank = Fraction(self.blank, 2)
-        if isinstance(assertion, Viable):
-            tally = self.pile(assertion.candidate, assertion.eliminated)
-            mean = (tally * u + half_blank) / self.total
-        elif isinstance(assertion, NonViable):
-            tally = self.pile(assertion.candidate, assertion.eliminated)
-            mean = ((self.valid - tally) * u + half_blank) / self.total
-        elif isinstance(assertion, IrvWins):
-            piles = self.piles(assertion.eliminated)
-            w, l = piles[assertion.winner], piles[assertion.loser]
-            mean = (w + Fraction(self.total - w - l, 2)) / self.total
-        elif isinstance(assertion, PairwiseDiff):
-            tallies = self.qualified(assertion.viable)
-            q = sum(tallies.values())
-            margin = pairwise_diff_margin(
-                tallies[assertion.winner], tallies[assertion.loser], q, self.total, assertion.offset
-            )
-            mean = (margin + 1) / 2
-        else:
-            raise TypeError(f"not an assertion: {assertion!r}")
-        result = AssorterSummary(u, mean, 2 * mean - 1)
+        piles = self.piles(assertion.removed(self.labels))
+        exhausted = self.valid - sum(piles.values())
+        other = assertion.other_score
+        acc = other * self.valid + Fraction(self.blank, 2)
+        for cls, score in assertion.scores.items():
+            acc += (score - other) * (exhausted if cls is None else piles[cls])
+        mean = acc / self.total
+        result = AssorterSummary(upper_bound(assertion), mean, 2 * mean - 1)
         self._summaries[key] = result
         return result
 
@@ -160,7 +126,7 @@ class AuditContext:
         key = assertion_key(assertion)
         cached = self._eae.get(key)
         if cached is None:
-            cached = estimate_assertion_asn(assertion, self.summary(assertion).margin, self.params, self.total)
+            cached = estimate_asn(self.summary(assertion).margin, self.params, self.total, stream=key)
             self._eae[key] = cached
         return cached
 
@@ -239,7 +205,6 @@ class AltOutcomeNode:
     parent: "AltOutcomeNode | None" = None
     children: list["AltOutcomeNode"] = field(default_factory=list, repr=False)
     pruned: bool = False
-    expanded: bool = False
 
     @property
     def depth(self) -> int:
@@ -325,7 +290,6 @@ def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]
         )
         node.children.append(child)
         children.append(child)
-    node.expanded = True
     return children
 
 
@@ -529,22 +493,12 @@ def build_audit_spec(
 
     if level >= 2:
         dset = gen_delegate_assertions(outcome, level)
-        tallies = qualified_tallies(profile, outcome.viable)
-        qualified = sum(tallies.values())
+        ctx = AuditContext(profile, params)
         for assertion in dset.assertions:
-            margin = pairwise_diff_margin(
-                tallies[assertion.winner],
-                tallies[assertion.loser],
-                qualified,
-                profile.total_ballots,
-                assertion.offset,
-            )
-            eae = estimate_assertion_asn(assertion, margin, params, profile.total_ballots)
-            entries.append(
-                SpecEntry(assertion, upper_bound(assertion), (margin + 1) / 2, margin, eae)
-            )
-            log.append(f"delegates: {describe(assertion)} margin {float(margin):.4f} eae {eae}")
-            if margin <= 0 or math.isinf(eae):
+            entry = ctx.entry(assertion)
+            entries.append(entry)
+            log.append(f"delegates: {describe(assertion)} margin {float(entry.margin):.4f} eae {entry.eae}")
+            if entry.margin <= 0 or math.isinf(entry.eae):
                 status = STATUS_FULL_COUNT
         for skip in dset.skipped:
             log.append(

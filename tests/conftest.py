@@ -93,6 +93,23 @@ def random_irv_profile(
     return build_profile(labels, ballots, threshold, delegates or rng.randint(1, 8), "irv")
 
 
+def enumerate_allocations(viable, delegates: int):
+    """All ways to award ``delegates`` over ``viable`` (compositions)."""
+    labels = list(viable)
+
+    def rec(i: int, remaining: int, acc: dict[str, int]):
+        if i == len(labels) - 1:
+            acc[labels[i]] = remaining
+            yield dict(acc)
+            return
+        for take in range(remaining + 1):
+            acc[labels[i]] = take
+            yield from rec(i + 1, remaining - take, acc)
+
+    if labels:
+        yield from rec(0, delegates, {})
+
+
 def perturb_profile(profile: ElectionProfile, rng: random.Random) -> ElectionProfile:
     """Randomly move or resize a few ranking groups, keeping the roster fixed."""
     rankings = {r: n for r, n in profile.rankings.items()}

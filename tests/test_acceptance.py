@@ -11,12 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import perturb_profile, random_irv_profile
+from conftest import enumerate_allocations, perturb_profile, random_irv_profile
 from hamilton_rla import (
     RiskParams,
     UnsupportedOutcomeError,
     build_profile,
-    enumerate_allocations,
     find_violated_assertion,
     irv_viability,
     tabulate,

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from conftest import DATA
 from hamilton_rla.cli import main
@@ -40,6 +43,64 @@ def test_tabulate_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "tabulate", "--election", "/nonexistent.json")
     assert code == 2
     assert "error" in err
+
+
+WELL_TYPED = {
+    "candidates": ["A", "B", "C"],
+    "threshold": "1/4",
+    "delegates": 3,
+    "style": "irv",
+    "ballots": [{"ranking": ["A"], "count": 7}, {"ranking": ["B", "C"], "count": 4}],
+}
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("tabulate", 5),
+        ("tabulate", dict(WELL_TYPED, ballots=5)),
+        ("tabulate", dict(WELL_TYPED, candidates="ABC")),
+        ("tabulate", dict(WELL_TYPED, ballots=[{"ranking": [["A"]], "count": 7}])),
+        ("tabulate", dict(WELL_TYPED, ballots=[{"ranking": "AB", "count": 7}])),
+        ("audit init", [1]),
+        ("audit round", [1]),
+    ],
+    ids=["top-level-number", "ballots-number", "candidates-string", "ranking-nested", "ranking-string",
+         "spec-list", "state-list"],
+)
+def test_wrong_json_types_exit_2(capsys, tmp_path, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "11", "--out", str(spec))
+    audit_files = ["--cvrs", SMALL_CVRS, "--manifest", str(tmp_path / "round1.csv")]
+    argv = {
+        "tabulate": ["tabulate", "--election", str(bad)],
+        "audit init": ["audit", "init", "--spec", str(bad), *audit_files, "--state", str(tmp_path / "state.json")],
+        "audit round": ["audit", "round", "--spec", str(spec), "--cvrs", SMALL_CVRS, "--manifest", SMALL_CVRS,
+                        "--interpretations", SMALL_CVRS, "--state", str(bad)],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error" in err
+
+
+@pytest.mark.parametrize("phase", ["init", "round"])
+def test_audit_refuses_partial_cvr_file(capsys, tmp_path, phase):
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "11", "--out", str(spec))
+    partial = tmp_path / "cvrs20.csv"
+    partial.write_text("".join(Path(SMALL_CVRS).read_text().splitlines(keepends=True)[:21]))  # header + 20
+    manifest = tmp_path / "round1.csv"
+    state = tmp_path / "state.json"
+    init_cvrs = partial if phase == "init" else SMALL_CVRS
+    audit = ["--spec", str(spec), "--manifest", str(manifest), "--state", str(state)]
+    code, _, err = run(capsys, "audit", "init", "--cvrs", str(init_cvrs), *audit)
+    if phase == "round":
+        assert code == 0
+        code, _, err = run(capsys, "audit", "round", "--cvrs", str(partial), "--interpretations", SMALL_CVRS, *audit)
+    assert code == 2
+    assert "20 records" in err and "120 ballots" in err
 
 
 def test_tabulate_blank_only_exit_3(capsys, tmp_path):

@@ -3,18 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_plurality_profile
+from conftest import enumerate_allocations, random_plurality_profile
 from hamilton_rla import (
+    AuditContext,
+    PairwiseDiff,
     UnsupportedOutcomeError,
     build_profile,
-    enumerate_allocations,
     find_violated_assertion,
     gen_delegate_assertions,
     margin,
-    qualified_tallies,
     tabulate,
 )
-from hamilton_rla.delegates import pairwise_diff_margin
 
 
 def test_exact_level_assertions_for_example(plurality_profile):
@@ -80,13 +79,9 @@ def test_all_offsets_in_open_interval():
 
 def test_closed_form_margin_matches_assorter_scan(plurality_profile):
     outcome = tabulate(plurality_profile)
-    tallies = qualified_tallies(plurality_profile, outcome.viable)
-    q = sum(tallies.values())
+    ctx = AuditContext(plurality_profile)
     for a in gen_delegate_assertions(outcome, 3).assertions:
-        closed = pairwise_diff_margin(
-            tallies[a.winner], tallies[a.loser], q, plurality_profile.total_ballots, a.offset
-        )
-        assert closed == margin(a, plurality_profile).margin
+        assert ctx.summary(a).margin == margin(a, plurality_profile).margin
 
 
 def test_misallocation_3_2_is_caught(plurality_profile):
@@ -166,8 +161,7 @@ def test_two_delegate_overaward_violates_level2_fuzz():
         reported[over] += 2
         for victim in rng.sample(takeable, 2):
             reported[victim] -= 1
-        tallies = qualified_tallies(profile, outcome.viable)
-        q = sum(tallies.values())
+        ctx = AuditContext(profile)
         slack2_violated = False
         for m in viable:
             for n in viable:
@@ -176,9 +170,7 @@ def test_two_delegate_overaward_violates_level2_fuzz():
                 d = Fraction(reported[m] - reported[n] - 2, outcome.delegates)
                 if d <= -1:
                     continue
-                value = pairwise_diff_margin(
-                    tallies[m], tallies[n], q, profile.total_ballots, d
-                )
+                value = ctx.summary(PairwiseDiff(m, n, d, outcome.viable)).margin
                 if value <= 0:
                     slack2_violated = True
         assert slack2_violated, (profile.rankings, reported, true)
