@@ -88,6 +88,22 @@ def _set_repr(labels: frozenset[str]) -> str:
     return "{" + ",".join(sorted(labels)) + "}"
 
 
+def _label(data: Mapping, field: str) -> str:
+    """A candidate label read from a spec object."""
+    value = data[field]
+    if not isinstance(value, str):
+        raise TypeError(f"{field!r} must be a string, not {value!r}")
+    return value
+
+
+def _label_set(data: Mapping, field: str) -> frozenset[str]:
+    """A set of candidate labels read from a spec object's list."""
+    value = data[field]
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise TypeError(f"{field!r} must be a list of strings, not {value!r}")
+    return frozenset(value)
+
+
 @dataclass(frozen=True)
 class _ThresholdAssertion(Assertion):
     """Shared shape of ``Viable`` and ``NonViable``: ``candidate`` against
@@ -118,7 +134,7 @@ class _ThresholdAssertion(Assertion):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> Assertion:
-        return cls(data["winner"], frozenset(data["eliminated"]), Fraction(data["t"]))
+        return cls(_label(data, "winner"), _label_set(data, "eliminated"), Fraction(data["t"]))
 
 
 class Viable(_ThresholdAssertion):
@@ -209,7 +225,7 @@ class IrvWins(Assertion):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> Assertion:
-        return cls(data["winner"], data["loser"], frozenset(data["eliminated"]))
+        return cls(_label(data, "winner"), _label(data, "loser"), _label_set(data, "eliminated"))
 
 
 @dataclass(frozen=True)
@@ -266,7 +282,7 @@ class PairwiseDiff(Assertion):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> Assertion:
-        return cls(data["winner"], data["loser"], Fraction(data["d"]), frozenset(data["viable"]))
+        return cls(_label(data, "winner"), _label(data, "loser"), Fraction(data["d"]), _label_set(data, "viable"))
 
 
 ASSERTION_TYPES: dict[str, type] = {cls.tag: cls for cls in (Viable, NonViable, IrvWins, PairwiseDiff)}

@@ -283,6 +283,14 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     interp_records = model.load_cvrs(args.interpretations)
     interpretations = {r.ballot_id: r.ranking for r in interp_records}
     state = _load_state(args.state)
+    universe = [r.ballot_id for r in cvr_records]
+    # Only the next segment of the seeded sample may be scored: a chosen or
+    # replayed manifest would let the ballots that get audited be picked.
+    if manifest != risk.draw_sample(state["seed"], len(manifest), universe, skip=state["total_draws"]):
+        raise ElectionDataError(
+            f"manifest {args.manifest} is not the next {len(manifest)} draws of the audit's sample "
+            f"(seed {state['seed']}, {state['total_draws']} ballots drawn so far)"
+        )
 
     pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
     prior: dict[str, RiskState] = {}
@@ -343,7 +351,6 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     if status == "escalate":
         lines.append(f"suggested additional draws: {int(suggestion)}")
         if args.next_manifest:
-            universe = [r.ballot_id for r in cvr_records]
             draws = risk.draw_sample(state["seed"], int(suggestion), universe, skip=state["total_draws"])
             risk.write_manifest(draws, args.next_manifest)
             lines.append(f"next manifest -> {args.next_manifest}")

@@ -249,9 +249,15 @@ def save_election(profile: ElectionProfile, path: str | Path) -> None:
 
 
 def load_cvrs(path: str | Path) -> list[CvrRecord]:
-    """Load a cast-vote-record CSV (header ``ballot_id,ranking``)."""
+    """Load a cast-vote-record CSV (header ``ballot_id,ranking``).
+
+    Each distinct ranking cell is parsed once and its tuple shared by every
+    record that repeats it; a malformed cell is reported at the line of its
+    first occurrence.
+    """
     records: list[CvrRecord] = []
     seen: set[str] = set()
+    rankings: dict[str, Ranking] = {}
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
@@ -267,7 +273,11 @@ def load_cvrs(path: str | Path) -> list[CvrRecord]:
             if ballot_id in seen:
                 raise ElectionDataError(f"{path}:{line_no}: duplicate ballot_id {ballot_id!r}")
             seen.add(ballot_id)
-            records.append(CvrRecord(ballot_id, parse_ranking_cell(row.get("ranking") or "", f"{path}:{line_no}")))
+            cell = row.get("ranking") or ""
+            ranking = rankings.get(cell)
+            if ranking is None:
+                ranking = rankings[cell] = parse_ranking_cell(cell, f"{path}:{line_no}")
+            records.append(CvrRecord(ballot_id, ranking))
     return records
 
 

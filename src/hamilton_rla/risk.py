@@ -28,6 +28,7 @@ import csv
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -40,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 FULL_COUNT = math.inf
 
+# Discrepancy categories, each spelled as the RiskState field that counts it.
 CLEAN = "clean"
 ONE_VOTE = "one_vote"
 TWO_VOTE = "two_vote"
@@ -126,8 +128,7 @@ def step_factor(margin: float, gamma: float, category: str) -> float:
 def km_step(state: RiskState, category: str) -> RiskState:
     """Record one drawn ballot of the given discrepancy category."""
     step_factor(state.margin, state.gamma, category)  # validates margin and category
-    field = {CLEAN: "clean", ONE_VOTE: "one_vote", TWO_VOTE: "two_vote", UNDERSTATEMENT: "understatement"}[category]
-    return replace(state, draws=state.draws + 1, **{field: getattr(state, field) + 1})
+    return replace(state, draws=state.draws + 1, **{category: getattr(state, category) + 1})
 
 
 def discrepancy(assertion: Assertion, cvr: "Ranking", paper: "Ranking") -> str:
@@ -268,31 +269,41 @@ def run_audit_round(
 ) -> tuple[dict[str, RiskState], str, float]:
     """Apply one round of drawn ballots to every assertion.
 
-    ``assertions`` pairs each assertion with its margin.  Returns the
-    updated per-assertion states (keyed by assertion identity), the round
-    status (``confirmed`` or ``escalate``), and, when escalating, the
-    suggested number of additional draws assuming clean ballots.
+    ``assertions`` pairs each assertion with its margin.  The drawn ballots
+    are counted per distinct (CVR ranking, paper ranking) pair, and each
+    pair is classified once per assertion; since the p-value depends only
+    on the per-category counts, this equals scoring the ballots one at a
+    time with ``km_step``.  Returns the updated per-assertion states (keyed
+    by assertion identity), the round status (``confirmed`` or
+    ``escalate``), and, when escalating, the suggested number of additional
+    draws assuming clean ballots.
     """
-    states: dict[str, RiskState] = {}
-    for assertion, m in assertions:
-        key = assertion_key(assertion)
-        if prior and key in prior:
-            states[key] = prior[key]
-        else:
-            states[key] = RiskState(margin=float(m), gamma=gamma)
-
     from .model import ElectionDataError  # local import to keep risk model-free at module load
 
+    pairs: Counter[tuple["Ranking", "Ranking"]] = Counter()
     for ballot_id in manifest:
         if ballot_id not in cvrs:
             raise ElectionDataError(f"drawn ballot {ballot_id!r} is not in the CVR file")
         if ballot_id not in interpretations:
             raise ElectionDataError(f"no manual interpretation for drawn ballot {ballot_id!r}")
-        cvr = cvrs[ballot_id]
-        paper = interpretations[ballot_id]
-        for assertion, _ in assertions:
-            key = assertion_key(assertion)
-            states[key] = km_step(states[key], discrepancy(assertion, cvr, paper))
+        pairs[cvrs[ballot_id], interpretations[ballot_id]] += 1
+    drawn = sum(pairs.values())
+
+    states: dict[str, RiskState] = {}
+    for assertion, m in assertions:
+        key = assertion_key(assertion)
+        state = prior[key] if prior and key in prior else RiskState(margin=float(m), gamma=gamma)
+        if drawn:
+            step_factor(state.margin, state.gamma, CLEAN)  # a nonpositive margin cannot be audited
+            counts: Counter[str] = Counter()
+            for (cvr, paper), n in pairs.items():
+                counts[discrepancy(assertion, cvr, paper)] += n
+            state = replace(
+                state,
+                draws=state.draws + drawn,
+                **{category: getattr(state, category) + n for category, n in counts.items()},
+            )
+        states[key] = state
 
     unconfirmed = {k: s for k, s in states.items() if s.p_value > alpha}
     if not unconfirmed:

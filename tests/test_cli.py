@@ -103,6 +103,23 @@ def test_audit_refuses_partial_cvr_file(capsys, tmp_path, phase):
     assert "20 records" in err and "120 ballots" in err
 
 
+def test_audit_init_refuses_string_label_set(capsys, tmp_path):
+    """A string where the spec needs a list of labels is refused, not split
+    into single-character candidate names."""
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "11", "--out", str(spec))
+    doc = json.loads(spec.read_text())
+    entry = next(e for e in doc["assertions"] if e["type"] == "viable")
+    entry["eliminated"] = "Remy"
+    spec.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "audit", "init", "--spec", str(spec), "--cvrs", SMALL_CVRS,
+        "--manifest", str(tmp_path / "round1.csv"), "--state", str(tmp_path / "state.json"),
+    )
+    assert code == 2
+    assert "must be a list of strings" in err
+
+
 def test_tabulate_blank_only_exit_3(capsys, tmp_path):
     path = tmp_path / "blank.json"
     path.write_text(
@@ -426,6 +443,28 @@ def test_audit_round_overstatements_escalate(capsys, tmp_path):
     assert next_manifest.exists()
     # the strong assertions' p-values sit at the cap after heavy overstatement
     assert any(a["p_value"] == 1.0 for a in payload["assertions"].values())
+
+
+@pytest.mark.parametrize("case", ["fabricated", "replayed"])
+def test_audit_round_refuses_manifest_off_the_sample(capsys, tmp_path, case):
+    """Only the next segment of the seeded sample can be scored: a chosen
+    manifest, or the previous round's manifest again, is refused before any
+    scoring and the state is left as it was."""
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "11", "--out", str(spec))
+    manifest = tmp_path / "round1.csv"
+    state = tmp_path / "state.json"
+    audit = ["--spec", str(spec), "--cvrs", SMALL_CVRS, "--state", str(state), "--interpretations", SMALL_CVRS]
+    assert run(capsys, "audit", "init", *audit[:-2], "--manifest", str(manifest))[0] == 0
+    if case == "fabricated":
+        manifest.write_text("draw_index,ballot_id\n" + "".join(f"{i},b001\n" for i in range(1, 201)))
+    else:
+        assert run(capsys, "audit", "round", *audit, "--manifest", str(manifest))[0] == 0
+    before = state.read_bytes()
+    code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest))
+    assert code == 2
+    assert "not the next" in err and out == ""
+    assert state.read_bytes() == before
 
 
 def test_audit_state_tamper_detected(capsys, tmp_path):

@@ -20,6 +20,7 @@ from hamilton_rla import (
 )
 from hamilton_rla.assertions import IrvWins, NonViable, PairwiseDiff, Viable
 from hamilton_rla.model import (
+    assertion_from_dict,
     audit_spec_from_dict,
     audit_spec_to_dict,
     canonical_json,
@@ -114,6 +115,33 @@ def test_load_cvrs_duplicate_id_named(tmp_path):
         load_cvrs(path)
 
 
+def test_load_cvrs_repeated_cells_share_one_ranking(tmp_path):
+    path = tmp_path / "cvrs.csv"
+    path.write_text("ballot_id,ranking\nb4,A|B\nb2,C\nb9,\nb1, A | B\nb3,A|B\nb5,\n")
+    records = load_cvrs(path)
+    assert [r.ballot_id for r in records] == ["b4", "b2", "b9", "b1", "b3", "b5"]
+    assert [r.ranking for r in records] == [("A", "B"), ("C",), (), ("A", "B"), ("A", "B"), ()]
+    assert records[4].ranking is records[0].ranking
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("b1,A\nb2,A||B\nb3,C\nb4,A||B\n", ":3: malformed ranking cell"),
+        ("b1,A\nb2,B|B\nb3,B|B\n", ":3: candidate repeated"),
+        ("b7,A\nb8,B\nb7,B\n", ":4: duplicate ballot_id 'b7'"),
+        ("b1,A\n,A\n", ":3: empty ballot_id"),
+    ],
+    ids=["malformed-cell", "repeated-candidate", "duplicate-id", "empty-id"],
+)
+def test_load_cvrs_errors_name_first_bad_line(tmp_path, rows, message):
+    path = tmp_path / "cvrs.csv"
+    path.write_text("ballot_id,ranking\n" + rows)
+    with pytest.raises(ElectionDataError) as excinfo:
+        load_cvrs(path)
+    assert str(excinfo.value).startswith(f"{path}{message}")
+
+
 def test_malformed_ranking_cell():
     with pytest.raises(ElectionDataError, match="malformed"):
         parse_ranking_cell("A||B")
@@ -151,6 +179,22 @@ def test_spec_round_trip_all_assertion_types(tmp_path):
     loaded = load_audit_spec(path)
     assert loaded == spec
     assert math.isinf(loaded.entries[-1].eae)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"type": "viable", "winner": "A", "eliminated": "BC", "t": "3/20"},
+        {"type": "nonviable", "winner": ["A"], "eliminated": [], "t": "3/20"},
+        {"type": "irv_wins", "winner": "A", "loser": 5, "eliminated": []},
+        {"type": "irv_wins", "winner": "A", "loser": "B", "eliminated": ["C", 1]},
+        {"type": "pairwise_diff", "winner": "A", "loser": "B", "d": "0", "viable": "AB"},
+    ],
+    ids=["eliminated-string", "winner-list", "loser-number", "eliminated-number", "viable-string"],
+)
+def test_spec_assertion_labels_must_be_strings(data):
+    with pytest.raises(ElectionDataError, match="bad assertion object"):
+        assertion_from_dict(data)
 
 
 def test_spec_serialization_byte_stable(tmp_path, plurality_profile):

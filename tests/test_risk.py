@@ -18,8 +18,9 @@ from hamilton_rla import (
     step_factor,
     tabulate,
 )
-from hamilton_rla.assertions import IrvWins, NonViable, Viable
+from hamilton_rla.assertions import IrvWins, NonViable, PairwiseDiff, Viable
 from hamilton_rla.risk import (
+    CATEGORIES,
     CLEAN,
     FULL_COUNT,
     ONE_VOTE,
@@ -283,6 +284,68 @@ def test_run_audit_round_missing_interpretation():
         run_audit_round([(a, 0.5)], cvrs, ["b1"], {}, None, alpha=0.05, gamma=1.1)
     with pytest.raises(ElectionDataError, match="not in the CVR"):
         run_audit_round([(a, 0.5)], cvrs, ["zz"], {"zz": ()}, None, alpha=0.05, gamma=1.1)
+
+
+def _random_assertion(rng, labels):
+    first, second, *others = rng.sample(labels, len(labels))
+    out = frozenset(rng.sample(others, rng.randint(0, len(others))))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Viable(first, out, Fraction(rng.randint(1, 9), 20))
+    if kind == 1:
+        return NonViable(first, out, Fraction(rng.randint(1, 9), 20))
+    if kind == 2:
+        return IrvWins(first, second, out)
+    return PairwiseDiff(first, second, Fraction(rng.randint(-9, 9), 10), frozenset(labels) - out)
+
+
+def _per_ballot_round(assertions, cvrs, manifest, papers, prior, gamma):
+    """Reference: every drawn ballot scored against every assertion in turn."""
+    states = {a.key: prior[a.key] if prior else RiskState(margin=m, gamma=gamma) for a, m in assertions}
+    for ballot_id in manifest:
+        for a, _ in assertions:
+            states[a.key] = km_step(states[a.key], discrepancy(a, cvrs[ballot_id], papers[ballot_id]))
+    return states
+
+
+def test_grouped_round_matches_per_ballot_scoring():
+    labels = ["A", "B", "C", "D", "E"]
+    seen_types, seen_categories, repeats = set(), Counter(), 0
+    for seed in range(20):
+        rng = random.Random(seed)
+        pool = [()] + [tuple(rng.sample(labels, rng.randint(1, 4))) for _ in range(6)]
+        cvrs = {f"b{i}": rng.choice(pool) for i in range(30)}
+        # the board reads most papers as recorded, some as blank, some as another ranking
+        papers = {
+            b: ranking if rng.random() < 0.6 else () if rng.random() < 0.5 else rng.choice(pool)
+            for b, ranking in cvrs.items()
+        }
+        by_key = {}
+        for _ in range(12):
+            a = _random_assertion(rng, labels)
+            by_key[a.key] = (a, rng.uniform(0.01, 0.6))
+        assertions = list(by_key.values())
+        states = expected = None
+        for _ in range(2):  # the second round starts from the first round's states
+            manifest = rng.choices(list(cvrs), k=rng.randint(1, 60))
+            repeats += len(manifest) - len(set(manifest))
+            states, _, _ = run_audit_round(assertions, cvrs, manifest, papers, states, 0.05, 1.1)
+            expected = _per_ballot_round(assertions, cvrs, manifest, papers, expected, 1.1)
+            assert states == expected
+        seen_types.update(type(a) for a, _ in assertions)
+        for state in states.values():
+            seen_categories.update(state.discrepancies)
+    assert seen_types == {Viable, NonViable, IrvWins, PairwiseDiff}
+    assert repeats > 0
+    assert all(seen_categories[c] > 0 for c in CATEGORIES)
+
+
+@pytest.mark.parametrize("margin", [0.0, -0.1])
+def test_run_audit_round_nonpositive_margin_cannot_be_audited(margin):
+    a, cvrs = _toy_audit()
+    b = IrvWins("L", "W", frozenset())
+    with pytest.raises(CannotAuditError):
+        run_audit_round([(a, 0.5), (b, margin)], cvrs, ["b1", "b1"], cvrs, None, alpha=0.05, gamma=1.1)
 
 
 def test_risk_params_validation():
