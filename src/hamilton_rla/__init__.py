@@ -64,6 +64,7 @@ from .viability import (
     best_root_assertion,
     branch_and_bound,
     build_audit_spec,
+    build_audit_specs,
     compute_W_L,
     enumerate_alt_sets,
     expand_node,

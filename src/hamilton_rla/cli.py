@@ -94,13 +94,16 @@ def _params_from(args: argparse.Namespace) -> RiskParams:
     if seed is None:
         seed = secrets.randbelow(2**63)
         print(f"seed: {seed} (generated)", file=sys.stderr)
-    return RiskParams(
-        alpha=args.alpha,
-        gamma=args.gamma,
-        error_rate=args.error_rate,
-        trials=args.trials,
-        seed=seed,
-    )
+    try:
+        return RiskParams(
+            alpha=args.alpha,
+            gamma=args.gamma,
+            error_rate=args.error_rate,
+            trials=args.trials,
+            seed=seed,
+        )
+    except ValueError as exc:
+        raise ElectionDataError(str(exc)) from None
 
 
 def _emit(payload: dict, args: argparse.Namespace, text: str) -> None:
@@ -177,17 +180,11 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     outcome = tabulation.tabulate(profile)
     levels: dict[str, dict] = {}
-    text = [
-        f"candidates: {len(profile.labels)}  ballots: {profile.total_ballots}",
-    ]
-    any_full_count = False
-    for level in (1, 2, 3):
-        spec, _ = viability.build_audit_spec(profile, outcome, level, params)
-        overall = risk.estimate_audit_asn(spec)
-        if spec.status == STATUS_FULL_COUNT:
-            overall = math.inf
-            any_full_count = True
-        levels[str(level)] = {
+    text = [f"candidates: {len(profile.labels)}  ballots: {profile.total_ballots}"]
+    specs = [spec for spec, _ in viability.build_audit_specs(profile, outcome, (1, 2, 3), params).values()]
+    for spec in specs:
+        overall = math.inf if spec.status == STATUS_FULL_COUNT else risk.estimate_audit_asn(spec)
+        levels[str(spec.level)] = {
             "status": spec.status,
             "assertions": len(spec.entries),
             "overall_asn": None if math.isinf(overall) else int(overall),
@@ -200,7 +197,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
                 for e in spec.entries
             ],
         }
-        text.append(f"level {level}: ASN {_fmt_asn(overall)} ({len(spec.entries)} assertions, {spec.status})")
+        text.append(f"level {spec.level}: ASN {_fmt_asn(overall)} ({len(spec.entries)} assertions, {spec.status})")
     elapsed = time.perf_counter() - started
     print(f"generation time: {elapsed:.3f}s", file=sys.stderr)
     payload = {
@@ -209,7 +206,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "levels": levels,
     }
     _emit(payload, args, "\n".join(text))
-    return EXIT_FULL_COUNT if any_full_count else EXIT_OK
+    return EXIT_FULL_COUNT if any(spec.status == STATUS_FULL_COUNT for spec in specs) else EXIT_OK
 
 
 def _state_checksum(payload: dict) -> str:
@@ -222,6 +219,30 @@ def _save_state(state: dict, path: str) -> None:
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+_COUNT = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
+# The schema version and every state field cmd_audit_round reads, with what each must be.
+_STATE_FIELDS = {
+    "schema_version": (str(STATE_SCHEMA_VERSION), lambda v: type(v) is int and v == STATE_SCHEMA_VERSION),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "total_draws": _COUNT,
+    "alpha": ("a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1),
+    "gamma": ("a number above 1", lambda v: type(v) in (int, float) and v > 1),
+    "rounds": ("a list", lambda v: type(v) is list),
+    "assertions": ("an object of objects", lambda v: type(v) is dict and all(type(a) is dict for a in v.values())),
+}
+# Each assertion's saved RiskState fields (gamma is the audit's own).
+_ASSERTION_FIELDS = {
+    "margin": ("a positive number", lambda v: type(v) in (int, float) and v > 0),
+    **dict.fromkeys(("draws", *risk.CATEGORIES), _COUNT),
+}
+
+
+def _check_fields(record: dict, fields: dict, where: str) -> None:
+    for name, (kind, valid) in fields.items():
+        if not valid(record.get(name)):
+            raise ElectionDataError(f"{where}: {name!r} must be {kind}")
+
+
 def _load_state(path: str) -> dict:
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -232,6 +253,9 @@ def _load_state(path: str) -> dict:
     state = document.get("state")
     if not isinstance(state, dict) or document.get("checksum") != _state_checksum(state):
         raise ElectionDataError(f"audit state {path} is missing or tampered (checksum mismatch)")
+    _check_fields(state, _STATE_FIELDS, f"audit state {path}")
+    for key, saved in state["assertions"].items():
+        _check_fields(saved, _ASSERTION_FIELDS, f"audit state {path}, assertion {key}")
     return state
 
 
@@ -293,17 +317,10 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
         )
 
     pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    prior: dict[str, RiskState] = {}
-    for key, saved in state["assertions"].items():
-        prior[key] = RiskState(
-            margin=saved["margin"],
-            gamma=state["gamma"],
-            draws=saved["draws"],
-            clean=saved["clean"],
-            one_vote=saved["one_vote"],
-            two_vote=saved["two_vote"],
-            understatement=saved["understatement"],
-        )
+    prior = {
+        key: RiskState(gamma=state["gamma"], **{name: saved[name] for name in _ASSERTION_FIELDS})
+        for key, saved in state["assertions"].items()
+    }
     states, status, suggestion = risk.run_audit_round(
         pairs, cvrs, manifest, interpretations, prior, state["alpha"], state["gamma"]
     )
@@ -316,18 +333,9 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
         }
     )
     state["assertions"] = {
-        key: {
-            "margin": s.margin,
-            "draws": s.draws,
-            "clean": s.clean,
-            "one_vote": s.one_vote,
-            "two_vote": s.two_vote,
-            "understatement": s.understatement,
-            "p_value": s.p_value,
-        }
+        key: {name: getattr(s, name) for name in (*_ASSERTION_FIELDS, "p_value")}
         for key, s in states.items()
     }
-    _save_state(state, args.state)
 
     per_assertion = {
         assertion_key(e.assertion): {
@@ -355,6 +363,8 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
             risk.write_manifest(draws, args.next_manifest)
             lines.append(f"next manifest -> {args.next_manifest}")
             payload["next_manifest"] = args.next_manifest
+    # saved last, so a failed write above leaves the audit where it was
+    _save_state(state, args.state)
     _emit(payload, args, "\n".join(lines))
     return EXIT_OK if status == "confirmed" else EXIT_ESCALATE
 
@@ -374,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
                 return cmd_audit_init(args)
             return cmd_audit_round(args)
         parser.error(f"unknown command {args.command!r}")
-    except ElectionDataError as exc:
+    except (ElectionDataError, OSError) as exc:  # loaders report read errors, so an OSError is an output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnsupportedOutcomeError as exc:

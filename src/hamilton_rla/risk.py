@@ -32,12 +32,10 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .assertions import Assertion, assertion_key, assorter_value, upper_bound
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .model import AuditSpec, Ranking
+from .model import AuditSpec, ElectionDataError, Ranking
 
 FULL_COUNT = math.inf
 
@@ -251,11 +249,14 @@ def write_manifest(draws: Sequence[str], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[str]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "ballot_id" not in reader.fieldnames:
-            raise ValueError(f"manifest {path} must have a ballot_id column")
-        return [row["ballot_id"] for row in reader]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None or "ballot_id" not in reader.fieldnames:
+                raise ElectionDataError(f"manifest {path} must have a ballot_id column")
+            return [row["ballot_id"] for row in reader]
+    except OSError as exc:
+        raise ElectionDataError(f"cannot read manifest {path}: {exc}") from None
 
 
 def run_audit_round(
@@ -278,8 +279,6 @@ def run_audit_round(
     ``escalate``), and, when escalating, the suggested number of additional
     draws assuming clean ballots.
     """
-    from .model import ElectionDataError  # local import to keep risk model-free at module load
-
     pairs: Counter[tuple["Ranking", "Ranking"]] = Counter()
     for ballot_id in manifest:
         if ballot_id not in cvrs:

@@ -135,18 +135,13 @@ class AuditContext:
         return SpecEntry(assertion, s.upper_bound, s.mean, s.margin, self.eae(assertion))
 
 
-def compute_W_L(
-    profile: ElectionProfile,
-    params: RiskParams | None = None,
-    ctx: AuditContext | None = None,
-) -> tuple[frozenset[str], frozenset[str], tuple[SpecEntry, ...]]:
+def compute_W_L(ctx: AuditContext) -> tuple[frozenset[str], frozenset[str], tuple[SpecEntry, ...]]:
     """Definite-viable and never-viable candidates plus their reduction assertions.
 
     Membership requires the assertion to hold with a *finite* estimated
     sample size; a positive but microscopic margin buys nothing, since
     confirming it would already take a full count.
     """
-    ctx = ctx or AuditContext(profile, params)
     tau = ctx.threshold
     winners: list[str] = []
     entries: list[SpecEntry] = []
@@ -333,21 +328,16 @@ def _pop_next(frontier: list[AltOutcomeNode], ctx: AuditContext) -> AltOutcomeNo
     return best
 
 
-def branch_and_bound(
-    profile: ElectionProfile,
-    outcome: ReportedOutcome,
-    params: RiskParams | None = None,
-) -> GenerationResult:
+def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationResult:
     """Viability assertion set for an instant-runoff contest.
 
     Returns the reduction assertions plus one invalidating assertion per
     pruned branch of the alternative-outcome forest; status is
     ``requires-full-count`` when some branch admits no assertion.
     """
-    if profile.style != IRV:
+    if ctx.profile.style != IRV:
         raise ValueError("branch and bound applies to instant-runoff contests")
-    ctx = AuditContext(profile, params)
-    winners, losers, reductions = compute_W_L(profile, ctx=ctx)
+    winners, losers, reductions = compute_W_L(ctx)
     log: list[str] = [
         f"definite viable W = {sorted(winners)}; never viable L = {sorted(losers)}"
     ]
@@ -432,20 +422,15 @@ def branch_and_bound(
     return GenerationResult(ordered, status, tuple(log))
 
 
-def gen_plurality_viability(
-    profile: ElectionProfile,
-    outcome: ReportedOutcome,
-    params: RiskParams | None = None,
-) -> GenerationResult:
+def gen_plurality_viability(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationResult:
     """One Viable per reported-viable candidate, one NonViable per other.
 
     Jointly these pin the viable set exactly, so no outcome search is
     needed.  Any nonpositive margin (a candidate sitting exactly on the
     threshold) makes the contest unauditable short of a full count.
     """
-    if profile.style != PLURALITY:
+    if ctx.profile.style != PLURALITY:
         raise ValueError("plurality generation applies to plurality contests")
-    ctx = AuditContext(profile, params)
     tau = ctx.threshold
     entries: list[SpecEntry] = []
     log: list[str] = []
@@ -469,50 +454,61 @@ def gen_plurality_viability(
     return GenerationResult(tuple(entries), status, tuple(log))
 
 
+def build_audit_specs(
+    profile: ElectionProfile,
+    outcome: ReportedOutcome,
+    levels: Sequence[int],
+    params: RiskParams | None = None,
+) -> dict[int, tuple[AuditSpec, tuple[str, ...]]]:
+    """Assemble the audit specification and proof log for each level.
+
+    Level 1 certifies viability only; levels 2 and 3 add the delegate
+    allocation assertions (slack 2 and 1 respectively).  The viability
+    part does not depend on the level, so one context and one search
+    serve every level.
+    """
+    if any(level not in (1, 2, 3) for level in levels):
+        raise ValueError("audit level must be 1, 2 or 3")
+    ctx = AuditContext(profile, params)
+    search = gen_plurality_viability if profile.style == PLURALITY else branch_and_bound
+    result = search(ctx, outcome)
+
+    specs: dict[int, tuple[AuditSpec, tuple[str, ...]]] = {}
+    for level in levels:
+        entries = list(result.entries)
+        log = list(result.proof_log)
+        status = result.status
+        if level >= 2:
+            dset = gen_delegate_assertions(outcome, level)
+            for assertion in dset.assertions:
+                entry = ctx.entry(assertion)
+                entries.append(entry)
+                log.append(f"delegates: {describe(assertion)} margin {float(entry.margin):.4f} eae {entry.eae}")
+                if entry.margin <= 0 or math.isinf(entry.eae):
+                    status = STATUS_FULL_COUNT
+            for skip in dset.skipped:
+                log.append(
+                    f"delegates: skip ({skip.winner}, {skip.loser}) d={skip.offset}: {skip.reason}"
+                )
+            if dset.tie_flag:
+                log.append("delegates: exact remainder tie at the award boundary; full count required")
+                status = STATUS_FULL_COUNT
+        spec = AuditSpec(
+            entries=tuple(entries),
+            level=level,
+            status=status,
+            total_ballots=profile.total_ballots,
+            params=ctx.params,
+        )
+        specs[level] = spec, tuple(log)
+    return specs
+
+
 def build_audit_spec(
     profile: ElectionProfile,
     outcome: ReportedOutcome,
     level: int,
     params: RiskParams | None = None,
 ) -> tuple[AuditSpec, tuple[str, ...]]:
-    """Assemble the audit specification for one level.
-
-    Level 1 certifies viability only; levels 2 and 3 add the delegate
-    allocation assertions (slack 2 and 1 respectively).
-    """
-    if level not in (1, 2, 3):
-        raise ValueError("audit level must be 1, 2 or 3")
-    params = params or RiskParams()
-    if profile.style == PLURALITY:
-        result = gen_plurality_viability(profile, outcome, params)
-    else:
-        result = branch_and_bound(profile, outcome, params)
-    entries = list(result.entries)
-    log = list(result.proof_log)
-    status = result.status
-
-    if level >= 2:
-        dset = gen_delegate_assertions(outcome, level)
-        ctx = AuditContext(profile, params)
-        for assertion in dset.assertions:
-            entry = ctx.entry(assertion)
-            entries.append(entry)
-            log.append(f"delegates: {describe(assertion)} margin {float(entry.margin):.4f} eae {entry.eae}")
-            if entry.margin <= 0 or math.isinf(entry.eae):
-                status = STATUS_FULL_COUNT
-        for skip in dset.skipped:
-            log.append(
-                f"delegates: skip ({skip.winner}, {skip.loser}) d={skip.offset}: {skip.reason}"
-            )
-        if dset.tie_flag:
-            log.append("delegates: exact remainder tie at the award boundary; full count required")
-            status = STATUS_FULL_COUNT
-
-    spec = AuditSpec(
-        entries=tuple(entries),
-        level=level,
-        status=status,
-        total_ballots=profile.total_ballots,
-        params=params,
-    )
-    return spec, tuple(log)
+    """The audit specification and proof log for one level."""
+    return build_audit_specs(profile, outcome, (level,), params)[level]

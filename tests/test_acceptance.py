@@ -154,7 +154,7 @@ def test_criterion_5_viability_soundness_fuzz():
             outcome = tabulate(profile)
         except UnsupportedOutcomeError:
             continue
-        result = branch_and_bound(profile, outcome, fuzz_params)
+        result = branch_and_bound(AuditContext(profile, fuzz_params), outcome)
         if result.status != STATUS_COMPLETE:
             continue
         elections += 1

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA
-from hamilton_rla.cli import main
+from hamilton_rla import load_audit_spec, viability
+from hamilton_rla.assertions import describe
+from hamilton_rla.cli import _state_checksum, main
 
 PLURALITY = str(DATA / "election_plurality.json")
 IRV = str(DATA / "election_irv.json")
@@ -558,3 +560,137 @@ def test_audit_rounds_replayable(capsys, tmp_path):
         )
     for key, persisted in saved["assertions"].items():
         assert states[key].p_value == persisted["p_value"]
+
+
+def _audit_after_init(capsys, tmp_path):
+    """A level-1 spec of the small election and its audit, initialised."""
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "11", "--out", str(spec))
+    manifest = tmp_path / "round1.csv"
+    audit = ["--spec", str(spec), "--cvrs", SMALL_CVRS, "--state", str(tmp_path / "state.json")]
+    assert run(capsys, "audit", "init", *audit, "--manifest", str(manifest))[0] == 0
+    return audit, manifest
+
+
+STATE_EDITS = {
+    "seed-missing": (False, lambda state: state.pop("seed")),
+    "total-draws-string": (False, lambda state: state.update(total_draws="0")),
+    "assertions-list": (False, lambda state: state.update(assertions=[])),
+    "gamma-not-above-1": (False, lambda state: state.update(gamma=1.0)),
+    "schema-version-unknown": (False, lambda state: state.update(schema_version=99)),
+    "assertion-draws-string": (True, lambda state: next(iter(state["assertions"].values())).update(draws="3")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STATE_EDITS))
+def test_audit_round_refuses_ill_formed_state(capsys, tmp_path, case):
+    """A state whose checksum matches its body but whose fields are missing,
+    mistyped or out of range is refused with exit 2, before any scoring."""
+    after_round, edit = STATE_EDITS[case]
+    audit, manifest = _audit_after_init(capsys, tmp_path)
+    if after_round:
+        paper = tmp_path / "paper.csv"
+        paper.write_text("ballot_id,ranking\n" + "".join(f"b{i:03d},Remy\n" for i in range(1, 121)))
+        next_manifest = tmp_path / "round2.csv"
+        code, _, _ = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
+                         "--interpretations", str(paper), "--next-manifest", str(next_manifest))
+        assert code == 5
+        manifest = next_manifest
+    state = Path(audit[-1])
+    doc = json.loads(state.read_text())
+    edit(doc["state"])
+    doc["checksum"] = _state_checksum(doc["state"])
+    state.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
+                         "--interpretations", SMALL_CVRS)
+    assert code == 2
+    assert "audit state" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["generate", "estimate"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--alpha", "2", "alpha"), ("--gamma", "1", "gamma"), ("--trials", "0", "trials"),
+     ("--error-rate", "1", "error rate")],
+)
+def test_out_of_range_risk_flags_exit_2(capsys, command, flag, value, message):
+    code, out, err = run(capsys, command, "--election", PLURALITY, "--seed", "1", flag, value)
+    assert code == 2
+    assert f"error: {message}" in err and out == ""
+
+
+@pytest.mark.parametrize("case", ["no-ballot-id-column", "missing-file"])
+def test_audit_round_unreadable_manifest_exit_2(capsys, tmp_path, case):
+    audit, manifest = _audit_after_init(capsys, tmp_path)
+    if case == "no-ballot-id-column":
+        manifest.write_text("draw_index,ballot\n1,b001\n")
+    else:
+        manifest = tmp_path / "absent.csv"
+    code, _, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
+                       "--interpretations", SMALL_CVRS)
+    assert code == 2
+    assert str(manifest) in err
+
+
+@pytest.mark.parametrize("command", ["generate", "audit init"])
+def test_output_into_missing_directory_exit_2(capsys, tmp_path, command):
+    target = tmp_path / "absent" / "out.json"
+    if command == "generate":
+        argv = ["generate", "--election", SMALL, "--seed", "11", "--out", str(target)]
+    else:
+        spec = tmp_path / "spec.json"
+        run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "11", "--out", str(spec))
+        argv = ["audit", "init", "--spec", str(spec), "--cvrs", SMALL_CVRS, "--manifest", str(target),
+                "--state", str(tmp_path / "state.json")]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert str(target) in err
+
+
+@pytest.mark.parametrize("election", [PLURALITY, IRV], ids=["plurality", "irv"])
+def test_estimate_matches_generate(capsys, tmp_path, election):
+    """Each level that ``estimate`` reports is the spec ``generate`` writes
+    for that level with the same seed."""
+    code, out, _ = run(capsys, "--format", "json", "estimate", "--election", election, "--seed", "7")
+    assert code == 0
+    levels = json.loads(out)["levels"]
+    for level in ("1", "2", "3"):
+        spec_path = tmp_path / f"level{level}.json"
+        code, out, _ = run(capsys, "generate", "--election", election, "--level", level, "--seed", "7",
+                           "--out", str(spec_path))
+        assert code == 0
+        spec = load_audit_spec(spec_path)
+        estimated = levels[level]
+        assert estimated["status"] == spec.status
+        assert estimated["assertions"] == len(spec.entries)
+        assert estimated["per_assertion"] == [
+            {"assertion": describe(e.assertion), "margin": float(e.margin), "asn": int(e.eae)}
+            for e in spec.entries
+        ]
+        assert estimated["overall_asn"] == max(int(e.eae) for e in spec.entries)
+
+
+@pytest.mark.parametrize(
+    "election, search",
+    [(PLURALITY, "gen_plurality_viability"), (IRV, "branch_and_bound")],
+    ids=["plurality", "irv"],
+)
+def test_estimate_runs_one_search(capsys, monkeypatch, election, search):
+    """The viability assertions do not depend on the level, so ``estimate``
+    searches once for all three levels."""
+    calls = []
+
+    def counting(name):
+        original = getattr(viability, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("gen_plurality_viability", "branch_and_bound"):
+        monkeypatch.setattr(viability, name, counting(name))
+    code, _, _ = run(capsys, "estimate", "--election", election, "--seed", "7")
+    assert code == 0
+    assert calls == [search]

@@ -39,7 +39,7 @@ def test_max_viable():
 
 def test_plurality_spec_example(plurality_profile):
     outcome = tabulate(plurality_profile)
-    result = gen_plurality_viability(plurality_profile, outcome, PARAMS)
+    result = gen_plurality_viability(AuditContext(plurality_profile, PARAMS), outcome)
     assert result.status == STATUS_COMPLETE
     kinds = [type(e.assertion).__name__ for e in result.entries]
     assert kinds == ["Viable", "Viable", "NonViable", "NonViable"]
@@ -58,7 +58,7 @@ def test_plurality_spec_example(plurality_profile):
 def test_plurality_all_viable_only_viable_assertions():
     profile = build_profile(["A", "B"], [(["A"], 60), (["B"], 40)], TAU, 2, "plurality")
     outcome = tabulate(profile)
-    result = gen_plurality_viability(profile, outcome, PARAMS)
+    result = gen_plurality_viability(AuditContext(profile, PARAMS), outcome)
     assert all(isinstance(e.assertion, Viable) for e in result.entries)
     assert result.status == STATUS_COMPLETE
 
@@ -74,7 +74,7 @@ def test_plurality_threshold_one_unanimous_required():
     profile = build_profile(["A", "B"], [(["A"], 100), (["B"], 0)], Fraction(1), 2, "plurality")
     outcome = tabulate(profile)
     assert outcome.viable == {"A"}
-    result = gen_plurality_viability(profile, outcome, PARAMS)
+    result = gen_plurality_viability(AuditContext(profile, PARAMS), outcome)
     assert result.status == STATUS_FULL_COUNT
 
 
@@ -83,13 +83,13 @@ def test_plurality_exact_threshold_full_count():
     profile = build_profile(["A", "B"], [(["A"], 85), (["B"], 15)], TAU, 2, "plurality")
     outcome = tabulate(profile)
     assert outcome.viable == {"A", "B"}
-    result = gen_plurality_viability(profile, outcome, PARAMS)
+    result = gen_plurality_viability(AuditContext(profile, PARAMS), outcome)
     assert result.status == STATUS_FULL_COUNT
     assert any(e.margin == 0 for e in result.entries)
 
 
 def test_compute_W_L_example(irv_profile):
-    winners, losers, entries = compute_W_L(irv_profile, PARAMS)
+    winners, losers, entries = compute_W_L(AuditContext(irv_profile, PARAMS))
     # Ann holds 66.1% of first preferences; Bob only 12.7%
     assert winners == {"Ann"}
     # Dee tops out at 8,378 (11.1%) with Bob and Cal eliminated; Cal reaches
@@ -110,7 +110,7 @@ def test_compute_W_L_all_first_preferences_clear():
         3,
         "irv",
     )
-    winners, losers, _ = compute_W_L(profile, PARAMS)
+    winners, losers, _ = compute_W_L(AuditContext(profile, PARAMS))
     assert winners == {"A", "B", "C"}
     assert losers == set()
     alts = enumerate_alt_sets(profile.labels, winners, losers, 6, frozenset({"A", "B", "C"}))
@@ -237,7 +237,7 @@ def test_irv_beats_option_used_when_viability_fails(irv_profile):
 
 def test_branch_and_bound_example_complete(irv_profile):
     outcome = tabulate(irv_profile)
-    result = branch_and_bound(irv_profile, outcome, PARAMS)
+    result = branch_and_bound(AuditContext(irv_profile, PARAMS), outcome)
     assert result.status == STATUS_COMPLETE
     assert result.entries  # reductions plus branch assertions
     ctx = AuditContext(irv_profile, PARAMS)
@@ -265,7 +265,7 @@ def test_branch_and_bound_tied_threshold_requires_full_count():
         "irv",
     )
     outcome = tabulate(profile)
-    result = branch_and_bound(profile, outcome, PARAMS)
+    result = branch_and_bound(AuditContext(profile, PARAMS), outcome)
     assert result.status == STATUS_FULL_COUNT
 
 
@@ -279,8 +279,8 @@ def test_branch_and_bound_level_assembly(irv_profile):
 
 def test_branch_and_bound_deterministic(irv_profile):
     outcome = tabulate(irv_profile)
-    first = branch_and_bound(irv_profile, outcome, PARAMS)
-    second = branch_and_bound(irv_profile, outcome, PARAMS)
+    first = branch_and_bound(AuditContext(irv_profile, PARAMS), outcome)
+    second = branch_and_bound(AuditContext(irv_profile, PARAMS), outcome)
     assert [assertion_key(e.assertion) for e in first.entries] == [
         assertion_key(e.assertion) for e in second.entries
     ]
@@ -305,7 +305,7 @@ def test_soundness_mini_fuzz():
             outcome = tabulate(profile)
         except UnsupportedOutcomeError:
             continue
-        result = branch_and_bound(profile, outcome, FUZZ_PARAMS)
+        result = branch_and_bound(AuditContext(profile, FUZZ_PARAMS), outcome)
         if result.status != STATUS_COMPLETE:
             continue
         elections += 1
