@@ -35,7 +35,7 @@ EXIT_UNSUPPORTED = 3
 EXIT_FULL_COUNT = 4
 EXIT_ESCALATE = 5
 
-STATE_SCHEMA_VERSION = 1
+STATE_SCHEMA_VERSION = 2
 
 
 def _risk_args(parser: argparse.ArgumentParser) -> None:
@@ -108,7 +108,7 @@ def _params_from(args: argparse.Namespace) -> RiskParams:
 
 def _emit(payload: dict, args: argparse.Namespace, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        sys.stdout.write(model.canonical_json(payload))
     else:
         print(text)
 
@@ -215,15 +215,26 @@ def _state_checksum(payload: dict) -> str:
 
 
 def _save_state(state: dict, path: str) -> None:
-    document = {"checksum": _state_checksum(state), "state": state}
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    model.write_json({"checksum": _state_checksum(state), "state": state}, path)
+
+
+# The input files an audit is bound to: the state field holding each one's
+# SHA-256 and the option that names it.
+_BOUND_INPUTS = (("spec_sha256", "spec"), ("cvrs_sha256", "cvrs"))
+
+
+def _sha256(path: str) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 _COUNT = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
+_DIGEST = ("a SHA-256 hex digest", lambda v: type(v) is str and len(v) == 64)
 # The schema version and every state field cmd_audit_round reads, with what each must be.
 _STATE_FIELDS = {
     "schema_version": (str(STATE_SCHEMA_VERSION), lambda v: type(v) is int and v == STATE_SCHEMA_VERSION),
     "seed": ("an integer", lambda v: type(v) is int),
+    "spec_sha256": _DIGEST,
+    "cvrs_sha256": _DIGEST,
     "total_draws": _COUNT,
     "alpha": ("a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1),
     "gamma": ("a number above 1", lambda v: type(v) in (int, float) and v > 1),
@@ -244,10 +255,8 @@ def _check_fields(record: dict, fields: dict, where: str) -> None:
 
 
 def _load_state(path: str) -> dict:
-    try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ElectionDataError(f"cannot read audit state {path}: {exc}") from None
+    with model.open_input(path, "audit state") as fh:
+        document = json.load(fh)
     if not isinstance(document, dict):
         raise ElectionDataError(f"audit state {path} must hold a JSON object")
     state = document.get("state")
@@ -292,6 +301,7 @@ def cmd_audit_init(args: argparse.Namespace) -> int:
         "total_draws": 0,
         "rounds": [],
         "assertions": {},
+        **{field: _sha256(getattr(args, option)) for field, option in _BOUND_INPUTS},
     }
     _save_state(state, args.state)
     payload = {"manifest": args.manifest, "draws": len(draws), "seed": seed, "state": args.state}
@@ -307,6 +317,12 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     interp_records = model.load_cvrs(args.interpretations)
     interpretations = {r.ballot_id: r.ranking for r in interp_records}
     state = _load_state(args.state)
+    for field, option in _BOUND_INPUTS:
+        path = getattr(args, option)
+        if _sha256(path) != state[field]:
+            raise ElectionDataError(
+                f"--{option} {path} is not the file this audit was initialised with (SHA-256 differs)"
+            )
     universe = [r.ballot_id for r in cvr_records]
     # Only the next segment of the seeded sample may be scored: a chosen or
     # replayed manifest would let the ballots that get audited be picked.

@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .assertions import Assertion
@@ -208,13 +209,23 @@ def build_profile(
     return ElectionProfile(tuple(labels), merged, tau, delegates, style)
 
 
+@contextmanager
+def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
+    """An input file open for reading as UTF-8, line endings untouched (as
+    the csv module needs).  A file that cannot be opened, read, decoded or
+    parsed as JSON or CSV in the ``with`` block becomes an ElectionDataError
+    naming ``what`` and ``path``."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
+        raise ElectionDataError(f"cannot read {what} {path}: {exc}") from None
+
+
 def load_election(path: str | Path) -> ElectionProfile:
     """Load and validate an election JSON file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ElectionDataError(f"cannot read election file {path}: {exc}") from None
+    with open_input(path, "election file") as fh:
+        raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ElectionDataError(f"election file {path} must hold a JSON object")
     for field in ("candidates", "threshold", "delegates", "style", "ballots"):
@@ -258,25 +269,24 @@ def load_cvrs(path: str | Path) -> list[CvrRecord]:
     records: list[CvrRecord] = []
     seen: set[str] = set()
     rankings: dict[str, Ranking] = {}
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise ElectionDataError(f"cannot read CVR file {path}: {exc}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames[:2]] != ["ballot_id", "ranking"]:
+    with open_input(path, "CVR file") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [f.strip() for f in header[:2]] != ["ballot_id", "ranking"]:
             raise ElectionDataError(f"CVR file {path} must start with header 'ballot_id,ranking'")
-        for line_no, row in enumerate(reader, start=2):
-            ballot_id = (row.get("ballot_id") or "").strip()
+        for row in reader:
+            if not row:  # a blank line
+                continue
+            ballot_id = row[0].strip()
             if not ballot_id:
-                raise ElectionDataError(f"{path}:{line_no}: empty ballot_id")
+                raise ElectionDataError(f"{path}:{reader.line_num}: empty ballot_id")
             if ballot_id in seen:
-                raise ElectionDataError(f"{path}:{line_no}: duplicate ballot_id {ballot_id!r}")
+                raise ElectionDataError(f"{path}:{reader.line_num}: duplicate ballot_id {ballot_id!r}")
             seen.add(ballot_id)
-            cell = row.get("ranking") or ""
+            cell = row[1] if len(row) > 1 else ""
             ranking = rankings.get(cell)
             if ranking is None:
-                ranking = rankings[cell] = parse_ranking_cell(cell, f"{path}:{line_no}")
+                ranking = rankings[cell] = parse_ranking_cell(cell, f"{path}:{reader.line_num}")
             records.append(CvrRecord(ballot_id, ranking))
     return records
 
@@ -380,7 +390,7 @@ def audit_spec_from_dict(data: dict) -> AuditSpec:
             total_ballots=int(data["total_ballots"]),
             params=params,
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise ElectionDataError(f"bad audit spec: {exc}") from None
 
 
@@ -389,11 +399,8 @@ def save_audit_spec(spec: AuditSpec, path: str | Path) -> None:
 
 
 def load_audit_spec(path: str | Path) -> AuditSpec:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ElectionDataError(f"cannot read audit spec {path}: {exc}") from None
+    with open_input(path, "audit spec") as fh:
+        data = json.load(fh)
     return audit_spec_from_dict(data)
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .assertions import Assertion, assertion_key, assorter_value, upper_bound
-from .model import AuditSpec, ElectionDataError, Ranking
+from .model import AuditSpec, ElectionDataError, Ranking, open_input
 
 FULL_COUNT = math.inf
 
@@ -249,14 +249,13 @@ def write_manifest(draws: Sequence[str], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[str]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "ballot_id" not in reader.fieldnames:
-                raise ElectionDataError(f"manifest {path} must have a ballot_id column")
-            return [row["ballot_id"] for row in reader]
-    except OSError as exc:
-        raise ElectionDataError(f"cannot read manifest {path}: {exc}") from None
+    with open_input(path, "manifest") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or "ballot_id" not in header:
+            raise ElectionDataError(f"manifest {path} must have a ballot_id column")
+        column = header.index("ballot_id")
+        return [row[column] if column < len(row) else "" for row in reader if row]
 
 
 def run_audit_round(

@@ -28,6 +28,14 @@ whose best assertion costs no more than the current lower bound on audit
 effort.  If some complete branch admits no assertion at all, no audit
 short of a full manual count certifies the outcome.
 
+The frontier is a heap ranked once per node, when it is queued: highest
+finite estimated effort first, unresolved (infinite) nodes last, then
+deeper nodes, then roster order.  A pruned node is dropped when it
+reaches the top.  Each leaf closes its branch at the branch's cheapest
+node and raises the lower bound; the bound then prunes the waiting nodes
+it covers in the order they were queued, which fixes the order of spec
+entries and proof-log lines.
+
 When ``W`` is empty one more alternative is reachable: every candidate
 eliminated and nobody viable.  That outcome is enumerated as an extra
 tree (empty viable set) so a complete specification excludes it too.
@@ -37,7 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from heapq import heappop, heappush
+from itertools import combinations, count
 from typing import Iterable, Sequence
 
 from .assertions import (
@@ -186,7 +195,7 @@ def enumerate_alt_sets(
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class AltOutcomeNode:
     """A class of alternative outcomes: ``eliminated_suffix`` is the pinned
     tail of the elimination sequence in chronological order (its last entry
@@ -219,13 +228,8 @@ class AltOutcomeNode:
 
 
 def _cheapest(options: Iterable[Assertion], ctx: AuditContext) -> tuple[Assertion | None, float]:
-    best: Assertion | None = None
-    best_eae = math.inf
-    for assertion in options:
-        eae = ctx.eae(assertion)
-        if best is None or eae < best_eae:
-            best, best_eae = assertion, eae
-    return best, best_eae if best is not None else math.inf
+    best = min(options, key=ctx.eae, default=None)
+    return best, math.inf if best is None else ctx.eae(best)
 
 
 def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assertion | None, float]:
@@ -302,30 +306,17 @@ def _prune(node: AltOutcomeNode) -> None:
             _prune(child)
 
 
-def _sort_key(node: AltOutcomeNode, ctx: AuditContext) -> tuple:
+def _rank(node: AltOutcomeNode, ctx: AuditContext) -> tuple:
+    """Frontier order: highest finite estimated effort first, unresolved
+    (infinite) nodes last; ties toward deeper nodes, then roster order of
+    the suffix and of the viable set.  No two nodes share a rank."""
     return (
+        math.isinf(node.eae),
+        -node.eae,
+        -node.depth,
         tuple(ctx.index[c] for c in node.eliminated_suffix),
         tuple(sorted(ctx.index[c] for c in node.viable)),
     )
-
-
-def _pop_next(frontier: list[AltOutcomeNode], ctx: AuditContext) -> AltOutcomeNode | None:
-    """Highest finite estimated effort first; unresolved (infinite) nodes
-    last; ties toward deeper nodes, then roster order."""
-    live = [n for n in frontier if not n.pruned]
-    frontier[:] = live
-    if not live:
-        return None
-    best = min(
-        live,
-        key=lambda n: (
-            (0, -n.eae) if not math.isinf(n.eae) else (1, 0.0),
-            -n.depth,
-            _sort_key(n, ctx),
-        ),
-    )
-    frontier.remove(best)
-    return best
 
 
 def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationResult:
@@ -354,7 +345,9 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
         alt_sets.append(frozenset())
 
     lower_bound = 0.0
-    status = STATUS_COMPLETE
+    # (rank, arrival, node); pruned nodes stay until they reach the top
+    frontier: list[tuple[tuple, int, AltOutcomeNode]] = []
+    arrivals = count()
 
     def add_assertion(node: AltOutcomeNode, why: str) -> None:
         assert node.assertion is not None
@@ -363,56 +356,45 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
             entries[key] = ctx.entry(node.assertion)
         log.append(f"{why}: prune {node.describe()} with {describe(node.assertion)} (eae {node.eae})")
 
-    def sweep(frontier: list[AltOutcomeNode]) -> None:
-        for waiting in frontier:
-            if not waiting.pruned and waiting.eae <= lower_bound:
-                add_assertion(waiting, f"bound {lower_bound}")
-                _prune(waiting)
-
-    def process_leaf(leaf: AltOutcomeNode, frontier: list[AltOutcomeNode]) -> bool:
+    def visit(node: AltOutcomeNode) -> bool:
+        """Queue an inner node.  A leaf closes its branch at the branch's
+        cheapest node, raises the bound and prunes every waiting node the
+        bound covers, in arrival order; False if no assertion closes it."""
         nonlocal lower_bound
+        if not node.is_leaf(ctx.labels):
+            heappush(frontier, (_rank(node, ctx), next(arrivals), node))
+            return True
         branch: list[AltOutcomeNode] = []
-        walk: AltOutcomeNode | None = leaf
+        walk: AltOutcomeNode | None = node
         while walk is not None:
             branch.append(walk)
             walk = walk.parent
         best = min(branch, key=lambda n: (n.eae, n.depth))
         if math.isinf(best.eae):
-            log.append(f"FAIL: no assertion invalidates branch {leaf.describe()}")
+            log.append(f"FAIL: no assertion invalidates branch {node.describe()}")
             return False
         add_assertion(best, "branch")
         lower_bound = max(lower_bound, best.eae)
         _prune(best)
-        sweep(frontier)
+        covered = [(arrival, n) for _, arrival, n in frontier if not n.pruned and n.eae <= lower_bound]
+        for _, waiting in sorted(covered):
+            add_assertion(waiting, f"bound {lower_bound}")
+            _prune(waiting)
         return True
 
-    frontier: list[AltOutcomeNode] = []
-    for vset in alt_sets:
-        root = AltOutcomeNode((), vset)
-        root.assertion, root.eae = best_root_assertion(vset, ctx)
-        if root.is_leaf(ctx.labels):
-            if not process_leaf(root, frontier):
-                status = STATUS_FULL_COUNT
-                break
-        else:
-            frontier.append(root)
-
-    while status == STATUS_COMPLETE:
-        node = _pop_next(frontier, ctx)
-        if node is None:
-            break
+    complete = all(visit(AltOutcomeNode((), vset, *best_root_assertion(vset, ctx))) for vset in alt_sets)
+    while complete and frontier:
+        node = heappop(frontier)[2]
+        if node.pruned:
+            continue
         for child in expand_node(node, ctx):
             if node.pruned:
                 break
-            if child.pruned:
-                continue
-            if child.is_leaf(ctx.labels):
-                if not process_leaf(child, frontier):
-                    status = STATUS_FULL_COUNT
-                    break
-            else:
-                frontier.append(child)
+            if not visit(child):
+                complete = False
+                break
 
+    status = STATUS_COMPLETE if complete else STATUS_FULL_COUNT
     ordered = tuple(entries.values())
     if status == STATUS_COMPLETE and any(
         e.margin <= 0 or math.isinf(e.eae) for e in ordered

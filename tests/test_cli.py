@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from conftest import DATA
 from hamilton_rla import load_audit_spec, viability
 from hamilton_rla.assertions import describe
 from hamilton_rla.cli import _state_checksum, main
+from hamilton_rla.risk import read_manifest
 
 PLURALITY = str(DATA / "election_plurality.json")
 IRV = str(DATA / "election_irv.json")
@@ -630,6 +632,85 @@ def test_audit_round_unreadable_manifest_exit_2(capsys, tmp_path, case):
                        "--interpretations", SMALL_CVRS)
     assert code == 2
     assert str(manifest) in err
+
+
+def _not_utf8(data: bytes) -> bytes:
+    return data + b"\xff"
+
+
+# case: (command, option whose input file is spoiled, how)
+UNREADABLE = {
+    "election-not-utf8": ("tabulate", "--election", _not_utf8),
+    "spec-not-utf8": ("audit init", "--spec", _not_utf8),
+    "cvrs-not-utf8": ("audit init", "--cvrs", _not_utf8),
+    "cvrs-field-too-large": ("audit init", "--cvrs", lambda data: data + b"b999," + b"A" * 200_000 + b"\n"),
+    "interpretations-not-utf8": ("audit round", "--interpretations", _not_utf8),
+    "manifest-not-utf8": ("audit round", "--manifest", _not_utf8),
+    "state-not-utf8": ("audit round", "--state", _not_utf8),
+    "eae-overflow": ("audit init", "--spec", lambda data: re.sub(rb'"eae": \d+', b'"eae": 1e999', data, count=1)),
+    "total-ballots-overflow": (
+        "audit init", "--spec", lambda data: re.sub(rb'"total_ballots": \d+', b'"total_ballots": 1e999', data)
+    ),
+}
+COMMAND_FILES = {
+    "tabulate": ("--election",),
+    "audit init": ("--spec", "--cvrs", "--manifest", "--state"),
+    "audit round": ("--spec", "--cvrs", "--manifest", "--interpretations", "--state"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_exit_2(capsys, tmp_path, case):
+    """A byte that is not UTF-8 in any input file, a CSV field beyond the csv
+    module's size limit, or a spec number too large for an integer field
+    exits 2 with a message instead of a traceback."""
+    command, option, spoil = UNREADABLE[case]
+    audit, manifest = _audit_after_init(capsys, tmp_path)
+    files = {**dict(zip(audit[::2], audit[1::2])), "--election": SMALL, "--manifest": str(manifest),
+             "--interpretations": SMALL_CVRS}
+    if command == "audit init":  # writes these two
+        files.update({"--manifest": str(tmp_path / "new.csv"), "--state": str(tmp_path / "new.json")})
+    spoiled = tmp_path / "spoiled"
+    spoiled.write_bytes(spoil(Path(files[option]).read_bytes()))
+    files[option] = str(spoiled)
+    argv = [arg for name in COMMAND_FILES[command] for arg in (name, files[name])]
+    code, out, err = run(capsys, *command.split(), *argv)
+    assert code == 2
+    assert err.startswith("error: ") and out == ""
+    if not case.endswith("-overflow"):
+        assert "cannot read" in err and str(spoiled) in err
+
+
+@pytest.mark.parametrize("case", ["cvrs-edited", "spec-swapped"])
+def test_audit_round_bound_to_init_spec_and_cvrs(capsys, tmp_path, case):
+    """``audit init`` records the SHA-256 of the spec and of the CVR file, and
+    a round against any other file is refused.  Without that, blanking the
+    CVRs of exactly the drawn ballots after init turns this escalating round
+    (every drawn paper blank) into a confirmed one."""
+    spec, cvrs = tmp_path / "spec.json", tmp_path / "cvrs.csv"
+    cvrs.write_text(Path(SMALL_CVRS).read_text())
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "3", "--out", str(spec))
+    manifest = tmp_path / "round1.csv"
+    audit = ["--spec", str(spec), "--cvrs", str(cvrs), "--manifest", str(manifest),
+             "--state", str(tmp_path / "state.json")]
+    code, out, _ = run(capsys, "--format", "json", "audit", "init", *audit)
+    assert code == 0 and json.loads(out)["draws"] == 29
+    drawn = set(read_manifest(manifest))
+    ids = [line.split(",")[0] for line in cvrs.read_text().splitlines()[1:]]
+    paper = tmp_path / "paper.csv"
+    paper.write_text("ballot_id,ranking\n" + "".join(f"{b},\n" for b in ids))
+    state = Path(audit[-1])
+    saved = state.read_bytes()
+    assert run(capsys, "audit", "round", *audit, "--interpretations", str(paper))[0] == 5
+    state.write_bytes(saved)
+    if case == "cvrs-edited":
+        lines = cvrs.read_text().splitlines(keepends=True)
+        cvrs.write_text(lines[0] + "".join(f"{b},\n" if b in drawn else line for b, line in zip(ids, lines[1:])))
+    elif case == "spec-swapped":
+        run(capsys, "generate", "--election", SMALL, "--level", "3", "--seed", "3", "--out", str(spec))
+    code, out, err = run(capsys, "audit", "round", *audit, "--interpretations", str(paper))
+    assert code == 2 and out == ""
+    assert f"{cvrs if case == 'cvrs-edited' else spec} is not the file this audit was initialised with" in err
 
 
 @pytest.mark.parametrize("command", ["generate", "audit init"])

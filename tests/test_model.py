@@ -108,6 +108,14 @@ def test_load_cvrs(tmp_path):
     assert records[2].ranking == ("C",)
 
 
+def test_load_cvrs_reads_columns_by_position(tmp_path):
+    """The header check strips its names, so the columns are read by
+    position: a spaced header must not turn every ranking blank."""
+    path = tmp_path / "cvrs.csv"
+    path.write_text("ballot_id, ranking\nb1,A|B\n")
+    assert [r.ranking for r in load_cvrs(path)] == [("A", "B")]
+
+
 def test_load_cvrs_duplicate_id_named(tmp_path):
     path = tmp_path / "cvrs.csv"
     path.write_text("ballot_id,ranking\nb7,A\nb7,B\n")
@@ -131,8 +139,9 @@ def test_load_cvrs_repeated_cells_share_one_ranking(tmp_path):
         ("b1,A\nb2,B|B\nb3,B|B\n", ":3: candidate repeated"),
         ("b7,A\nb8,B\nb7,B\n", ":4: duplicate ballot_id 'b7'"),
         ("b1,A\n,A\n", ":3: empty ballot_id"),
+        ("b1,A\n\nb2,A||B\n", ":4: malformed ranking cell"),
     ],
-    ids=["malformed-cell", "repeated-candidate", "duplicate-id", "empty-id"],
+    ids=["malformed-cell", "repeated-candidate", "duplicate-id", "empty-id", "after-blank-line"],
 )
 def test_load_cvrs_errors_name_first_bad_line(tmp_path, rows, message):
     path = tmp_path / "cvrs.csv"

@@ -287,6 +287,49 @@ def test_branch_and_bound_deterministic(irv_profile):
     assert first.proof_log == second.proof_log
 
 
+def test_bound_sweep_prunes_in_arrival_order():
+    """One leaf's bound prunes ten waiting roots, all at eae 40.  The sweep
+    visits waiting nodes in the order they were queued, not in frontier
+    order (which would put {A,B,C,D} first), and that order decides the
+    order of the proof-log lines and of the spec's assertions."""
+    profile = random_irv_profile(random.Random(52))
+    spec, log = build_audit_spec(profile, tabulate(profile), 1, RiskParams(seed=52))
+    bound = [
+        ("{A,B,D}", "NonViable(A | out {C,E} | t=3/20)"),
+        ("{A,C,D}", "NonViable(A | out {B,E} | t=3/20)"),
+        ("{A,D,E}", "NonViable(A | out {B,C} | t=3/20)"),
+        ("{B,C,D}", "NonViable(C | out {A,E} | t=3/20)"),
+        ("{B,D,E}", "NonViable(E | out {A,C} | t=3/20)"),
+        ("{C,D,E}", "NonViable(E | out {A,B} | t=3/20)"),
+        ("{A,B,C,D}", "NonViable(A | out {E} | t=3/20)"),
+        ("{A,B,D,E}", "NonViable(A | out {C} | t=3/20)"),
+        ("{A,C,D,E}", "NonViable(A | out {B} | t=3/20)"),
+        ("{B,C,D,E}", "NonViable(C | out {A} | t=3/20)"),
+    ]
+    assert log == (
+        "definite viable W = ['D']; never viable L = []",
+        "reduction: Viable(D | out {} | t=3/20) margin 4.5686 eae 1",
+        "branch: prune [... (any order) | viable {A,B,C,D,E}] with NonViable(A | out {} | t=3/20) (eae 40)",
+        *(f"bound 40: prune [... (any order) | viable {v}] with {a} (eae 40)" for v, a in bound),
+        "FAIL: no assertion invalidates branch [... E -> C -> B | viable {A,D}]",
+        "status: requires-full-count; assertions: 12",
+    )
+    assert [assertion_key(e.assertion) for e in spec.entries] == [
+        "viable:D:E=:t=3/20",
+        "nonviable:A:E=:t=3/20",
+        "nonviable:A:E=C,E:t=3/20",
+        "nonviable:A:E=B,E:t=3/20",
+        "nonviable:A:E=B,C:t=3/20",
+        "nonviable:C:E=A,E:t=3/20",
+        "nonviable:E:E=A,C:t=3/20",
+        "nonviable:E:E=A,B:t=3/20",
+        "nonviable:A:E=E:t=3/20",
+        "nonviable:A:E=C:t=3/20",
+        "nonviable:A:E=B:t=3/20",
+        "nonviable:C:E=A:t=3/20",
+    ]
+
+
 FUZZ_PARAMS = RiskParams(trials=5, seed=7)
 
 
