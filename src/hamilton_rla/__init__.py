@@ -45,7 +45,6 @@ from .risk import (
     draw_sample,
     estimate_asn,
     estimate_audit_asn,
-    km_step,
     run_audit_round,
     step_factor,
 )

@@ -6,6 +6,14 @@ needed.  All randomness flows from one seed; when none is given a fresh
 seed is generated and printed.  With ``--format json`` every command
 writes deterministic JSON (same inputs and seed give byte-identical
 output); timing goes to stderr.
+
+``audit init`` checks every assertion's stated margin against the CVR
+tallies before drawing.  The audit state file holds the audit's
+evidence: seed, ``alpha``, ``gamma``, the SHA-256 of the spec and CVR
+file, and per round its draw count and paper interpretations.  Each
+``audit round`` rebuilds the manifests from the seed and replays every
+round to score; the draw total and per-assertion counts and p-values it
+also writes are a summary for readers and are never read back.
 """
 from __future__ import annotations
 
@@ -16,6 +24,7 @@ import math
 import secrets
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import model, risk, tabulation, viability
@@ -35,7 +44,7 @@ EXIT_UNSUPPORTED = 3
 EXIT_FULL_COUNT = 4
 EXIT_ESCALATE = 5
 
-STATE_SCHEMA_VERSION = 2
+STATE_SCHEMA_VERSION = 3
 
 
 def _risk_args(parser: argparse.ArgumentParser) -> None:
@@ -214,7 +223,12 @@ def _state_checksum(payload: dict) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
-def _save_state(state: dict, path: str) -> None:
+def _save_state(state: dict, path: str, states: dict[str, RiskState]) -> None:
+    """Write the audit's evidence plus a summary derived from it and never
+    read back: the draw count and each assertion's counts and p-value."""
+    summary = {key: {"margin": s.margin, "draws": s.draws, **s.discrepancies, "p_value": s.p_value}
+               for key, s in states.items()}
+    state = dict(state, total_draws=sum(rnd["draws"] for rnd in state["rounds"]), assertions=summary)
     model.write_json({"checksum": _state_checksum(state), "state": state}, path)
 
 
@@ -227,31 +241,27 @@ def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-_COUNT = ("a nonnegative integer", lambda v: type(v) is int and v >= 0)
 _DIGEST = ("a SHA-256 hex digest", lambda v: type(v) is str and len(v) == 64)
+
+
+def _is_round(rnd: object) -> bool:
+    if type(rnd) is not dict:
+        return False
+    draws, cells = rnd.get("draws"), rnd.get("interpretations")
+    return type(draws) is int and draws > 0 and type(cells) is dict and all(type(c) is str for c in cells.values())
+
+
 # The schema version and every state field cmd_audit_round reads, with what each must be.
 _STATE_FIELDS = {
     "schema_version": (str(STATE_SCHEMA_VERSION), lambda v: type(v) is int and v == STATE_SCHEMA_VERSION),
     "seed": ("an integer", lambda v: type(v) is int),
     "spec_sha256": _DIGEST,
     "cvrs_sha256": _DIGEST,
-    "total_draws": _COUNT,
     "alpha": ("a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1),
     "gamma": ("a number above 1", lambda v: type(v) in (int, float) and v > 1),
-    "rounds": ("a list", lambda v: type(v) is list),
-    "assertions": ("an object of objects", lambda v: type(v) is dict and all(type(a) is dict for a in v.values())),
+    "rounds": ("a list of {draws: n > 0, interpretations: {ballot: cell}}",
+               lambda v: type(v) is list and all(map(_is_round, v))),
 }
-# Each assertion's saved RiskState fields (gamma is the audit's own).
-_ASSERTION_FIELDS = {
-    "margin": ("a positive number", lambda v: type(v) in (int, float) and v > 0),
-    **dict.fromkeys(("draws", *risk.CATEGORIES), _COUNT),
-}
-
-
-def _check_fields(record: dict, fields: dict, where: str) -> None:
-    for name, (kind, valid) in fields.items():
-        if not valid(record.get(name)):
-            raise ElectionDataError(f"{where}: {name!r} must be {kind}")
 
 
 def _load_state(path: str) -> dict:
@@ -262,9 +272,9 @@ def _load_state(path: str) -> dict:
     state = document.get("state")
     if not isinstance(state, dict) or document.get("checksum") != _state_checksum(state):
         raise ElectionDataError(f"audit state {path} is missing or tampered (checksum mismatch)")
-    _check_fields(state, _STATE_FIELDS, f"audit state {path}")
-    for key, saved in state["assertions"].items():
-        _check_fields(saved, _ASSERTION_FIELDS, f"audit state {path}, assertion {key}")
+    for name, (kind, valid) in _STATE_FIELDS.items():
+        if not valid(state.get(name)):
+            raise ElectionDataError(f"audit state {path}: {name!r} must be {kind}")
     return state
 
 
@@ -272,11 +282,32 @@ def _load_contest_cvrs(path: str, spec: AuditSpec) -> list[model.CvrRecord]:
     """The CVR file, which must hold one record per ballot of the contest:
     ballots missing from it could never be drawn."""
     cvrs = model.load_cvrs(path)
+    if not cvrs:
+        raise ElectionDataError(f"CVR file {path} holds no records, so there is nothing to audit")
     if len(cvrs) != spec.total_ballots:
         raise ElectionDataError(
             f"CVR file {path} holds {len(cvrs)} records but the contest has {spec.total_ballots} ballots"
         )
     return cvrs
+
+
+def _check_margins(spec: AuditSpec, cvrs: list[model.CvrRecord], path: str) -> None:
+    """Each assertion's upper bound, mean and margin must be the ones the CVRs
+    give, and the margin positive: rounds score with the spec's margin, so an
+    overstated one would demand less evidence, and CVRs that tabulate to
+    another outcome would be audited against one they do not report."""
+    rankings = Counter(r.ranking for r in cvrs)
+    labels = {c for ranking in rankings for c in ranking}
+    labels.update(c for e in spec.entries for c in e.assertion.scores if c is not None)
+    # threshold, delegates and style do not enter an assorter's summary
+    ctx = viability.AuditContext(model.build_profile(sorted(labels), rankings.items(), 1, 1, model.IRV))
+    for e in spec.entries:
+        s = ctx.summary(e.assertion)
+        if s.margin <= 0 or (e.upper_bound, e.mean, e.margin) != (s.upper_bound, s.mean, s.margin):
+            raise ElectionDataError(
+                f"CVR file {path} gives {describe(e.assertion)} upper bound {s.upper_bound}, mean {s.mean} "
+                f"and margin {s.margin}, but the spec states {e.upper_bound}, {e.mean} and {e.margin}"
+            )
 
 
 def cmd_audit_init(args: argparse.Namespace) -> int:
@@ -289,6 +320,9 @@ def cmd_audit_init(args: argparse.Namespace) -> int:
     if math.isinf(size):
         print("expected sample size exceeds the ballot universe; full count", file=sys.stderr)
         return EXIT_FULL_COUNT
+    if size < 1:  # no assertions, or every eae 0: a round needs at least one draw
+        raise ElectionDataError(f"audit spec {args.spec} asks for no draws, so there is nothing to audit")
+    _check_margins(spec, cvrs, args.cvrs)
     seed = args.seed if args.seed is not None else spec.params.seed
     universe = [r.ballot_id for r in cvrs]
     draws = risk.draw_sample(seed, int(size), universe)
@@ -298,12 +332,10 @@ def cmd_audit_init(args: argparse.Namespace) -> int:
         "seed": seed,
         "alpha": spec.params.alpha,
         "gamma": spec.params.gamma,
-        "total_draws": 0,
         "rounds": [],
-        "assertions": {},
         **{field: _sha256(getattr(args, option)) for field, option in _BOUND_INPUTS},
     }
-    _save_state(state, args.state)
+    _save_state(state, args.state, states={})
     payload = {"manifest": args.manifest, "draws": len(draws), "seed": seed, "state": args.state}
     _emit(payload, args, f"first-round manifest: {len(draws)} draws -> {args.manifest} (seed {seed})")
     return EXIT_OK
@@ -314,8 +346,7 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     cvr_records = _load_contest_cvrs(args.cvrs, spec)
     cvrs = {r.ballot_id: r.ranking for r in cvr_records}
     manifest = risk.read_manifest(args.manifest)
-    interp_records = model.load_cvrs(args.interpretations)
-    interpretations = {r.ballot_id: r.ranking for r in interp_records}
+    interpretations = {r.ballot_id: r.ranking for r in model.load_cvrs(args.interpretations)}
     state = _load_state(args.state)
     for field, option in _BOUND_INPUTS:
         path = getattr(args, option)
@@ -323,64 +354,59 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
             raise ElectionDataError(
                 f"--{option} {path} is not the file this audit was initialised with (SHA-256 differs)"
             )
+    if not manifest:
+        raise ElectionDataError(f"manifest {args.manifest} lists no draws")
     universe = [r.ballot_id for r in cvr_records]
+    recorded = state["rounds"]
+    drawn = sum(rnd["draws"] for rnd in recorded)
+    sample = risk.draw_sample(state["seed"], drawn + len(manifest), universe)
     # Only the next segment of the seeded sample may be scored: a chosen or
     # replayed manifest would let the ballots that get audited be picked.
-    if manifest != risk.draw_sample(state["seed"], len(manifest), universe, skip=state["total_draws"]):
+    if manifest != sample[drawn:]:
         raise ElectionDataError(
             f"manifest {args.manifest} is not the next {len(manifest)} draws of the audit's sample "
-            f"(seed {state['seed']}, {state['total_draws']} ballots drawn so far)"
+            f"(seed {state['seed']}, {drawn} ballots drawn so far)"
         )
 
+    # The recorded rounds are the audit's evidence: each one's slice of the
+    # sample with its paper interpretations, replayed with this round's.
+    rounds, start = [], 0
+    for number, rnd in enumerate(recorded, start=1):
+        where = f"audit state {args.state}, round {number}"
+        papers = {b: model.parse_ranking_cell(cell, where) for b, cell in rnd["interpretations"].items()}
+        rounds.append((sample[start : start + rnd["draws"]], papers))
+        start += rnd["draws"]
+    rounds.append((manifest, interpretations))
     pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    prior = {
-        key: RiskState(gamma=state["gamma"], **{name: saved[name] for name in _ASSERTION_FIELDS})
-        for key, saved in state["assertions"].items()
-    }
-    states, status, suggestion = risk.run_audit_round(
-        pairs, cvrs, manifest, interpretations, prior, state["alpha"], state["gamma"]
+    states, status, suggestion = risk.run_audit_round(pairs, cvrs, rounds, state["alpha"], state["gamma"])
+    recorded.append(
+        {"draws": len(manifest), "interpretations": {b: "|".join(interpretations[b]) for b in manifest}}
     )
-
-    state["total_draws"] += len(manifest)
-    state["rounds"].append(
-        {
-            "manifest": list(manifest),
-            "interpretations": {b: "|".join(interpretations[b]) for b in manifest},
-        }
-    )
-    state["assertions"] = {
-        key: {name: getattr(s, name) for name in (*_ASSERTION_FIELDS, "p_value")}
-        for key, s in states.items()
-    }
+    total = drawn + len(manifest)
 
     per_assertion = {
-        assertion_key(e.assertion): {
-            "margin": float(e.margin),
-            "p_value": states[assertion_key(e.assertion)].p_value,
-            "draws": states[assertion_key(e.assertion)].draws,
-            "discrepancies": states[assertion_key(e.assertion)].discrepancies,
-        }
-        for e in spec.entries
+        key: {"margin": s.margin, "p_value": s.p_value, "draws": s.draws, "discrepancies": s.discrepancies}
+        for key, s in states.items()
     }
     payload = {
         "status": status,
-        "total_draws": state["total_draws"],
+        "total_draws": total,
         "suggested_additional_draws": None if status == "confirmed" else int(suggestion),
         "assertions": per_assertion,
     }
-    lines = [f"status: {status}  cumulative draws: {state['total_draws']}"]
+    lines = [f"status: {status}  cumulative draws: {total}"]
     for e in spec.entries:
         s = states[assertion_key(e.assertion)]
         lines.append(f"  p={s.p_value:.6f} draws={s.draws}  {describe(e.assertion)}")
     if status == "escalate":
         lines.append(f"suggested additional draws: {int(suggestion)}")
         if args.next_manifest:
-            draws = risk.draw_sample(state["seed"], int(suggestion), universe, skip=state["total_draws"])
+            draws = risk.draw_sample(state["seed"], int(suggestion), universe, skip=total)
             risk.write_manifest(draws, args.next_manifest)
             lines.append(f"next manifest -> {args.next_manifest}")
             payload["next_manifest"] = args.next_manifest
     # saved last, so a failed write above leaves the audit where it was
-    _save_state(state, args.state)
+    _save_state(state, args.state, states)
     _emit(payload, args, "\n".join(lines))
     return EXIT_OK if status == "confirmed" else EXIT_ESCALATE
 

@@ -246,19 +246,6 @@ def load_election(path: str | Path) -> ElectionProfile:
     return build_profile(candidates, ballots, raw["threshold"], raw["delegates"], raw["style"])
 
 
-def save_election(profile: ElectionProfile, path: str | Path) -> None:
-    payload = {
-        "candidates": list(profile.labels),
-        "threshold": str(profile.threshold),
-        "delegates": profile.delegates,
-        "style": profile.style,
-        "ballots": [
-            {"ranking": list(r), "count": n} for r, n in profile.rankings.items()
-        ],
-    }
-    write_json(payload, path)
-
-
 def load_cvrs(path: str | Path) -> list[CvrRecord]:
     """Load a cast-vote-record CSV (header ``ballot_id,ranking``).
 
@@ -324,8 +311,25 @@ def _eae_to_json(eae: float) -> int | None:
     return None if math.isinf(eae) else int(eae)
 
 
-def _eae_from_json(value: object) -> float:
-    return math.inf if value is None else int(value)  # type: ignore[arg-type]
+def _is_int(value: object) -> bool:
+    return type(value) is int  # not bool
+
+
+def _is_count(value: object) -> bool:
+    return _is_int(value) and value >= 0  # type: ignore[operator]
+
+
+def _checked(record: dict, name: str, kind: str, valid) -> object:
+    """``record[name]``, which must pass ``valid`` (a spec is never coerced)."""
+    value = record[name]
+    if not valid(value):
+        raise ElectionDataError(f"{name!r} must be {kind}, not {value!r}")
+    return value
+
+
+def _eae_from_json(record: dict) -> float:
+    value = _checked(record, "eae", "a nonnegative integer or null", lambda v: v is None or _is_count(v))
+    return math.inf if value is None else value
 
 
 def audit_spec_to_dict(spec: AuditSpec) -> dict:
@@ -370,8 +374,8 @@ def audit_spec_from_dict(data: dict) -> AuditSpec:
             alpha=meta["alpha"],
             gamma=meta["gamma"],
             error_rate=meta["error_rate"],
-            trials=meta["trials"],
-            seed=meta["seed"],
+            trials=_checked(meta, "trials", "a positive integer", lambda v: _is_int(v) and v >= 1),
+            seed=_checked(meta, "seed", "an integer", _is_int),
         )
         entries = tuple(
             SpecEntry(
@@ -379,15 +383,16 @@ def audit_spec_from_dict(data: dict) -> AuditSpec:
                 upper_bound=Fraction(obj["upper_bound"]),
                 mean=Fraction(obj["mean"]),
                 margin=Fraction(obj["margin"]),
-                eae=_eae_from_json(obj["eae"]),
+                eae=_eae_from_json(obj),
             )
             for obj in data["assertions"]
         )
         return AuditSpec(
             entries=entries,
-            level=int(data["level"]),
-            status=str(data["status"]),
-            total_ballots=int(data["total_ballots"]),
+            level=_checked(data, "level", "1, 2 or 3", lambda v: _is_int(v) and v in (1, 2, 3)),
+            status=_checked(data, "status", f"{STATUS_COMPLETE!r} or {STATUS_FULL_COUNT!r}",
+                            lambda v: v in (STATUS_COMPLETE, STATUS_FULL_COUNT)),
+            total_ballots=_checked(data, "total_ballots", "a nonnegative integer", _is_count),
             params=params,
         )
     except (KeyError, ValueError, TypeError, OverflowError) as exc:

@@ -21,6 +21,11 @@ ballot has been reviewed (the full-count sentinel).  The estimate is the
 median trial length over ``trials`` runs.  Each trial's PRNG stream is
 derived from (seed, stream label, trial index), so estimates do not
 depend on evaluation order.
+
+Audit rounds are scored from the evidence alone: ``run_audit_round``
+takes every round so far (manifest plus that round's paper
+interpretations) and builds each assertion's ``RiskState`` from the
+category counts of all its draws, so no state is carried between calls.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ import math
 import random
 import statistics
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -121,12 +126,6 @@ def step_factor(margin: float, gamma: float, category: str) -> float:
     if category == TWO_VOTE:
         return clean / (1.0 - 1.0 / gamma)
     raise ValueError(f"unknown discrepancy category {category!r}")
-
-
-def km_step(state: RiskState, category: str) -> RiskState:
-    """Record one drawn ballot of the given discrepancy category."""
-    step_factor(state.margin, state.gamma, category)  # validates margin and category
-    return replace(state, draws=state.draws + 1, **{category: getattr(state, category) + 1})
 
 
 def discrepancy(assertion: Assertion, cvr: "Ranking", paper: "Ranking") -> str:
@@ -261,48 +260,40 @@ def read_manifest(path: str | Path) -> list[str]:
 def run_audit_round(
     assertions: Sequence[tuple[Assertion, float]],
     cvrs: Mapping[str, "Ranking"],
-    manifest: Iterable[str],
-    interpretations: Mapping[str, "Ranking"],
-    prior: Mapping[str, RiskState] | None,
+    rounds: Iterable[tuple[Iterable[str], Mapping[str, "Ranking"]]],
     alpha: float,
     gamma: float,
 ) -> tuple[dict[str, RiskState], str, float]:
-    """Apply one round of drawn ballots to every assertion.
+    """Score every round of the audit so far against every assertion.
 
-    ``assertions`` pairs each assertion with its margin.  The drawn ballots
-    are counted per distinct (CVR ranking, paper ranking) pair, and each
-    pair is classified once per assertion; since the p-value depends only
-    on the per-category counts, this equals scoring the ballots one at a
-    time with ``km_step``.  Returns the updated per-assertion states (keyed
-    by assertion identity), the round status (``confirmed`` or
-    ``escalate``), and, when escalating, the suggested number of additional
-    draws assuming clean ballots.
+    ``assertions`` pairs each assertion with its margin; ``rounds`` holds
+    each round's manifest with that round's paper interpretations.  The
+    draws of all rounds are counted per distinct (CVR ranking, paper
+    ranking) pair, and each pair is classified once per assertion; since
+    the p-value depends only on the per-category counts, this equals
+    scoring the ballots one at a time in draw order.  Returns the
+    per-assertion states (keyed by assertion identity), the audit status
+    (``confirmed`` or ``escalate``), and, when escalating, the suggested
+    number of additional draws assuming clean ballots.
     """
     pairs: Counter[tuple["Ranking", "Ranking"]] = Counter()
-    for ballot_id in manifest:
-        if ballot_id not in cvrs:
-            raise ElectionDataError(f"drawn ballot {ballot_id!r} is not in the CVR file")
-        if ballot_id not in interpretations:
-            raise ElectionDataError(f"no manual interpretation for drawn ballot {ballot_id!r}")
-        pairs[cvrs[ballot_id], interpretations[ballot_id]] += 1
+    for number, (manifest, interpretations) in enumerate(rounds, start=1):
+        for ballot_id in manifest:
+            if ballot_id not in cvrs:
+                raise ElectionDataError(f"drawn ballot {ballot_id!r} is not in the CVR file")
+            if ballot_id not in interpretations:
+                raise ElectionDataError(f"round {number}: no manual interpretation for drawn ballot {ballot_id!r}")
+            pairs[cvrs[ballot_id], interpretations[ballot_id]] += 1
     drawn = sum(pairs.values())
 
     states: dict[str, RiskState] = {}
     for assertion, m in assertions:
-        key = assertion_key(assertion)
-        state = prior[key] if prior and key in prior else RiskState(margin=float(m), gamma=gamma)
-        if drawn:
-            step_factor(state.margin, state.gamma, CLEAN)  # a nonpositive margin cannot be audited
-            counts: Counter[str] = Counter()
-            for (cvr, paper), n in pairs.items():
-                counts[discrepancy(assertion, cvr, paper)] += n
-            state = replace(
-                state,
-                draws=state.draws + drawn,
-                **{category: getattr(state, category) + n for category, n in counts.items()},
-            )
-        states[key] = state
+        counts: Counter[str] = Counter()
+        for (cvr, paper), n in pairs.items():
+            counts[discrepancy(assertion, cvr, paper)] += n
+        states[assertion_key(assertion)] = RiskState(margin=float(m), gamma=gamma, draws=drawn, **counts)
 
+    # p_value raises CannotAuditError for a nonpositive margin
     unconfirmed = {k: s for k, s in states.items() if s.p_value > alpha}
     if not unconfirmed:
         return states, "confirmed", 0

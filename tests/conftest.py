@@ -1,14 +1,23 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from hamilton_rla import ElectionProfile, build_profile
+from hamilton_rla.risk import RiskState, step_factor
 
 DATA = Path(__file__).parent / "data"
 
 TAU = Fraction(15, 100)
+
+
+def km_step(state: RiskState, category: str) -> RiskState:
+    """The per-ballot scoring oracle: record one drawn ballot of the given
+    discrepancy category."""
+    step_factor(state.margin, state.gamma, category)  # validates margin and category
+    return replace(state, draws=state.draws + 1, **{category: getattr(state, category) + 1})
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA
-from hamilton_rla import load_audit_spec, viability
+from conftest import DATA, km_step
+from hamilton_rla import RiskState, discrepancy, load_audit_spec, load_cvrs, viability
 from hamilton_rla.assertions import describe
 from hamilton_rla.cli import _state_checksum, main
 from hamilton_rla.risk import read_manifest
@@ -122,6 +122,62 @@ def test_audit_init_refuses_string_label_set(capsys, tmp_path):
     )
     assert code == 2
     assert "must be a list of strings" in err
+
+
+@pytest.mark.parametrize("case", ["margin-edited", "cvrs-tally-differently"])
+def test_audit_init_checks_margins_against_cvrs(capsys, tmp_path, case):
+    """``audit init`` recomputes every assertion's margin from the CVRs and
+    refuses, naming the assertion, a spec whose stated margin differs: an
+    overstated margin would lower the evidence rounds demand, and CVRs that
+    tabulate differently do not report the audited outcome."""
+    spec, cvrs = tmp_path / "spec.json", tmp_path / "cvrs.csv"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "3", "--out", str(spec))
+    lines = Path(SMALL_CVRS).read_text().splitlines(keepends=True)
+    if case == "margin-edited":
+        doc = json.loads(spec.read_text())
+        doc["assertions"][0]["margin"] = "1/2"
+        spec.write_text(json.dumps(doc))
+    else:  # the same 120 ballots, with 15 Pat records as Quinn: 55/55/10 instead of 70/40/10
+        pat = [i for i, line in enumerate(lines) if line.rstrip("\n").endswith(",Pat")][:15]
+        lines = [line.replace(",Pat", ",Quinn") if i in pat else line for i, line in enumerate(lines)]
+    cvrs.write_text("".join(lines))
+    state = tmp_path / "state.json"
+    code, out, err = run(capsys, "audit", "init", "--spec", str(spec), "--cvrs", str(cvrs),
+                         "--manifest", str(tmp_path / "round1.csv"), "--state", str(state))
+    assert code == 2 and out == ""
+    assert f"CVR file {cvrs} gives Viable(Pat | out {{}} | t=1/4)" in err
+    assert not state.exists()
+
+
+# case: (where in the spec, field, value)
+SPEC_FIELD_EDITS = {
+    "seed-string": ("metadata", "seed", "x"),
+    "seed-float": ("metadata", "seed", 1.5),
+    "seed-bool": ("metadata", "seed", True),
+    "trials-float": ("metadata", "trials", 2.5),
+    "level-9": ("header", "level", 9),
+    "level-string": ("header", "level", "1"),
+    "status-bogus": ("header", "status", "bogus"),
+    "total-ballots-float": ("header", "total_ballots", 120.0),
+    "eae-string": ("assertion", "eae", "7"),
+    "eae-negative": ("assertion", "eae", -1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_FIELD_EDITS))
+def test_audit_init_refuses_mistyped_spec_field(capsys, tmp_path, case):
+    """Spec metadata and header fields are type-checked, never coerced: a
+    seed that is not an integer would write a state every round refuses."""
+    where, field, value = SPEC_FIELD_EDITS[case]
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "3", "--out", str(spec))
+    doc = json.loads(spec.read_text())
+    {"metadata": doc["metadata"], "header": doc, "assertion": doc["assertions"][0]}[where][field] = value
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "audit", "init", "--spec", str(spec), "--cvrs", SMALL_CVRS,
+                         "--manifest", str(tmp_path / "round1.csv"), "--state", str(tmp_path / "state.json"))
+    assert code == 2 and out == ""
+    assert f"bad audit spec: {field!r} must be" in err
 
 
 def test_tabulate_blank_only_exit_3(capsys, tmp_path):
@@ -547,19 +603,22 @@ def test_audit_rounds_replayable(capsys, tmp_path):
     )
     saved = json.loads(state.read_text())["state"]
     assert saved["rounds"]
-    # replaying the recorded rounds reproduces the stored p-values
-    from hamilton_rla import load_audit_spec, load_cvrs, run_audit_round
+    # replaying the recorded rounds, each its slice of the seeded sample,
+    # reproduces the stored p-values
+    from hamilton_rla import draw_sample, load_audit_spec, load_cvrs, run_audit_round
     from hamilton_rla.model import parse_ranking_cell
 
     spec = load_audit_spec(spec_path)
     cvrs = {r.ballot_id: r.ranking for r in load_cvrs(SMALL_CVRS)}
-    pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    states = None
+    sample = draw_sample(saved["seed"], sum(rnd["draws"] for rnd in saved["rounds"]), list(cvrs))
+    assert sample == read_manifest(manifest)
+    rounds, start = [], 0
     for rnd in saved["rounds"]:
         interp = {b: parse_ranking_cell(cell) for b, cell in rnd["interpretations"].items()}
-        states, _, _ = run_audit_round(
-            pairs, cvrs, rnd["manifest"], interp, states, saved["alpha"], saved["gamma"]
-        )
+        rounds.append((sample[start : start + rnd["draws"]], interp))
+        start += rnd["draws"]
+    pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
+    states, _, _ = run_audit_round(pairs, cvrs, rounds, saved["alpha"], saved["gamma"])
     for key, persisted in saved["assertions"].items():
         assert states[key].p_value == persisted["p_value"]
 
@@ -574,21 +633,35 @@ def _audit_after_init(capsys, tmp_path):
     return audit, manifest
 
 
+def _first_cell(state: dict, cell: str | None) -> None:
+    """Set the first recorded paper reading to ``cell``, or drop it when None."""
+    papers = state["rounds"][0]["interpretations"]
+    ballot = next(iter(papers))
+    if cell is None:
+        del papers[ballot]
+    else:
+        papers[ballot] = cell
+
+
+# case: (edit after a first round, the edit, what the message names)
 STATE_EDITS = {
-    "seed-missing": (False, lambda state: state.pop("seed")),
-    "total-draws-string": (False, lambda state: state.update(total_draws="0")),
-    "assertions-list": (False, lambda state: state.update(assertions=[])),
-    "gamma-not-above-1": (False, lambda state: state.update(gamma=1.0)),
-    "schema-version-unknown": (False, lambda state: state.update(schema_version=99)),
-    "assertion-draws-string": (True, lambda state: next(iter(state["assertions"].values())).update(draws="3")),
+    "seed-missing": (False, lambda state: state.pop("seed"), "audit state"),
+    "round-draws-string": (True, lambda state: state["rounds"][0].update(draws="3"), "audit state"),
+    "interpretation-malformed": (True, lambda state: _first_cell(state, "Pat||Remy"), "audit state"),
+    "gamma-not-above-1": (False, lambda state: state.update(gamma=1.0), "audit state"),
+    "schema-version-unknown": (False, lambda state: state.update(schema_version=99), "audit state"),
+    # a fresh state differs from the previous layout's only in its version
+    "schema-version-2": (False, lambda state: state.update(schema_version=2), "'schema_version' must be 3"),
+    "round-misses-drawn-ballot": (True, lambda state: _first_cell(state, None), "round 1: no manual interpretation"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(STATE_EDITS))
 def test_audit_round_refuses_ill_formed_state(capsys, tmp_path, case):
     """A state whose checksum matches its body but whose fields are missing,
-    mistyped or out of range is refused with exit 2, before any scoring."""
-    after_round, edit = STATE_EDITS[case]
+    mistyped or out of range, or whose recorded evidence is incomplete, is
+    refused with exit 2, before any scoring."""
+    after_round, edit, message = STATE_EDITS[case]
     audit, manifest = _audit_after_init(capsys, tmp_path)
     if after_round:
         paper = tmp_path / "paper.csv"
@@ -606,7 +679,113 @@ def test_audit_round_refuses_ill_formed_state(capsys, tmp_path, case):
     code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
                          "--interpretations", SMALL_CVRS)
     assert code == 2
-    assert "audit state" in err and out == ""
+    assert message in err and out == ""
+
+
+@pytest.mark.parametrize("empty", ["cvrs", "spec-draws", "manifest"])
+def test_audit_refuses_empty_input(capsys, tmp_path, empty):
+    """A CVR file with no records (for a spec claiming no ballots), a spec
+    whose expected sample sizes are all 0, and a manifest with no draws are
+    refused with exit 2: there is nothing to audit, and a recorded round
+    always holds at least one draw."""
+    audit, manifest = _audit_after_init(capsys, tmp_path)
+    spec, empty_file = Path(audit[1]), tmp_path / "empty.csv"
+    if empty == "manifest":
+        empty_file.write_text("draw_index,ballot_id\n")
+        argv = ["round", *audit, "--manifest", str(empty_file), "--interpretations", SMALL_CVRS]
+        message = f"manifest {empty_file} lists no draws"
+    else:
+        doc = json.loads(spec.read_text())
+        if empty == "cvrs":
+            doc["total_ballots"] = 0
+            empty_file.write_text("ballot_id,ranking\n")
+            audit[audit.index("--cvrs") + 1] = str(empty_file)
+            message = f"CVR file {empty_file} holds no records"
+        else:
+            for entry in doc["assertions"]:
+                entry["eae"] = 0
+            message = f"audit spec {spec} asks for no draws"
+        spec.write_text(json.dumps(doc))
+        argv = ["init", *audit, "--manifest", str(manifest)]
+    code, out, err = run(capsys, "audit", *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def _escalating_audit(capsys, tmp_path):
+    """An initialised level-1 audit of the small election (seed 3, 29 draws)
+    and its first round, which reads every fourth ballot's paper as blank
+    and escalates.  Returns the audit options, the two manifests and the
+    first round's interpretations file."""
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "3", "--out", str(spec))
+    audit = ["--spec", str(spec), "--cvrs", SMALL_CVRS, "--state", str(tmp_path / "state.json")]
+    first, second = tmp_path / "round1.csv", tmp_path / "round2.csv"
+    assert run(capsys, "audit", "init", *audit, "--manifest", str(first))[0] == 0
+    records = Path(SMALL_CVRS).read_text().splitlines()[1:]
+    paper = tmp_path / "paper.csv"
+    paper.write_text("ballot_id,ranking\n" + "".join(
+        f"{line.split(',')[0]},\n" if i % 4 == 0 else f"{line}\n" for i, line in enumerate(records)
+    ))
+    code, _, _ = run(capsys, "audit", "round", *audit, "--manifest", str(first), "--interpretations", str(paper),
+                     "--next-manifest", str(second))
+    assert code == 5
+    return audit, first, second, paper
+
+
+def test_audit_state_replays_every_draw(capsys, tmp_path):
+    """After an escalating round and a follow-up, the state counts every
+    drawn ballot for every assertion, records each round's draws, and the
+    reported p-values are those of scoring every draw one ballot at a time,
+    each against its own round's paper."""
+    audit, first, second, paper = _escalating_audit(capsys, tmp_path)
+    code, out, _ = run(capsys, "--format", "json", "audit", "round", *audit, "--manifest", str(second),
+                       "--interpretations", SMALL_CVRS)
+    assert code == 5
+    manifests = [read_manifest(first), read_manifest(second)]
+    cumulative = sum(map(len, manifests))
+    state = json.loads(Path(audit[-1]).read_text())["state"]
+    assert [rnd["draws"] for rnd in state["rounds"]] == list(map(len, manifests))
+    assert state["total_draws"] == cumulative
+    assert {a["draws"] for a in state["assertions"].values()} == {cumulative}
+
+    cvrs = {r.ballot_id: r.ranking for r in load_cvrs(SMALL_CVRS)}
+    papers = [{r.ballot_id: r.ranking for r in load_cvrs(path)} for path in (paper, SMALL_CVRS)]
+    reported = json.loads(out)["assertions"]
+    for e in load_audit_spec(audit[1]).entries:
+        replayed = RiskState(margin=float(e.margin), gamma=state["gamma"])
+        for manifest, paper_of in zip(manifests, papers):
+            for ballot in manifest:
+                replayed = km_step(replayed, discrepancy(e.assertion, cvrs[ballot], paper_of[ballot]))
+        assert reported[e.assertion.key]["p_value"] == replayed.p_value
+        assert state["assertions"][e.assertion.key]["p_value"] == replayed.p_value
+
+
+SUMMARY_EDITS = {
+    "total-draws": lambda state: state.update(total_draws=999),
+    "assertions": lambda state: state.update(
+        assertions={key: dict(a, margin=2.0, draws=0, clean=999, one_vote=0, two_vote=0, p_value=0.0)
+                    for key, a in state["assertions"].items()}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUMMARY_EDITS))
+def test_audit_round_ignores_state_summary(capsys, tmp_path, case):
+    """The state's draw count and per-assertion summary are derived from the
+    recorded rounds and never read: editing them (and re-checksumming) leaves
+    the next round's output unchanged."""
+    audit, _, second, _ = _escalating_audit(capsys, tmp_path)
+    state = Path(audit[-1])
+    saved = state.read_bytes()
+    follow_up = ["--format", "json", "audit", "round", *audit, "--manifest", str(second),
+                 "--interpretations", SMALL_CVRS]
+    expected = run(capsys, *follow_up)
+    doc = json.loads(saved)
+    SUMMARY_EDITS[case](doc["state"])
+    doc["checksum"] = _state_checksum(doc["state"])
+    state.write_text(json.dumps(doc))
+    assert run(capsys, *follow_up) == expected
 
 
 @pytest.mark.parametrize("command", ["generate", "estimate"])

@@ -26,9 +26,21 @@ from hamilton_rla.model import (
     canonical_json,
     parse_proportion,
     parse_ranking_cell,
-    save_election,
+    write_json,
 )
 from hamilton_rla.viability import build_audit_spec
+
+
+def save_election(profile, path):
+    """Write a profile in the election JSON format that load_election reads."""
+    payload = {
+        "candidates": list(profile.labels),
+        "threshold": str(profile.threshold),
+        "delegates": profile.delegates,
+        "style": profile.style,
+        "ballots": [{"ranking": list(r), "count": n} for r, n in profile.rankings.items()],
+    }
+    write_json(payload, path)
 
 
 def test_load_plurality_example():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import km_step
 from hamilton_rla import (
     CannotAuditError,
     RiskParams,
@@ -13,7 +14,6 @@ from hamilton_rla import (
     draw_sample,
     estimate_asn,
     estimate_audit_asn,
-    km_step,
     run_audit_round,
     step_factor,
     tabulate,
@@ -210,9 +210,7 @@ def test_clean_replay_confirms_at_estimated_size(plurality_profile):
             i += 1
     manifest = draw_sample(42, int(size), list(cvrs))
     pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    states, status, _ = run_audit_round(
-        pairs, cvrs, manifest, cvrs, None, alpha=0.05, gamma=1.1
-    )
+    states, status, _ = run_audit_round(pairs, cvrs, [(manifest, cvrs)], alpha=0.05, gamma=1.1)
     assert status == "confirmed"
     assert all(s.draws == int(size) for s in states.values())
 
@@ -252,9 +250,7 @@ def _toy_audit():
 def test_run_audit_round_clean_confirms():
     a, cvrs = _toy_audit()
     manifest = [f"b{i}" for i in range(1, 50) if i % 3]
-    states, status, extra = run_audit_round(
-        [(a, 0.5)], cvrs, manifest, cvrs, None, alpha=0.05, gamma=1.1
-    )
+    states, status, extra = run_audit_round([(a, 0.5)], cvrs, [(manifest, cvrs)], alpha=0.05, gamma=1.1)
     assert status == "confirmed"
     assert extra == 0
     (state,) = states.values()
@@ -266,9 +262,7 @@ def test_run_audit_round_overstatements_escalate():
     a, cvrs = _toy_audit()
     manifest = ["b1", "b2", "b4"]
     paper = {b: ("L",) for b in cvrs}  # every drawn CVR overstates maximally
-    states, status, extra = run_audit_round(
-        [(a, 0.5)], cvrs, manifest, paper, None, alpha=0.05, gamma=1.1
-    )
+    states, status, extra = run_audit_round([(a, 0.5)], cvrs, [(manifest, paper)], alpha=0.05, gamma=1.1)
     assert status == "escalate"
     assert extra > 0
     (state,) = states.values()
@@ -281,9 +275,9 @@ def test_run_audit_round_missing_interpretation():
 
     a, cvrs = _toy_audit()
     with pytest.raises(ElectionDataError, match="interpretation"):
-        run_audit_round([(a, 0.5)], cvrs, ["b1"], {}, None, alpha=0.05, gamma=1.1)
+        run_audit_round([(a, 0.5)], cvrs, [(["b1"], {})], alpha=0.05, gamma=1.1)
     with pytest.raises(ElectionDataError, match="not in the CVR"):
-        run_audit_round([(a, 0.5)], cvrs, ["zz"], {"zz": ()}, None, alpha=0.05, gamma=1.1)
+        run_audit_round([(a, 0.5)], cvrs, [(["zz"], {"zz": ()})], alpha=0.05, gamma=1.1)
 
 
 def _random_assertion(rng, labels):
@@ -310,33 +304,37 @@ def _per_ballot_round(assertions, cvrs, manifest, papers, prior, gamma):
 
 def test_grouped_round_matches_per_ballot_scoring():
     labels = ["A", "B", "C", "D", "E"]
-    seen_types, seen_categories, repeats = set(), Counter(), 0
+    seen_types, seen_categories, repeats, rereads = set(), Counter(), 0, 0
     for seed in range(20):
         rng = random.Random(seed)
         pool = [()] + [tuple(rng.sample(labels, rng.randint(1, 4))) for _ in range(6)]
         cvrs = {f"b{i}": rng.choice(pool) for i in range(30)}
-        # the board reads most papers as recorded, some as blank, some as another ranking
-        papers = {
-            b: ranking if rng.random() < 0.6 else () if rng.random() < 0.5 else rng.choice(pool)
-            for b, ranking in cvrs.items()
-        }
         by_key = {}
         for _ in range(12):
             a = _random_assertion(rng, labels)
             by_key[a.key] = (a, rng.uniform(0.01, 0.6))
         assertions = list(by_key.values())
-        states = expected = None
-        for _ in range(2):  # the second round starts from the first round's states
+        rounds, expected = [], None
+        for _ in range(2):  # the reference's second round starts from its first round's states
             manifest = rng.choices(list(cvrs), k=rng.randint(1, 60))
             repeats += len(manifest) - len(set(manifest))
-            states, _, _ = run_audit_round(assertions, cvrs, manifest, papers, states, 0.05, 1.1)
+            # the board reads most papers as recorded, some as blank, some as another
+            # ranking, and reads a ballot drawn again in a later round afresh
+            papers = {
+                b: ranking if rng.random() < 0.6 else () if rng.random() < 0.5 else rng.choice(pool)
+                for b, ranking in cvrs.items()
+            }
+            rounds.append((manifest, papers))
             expected = _per_ballot_round(assertions, cvrs, manifest, papers, expected, 1.1)
-            assert states == expected
+        states, _, _ = run_audit_round(assertions, cvrs, rounds, 0.05, 1.1)
+        assert states == expected
+        (first, first_papers), (second, second_papers) = rounds
+        rereads += sum(first_papers[b] != second_papers[b] for b in set(first) & set(second))
         seen_types.update(type(a) for a, _ in assertions)
         for state in states.values():
             seen_categories.update(state.discrepancies)
     assert seen_types == {Viable, NonViable, IrvWins, PairwiseDiff}
-    assert repeats > 0
+    assert repeats > 0 and rereads > 0
     assert all(seen_categories[c] > 0 for c in CATEGORIES)
 
 
@@ -345,7 +343,7 @@ def test_run_audit_round_nonpositive_margin_cannot_be_audited(margin):
     a, cvrs = _toy_audit()
     b = IrvWins("L", "W", frozenset())
     with pytest.raises(CannotAuditError):
-        run_audit_round([(a, 0.5), (b, margin)], cvrs, ["b1", "b1"], cvrs, None, alpha=0.05, gamma=1.1)
+        run_audit_round([(a, 0.5), (b, margin)], cvrs, [(["b1", "b1"], cvrs)], alpha=0.05, gamma=1.1)
 
 
 def test_risk_params_validation():
