@@ -12,7 +12,9 @@ An assertion is confirmed once its p-value falls to the risk limit
 ``alpha``.  With no errors the required number of draws is exactly
 ``ceil(ln(alpha) / ln(1 - m/(2*gamma)))``; a margin of ``2*gamma`` or
 more confirms on the first draw.  Understatements are conservatively
-given the clean factor, never less.
+given the clean factor, never less.  The p-value is capped at 1, but the
+product under the cap is what later draws multiply, so an escalating
+round suggests the clean draws that take that product to ``alpha``.
 
 Expected sample sizes (ASN) are estimated by simulation: ballots are
 drawn one at a time, each independently a one-vote overstatement with
@@ -20,7 +22,10 @@ probability ``error_rate``, until the p-value reaches ``alpha`` or every
 ballot has been reviewed (the full-count sentinel).  The estimate is the
 median trial length over ``trials`` runs.  Each trial's PRNG stream is
 derived from (seed, stream label, trial index), so estimates do not
-depend on evaluation order.
+depend on evaluation order.  No draw lowers the p-value more than a
+clean one, so no trial, and no estimate, is shorter than the no-error
+count (``clean_draws``); ``asn_floor`` states that bound, and the outcome
+search uses it to skip simulating assertions that cannot be cheapest.
 
 Audit rounds are scored from the evidence alone: ``run_audit_round``
 takes every round so far (manifest plus that round's paper
@@ -93,7 +98,8 @@ class RiskState:
     understatement: int = 0
 
     @property
-    def p_value(self) -> float:
+    def product(self) -> float:
+        """The uncapped product of the per-draw factors."""
         f_clean = step_factor(self.margin, self.gamma, CLEAN)
         f_one = step_factor(self.margin, self.gamma, ONE_VOTE)
         f_two = step_factor(self.margin, self.gamma, TWO_VOTE)
@@ -102,7 +108,11 @@ class RiskState:
             raw *= f_one**self.one_vote
         if self.two_vote:
             raw *= f_two**self.two_vote
-        return min(1.0, raw)
+        return raw
+
+    @property
+    def p_value(self) -> float:
+        return min(1.0, self.product)
 
     @property
     def discrepancies(self) -> dict[str, int]:
@@ -145,6 +155,19 @@ def discrepancy(assertion: Assertion, cvr: "Ranking", paper: "Ranking") -> str:
     return TWO_VOTE
 
 
+def clean_draws(margin: float, alpha: float, gamma: float, log_p: float = 0.0) -> int:
+    """Clean draws that take a p-value of ``exp(log_p)``, above ``alpha``,
+    down to ``alpha``: one when a single clean draw zeroes it (margin
+    ``2*gamma`` or more).  Every other draw category multiplies the
+    p-value by at least the clean factor, so no audit that starts at
+    ``exp(log_p)`` confirms in fewer draws.
+    """
+    clean = step_factor(margin, gamma, CLEAN)
+    if clean <= 0.0:
+        return 1
+    return math.ceil((math.log(alpha) - log_p) / math.log(clean))
+
+
 def _trial_draws(
     margin: float,
     params: RiskParams,
@@ -164,13 +187,15 @@ def _trial_draws(
     log_clean = math.log(clean)
     log_over = math.log(over)
     log_target = math.log(params.alpha)
+    # zero also for a rate too small to move 1 - error_rate: no errors
+    log_no_error = math.log(1.0 - params.error_rate)
     log_p = 0.0
     draws = 0
     while draws < population:
-        if params.error_rate > 0.0:
+        if log_no_error < 0.0:
             # next overstatement is `gap` draws ahead (inclusive), geometric
             u = 1.0 - rng.random()
-            gap = int(math.log(u) / math.log(1.0 - params.error_rate)) + 1
+            gap = int(math.log(u) / log_no_error) + 1
         else:
             gap = population - draws + 1
         clean_run = gap - 1
@@ -213,6 +238,18 @@ def estimate_asn(
     ]
     med = statistics.median(lengths)
     return med if math.isinf(med) else int(math.ceil(med))
+
+
+def asn_floor(margin: float | Fraction, params: RiskParams) -> int:
+    """A lower bound on ``estimate_asn`` for ``margin`` and ``params``, at
+    any population and stream.
+
+    A trial stops only once its p-value reaches ``alpha``, and no draw
+    shrinks the p-value more than a clean one, so every trial (and hence
+    the median) takes at least the clean-run length.  One less, so that
+    the float sums of ``_trial_draws`` cannot undercut it.
+    """
+    return clean_draws(float(margin), params.alpha, params.gamma) - 1
 
 
 def estimate_audit_asn(spec: "AuditSpec") -> float:
@@ -263,7 +300,7 @@ def run_audit_round(
     rounds: Iterable[tuple[Iterable[str], Mapping[str, "Ranking"]]],
     alpha: float,
     gamma: float,
-) -> tuple[dict[str, RiskState], str, float]:
+) -> tuple[dict[str, RiskState], str, int]:
     """Score every round of the audit so far against every assertion.
 
     ``assertions`` pairs each assertion with its margin; ``rounds`` holds
@@ -274,7 +311,8 @@ def run_audit_round(
     scoring the ballots one at a time in draw order.  Returns the
     per-assertion states (keyed by assertion identity), the audit status
     (``confirmed`` or ``escalate``), and, when escalating, the suggested
-    number of additional draws assuming clean ballots.
+    number of additional draws: the fewest that confirm every assertion
+    if they are all clean.
     """
     pairs: Counter[tuple["Ranking", "Ranking"]] = Counter()
     for number, (manifest, interpretations) in enumerate(rounds, start=1):
@@ -297,12 +335,9 @@ def run_audit_round(
     unconfirmed = {k: s for k, s in states.items() if s.p_value > alpha}
     if not unconfirmed:
         return states, "confirmed", 0
-    suggestion = 0.0
-    for state in unconfirmed.values():
-        f_clean = step_factor(state.margin, state.gamma, CLEAN)
-        if f_clean <= 0.0:
-            extra = 1.0
-        else:
-            extra = math.ceil((math.log(alpha) - math.log(state.p_value)) / math.log(f_clean))
-        suggestion = max(suggestion, extra)
+    # later draws multiply the uncapped product, so the excess above 1 counts
+    suggestion = max(
+        clean_draws(state.margin, alpha, state.gamma, math.log(state.product))
+        for state in unconfirmed.values()
+    )
     return states, "escalate", suggestion

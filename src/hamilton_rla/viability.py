@@ -28,6 +28,14 @@ whose best assertion costs no more than the current lower bound on audit
 effort.  If some complete branch admits no assertion at all, no audit
 short of a full manual count certifies the outcome.
 
+Picking a node's cheapest assertion simulates only the options that can
+still win.  No option's estimate is below its no-error floor
+(``risk.asn_floor``), so options are simulated in order of floor and the
+scan stops once the next floor exceeds the best estimate found (or
+equals it at a later position, since the first of equal options wins).
+The options it skips would have lost, so the choice is the one a full
+``min`` over all options makes.
+
 The frontier is a heap ranked once per node, when it is queued: highest
 finite estimated effort first, unresolved (infinite) nodes last, then
 deeper nodes, then roster order.  A pruned node is dropped when it
@@ -47,7 +55,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, count
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .assertions import (
     Assertion,
@@ -70,7 +78,7 @@ from .model import (
     ReportedOutcome,
     SpecEntry,
 )
-from .risk import RiskParams, estimate_asn
+from .risk import RiskParams, asn_floor, estimate_asn
 from .tabulation import count_piles
 
 
@@ -101,6 +109,7 @@ class AuditContext:
         self._piles: dict[frozenset[str], dict[str, int]] = {}
         self._summaries: dict[str, AssorterSummary] = {}
         self._eae: dict[str, float] = {}
+        self._floors: dict[str, int] = {}
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
         cached = self._piles.get(eliminated)
@@ -137,6 +146,15 @@ class AuditContext:
         if cached is None:
             cached = estimate_asn(self.summary(assertion).margin, self.params, self.total, stream=key)
             self._eae[key] = cached
+        return cached
+
+    def eae_floor(self, assertion: Assertion) -> int:
+        """A lower bound on ``eae`` that needs no simulation."""
+        key = assertion_key(assertion)
+        cached = self._floors.get(key)
+        if cached is None:
+            cached = asn_floor(self.summary(assertion).margin, self.params)
+            self._floors[key] = cached
         return cached
 
     def entry(self, assertion: Assertion) -> SpecEntry:
@@ -227,9 +245,23 @@ class AltOutcomeNode:
         return f"[... {tail} | viable {v}]"
 
 
-def _cheapest(options: Iterable[Assertion], ctx: AuditContext) -> tuple[Assertion | None, float]:
-    best = min(options, key=ctx.eae, default=None)
-    return best, math.inf if best is None else ctx.eae(best)
+def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[Assertion | None, float]:
+    """The option of least ``eae``, the first in option order among equals
+    (as ``min`` picks); ``(None, inf)`` when there is none.
+
+    Options are simulated in order of their ``eae_floor`` and the scan
+    stops at the first one whose floor already loses to the best found,
+    so options that cannot win are never simulated.
+    """
+    floors = [(ctx.eae_floor(a), i, a) for i, a in enumerate(options)]
+    best, best_rank = None, (math.inf, len(options))
+    for floor, index, option in sorted(floors):
+        if (floor, index) > best_rank:
+            break
+        rank = (ctx.eae(option), index)
+        if rank < best_rank:
+            best, best_rank = option, rank
+    return best, best_rank[0]
 
 
 def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assertion | None, float]:

@@ -58,6 +58,11 @@ def test_zero_error_closed_form_moderate_margin():
     assert abs(estimate_asn(0.378, RiskParams(seed=5), BIG) - 17) <= 5
 
 
+def test_error_rate_below_float_resolution_acts_as_zero():
+    # 1 - 1e-300 rounds to 1, so the geometric gap has no finite scale
+    assert estimate_asn(0.378, RiskParams(error_rate=1e-300, seed=5), BIG) == closed_form(0.378)
+
+
 def test_zero_error_closed_form_random_margins():
     rng = random.Random(99)
     params = RiskParams(error_rate=0.0, seed=8)
@@ -268,6 +273,35 @@ def test_run_audit_round_overstatements_escalate():
     (state,) = states.values()
     assert state.two_vote == 3
     assert state.p_value == 1.0  # capped
+
+
+def test_suggestion_counts_the_overstatement_above_one():
+    """47 clean and 11 one-vote draws at margin 0.2 leave a raw product of
+    about 3.125, which the p-value caps at 1.  Confirming from there takes
+    ceil(ln(0.05 / 3.125) / ln(1 - 0.2/2.2)) = 44 clean draws, not the 32
+    that start from the capped value."""
+    a, cvrs = _toy_audit()
+    first = (["b1"] * 47 + ["b2"] * 11, {"b1": ("W",), "b2": ()})
+    states, status, suggestion = run_audit_round([(a, 0.2)], cvrs, [first], alpha=0.05, gamma=1.1)
+    (state,) = states.values()
+    assert (status, state.clean, state.one_vote, state.p_value) == ("escalate", 47, 11, 1.0)
+    assert suggestion == 44
+
+
+@pytest.mark.parametrize("margin", [0.05, 0.2, 0.6, 1.5])
+@pytest.mark.parametrize("one_vote", [0, 3, 11, 25])
+def test_suggested_clean_draws_are_the_fewest_that_confirm(margin, one_vote):
+    a, cvrs = _toy_audit()
+    first = (["b1"] * 20 + ["b2"] * one_vote, {"b1": ("W",), "b2": ()})
+    _, status, suggestion = run_audit_round([(a, margin)], cvrs, [first], alpha=0.05, gamma=1.1)
+    if status == "confirmed":
+        return
+
+    def after(extra):
+        return run_audit_round([(a, margin)], cvrs, [first, (["b1"] * extra, cvrs)], alpha=0.05, gamma=1.1)[1]
+
+    assert after(suggestion) == "confirmed"
+    assert after(suggestion - 1) == "escalate"
 
 
 def test_run_audit_round_missing_interpretation():

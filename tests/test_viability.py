@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -21,11 +22,13 @@ from hamilton_rla import (
     max_viable,
     tabulate,
 )
+from hamilton_rla import viability
 from hamilton_rla.assertions import NonViable, Viable, assertion_key
-from hamilton_rla.model import STATUS_COMPLETE, STATUS_FULL_COUNT
-from hamilton_rla.risk import estimate_audit_asn
-from hamilton_rla.viability import AltOutcomeNode, AuditContext
+from hamilton_rla.model import STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
+from hamilton_rla.risk import estimate_asn, estimate_audit_asn
+from hamilton_rla.viability import AltOutcomeNode, AuditContext, _cheapest, build_audit_specs
 
+DATA = Path(__file__).parent / "data"
 TAU = Fraction(3, 20)
 PARAMS = RiskParams(seed=42)
 
@@ -368,9 +371,9 @@ def test_soundness_mini_fuzz():
             )
 
 
-def test_nine_candidate_search_under_budget():
-    import time
-
+def _nine_candidate_cyclic():
+    """Two first-preference leaders and a ring of seven minor candidates,
+    each passing its votes to the next one or two in the ring."""
     labels = [f"c{i}" for i in range(9)]
     strengths = [4400, 3160, 2400, 2200, 2000, 1800, 1600, 1340, 1100]
     ballots = []
@@ -382,7 +385,13 @@ def test_nine_candidate_search_under_budget():
             nxt2 = labels[2 + ((i - 2 + 2) % 7)]
             ballots.append(([label, nxt, nxt2], weight * 2 // 3))
             ballots.append(([label, nxt2], weight - weight * 2 // 3))
-    profile = build_profile(labels, ballots, TAU, 14, "irv")
+    return build_profile(labels, ballots, TAU, 14, "irv")
+
+
+def test_nine_candidate_search_under_budget():
+    import time
+
+    profile = _nine_candidate_cyclic()
     outcome = tabulate(profile)
     started = time.perf_counter()
     spec, _ = build_audit_spec(profile, outcome, 3, PARAMS)
@@ -393,3 +402,100 @@ def test_nine_candidate_search_under_budget():
     ctx = AuditContext(profile, PARAMS)
     for entry in spec.entries:
         assert ctx.holds(entry.assertion)
+
+
+class _Costs:
+    """Stand-in for AuditContext in ``_cheapest``: fixed floors and
+    estimates, recording which options were simulated."""
+
+    def __init__(self, floors, eaes):
+        self.floors, self.eaes, self.simulated = floors, eaes, []
+
+    def eae_floor(self, option):
+        return self.floors[option]
+
+    def eae(self, option):
+        self.simulated.append(option)
+        return self.eaes[option]
+
+
+def test_cheapest_ties_go_to_the_first_option():
+    costs = _Costs({"x": 5, "y": 5}, {"x": 7, "y": 7})
+    assert _cheapest(["x", "y"], costs) == ("x", 7)
+    assert _cheapest(["y", "x"], costs) == ("y", 7)
+    # an earlier option whose floor equals the best estimate can still tie
+    # and win; a later one cannot and is never simulated
+    costs = _Costs({"a": 5, "b": 2, "c": 5}, {"a": 5, "b": 5, "c": 5})
+    assert _cheapest(["a", "b", "c"], costs) == ("a", 5)
+    assert costs.simulated == ["b", "a"]
+
+
+def test_cheapest_all_infinite_and_empty():
+    costs = _Costs({"x": 9, "y": 3, "z": 3}, dict.fromkeys("xyz", math.inf))
+    assert _cheapest(["x", "y", "z"], costs) == ("x", math.inf)
+    assert _cheapest([], costs) == (None, math.inf)
+
+
+def test_cheapest_skips_options_whose_floor_loses():
+    costs = _Costs({"x": 10, "y": 3}, {"x": 12, "y": 8})
+    assert _cheapest(["x", "y"], costs) == ("y", 8)
+    assert costs.simulated == ["y"]
+
+
+def test_cheapest_matches_min_on_random_costs():
+    rng = random.Random(11)
+    for _ in range(500):
+        options = list(range(rng.randint(0, 8)))
+        floors = {o: rng.randint(0, 6) for o in options}
+        eaes = {o: floors[o] + rng.choice([0, 0, 1, 2, 5, math.inf]) for o in options}
+        costs = _Costs(floors, eaes)
+        best = min(options, key=eaes.__getitem__, default=None)
+        assert _cheapest(options, costs) == (best, math.inf if best is None else eaes[best])
+
+
+def _equivalence_contests():
+    rng = random.Random(2024)
+    contests = [
+        (load_election(DATA / "election_irv.json"), RiskParams(seed=1)),
+        (_nine_candidate_cyclic(), RiskParams(error_rate=0.0, trials=5, seed=3)),
+    ]
+    while len(contests) < 102:
+        profile = random_irv_profile(rng, max_ballots=rng.choice([300, 3000]))
+        params = RiskParams(error_rate=rng.choice([0.0, 0.002, 0.02]), trials=5, seed=rng.randrange(1000))
+        contests.append((profile, params))
+    return contests
+
+
+def test_lazy_cheapest_builds_the_specs_min_builds(monkeypatch):
+    """Simulating options only while their floor can still win gives the
+    specs and proof logs of simulating every option and taking ``min``,
+    with strictly fewer simulations across the sample."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return estimate_asn(*args, **kwargs)
+
+    def build_all():
+        calls[0] = 0
+        built = []
+        for profile, params in _equivalence_contests():
+            try:
+                outcome = tabulate(profile)
+            except UnsupportedOutcomeError:
+                continue
+            specs = build_audit_specs(profile, outcome, (1, 3), params)
+            built.append({level: (audit_spec_to_dict(spec), log) for level, (spec, log) in specs.items()})
+        return built, calls[0]
+
+    def eager(options, ctx):
+        best = min(options, key=ctx.eae, default=None)
+        return best, math.inf if best is None else ctx.eae(best)
+
+    monkeypatch.setattr(viability, "estimate_asn", counted)
+    lazy, lazy_calls = build_all()
+    monkeypatch.setattr(viability, "_cheapest", eager)
+    reference, eager_calls = build_all()
+    assert len(lazy) > 80
+    assert lazy == reference
+    assert lazy_calls < eager_calls
