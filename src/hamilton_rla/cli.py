@@ -140,7 +140,7 @@ def cmd_tabulate(args: argparse.Namespace) -> int:
         lines.append(f"eliminated (in order): {', '.join(outcome.elimination_order)}")
     for i, rnd in enumerate(outcome.rounds, start=1):
         piles = "  ".join(
-            f"{c}={n} ({100.0 * n / outcome.valid_ballots:.3f}%)" for c, n in rnd.piles.items()
+            f"{c}={n} ({100 * n / outcome.valid_ballots:.3f}%)" for c, n in rnd.piles.items()
         )
         suffix = f"; exhausted {rnd.exhausted}" if rnd.exhausted else ""
         out = f" -> out: {rnd.eliminated}" if rnd.eliminated else ""

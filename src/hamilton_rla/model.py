@@ -20,6 +20,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -60,6 +61,7 @@ class ElectionProfile:
     Immutable after construction; safe to share.  ``labels`` is the roster
     in order; ``rankings`` maps each distinct ranking (a tuple of labels,
     possibly empty = blank) to its ballot count, in first-seen order.
+    ``ranking_tree`` is derived from ``rankings`` once and cached.
     """
 
     labels: tuple[str, ...]
@@ -76,6 +78,36 @@ class ElectionProfile:
     def valid_ballots(self) -> int:
         """Ballots with at least one choice in the contest."""
         return sum(n for r, n in self.rankings.items() if r)
+
+    @cached_property
+    def ranking_tree(self) -> list:
+        """The non-blank rankings as a prefix tree, built on first use.
+
+        A node is a list ``[through, ended, children]``: the ballots whose
+        ranking passes through the node, the ballots whose ranking ends at
+        it, and a dict from label to child node (None at a leaf).  The root
+        is the empty prefix; blank rankings are left out of the tree.
+        """
+        root: list = [0, 0, None]
+        for ranking, count in self.rankings.items():
+            if not ranking:
+                continue
+            root[0] += count
+            node = root
+            for label in ranking:
+                children = node[2]
+                if children is None:
+                    child = [count, 0, None]
+                    node[2] = {label: child}
+                else:
+                    child = children.get(label)
+                    if child is None:
+                        child = children[label] = [count, 0, None]
+                    else:
+                        child[0] += count
+                node = child
+            node[1] += count
+        return root
 
 
 @dataclass(frozen=True)

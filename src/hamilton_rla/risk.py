@@ -11,10 +11,12 @@ comparison form with inflation factor ``gamma``:
 An assertion is confirmed once its p-value falls to the risk limit
 ``alpha``.  With no errors the required number of draws is exactly
 ``ceil(ln(alpha) / ln(1 - m/(2*gamma)))``; a margin of ``2*gamma`` or
-more confirms on the first draw.  Understatements are conservatively
-given the clean factor, never less.  The p-value is capped at 1, but the
-product under the cap is what later draws multiply, so an escalating
-round suggests the clean draws that take that product to ``alpha``.
+more confirms on the first draw, and one so small that the clean factor
+rounds to 1 never confirms (a full count).  Understatements are
+conservatively given the clean factor, never less.  The p-value is
+capped at 1, but the product under the cap is what later draws multiply,
+so an escalating round suggests the clean draws that take that product
+to ``alpha``.
 
 Expected sample sizes (ASN) are estimated by simulation: ballots are
 drawn one at a time, each independently a one-vote overstatement with
@@ -155,16 +157,20 @@ def discrepancy(assertion: Assertion, cvr: "Ranking", paper: "Ranking") -> str:
     return TWO_VOTE
 
 
-def clean_draws(margin: float, alpha: float, gamma: float, log_p: float = 0.0) -> int:
+def clean_draws(margin: float, alpha: float, gamma: float, log_p: float = 0.0) -> float:
     """Clean draws that take a p-value of ``exp(log_p)``, above ``alpha``,
     down to ``alpha``: one when a single clean draw zeroes it (margin
-    ``2*gamma`` or more).  Every other draw category multiplies the
-    p-value by at least the clean factor, so no audit that starts at
-    ``exp(log_p)`` confirms in fewer draws.
+    ``2*gamma`` or more), the full-count sentinel when the clean factor
+    rounds to 1 (a margin below float resolution never moves the p-value).
+    Every other draw category multiplies the p-value by at least the
+    clean factor, so no audit that starts at ``exp(log_p)`` confirms in
+    fewer draws.
     """
     clean = step_factor(margin, gamma, CLEAN)
     if clean <= 0.0:
         return 1
+    if clean == 1.0:
+        return FULL_COUNT
     return math.ceil((math.log(alpha) - log_p) / math.log(clean))
 
 
@@ -183,6 +189,8 @@ def _trial_draws(
     clean = max(0.0, 1.0 - margin / (2.0 * params.gamma))
     if clean <= 0.0:
         return 1 if population >= 1 else FULL_COUNT
+    if clean == 1.0:  # a margin below float resolution: no draw lowers p
+        return FULL_COUNT
     over = clean / (1.0 - 1.0 / (2.0 * params.gamma))
     log_clean = math.log(clean)
     log_over = math.log(over)
@@ -240,7 +248,7 @@ def estimate_asn(
     return med if math.isinf(med) else int(math.ceil(med))
 
 
-def asn_floor(margin: float | Fraction, params: RiskParams) -> int:
+def asn_floor(margin: float | Fraction, params: RiskParams) -> float:
     """A lower bound on ``estimate_asn`` for ``margin`` and ``params``, at
     any population and stream.
 

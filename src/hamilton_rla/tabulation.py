@@ -6,6 +6,11 @@ a candidate is viable when their pile holds at least ``threshold`` of
 that fixed denominator.  Instant-runoff rounds repeatedly eliminate the
 lowest pile until every standing candidate clears the cutoff.
 
+Piles are tallied through the profile's prefix tree of rankings
+(``ElectionProfile.ranking_tree``, built once per profile): a count
+descends only through eliminated labels, so its work is the number of
+eliminated prefixes present, not the number of distinct rankings.
+
 Delegates are then awarded to viable candidates by the largest-remainder
 rule: each candidate ``c`` gets ``floor(q_c)`` delegates from quota
 ``q_c = D * tally_c / Q``, and the leftover delegates go to the largest
@@ -66,17 +71,25 @@ def top_remaining(ranking: Ranking, eliminated: frozenset[str] | set[str]) -> st
 def count_piles(
     profile: ElectionProfile, eliminated: frozenset[str] | set[str]
 ) -> tuple[dict[str, int], int]:
-    """Pile sizes for standing candidates plus the exhausted (non-blank) count."""
+    """Pile sizes for standing candidates plus the exhausted (non-blank) count.
+
+    Walks the profile's ranking tree through eliminated labels only: every
+    ballot below a standing child tops that child's pile, and a ballot
+    whose ranking ends on an eliminated prefix is exhausted.
+    """
     piles = {label: 0 for label in profile.labels if label not in eliminated}
     exhausted = 0
-    for ranking, count in profile.rankings.items():
-        if not ranking:
+    stack = [profile.ranking_tree]
+    while stack:
+        _, ended, children = stack.pop()
+        exhausted += ended
+        if children is None:
             continue
-        top = top_remaining(ranking, eliminated)
-        if top is None:
-            exhausted += count
-        else:
-            piles[top] += count
+        for label, child in children.items():
+            if label in eliminated:
+                stack.append(child)
+            else:
+                piles[label] += child[0]
     return piles, exhausted
 
 

@@ -109,7 +109,7 @@ class AuditContext:
         self._piles: dict[frozenset[str], dict[str, int]] = {}
         self._summaries: dict[str, AssorterSummary] = {}
         self._eae: dict[str, float] = {}
-        self._floors: dict[str, int] = {}
+        self._floors: dict[str, float] = {}
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
         cached = self._piles.get(eliminated)
@@ -148,7 +148,7 @@ class AuditContext:
             self._eae[key] = cached
         return cached
 
-    def eae_floor(self, assertion: Assertion) -> int:
+    def eae_floor(self, assertion: Assertion) -> float:
         """A lower bound on ``eae`` that needs no simulation."""
         key = assertion_key(assertion)
         cached = self._floors.get(key)
@@ -202,7 +202,8 @@ def enumerate_alt_sets(
     hold 1..cap candidates, and differ from the reported set."""
     free = [c for c in labels if c not in winners and c not in losers]
     out: list[frozenset[str]] = []
-    for extra in range(0, max(0, cap - len(winners)) + 1):
+    # no more extras than free candidates, however small the threshold
+    for extra in range(0, min(len(free), max(0, cap - len(winners))) + 1):
         for combo in combinations(free, extra):
             vset = frozenset(winners | set(combo))
             if not 1 <= len(vset) <= cap:

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from hamilton_rla import RiskParams, estimate_asn
 from hamilton_rla.risk import _trial_draws, asn_floor
 
-# margins are exact rationals with denominators bounded by the ballot count,
-# so none comes near the float underflow of 1 - m/(2*gamma)
-MARGINS = st.floats(min_value=1e-9, max_value=3.0)
+# down to margins below float resolution, where 1 - m/(2*gamma) rounds to 1
+# and the assertion needs a full count (a huge delegate count gives those)
+MARGINS = st.floats(min_value=1e-20, max_value=3.0)
 POPULATIONS = st.one_of(st.integers(1, 60), st.integers(10**4, 10**5))
 
 
@@ -28,6 +28,7 @@ POPULATIONS = st.one_of(st.integers(1, 60), st.integers(10**4, 10**5))
     stream=st.text(max_size=8),
 )
 @example(margin=0.378, error_rate=0.0, alpha=0.05, gamma=1.1, population=10**5, trials=1, seed=1, stream="")
+@example(margin=1e-20, error_rate=0.002, alpha=0.05, gamma=1.1, population=10**5, trials=2, seed=1, stream="")
 def test_simulated_sample_sizes_never_undercut_the_floor(
     margin, error_rate, alpha, gamma, population, trials, seed, stream
 ):

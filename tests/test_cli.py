@@ -1,5 +1,6 @@
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,83 @@ def test_estimate_irv_three_levels(capsys):
         assert data["status"] == "complete"
         assert data["overall_asn"] is not None
     assert payload["levels"]["3"]["assertions"] == payload["levels"]["1"]["assertions"] + 2
+
+
+def test_generate_with_a_tiny_threshold_is_quick(capsys, tmp_path):
+    # floor(1/threshold) = 10**6 may hold every candidate; the alternative
+    # sets are enumerated up to the roster, not up to that cap
+    election = tmp_path / "tiny.json"
+    election.write_text(
+        json.dumps(
+            {
+                "candidates": ["A", "B", "C"],
+                "threshold": "1/1000000",
+                "delegates": 3,
+                "style": "irv",
+                "ballots": [
+                    {"ranking": ["A", "B"], "count": 500},
+                    {"ranking": ["B", "C"], "count": 300},
+                    {"ranking": ["C"], "count": 200},
+                ],
+            }
+        )
+    )
+    for level in ("1", "2", "3"):
+        started = time.perf_counter()
+        code, _, _ = run(
+            capsys, "generate", "--election", str(election), "--level", level,
+            "--seed", "1", "--out", str(tmp_path / "spec.json"),
+        )
+        assert code == 0
+        assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("command", ["generate", "estimate"])
+def test_margin_below_float_resolution_requires_full_count(capsys, tmp_path, command):
+    # among 10**30 delegates the allocation margins are about 1e-30, too
+    # small to move a float p-value: unauditable, not a crash
+    data = json.loads(Path(IRV).read_text())
+    election = tmp_path / "many_delegates.json"
+    election.write_text(json.dumps(dict(data, delegates=10**30)))
+    argv = ["--election", str(election), "--seed", "1"]
+    if command == "generate":
+        argv += ["--level", "2", "--out", str(tmp_path / "spec.json")]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 4
+    assert "Traceback" not in err
+    if command == "generate":
+        assert "full manual count required" in err
+    else:
+        assert "level 2: ASN -- (11 assertions, requires-full-count)" in out
+
+
+def test_tabulate_with_huge_counts(capsys, tmp_path):
+    # percentages are exact int divisions, so counts beyond float range print
+    election = tmp_path / "huge.json"
+    election.write_text(
+        json.dumps(
+            {
+                "candidates": ["A", "B"],
+                "threshold": "15/100",
+                "delegates": 3,
+                "style": "irv",
+                "ballots": [
+                    {"ranking": ["A"], "count": 10**400},
+                    {"ranking": ["B", "A"], "count": 3 * 10**399},
+                ],
+            }
+        )
+    )
+    code, out, err = run(capsys, "tabulate", "--election", str(election))
+    assert code == 0
+    assert "Traceback" not in err
+    assert f"A={10**400} (76.923%)  B={3 * 10**399} (23.077%)" in out
+    code, out, _ = run(capsys, "--format", "json", "tabulate", "--election", str(election))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["valid_ballots"] == 13 * 10**399
+    assert payload["rounds"] == [{"piles": {"A": 10**400, "B": 3 * 10**399}, "exhausted": 0, "eliminated": None}]
+    assert payload["allocation"] == {"A": 2, "B": 1}
 
 
 def test_estimate_full_recount_sentinel(capsys, tmp_path):

@@ -166,6 +166,19 @@ def test_enumerate_includes_definite_winner_set_itself():
     assert len(got) == 1 + 3 + 3 - 1
 
 
+def test_enumerate_alt_sets_ignores_a_cap_beyond_the_roster():
+    # a threshold of 1/1000000 caps viable sets at a million candidates;
+    # only the roster's free candidates can be added, so the cap stops there
+    labels = ("A", "B", "C", "D")
+    for winners, losers, reported in [
+        (frozenset(), frozenset(), frozenset({"A"})),
+        (frozenset({"A"}), frozenset({"D"}), frozenset({"A", "B"})),
+        (frozenset({"A", "B"}), frozenset(), frozenset(labels)),
+    ]:
+        got = enumerate_alt_sets(labels, winners, losers, 10**6, reported)
+        assert got == enumerate_alt_sets(labels, winners, losers, len(labels), reported)
+
+
 def test_singleton_enumeration_cap_one():
     labels = ("A", "B", "C")
     got = enumerate_alt_sets(labels, frozenset(), frozenset(), 1, frozenset({"A"}))
