@@ -13,7 +13,10 @@ evidence: seed, ``alpha``, ``gamma``, the SHA-256 of the spec and CVR
 file, and per round its draw count and paper interpretations.  Each
 ``audit round`` rebuilds the manifests from the seed and replays every
 round to score; the draw total and per-assertion counts and p-values it
-also writes are a summary for readers and are never read back.
+also writes are a summary for readers and are never read back.  A round
+that leaves an assertion unconfirmed whose margin is too small to move a
+float p-value ends with status ``requires-full-count`` and exit 4; it is
+still recorded, since its paper interpretations are evidence too.
 """
 from __future__ import annotations
 
@@ -265,8 +268,7 @@ _STATE_FIELDS = {
 
 
 def _load_state(path: str) -> dict:
-    with model.open_input(path, "audit state") as fh:
-        document = json.load(fh)
+    document = model.load_json(path, "audit state")
     if not isinstance(document, dict):
         raise ElectionDataError(f"audit state {path} must hold a JSON object")
     state = document.get("state")
@@ -383,6 +385,9 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
         {"draws": len(manifest), "interpretations": {b: "|".join(interpretations[b]) for b in manifest}}
     )
     total = drawn + len(manifest)
+    if status == "escalate" and math.isinf(suggestion):
+        # a margin below float resolution: no number of draws confirms it
+        status = STATUS_FULL_COUNT
 
     per_assertion = {
         key: {"margin": s.margin, "p_value": s.p_value, "draws": s.draws, "discrepancies": s.discrepancies}
@@ -391,7 +396,7 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     payload = {
         "status": status,
         "total_draws": total,
-        "suggested_additional_draws": None if status == "confirmed" else int(suggestion),
+        "suggested_additional_draws": int(suggestion) if status == "escalate" else None,
         "assertions": per_assertion,
     }
     lines = [f"status: {status}  cumulative draws: {total}"]
@@ -408,6 +413,9 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     # saved last, so a failed write above leaves the audit where it was
     _save_state(state, args.state, states)
     _emit(payload, args, "\n".join(lines))
+    if status == STATUS_FULL_COUNT:
+        print("no number of further draws confirms every assertion; full manual count required", file=sys.stderr)
+        return EXIT_FULL_COUNT
     return EXIT_OK if status == "confirmed" else EXIT_ESCALATE
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
@@ -214,6 +215,8 @@ def build_profile(
         raise ElectionDataError(f"threshold {tau} outside (0, 1]")
     if not isinstance(delegates, int) or isinstance(delegates, bool) or delegates < 1:
         raise ElectionDataError(f"delegate count {delegates!r} must be a positive integer")
+    if delegates > sys.float_info.max:  # a quota is reported as a float too
+        raise ElectionDataError(f"delegate count exceeds {sys.float_info.max:.4g}, the largest quota a float holds")
 
     roster = frozenset(labels)
     merged: dict[Ranking, int] = {}
@@ -245,19 +248,29 @@ def build_profile(
 def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
     """An input file open for reading as UTF-8, line endings untouched (as
     the csv module needs).  A file that cannot be opened, read, decoded or
-    parsed as JSON or CSV in the ``with`` block becomes an ElectionDataError
-    naming ``what`` and ``path``."""
+    parsed as CSV in the ``with`` block becomes an ElectionDataError naming
+    ``what`` and ``path``; ``load_json`` does the same for JSON."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             yield fh
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ElectionDataError(f"cannot read {what} {path}: {exc}") from None
+
+
+def load_json(path: str | Path, what: str) -> object:
+    """A JSON document read through ``open_input``.  Malformed JSON and an
+    integer literal longer than ``int`` parses (4,300 digits) are read
+    errors too."""
+    with open_input(path, what) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ElectionDataError(f"cannot read {what} {path}: {exc}") from None
 
 
 def load_election(path: str | Path) -> ElectionProfile:
     """Load and validate an election JSON file."""
-    with open_input(path, "election file") as fh:
-        raw = json.load(fh)
+    raw = load_json(path, "election file")
     if not isinstance(raw, dict):
         raise ElectionDataError(f"election file {path} must hold a JSON object")
     for field in ("candidates", "threshold", "delegates", "style", "ballots"):
@@ -436,9 +449,7 @@ def save_audit_spec(spec: AuditSpec, path: str | Path) -> None:
 
 
 def load_audit_spec(path: str | Path) -> AuditSpec:
-    with open_input(path, "audit spec") as fh:
-        data = json.load(fh)
-    return audit_spec_from_dict(data)
+    return audit_spec_from_dict(load_json(path, "audit spec"))
 
 
 # ---------------------------------------------------------------------------

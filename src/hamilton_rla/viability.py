@@ -28,13 +28,21 @@ whose best assertion costs no more than the current lower bound on audit
 effort.  If some complete branch admits no assertion at all, no audit
 short of a full manual count certifies the outcome.
 
-Picking a node's cheapest assertion simulates only the options that can
-still win.  No option's estimate is below its no-error floor
-(``risk.asn_floor``), so options are simulated in order of floor and the
-scan stops once the next floor exceeds the best estimate found (or
-equals it at a later position, since the first of equal options wins).
-The options it skips would have lost, so the choice is the one a full
-``min`` over all options makes.
+Picking an assertion simulates only the options that can still win.  No
+option's estimate is below its no-error floor (``risk.asn_floor``), so
+options are simulated in order of floor and the scan stops once the next
+floor exceeds the least estimate found; every option tied at that least
+estimate is kept, and the first of them in option order is the one a
+full ``min`` picks.
+
+A child's options depend only on the candidate it eliminates and the set
+``rest`` still to be eliminated before it: the ``Viable`` for the
+candidate, and an ``IrvWins`` over each standing candidate.  So the scan
+runs once per ``(candidate, rest)`` (``AuditContext.move``), and each
+child only breaks ties: the ``Viable`` if it is tied, otherwise the
+``IrvWins`` over the first tied loser in the child's own order of standing
+candidates (its pinned eliminations, then the viable set in roster
+order), which is the option ``min`` over the child's list would pick.
 
 The frontier is a heap ranked once per node, when it is queued: highest
 finite estimated effort first, unresolved (infinite) nodes last, then
@@ -55,7 +63,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, count
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .assertions import (
     Assertion,
@@ -90,7 +98,8 @@ def max_viable(threshold: Fraction) -> int:
 
 
 class AuditContext:
-    """Per-profile caches: piles by elimination set, margins and effort by assertion.
+    """Per-profile caches: piles by elimination set, margins and effort by
+    assertion, and the cheapest elimination moves by ``(candidate, rest)``.
 
     Every tally-based answer starts from ``piles``: an assertion's classes
     are the piles of the candidates left standing once its ``removed`` set
@@ -110,6 +119,7 @@ class AuditContext:
         self._summaries: dict[str, AssorterSummary] = {}
         self._eae: dict[str, float] = {}
         self._floors: dict[str, float] = {}
+        self._moves: dict[tuple[str, frozenset[str]], tuple[Mapping[str | None, Assertion], float]] = {}
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
         cached = self._piles.get(eliminated)
@@ -155,6 +165,28 @@ class AuditContext:
         if cached is None:
             cached = asn_floor(self.summary(assertion).margin, self.params)
             self._floors[key] = cached
+        return cached
+
+    def move(self, cand: str, rest: frozenset[str]) -> tuple[Mapping[str | None, Assertion], float]:
+        """The cheapest assertions showing that ``cand`` is not eliminated
+        while exactly ``rest`` is gone, and their ``eae``.
+
+        Everyone outside ``rest`` and ``cand`` is standing, so the options
+        are ``Viable(cand, rest)`` and ``IrvWins(cand, other, rest)`` for
+        each standing ``other``.  Every holding option tied at the least
+        ``eae`` is kept, keyed by loser (``None`` for the ``Viable``).
+        """
+        key = (cand, rest)
+        cached = self._moves.get(key)
+        if cached is None:
+            holding: dict[str | None, Assertion] = {}
+            for loser in [None, *(c for c in self.labels if c != cand and c not in rest)]:
+                a = Viable(cand, rest, self.threshold) if loser is None else IrvWins(cand, loser, rest)
+                if self.holds(a):
+                    holding[loser] = a
+            tied, eae = _cheapest(list(holding.values()), self)
+            cached = {loser: a for loser, a in holding.items() if a in tied}, eae
+            self._moves[key] = cached
         return cached
 
     def entry(self, assertion: Assertion) -> SpecEntry:
@@ -246,23 +278,24 @@ class AltOutcomeNode:
         return f"[... {tail} | viable {v}]"
 
 
-def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[Assertion | None, float]:
-    """The option of least ``eae``, the first in option order among equals
-    (as ``min`` picks); ``(None, inf)`` when there is none.
+def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[list[Assertion], float]:
+    """Every option of least ``eae``, in option order, and that ``eae``;
+    ``([], inf)`` when there is none.  ``min`` picks the first of them.
 
-    Options are simulated in order of their ``eae_floor`` and the scan
-    stops at the first one whose floor already loses to the best found,
-    so options that cannot win are never simulated.
+    Options are simulated in order of their ``eae_floor``, and the scan
+    stops at the first floor above the least estimate found: such an
+    option cannot tie, so it is never simulated.
     """
-    floors = [(ctx.eae_floor(a), i, a) for i, a in enumerate(options)]
-    best, best_rank = None, (math.inf, len(options))
-    for floor, index, option in sorted(floors):
-        if (floor, index) > best_rank:
+    best, tied = math.inf, []
+    for floor, index in sorted((ctx.eae_floor(a), i) for i, a in enumerate(options)):
+        if floor > best:
             break
-        rank = (ctx.eae(option), index)
-        if rank < best_rank:
-            best, best_rank = option, rank
-    return best, best_rank[0]
+        eae = ctx.eae(options[index])
+        if eae < best:
+            best, tied = eae, [index]
+        elif eae == best:
+            tied.append(index)
+    return [options[i] for i in sorted(tied)], best
 
 
 def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assertion | None, float]:
@@ -287,7 +320,8 @@ def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assert
                 a = NonViable(c, others, tau)
                 if ctx.holds(a):
                     options.append(a)
-    return _cheapest(options, ctx)
+    tied, eae = _cheapest(options, ctx)
+    return (tied[0] if tied else None), eae
 
 
 def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]:
@@ -296,23 +330,17 @@ def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]
     The child's assertion must show that elimination impossible with
     exactly the remaining unmentioned candidates gone: either the
     candidate still clears the threshold there, or it out-tallies someone
-    who is still standing (a pinned or viable candidate).
+    who is still standing (a pinned or viable candidate).  Of the cheapest
+    such assertions (``AuditContext.move``) the ``Viable`` comes first,
+    then the ``IrvWins`` in this node's order of standing candidates.
     """
-    tau = ctx.threshold
     unmentioned = node.unmentioned(ctx.labels)
-    standing_later = list(node.eliminated_suffix) + [c for c in ctx.labels if c in node.viable]
+    # losers in this node's option order: the Viable, then the standing candidates
+    order = [None, *node.eliminated_suffix, *(c for c in ctx.labels if c in node.viable)]
     children: list[AltOutcomeNode] = []
     for cand in unmentioned:
-        rest = frozenset(u for u in unmentioned if u != cand)
-        options: list[Assertion] = []
-        viable_a = Viable(cand, rest, tau)
-        if ctx.holds(viable_a):
-            options.append(viable_a)
-        for other in standing_later:
-            beats = IrvWins(cand, other, rest)
-            if ctx.holds(beats):
-                options.append(beats)
-        assertion, eae = _cheapest(options, ctx)
+        tied, eae = ctx.move(cand, frozenset(u for u in unmentioned if u != cand))
+        assertion = next((tied[loser] for loser in order if loser in tied), None)
         child = AltOutcomeNode(
             eliminated_suffix=(cand,) + node.eliminated_suffix,
             viable=node.viable,

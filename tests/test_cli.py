@@ -67,11 +67,13 @@ WELL_TYPED = {
         ("tabulate", dict(WELL_TYPED, candidates="ABC")),
         ("tabulate", dict(WELL_TYPED, ballots=[{"ranking": [["A"]], "count": 7}])),
         ("tabulate", dict(WELL_TYPED, ballots=[{"ranking": "AB", "count": 7}])),
+        # quotas are reported as floats, so no quota may exceed the largest one
+        ("tabulate", dict(WELL_TYPED, delegates=10**400)),
         ("audit init", [1]),
         ("audit round", [1]),
     ],
     ids=["top-level-number", "ballots-number", "candidates-string", "ranking-nested", "ranking-string",
-         "spec-list", "state-list"],
+         "delegates-beyond-float-range", "spec-list", "state-list"],
 )
 def test_wrong_json_types_exit_2(capsys, tmp_path, command, content):
     bad = tmp_path / "bad.json"
@@ -88,6 +90,25 @@ def test_wrong_json_types_exit_2(capsys, tmp_path, command, content):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", ["tabulate", "audit init", "audit round"])
+def test_integer_literal_too_long_to_parse_exit_2(capsys, tmp_path, command):
+    # json.load raises a plain ValueError for an integer of over 4,300 digits
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"delegates": 1' + "0" * 5000 + "}")
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "11", "--out", str(spec))
+    argv = {
+        "tabulate": ["tabulate", "--election", str(bad)],
+        "audit init": ["audit", "init", "--spec", str(bad), "--cvrs", SMALL_CVRS,
+                       "--manifest", str(tmp_path / "round1.csv"), "--state", str(tmp_path / "state.json")],
+        "audit round": ["audit", "round", "--spec", str(spec), "--cvrs", SMALL_CVRS, "--manifest", SMALL_CVRS,
+                        "--interpretations", SMALL_CVRS, "--state", str(bad)],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "cannot read" in err and "4300 digits" in err
 
 
 @pytest.mark.parametrize("phase", ["init", "round"])
@@ -393,6 +414,42 @@ def test_margin_below_float_resolution_requires_full_count(capsys, tmp_path, com
         assert "full manual count required" in err
     else:
         assert "level 2: ASN -- (11 assertions, requires-full-count)" in out
+
+
+def test_audit_round_with_margin_below_float_resolution_requires_full_count(capsys, tmp_path):
+    """A spec edited to call its sub-resolution delegate assertions
+    auditable initialises, but no number of clean draws confirms them:
+    the round reports a full manual count (exit 4) instead of crashing,
+    and is recorded, since its paper readings are evidence."""
+    data = json.loads(Path(IRV).read_text())
+    election = tmp_path / "many_delegates.json"
+    election.write_text(json.dumps(dict(data, delegates=10**30)))
+    spec = tmp_path / "spec.json"
+    code, _, _ = run(capsys, "generate", "--election", str(election), "--level", "2", "--seed", "1", "--out", str(spec))
+    assert code == 4
+    doc = json.loads(spec.read_text())
+    doc["status"] = "complete"
+    for entry in doc["assertions"]:
+        if entry["eae"] is None:
+            entry["eae"] = 1
+    spec.write_text(json.dumps(doc))
+    rankings = ["|".join(b["ranking"]) for b in data["ballots"] for _ in range(b["count"])]
+    cvrs = tmp_path / "cvrs.csv"
+    cvrs.write_text("ballot_id,ranking\n" + "".join(f"b{i},{r}\n" for i, r in enumerate(rankings)))
+    manifest, state, second = tmp_path / "round1.csv", tmp_path / "state.json", tmp_path / "round2.csv"
+    audit = ["--spec", str(spec), "--cvrs", str(cvrs), "--state", str(state)]
+    assert run(capsys, "audit", "init", *audit, "--manifest", str(manifest))[0] == 0
+    code, out, err = run(
+        capsys, "--format", "json", "audit", "round", *audit, "--manifest", str(manifest),
+        "--interpretations", str(cvrs), "--next-manifest", str(second),
+    )
+    assert code == 4
+    assert "full manual count required" in err
+    payload = json.loads(out)
+    assert payload["status"] == "requires-full-count"
+    assert payload["suggested_additional_draws"] is None
+    assert not second.exists()
+    assert [r["draws"] for r in json.loads(state.read_text())["state"]["rounds"]] == [len(read_manifest(manifest))]
 
 
 def test_tabulate_with_huge_counts(capsys, tmp_path):

@@ -23,7 +23,7 @@ from hamilton_rla import (
     tabulate,
 )
 from hamilton_rla import viability
-from hamilton_rla.assertions import NonViable, Viable, assertion_key
+from hamilton_rla.assertions import IrvWins, NonViable, Viable, assertion_key
 from hamilton_rla.model import STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
 from hamilton_rla.risk import estimate_asn, estimate_audit_asn
 from hamilton_rla.viability import AltOutcomeNode, AuditContext, _cheapest, build_audit_specs
@@ -434,25 +434,29 @@ class _Costs:
 
 def test_cheapest_ties_go_to_the_first_option():
     costs = _Costs({"x": 5, "y": 5}, {"x": 7, "y": 7})
-    assert _cheapest(["x", "y"], costs) == ("x", 7)
-    assert _cheapest(["y", "x"], costs) == ("y", 7)
-    # an earlier option whose floor equals the best estimate can still tie
-    # and win; a later one cannot and is never simulated
+    assert _cheapest(["x", "y"], costs) == (["x", "y"], 7)
+    assert _cheapest(["y", "x"], costs) == (["y", "x"], 7)
+    # every option whose floor equals the least estimate can still tie, so
+    # all three are simulated and kept, in option order
     costs = _Costs({"a": 5, "b": 2, "c": 5}, {"a": 5, "b": 5, "c": 5})
-    assert _cheapest(["a", "b", "c"], costs) == ("a", 5)
-    assert costs.simulated == ["b", "a"]
+    assert _cheapest(["a", "b", "c"], costs) == (["a", "b", "c"], 5)
+    assert costs.simulated == ["b", "a", "c"]
 
 
 def test_cheapest_all_infinite_and_empty():
     costs = _Costs({"x": 9, "y": 3, "z": 3}, dict.fromkeys("xyz", math.inf))
-    assert _cheapest(["x", "y", "z"], costs) == ("x", math.inf)
-    assert _cheapest([], costs) == (None, math.inf)
+    assert _cheapest(["x", "y", "z"], costs) == (["x", "y", "z"], math.inf)
+    assert _cheapest([], costs) == ([], math.inf)
 
 
 def test_cheapest_skips_options_whose_floor_loses():
     costs = _Costs({"x": 10, "y": 3}, {"x": 12, "y": 8})
-    assert _cheapest(["x", "y"], costs) == ("y", 8)
+    assert _cheapest(["x", "y"], costs) == (["y"], 8)
     assert costs.simulated == ["y"]
+    # a floor equal to the least estimate is simulated; a larger one is not
+    costs = _Costs({"x": 8, "y": 3, "z": 9}, {"x": 9, "y": 8, "z": 9})
+    assert _cheapest(["x", "y", "z"], costs) == (["y"], 8)
+    assert costs.simulated == ["y", "x"]
 
 
 def test_cheapest_matches_min_on_random_costs():
@@ -463,7 +467,29 @@ def test_cheapest_matches_min_on_random_costs():
         eaes = {o: floors[o] + rng.choice([0, 0, 1, 2, 5, math.inf]) for o in options}
         costs = _Costs(floors, eaes)
         best = min(options, key=eaes.__getitem__, default=None)
-        assert _cheapest(options, costs) == (best, math.inf if best is None else eaes[best])
+        least = math.inf if best is None else eaes[best]
+        tied, eae = _cheapest(options, costs)
+        assert (tied, eae) == ([o for o in options if eaes[o] == least], least)
+        assert tied[:1] == ([] if best is None else [best])
+
+
+def _tie_heavy_contest(rng):
+    """A small ring contest at threshold 1/4 whose candidates hold a few
+    equal first-preference piles, some passing part of their votes on.
+    Few candidates clear the threshold, so children choose among
+    ``IrvWins`` over losers with equal piles, and with no errors their
+    estimates tie exactly; at the larger scales a ``Viable`` often ties
+    with them too."""
+    labels = [f"c{i}" for i in range(rng.randint(4, 7))]
+    scale = rng.choice([1, 3, 4])
+    ballots = []
+    for i, label in enumerate(labels):
+        weight = rng.choice([6, 6, 6, 9]) * scale
+        passed = rng.choice([0, weight // 3, weight // 2])
+        ballots.append(([label], weight - passed))
+        if passed:
+            ballots.append(([label, labels[(i + 1) % len(labels)]], passed))
+    return build_profile(labels, ballots, Fraction(1, 4), rng.randint(1, 6), "irv")
 
 
 def _equivalence_contests():
@@ -476,13 +502,49 @@ def _equivalence_contests():
         profile = random_irv_profile(rng, max_ballots=rng.choice([300, 3000]))
         params = RiskParams(error_rate=rng.choice([0.0, 0.002, 0.02]), trials=5, seed=rng.randrange(1000))
         contests.append((profile, params))
+    while len(contests) < 142:
+        contests.append((_tie_heavy_contest(rng), RiskParams(error_rate=0.0, trials=3, seed=rng.randrange(1000))))
     return contests
 
 
+def _eager_cheapest(options, ctx):
+    best = min(options, key=ctx.eae, default=None)
+    return best, math.inf if best is None else ctx.eae(best)
+
+
+def _eager_root(vset, ctx):
+    """Every holding root option, simulated, and ``min``."""
+    tau = ctx.threshold
+    options = [Viable(c, frozenset(), tau) for c in ctx.labels if c not in vset]
+    if tau < 1:
+        others = frozenset(ctx.labels) - vset
+        options += [NonViable(c, others, tau) for c in ctx.labels if c in vset]
+    return _eager_cheapest([a for a in options if ctx.holds(a)], ctx)
+
+
+def _eager_expand(node, ctx):
+    """Each child's own option list: the ``Viable``, then an ``IrvWins``
+    per standing candidate in the child's order; every holding option
+    simulated, and ``min``."""
+    unmentioned = node.unmentioned(ctx.labels)
+    standing_later = list(node.eliminated_suffix) + [c for c in ctx.labels if c in node.viable]
+    children = []
+    for cand in unmentioned:
+        rest = frozenset(unmentioned) - {cand}
+        options = [Viable(cand, rest, ctx.threshold)] + [IrvWins(cand, other, rest) for other in standing_later]
+        assertion, eae = _eager_cheapest([a for a in options if ctx.holds(a)], ctx)
+        child = AltOutcomeNode((cand,) + node.eliminated_suffix, node.viable, assertion, eae, node)
+        node.children.append(child)
+        children.append(child)
+    return children
+
+
 def test_lazy_cheapest_builds_the_specs_min_builds(monkeypatch):
-    """Simulating options only while their floor can still win gives the
-    specs and proof logs of simulating every option and taking ``min``,
-    with strictly fewer simulations across the sample."""
+    """The move table (one floor-ordered scan per ``(candidate, rest)``,
+    ties broken in each child's order) gives the specs and proof logs of
+    building every root's and every child's option list, simulating each
+    option and taking ``min``, with strictly fewer simulations across the
+    sample; the tie-heavy contests make the tie rule matter."""
     calls = [0]
 
     def counted(*args, **kwargs):
@@ -501,14 +563,11 @@ def test_lazy_cheapest_builds_the_specs_min_builds(monkeypatch):
             built.append({level: (audit_spec_to_dict(spec), log) for level, (spec, log) in specs.items()})
         return built, calls[0]
 
-    def eager(options, ctx):
-        best = min(options, key=ctx.eae, default=None)
-        return best, math.inf if best is None else ctx.eae(best)
-
     monkeypatch.setattr(viability, "estimate_asn", counted)
-    lazy, lazy_calls = build_all()
-    monkeypatch.setattr(viability, "_cheapest", eager)
+    table, table_calls = build_all()
+    monkeypatch.setattr(viability, "best_root_assertion", _eager_root)
+    monkeypatch.setattr(viability, "expand_node", _eager_expand)
     reference, eager_calls = build_all()
-    assert len(lazy) > 80
-    assert lazy == reference
-    assert lazy_calls < eager_calls
+    assert len(table) > 110
+    assert table == reference
+    assert table_calls < eager_calls
