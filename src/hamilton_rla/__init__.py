@@ -11,7 +11,6 @@ from .assertions import (
     assorter_value,
     holds_on,
     margin,
-    upper_bound,
 )
 from .delegates import (
     DelegateAssertionSet,

@@ -8,37 +8,37 @@ margin ``2 * mean - 1`` is positive.
 
 Every assorter classes a non-blank ballot by its top choice once the
 assertion's eliminated set is removed (``None`` when the ballot exhausts)
-and scores it by that class.  Blank ballots score 1/2 under every
-assertion.  The four forms:
+and gives it that class's integer ``points`` (``other_points`` for a class
+not named) over an even ``scale``; a blank scores ``scale // 2``, i.e. 1/2,
+under every assertion.  The four forms, with ``t = p/q`` and ``d = r/s``:
 
 ``Viable(c, E, t)``
     Candidate ``c`` holds more than proportion ``t`` of the valid vote
-    once the candidates in ``E`` are eliminated.  Ballots whose top
-    remaining choice is ``c`` score ``1/(2t)``; other non-blank ballots
-    score 0 (including ballots exhausted after ``E``).
+    once the candidates in ``E`` are eliminated.  Scale ``2p``: ``q``
+    (``1/(2t)``) for ``c``, 0 for every other class, exhausted included.
 
 ``NonViable(c, E, t)``
     Candidate ``c`` holds less than proportion ``t`` after eliminating
-    ``E``.  Non-blank ballots not currently for ``c`` score
-    ``1/(2(1-t))`` (exhausted ballots included); ballots for ``c`` score
-    0.
+    ``E``.  Scale ``2(q-p)``: 0 for ``c``, ``q`` (``1/(2(1-t))``) for every
+    other class, exhausted included.
 
 ``IrvWins(w, l, E)``
-    ``w`` out-tallies ``l`` after eliminating ``E``: 1 for ``w``'s pile,
-    0 for ``l``'s, 1/2 for everything else.
+    ``w`` out-tallies ``l`` after eliminating ``E``.  Scale 2: 2 for
+    ``w``'s pile, 0 for ``l``'s, 1 for everything else.
 
 ``PairwiseDiff(m, n, d, V)``
     Among ballots qualified for the viable set ``V`` (top choice within
     ``V`` exists), ``m``'s share beats ``n``'s share by more than ``d``.
-    Its classes are the piles with everyone outside ``V`` eliminated:
-    ``1/(1+d)`` for class ``m``, 0 for class ``n``, ``1/(2(1+d))`` for a
-    vote for another viable candidate, 1/2 for unqualified (exhausted)
-    ballots.
+    Its classes are the piles with everyone outside ``V`` eliminated.
+    Scale ``2(s+r)``: ``2s`` (``1/(1+d)``) for ``m``, 0 for ``n``, ``s``
+    for another viable candidate, ``s+r`` (1/2) for unqualified ballots.
 
-Each class below holds everything that differs between the forms; the
-functions at the end of the module apply that protocol one ballot at a
-time.  All arithmetic is exact (`fractions.Fraction`); convert to float
-only for display.
+The rest derives from the points: ``upper_bound`` is the most points over
+the scale, and ``scaled_margin`` (the margin times the scale and the
+number of cast ballots) sums ``2*points - scale`` over the class tallies,
+so the assertion holds exactly when it is positive.  The functions at the
+end of the module score one ballot at a time: the exact reference the
+tally path is tested against.
 """
 from __future__ import annotations
 
@@ -52,25 +52,21 @@ from .tabulation import top_remaining
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ElectionProfile, Ranking
 
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
-
 
 class Assertion:
     """The protocol shared by the four assertion forms.
 
-    Subclasses define ``tag`` (the spec JSON type), ``upper_bound``, the
-    per-class ``scores`` with ``other_score`` for every class not named
-    there, ``holds`` on integer tallies, and ``key``, ``__str__`` and the
-    dict form.
+    Subclasses define ``tag`` (the spec JSON type), the assorter as
+    integer ``points`` per class with ``other_points`` for every class not
+    named there over an even ``scale``, and ``key``, ``__str__`` and the
+    dict form.  The bound and the margin derive from the points.
     """
 
     tag: ClassVar[str]
     eliminated: frozenset[str]
-    upper_bound: Fraction
-    scores: Mapping[str | None, Fraction]
-    other_score: Fraction
+    scale: int
+    points: Mapping[str | None, int]
+    other_points: int
     key: str
 
     def removed(self, labels: Collection[str]) -> frozenset[str]:
@@ -78,10 +74,30 @@ class Assertion:
         only candidates in ``labels``."""
         return self.eliminated
 
-    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
-        """Exact margin positivity from the class tallies (the piles of the
-        standing candidates after ``removed``) and the valid-ballot count."""
-        raise NotImplementedError
+    @cached_property
+    def max_points(self) -> int:
+        return max(self.other_points, *self.points.values())
+
+    @cached_property
+    def upper_bound(self) -> Fraction:
+        return Fraction(self.max_points, self.scale)
+
+    def ballot_points(self, ranking: "Ranking") -> int:
+        """One ballot's assorter value times ``scale``."""
+        if not ranking:  # blank for the contest
+            return self.scale // 2
+        return self.points.get(top_remaining(ranking, self.removed(ranking)), self.other_points)
+
+    def scaled_margin(self, piles: Mapping[str, int], valid: int) -> int:
+        """The margin times ``scale`` and the cast-ballot count, from the class
+        tallies (the piles of the standing candidates after ``removed``) and
+        the valid-ballot count; blanks add nothing."""
+        other = self.other_points
+        margin = (2 * other - self.scale) * valid
+        for cls, points in self.points.items():
+            tally = valid - sum(piles.values()) if cls is None else piles[cls]
+            margin += 2 * (points - other) * tally
+        return margin
 
 
 def _set_repr(labels: frozenset[str]) -> str:
@@ -94,6 +110,17 @@ def _label(data: Mapping, field: str) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{field!r} must be a string, not {value!r}")
     return value
+
+
+def _rational(data: Mapping, field: str) -> Fraction:
+    """An exact rational read from a spec object's string, such as "3/20"."""
+    value = data[field]
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field!r} must be a string holding a finite rational, not {value!r}")
 
 
 def _label_set(data: Mapping, field: str) -> frozenset[str]:
@@ -134,7 +161,7 @@ class _ThresholdAssertion(Assertion):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> Assertion:
-        return cls(_label(data, "winner"), _label_set(data, "eliminated"), Fraction(data["t"]))
+        return cls(_label(data, "winner"), _label_set(data, "eliminated"), _rational(data, "t"))
 
 
 class Viable(_ThresholdAssertion):
@@ -145,19 +172,15 @@ class Viable(_ThresholdAssertion):
         if not 0 < self.threshold <= 1:
             raise ValueError(f"threshold {self.threshold} outside (0, 1]")
 
-    @cached_property
-    def upper_bound(self) -> Fraction:
-        return 1 / (2 * self.threshold)
+    other_points = 0
 
     @cached_property
-    def scores(self) -> Mapping[str | None, Fraction]:
-        return {self.candidate: self.upper_bound}
+    def scale(self) -> int:
+        return 2 * self.threshold.numerator
 
-    other_score = ZERO
-
-    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
-        t = self.threshold
-        return piles[self.candidate] * t.denominator > t.numerator * valid
+    @cached_property
+    def points(self) -> Mapping[str | None, int]:
+        return {self.candidate: self.threshold.denominator}
 
 
 class NonViable(_ThresholdAssertion):
@@ -169,20 +192,16 @@ class NonViable(_ThresholdAssertion):
             raise ValueError(f"non-viability threshold {self.threshold} outside (0, 1)")
 
     @cached_property
-    def upper_bound(self) -> Fraction:
-        return 1 / (2 * (1 - self.threshold))
+    def scale(self) -> int:
+        return 2 * (self.threshold.denominator - self.threshold.numerator)
 
     @cached_property
-    def scores(self) -> Mapping[str | None, Fraction]:
-        return {self.candidate: ZERO}
+    def points(self) -> Mapping[str | None, int]:
+        return {self.candidate: 0}
 
     @cached_property
-    def other_score(self) -> Fraction:
-        return self.upper_bound
-
-    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
-        t = self.threshold
-        return piles[self.candidate] * t.denominator < t.numerator * valid
+    def other_points(self) -> int:
+        return self.threshold.denominator
 
 
 @dataclass(frozen=True)
@@ -192,8 +211,8 @@ class IrvWins(Assertion):
     eliminated: frozenset[str]
 
     tag: ClassVar[str] = "irv_wins"
-    upper_bound: ClassVar[Fraction] = ONE
-    other_score: ClassVar[Fraction] = HALF
+    scale: ClassVar[int] = 2
+    other_points: ClassVar[int] = 1
 
     def __post_init__(self) -> None:
         if self.winner == self.loser:
@@ -202,11 +221,8 @@ class IrvWins(Assertion):
             raise ValueError("winner/loser cannot be in the elimination set")
 
     @cached_property
-    def scores(self) -> Mapping[str | None, Fraction]:
-        return {self.winner: ONE, self.loser: ZERO}
-
-    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
-        return piles[self.winner] > piles[self.loser]
+    def points(self) -> Mapping[str | None, int]:
+        return {self.winner: 2, self.loser: 0}
 
     @cached_property
     def key(self) -> str:
@@ -249,20 +265,16 @@ class PairwiseDiff(Assertion):
         return frozenset(labels) - self.viable
 
     @cached_property
-    def upper_bound(self) -> Fraction:
-        return 1 / (1 + self.offset)
+    def scale(self) -> int:
+        return 2 * (self.offset.denominator + self.offset.numerator)
 
     @cached_property
-    def scores(self) -> Mapping[str | None, Fraction]:
-        return {self.winner: self.upper_bound, self.loser: ZERO, None: HALF}
+    def points(self) -> Mapping[str | None, int]:
+        return {self.winner: 2 * self.other_points, self.loser: 0, None: self.scale // 2}
 
     @cached_property
-    def other_score(self) -> Fraction:
-        return self.upper_bound / 2
-
-    def holds(self, piles: Mapping[str, int], valid: int) -> bool:
-        d = self.offset
-        return (piles[self.winner] - piles[self.loser]) * d.denominator > d.numerator * sum(piles.values())
+    def other_points(self) -> int:
+        return self.offset.denominator
 
     @cached_property
     def key(self) -> str:
@@ -282,7 +294,7 @@ class PairwiseDiff(Assertion):
 
     @classmethod
     def from_dict(cls, data: Mapping) -> Assertion:
-        return cls(_label(data, "winner"), _label(data, "loser"), Fraction(data["d"]), _label_set(data, "viable"))
+        return cls(_label(data, "winner"), _label(data, "loser"), _rational(data, "d"), _label_set(data, "viable"))
 
 
 ASSERTION_TYPES: dict[str, type] = {cls.tag: cls for cls in (Viable, NonViable, IrvWins, PairwiseDiff)}
@@ -297,16 +309,9 @@ class AssorterSummary:
     margin: Fraction
 
 
-def upper_bound(assertion: Assertion) -> Fraction:
-    return assertion.upper_bound
-
-
 def assorter_value(assertion: Assertion, ranking: "Ranking") -> Fraction:
     """Score one ballot ranking under the assertion's assorter."""
-    if not ranking:  # blank for the contest
-        return HALF
-    top = top_remaining(ranking, assertion.removed(ranking))
-    return assertion.scores.get(top, assertion.other_score)
+    return Fraction(assertion.ballot_points(ranking), assertion.scale)
 
 
 def margin(assertion: Assertion, profile: "ElectionProfile") -> AssorterSummary:
@@ -319,7 +324,7 @@ def margin(assertion: Assertion, profile: "ElectionProfile") -> AssorterSummary:
     for ranking, count in profile.rankings.items():
         acc += count * assorter_value(assertion, ranking)
     mean = acc / total
-    return AssorterSummary(upper_bound(assertion), mean, 2 * mean - 1)
+    return AssorterSummary(assertion.upper_bound, mean, 2 * mean - 1)
 
 
 def holds_on(assertion: Assertion, profile: "ElectionProfile") -> bool:

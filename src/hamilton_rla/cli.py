@@ -300,7 +300,7 @@ def _check_margins(spec: AuditSpec, cvrs: list[model.CvrRecord], path: str) -> N
     another outcome would be audited against one they do not report."""
     rankings = Counter(r.ranking for r in cvrs)
     labels = {c for ranking in rankings for c in ranking}
-    labels.update(c for e in spec.entries for c in e.assertion.scores if c is not None)
+    labels.update(c for e in spec.entries for c in e.assertion.points if c is not None)
     # threshold, delegates and style do not enter an assorter's summary
     ctx = viability.AuditContext(model.build_profile(sorted(labels), rankings.items(), 1, 1, model.IRV))
     for e in spec.entries:
@@ -319,7 +319,7 @@ def cmd_audit_init(args: argparse.Namespace) -> int:
         print("spec requires a full manual count; nothing to sample", file=sys.stderr)
         return EXIT_FULL_COUNT
     size = risk.estimate_audit_asn(spec)
-    if math.isinf(size):
+    if size > spec.total_ballots:  # infinite, or an edited eae: more draws than a full count
         print("expected sample size exceeds the ballot universe; full count", file=sys.stderr)
         return EXIT_FULL_COUNT
     if size < 1:  # no assertions, or every eae 0: a round needs at least one draw

@@ -128,4 +128,4 @@ def find_violated_assertion(
         return None
     # every witness shares the viable set, hence its classes
     classes, _ = count_piles(profile, witnesses[0].removed(profile.labels))
-    return next((a for a in witnesses if not a.holds(classes, profile.valid_ballots)), None)
+    return next((a for a in witnesses if a.scaled_margin(classes, profile.valid_ballots) <= 0), None)

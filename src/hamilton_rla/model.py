@@ -404,7 +404,8 @@ def audit_spec_to_dict(spec: AuditSpec) -> dict:
 
 
 def audit_spec_from_dict(data: dict) -> AuditSpec:
-    from .risk import RiskParams  # see assertion_from_dict
+    from .assertions import _rational  # see assertion_from_dict
+    from .risk import RiskParams
 
     if not isinstance(data, dict):
         raise ElectionDataError("audit spec must be a JSON object")
@@ -425,9 +426,9 @@ def audit_spec_from_dict(data: dict) -> AuditSpec:
         entries = tuple(
             SpecEntry(
                 assertion=assertion_from_dict(obj),
-                upper_bound=Fraction(obj["upper_bound"]),
-                mean=Fraction(obj["mean"]),
-                margin=Fraction(obj["margin"]),
+                upper_bound=_rational(obj, "upper_bound"),
+                mean=_rational(obj, "mean"),
+                margin=_rational(obj, "margin"),
                 eae=_eae_from_json(obj),
             )
             for obj in data["assertions"]

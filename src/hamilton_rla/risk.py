@@ -46,7 +46,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .assertions import Assertion, assertion_key, assorter_value, upper_bound
+from .assertions import Assertion, assertion_key
 from .model import AuditSpec, ElectionDataError, Ranking, open_input
 
 FULL_COUNT = math.inf
@@ -143,16 +143,16 @@ def step_factor(margin: float, gamma: float, category: str) -> float:
 def discrepancy(assertion: Assertion, cvr: "Ranking", paper: "Ranking") -> str:
     """Classify a CVR-vs-paper comparison in assorter units.
 
-    The overstatement is ``assorter(cvr) - assorter(paper)``: zero is
-    clean, negative an understatement; positive overstatements are
+    The overstatement is ``assorter(cvr) - assorter(paper)``, in points:
+    zero is clean, negative an understatement; positive overstatements are
     one-vote up to half the assorter's upper bound and two-vote beyond.
     """
-    omega = assorter_value(assertion, cvr) - assorter_value(assertion, paper)
+    omega = assertion.ballot_points(cvr) - assertion.ballot_points(paper)
     if omega == 0:
         return CLEAN
     if omega < 0:
         return UNDERSTATEMENT
-    if omega <= upper_bound(assertion) / 2:
+    if 2 * omega <= assertion.max_points:
         return ONE_VOTE
     return TWO_VOTE
 

@@ -73,7 +73,6 @@ from .assertions import (
     Viable,
     assertion_key,
     describe,
-    upper_bound,
 )
 from .delegates import gen_delegate_assertions
 from .model import (
@@ -98,12 +97,15 @@ def max_viable(threshold: Fraction) -> int:
 
 
 class AuditContext:
-    """Per-profile caches: piles by elimination set, margins and effort by
-    assertion, and the cheapest elimination moves by ``(candidate, rest)``.
+    """Per-profile caches: piles by elimination set, effort by assertion,
+    and the cheapest elimination moves by ``(candidate, rest)``.
 
     Every tally-based answer starts from ``piles``: an assertion's classes
     are the piles of the candidates left standing once its ``removed`` set
-    is eliminated, plus the ballots that exhaust.
+    is eliminated, plus the ballots that exhaust.  Their integer
+    ``scaled_margin`` gives ``holds`` by its sign and the float margin of
+    the effort estimates by one division, rounded as ``float`` of the exact
+    margin is; only ``summary`` builds fractions.
     """
 
     def __init__(self, profile: ElectionProfile, params: RiskParams | None = None):
@@ -111,12 +113,10 @@ class AuditContext:
         self.params = params or RiskParams()
         self.total = profile.total_ballots
         self.valid = profile.valid_ballots
-        self.blank = self.total - self.valid
         self.threshold = profile.threshold
         self.labels = profile.labels
         self.index = {c: i for i, c in enumerate(self.labels)}
         self._piles: dict[frozenset[str], dict[str, int]] = {}
-        self._summaries: dict[str, AssorterSummary] = {}
         self._eae: dict[str, float] = {}
         self._floors: dict[str, float] = {}
         self._moves: dict[tuple[str, frozenset[str]], tuple[Mapping[str | None, Assertion], float]] = {}
@@ -128,33 +128,26 @@ class AuditContext:
             self._piles[eliminated] = cached
         return cached
 
+    def _scaled_margin(self, assertion: Assertion) -> int:
+        return assertion.scaled_margin(self.piles(assertion.removed(self.labels)), self.valid)
+
+    def _margin(self, assertion: Assertion) -> float:
+        return self._scaled_margin(assertion) / (self.total * assertion.scale)
+
     def holds(self, assertion: Assertion) -> bool:
         """Exact margin-positivity test via integer tallies."""
-        return assertion.holds(self.piles(assertion.removed(self.labels)), self.valid)
+        return self._scaled_margin(assertion) > 0
 
     def summary(self, assertion: Assertion) -> AssorterSummary:
-        """Exact assorter summary computed from cached tallies: every valid
-        ballot scores ``other_score`` except the classes named in ``scores``."""
-        key = assertion_key(assertion)
-        cached = self._summaries.get(key)
-        if cached is not None:
-            return cached
-        piles = self.piles(assertion.removed(self.labels))
-        exhausted = self.valid - sum(piles.values())
-        other = assertion.other_score
-        acc = other * self.valid + Fraction(self.blank, 2)
-        for cls, score in assertion.scores.items():
-            acc += (score - other) * (exhausted if cls is None else piles[cls])
-        mean = acc / self.total
-        result = AssorterSummary(upper_bound(assertion), mean, 2 * mean - 1)
-        self._summaries[key] = result
-        return result
+        """Exact assorter upper bound, mean and margin over every cast ballot."""
+        margin = Fraction(self._scaled_margin(assertion), self.total * assertion.scale)
+        return AssorterSummary(assertion.upper_bound, (1 + margin) / 2, margin)
 
     def eae(self, assertion: Assertion) -> float:
         key = assertion_key(assertion)
         cached = self._eae.get(key)
         if cached is None:
-            cached = estimate_asn(self.summary(assertion).margin, self.params, self.total, stream=key)
+            cached = estimate_asn(self._margin(assertion), self.params, self.total, stream=key)
             self._eae[key] = cached
         return cached
 
@@ -163,7 +156,7 @@ class AuditContext:
         key = assertion_key(assertion)
         cached = self._floors.get(key)
         if cached is None:
-            cached = asn_floor(self.summary(assertion).margin, self.params)
+            cached = asn_floor(self._margin(assertion), self.params)
             self._floors[key] = cached
         return cached
 

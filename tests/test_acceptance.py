@@ -28,7 +28,6 @@ from hamilton_rla.assertions import (
     assertion_key,
     assorter_value,
     margin,
-    upper_bound,
 )
 from hamilton_rla.cli import main as cli_main
 from hamilton_rla.model import STATUS_COMPLETE, load_election
@@ -223,7 +222,7 @@ def test_criterion_7_assorter_invariants():
         ]
         piles, _ = count_piles(profile, eliminated)
         for a in cases:
-            u = upper_bound(a)
+            u = a.upper_bound
             for ranking in profile.rankings:
                 assert 0 <= assorter_value(a, ranking) <= u
             s = margin(a, profile)

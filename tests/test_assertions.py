@@ -10,7 +10,6 @@ from hamilton_rla import (
     holds_on,
     margin,
     tabulate,
-    upper_bound,
 )
 from hamilton_rla.assertions import (
     IrvWins,
@@ -28,7 +27,7 @@ TAU = Fraction(3, 20)
 
 def test_viable_assorter_values():
     a = Viable("Ann", frozenset(), TAU)
-    assert upper_bound(a) == Fraction(10, 3)  # 1/(2t)
+    assert a.upper_bound == Fraction(10, 3)  # 1/(2t)
     assert assorter_value(a, ("Ann", "Dee", "Cal", "Bob")) == Fraction(10, 3)
     assert assorter_value(a, ("Bob",)) == 0
     assert assorter_value(a, ()) == Fraction(1, 2)
@@ -39,7 +38,7 @@ def test_viable_assorter_values():
 
 def test_nonviable_assorter_values():
     a = NonViable("Cal", frozenset(), TAU)
-    assert upper_bound(a) == Fraction(10, 17)  # 1/(2(1-t))
+    assert a.upper_bound == Fraction(10, 17)  # 1/(2(1-t))
     assert assorter_value(a, ("Cal",)) == 0
     assert assorter_value(a, ("Ann",)) == Fraction(10, 17)
     assert assorter_value(a, ()) == Fraction(1, 2)
@@ -50,7 +49,7 @@ def test_nonviable_assorter_values():
 
 def test_irv_wins_assorter_values():
     a = IrvWins("Bob", "Cal", frozenset({"Dee"}))
-    assert upper_bound(a) == 1
+    assert a.upper_bound == 1
     assert assorter_value(a, ("Bob",)) == 1
     assert assorter_value(a, ("Dee", "Cal")) == 0  # transfers to Cal
     assert assorter_value(a, ("Ann",)) == Fraction(1, 2)
@@ -61,7 +60,7 @@ def test_irv_wins_assorter_values():
 def test_pairwise_diff_assorter_values():
     viable = frozenset({"Ann", "Bob"})
     a = PairwiseDiff("Bob", "Ann", Fraction(-4, 5), viable)
-    assert upper_bound(a) == 5  # 1/(1+d)
+    assert a.upper_bound == 5  # 1/(1+d)
     assert assorter_value(a, ("Bob", "Cal")) == 5
     assert assorter_value(a, ("Cal", "Bob")) == 5  # qualifies for Bob
     assert assorter_value(a, ("Ann",)) == 0
@@ -69,6 +68,23 @@ def test_pairwise_diff_assorter_values():
     assert assorter_value(a, ()) == Fraction(1, 2)
     three = PairwiseDiff("A", "B", Fraction(0), frozenset({"A", "B", "C"}))
     assert assorter_value(three, ("C",)) == Fraction(1, 2)  # other viable: u/2
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 7), TAU, Fraction(1, 4), Fraction(1, 2), Fraction(999, 1000), Fraction(1)])
+@pytest.mark.parametrize("d", [Fraction(-99, 100), Fraction(-4, 5), Fraction(0), Fraction(2, 5), Fraction(99, 100)])
+def test_upper_bounds_have_their_closed_forms(t, d):
+    """Each form's bound, derived from its points, is the closed form, and
+    every scale is even, so a blank scores exactly 1/2."""
+    forms = {
+        Viable("A", frozenset({"C"}), t): 1 / (2 * t),
+        IrvWins("A", "B", frozenset({"C"})): 1,
+        PairwiseDiff("A", "B", d, frozenset({"A", "B"})): 1 / (1 + d),
+    }
+    if t < 1:
+        forms[NonViable("A", frozenset({"C"}), t)] = 1 / (2 * (1 - t))
+    for a, bound in forms.items():
+        assert a.upper_bound == bound, a
+        assert a.scale % 2 == 0 and assorter_value(a, ()) == Fraction(1, 2), a
 
 
 def test_assertion_invariants_validated():
@@ -120,6 +136,12 @@ def test_holds_on_example(plurality_profile):
     assert not holds_on(Viable("Cal", frozenset(), TAU), plurality_profile)
 
 
+# thresholds and offsets at the edges of their ranges, besides the profile's
+# own threshold and offsets in tenths
+EDGE_THRESHOLDS = [Fraction(1), Fraction(1, 7), Fraction(999, 1000)]
+EDGE_OFFSETS = [Fraction(-99, 100), Fraction(99, 100)]
+
+
 def _random_assertions(profile, rng):
     labels = list(profile.labels)
     out = []
@@ -129,10 +151,11 @@ def _random_assertions(profile, rng):
         others = [x for x in labels if x != c]
         esize = rng.randint(0, len(others))
         eliminated = frozenset(rng.sample(others, esize))
+        t = rng.choice([profile.threshold, *EDGE_THRESHOLDS])
         if kind == 0:
-            out.append(Viable(c, eliminated, profile.threshold))
-        elif kind == 1 and profile.threshold < 1:
-            out.append(NonViable(c, eliminated, profile.threshold))
+            out.append(Viable(c, eliminated, t))
+        elif kind == 1 and t < 1:
+            out.append(NonViable(c, eliminated, t))
         elif kind == 2 and others:
             loser = rng.choice(others)
             eliminated = eliminated - {loser}
@@ -142,7 +165,7 @@ def _random_assertions(profile, rng):
             viable = frozenset({c, loser}) | frozenset(
                 rng.sample(others, rng.randint(0, len(others) - 1))
             )
-            d = Fraction(rng.randint(-9, 9), 10)
+            d = rng.choice([Fraction(rng.randint(-9, 9), 10), *EDGE_OFFSETS])
             out.append(PairwiseDiff(c, loser, d, viable))
     return out
 
@@ -152,7 +175,7 @@ def test_assorter_values_in_range_random():
     for _ in range(40):
         profile = random_irv_profile(rng)
         for a in _random_assertions(profile, rng):
-            u = upper_bound(a)
+            u = a.upper_bound
             for ranking in profile.rankings:
                 v = assorter_value(a, ranking)
                 assert 0 <= v <= u
@@ -169,12 +192,12 @@ def test_margin_sign_equals_tally_inequalities_random():
         valid = profile.valid_ballots
         if valid == 0:
             continue
-        t = profile.threshold
         for a in _random_assertions(profile, rng):
             s = margin(a, profile)
             if isinstance(a, (Viable, NonViable)):
                 piles, _ = count_piles(profile, a.eliminated)
                 tally = piles[a.candidate]
+                t = a.threshold
                 if isinstance(a, Viable):
                     assert (s.margin > 0) == (Fraction(tally, valid) > t)
                 else:

@@ -202,6 +202,43 @@ def test_audit_init_refuses_mistyped_spec_field(capsys, tmp_path, case):
     assert f"bad audit spec: {field!r} must be" in err
 
 
+@pytest.mark.parametrize("phase", ["init", "round"])
+@pytest.mark.parametrize("value", ["1/0", 0.25, True])
+@pytest.mark.parametrize("field", ["t", "d", "upper_bound", "mean", "margin"])
+def test_audit_refuses_bad_spec_rational(capsys, tmp_path, field, value, phase):
+    """Every rational of an assertion entry is a string holding a finite
+    fraction: a zero denominator is refused with exit 2 naming the field,
+    not a ZeroDivisionError traceback, and a JSON number or boolean is
+    refused rather than coerced."""
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "3", "--seed", "3", "--out", str(spec))
+    manifest = tmp_path / "round1.csv"
+    audit = ["--spec", str(spec), "--cvrs", SMALL_CVRS, "--state", str(tmp_path / "state.json")]
+    if phase == "round":
+        assert run(capsys, "audit", "init", *audit, "--manifest", str(manifest))[0] == 0
+    doc = json.loads(spec.read_text())
+    next(e for e in doc["assertions"] if field in e)[field] = value
+    spec.write_text(json.dumps(doc))
+    argv = ["--manifest", str(manifest)] + (["--interpretations", SMALL_CVRS] if phase == "round" else [])
+    code, out, err = run(capsys, "audit", phase, *audit, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"{field!r} must be a string holding a finite rational" in err
+
+
+def test_audit_init_with_eae_beyond_the_ballots_requires_full_count(capsys, tmp_path):
+    """An edited ``eae`` larger than the contest asks for more draws than a
+    full count; ``audit init`` reports the full count instead of drawing them."""
+    spec, manifest = tmp_path / "spec.json", tmp_path / "round1.csv"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "3", "--out", str(spec))
+    doc = json.loads(spec.read_text())
+    doc["assertions"][0]["eae"] = 10**12
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "audit", "init", "--spec", str(spec), "--cvrs", SMALL_CVRS,
+                         "--manifest", str(manifest), "--state", str(tmp_path / "state.json"))
+    assert code == 4 and out == ""
+    assert "exceeds the ballot universe" in err and not manifest.exists()
+
+
 def test_tabulate_blank_only_exit_3(capsys, tmp_path):
     path = tmp_path / "blank.json"
     path.write_text(

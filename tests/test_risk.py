@@ -18,7 +18,7 @@ from hamilton_rla import (
     step_factor,
     tabulate,
 )
-from hamilton_rla.assertions import IrvWins, NonViable, PairwiseDiff, Viable
+from hamilton_rla.assertions import IrvWins, NonViable, PairwiseDiff, Viable, assorter_value
 from hamilton_rla.risk import (
     CATEGORIES,
     CLEAN,
@@ -131,6 +131,45 @@ def test_discrepancy_categories():
     n = NonViable("C", frozenset(), TAU)
     # CVR not-C vs paper C: omega = u - 0 -> two-vote
     assert discrepancy(n, ("X",), ("C",)) == TWO_VOTE
+
+
+def _reference_discrepancy(assertion, cvr, paper):
+    """The classification in exact assorter values, as SHANGRLA states it."""
+    omega = assorter_value(assertion, cvr) - assorter_value(assertion, paper)
+    if omega == 0:
+        return CLEAN
+    if omega < 0:
+        return UNDERSTATEMENT
+    return ONE_VOTE if omega <= assertion.upper_bound / 2 else TWO_VOTE
+
+
+def test_discrepancy_matches_exact_assorter_values_random():
+    """The integer-points classification equals the Fraction one on every
+    pair of blank, exhausted, single-choice and random rankings, and each
+    form meets the one-vote bound exactly somewhere (t = 1/2 puts it at a
+    blank for the threshold forms; d = 0 at an unqualified ballot)."""
+    rng = random.Random(53)
+    labels = ["A", "B", "C", "D", "E"]
+    thresholds = [Fraction(1, 2), TAU, Fraction(1, 7), Fraction(999, 1000), Fraction(1)]
+    offsets = [Fraction(0), Fraction(-99, 100), Fraction(99, 100), Fraction(-4, 5), Fraction(2, 5)]
+    boundary = Counter()
+    for _ in range(100):
+        first, second, *others = rng.sample(labels, len(labels))
+        out = frozenset(rng.sample(others, rng.randint(0, len(others))))
+        t, d = rng.choice(thresholds), rng.choice(offsets)
+        viable = frozenset(labels) - out
+        forms = [Viable(first, out, t), IrvWins(first, second, out), PairwiseDiff(first, second, d, viable)]
+        if t < 1:
+            forms.append(NonViable(first, out, t))
+        rankings = [(), *((c,) for c in labels), tuple(out), tuple(rng.sample(labels, rng.randint(1, 5)))]
+        for a in forms:
+            for cvr in rankings:
+                for paper in rankings:
+                    assert discrepancy(a, cvr, paper) == _reference_discrepancy(a, cvr, paper), (a, cvr, paper)
+                    omega = assorter_value(a, cvr) - assorter_value(a, paper)
+                    boundary[type(a).__name__] += omega == a.upper_bound / 2
+    assert set(boundary) == {"Viable", "NonViable", "IrvWins", "PairwiseDiff"}
+    assert all(boundary.values()), boundary
 
 
 def test_estimate_asn_nonpositive_margin_full_count():
