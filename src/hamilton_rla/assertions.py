@@ -42,6 +42,7 @@ tally path is tested against.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -112,15 +113,19 @@ def _label(data: Mapping, field: str) -> str:
     return value
 
 
+# The forms str(Fraction) writes: "p/q", or "p" for an integer.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def _rational(data: Mapping, field: str) -> Fraction:
     """An exact rational read from a spec object's string, such as "3/20"."""
     value = data[field]
-    if isinstance(value, str):
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
             pass
-    raise ValueError(f"{field!r} must be a string holding a finite rational, not {value!r}")
+    raise ValueError(f"{field!r} must be a string holding a finite rational p/q, not {value!r}")
 
 
 def _label_set(data: Mapping, field: str) -> frozenset[str]:
@@ -325,11 +330,6 @@ def margin(assertion: Assertion, profile: "ElectionProfile") -> AssorterSummary:
         acc += count * assorter_value(assertion, ranking)
     mean = acc / total
     return AssorterSummary(assertion.upper_bound, mean, 2 * mean - 1)
-
-
-def holds_on(assertion: Assertion, profile: "ElectionProfile") -> bool:
-    """True iff the assertion's margin is (exactly) positive on the profile."""
-    return margin(assertion, profile).margin > 0
 
 
 def assertion_key(assertion: Assertion) -> str:

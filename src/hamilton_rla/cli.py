@@ -7,13 +7,16 @@ seed is generated and printed.  With ``--format json`` every command
 writes deterministic JSON (same inputs and seed give byte-identical
 output); timing goes to stderr.
 
-``audit init`` checks every assertion's stated margin against the CVR
-tallies before drawing.  The audit state file holds the audit's
-evidence: seed, ``alpha``, ``gamma``, the SHA-256 of the spec and CVR
-file, and per round its draw count and paper interpretations.  Each
-``audit round`` rebuilds the manifests from the seed and replays every
-round to score; the draw total and per-assertion counts and p-values it
-also writes are a summary for readers and are never read back.  A round
+``audit init`` recomputes every assertion's margin from the CVR tallies
+before drawing and refuses a spec that states another, or a nonpositive
+one; the spec stores no other assorter statistic.  The audit state file
+holds the audit's evidence: seed, the spec's ``alpha`` and ``gamma``, the
+SHA-256 of the spec and CVR file, and per round its draw count and paper
+interpretations.  Each ``audit round`` rebuilds the manifests from the
+seed and replays every round to score, refusing a round whose draws its
+interpretations do not cover at the first such draw; the draw total and
+per-assertion counts and p-values it also writes are a summary for
+readers and are never read back.  A round
 that leaves an assertion unconfirmed whose margin is too small to move a
 float p-value ends with status ``requires-full-count`` and exit 4; it is
 still recorded, since its paper interpretations are evidence too.
@@ -28,6 +31,7 @@ import secrets
 import sys
 import time
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 from . import model, risk, tabulation, viability
@@ -254,14 +258,13 @@ def _is_round(rnd: object) -> bool:
     return type(draws) is int and draws > 0 and type(cells) is dict and all(type(c) is str for c in cells.values())
 
 
-# The schema version and every state field cmd_audit_round reads, with what each must be.
+# The schema version and the state fields cmd_audit_round reads, with what each
+# must be; alpha and gamma must equal the spec's.
 _STATE_FIELDS = {
     "schema_version": (str(STATE_SCHEMA_VERSION), lambda v: type(v) is int and v == STATE_SCHEMA_VERSION),
     "seed": ("an integer", lambda v: type(v) is int),
     "spec_sha256": _DIGEST,
     "cvrs_sha256": _DIGEST,
-    "alpha": ("a number in (0, 1)", lambda v: type(v) in (int, float) and 0 < v < 1),
-    "gamma": ("a number above 1", lambda v: type(v) in (int, float) and v > 1),
     "rounds": ("a list of {draws: n > 0, interpretations: {ballot: cell}}",
                lambda v: type(v) is list and all(map(_is_round, v))),
 }
@@ -294,21 +297,20 @@ def _load_contest_cvrs(path: str, spec: AuditSpec) -> list[model.CvrRecord]:
 
 
 def _check_margins(spec: AuditSpec, cvrs: list[model.CvrRecord], path: str) -> None:
-    """Each assertion's upper bound, mean and margin must be the ones the CVRs
-    give, and the margin positive: rounds score with the spec's margin, so an
-    overstated one would demand less evidence, and CVRs that tabulate to
-    another outcome would be audited against one they do not report."""
+    """Each assertion's margin must be the one the CVRs give, and positive:
+    rounds score with the spec's margin, so an overstated one would demand
+    less evidence, and CVRs that tabulate to another outcome would be
+    audited against one they do not report."""
     rankings = Counter(r.ranking for r in cvrs)
     labels = {c for ranking in rankings for c in ranking}
     labels.update(c for e in spec.entries for c in e.assertion.points if c is not None)
-    # threshold, delegates and style do not enter an assorter's summary
+    # threshold, delegates and style do not enter an assorter's margin
     ctx = viability.AuditContext(model.build_profile(sorted(labels), rankings.items(), 1, 1, model.IRV))
     for e in spec.entries:
-        s = ctx.summary(e.assertion)
-        if s.margin <= 0 or (e.upper_bound, e.mean, e.margin) != (s.upper_bound, s.mean, s.margin):
+        margin = ctx.exact_margin(e.assertion)
+        if margin <= 0 or margin != e.margin:
             raise ElectionDataError(
-                f"CVR file {path} gives {describe(e.assertion)} upper bound {s.upper_bound}, mean {s.mean} "
-                f"and margin {s.margin}, but the spec states {e.upper_bound}, {e.mean} and {e.margin}"
+                f"CVR file {path} gives {describe(e.assertion)} margin {margin}, but the spec states {e.margin}"
             )
 
 
@@ -356,31 +358,41 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
             raise ElectionDataError(
                 f"--{option} {path} is not the file this audit was initialised with (SHA-256 differs)"
             )
+    for name in ("alpha", "gamma"):  # copied from the spec by audit init
+        expected = getattr(spec.params, name)
+        if state.get(name) != expected:
+            raise ElectionDataError(f"audit state {args.state}: {name!r} is not the spec's {expected}")
     if not manifest:
         raise ElectionDataError(f"manifest {args.manifest} lists no draws")
     universe = [r.ballot_id for r in cvr_records]
     recorded = state["rounds"]
     drawn = sum(rnd["draws"] for rnd in recorded)
-    sample = risk.draw_sample(state["seed"], drawn + len(manifest), universe)
+
+    # The recorded rounds are the audit's evidence: each one's slice of the
+    # sample with its paper interpretations, replayed with this round's.
+    # Each slice is checked as it is drawn, so a recorded draw count that
+    # its interpretations do not back ends at its first unbacked draw.
+    sample = risk.sample_stream(state["seed"], universe)
+    rounds = []
+    for number, rnd in enumerate(recorded, start=1):
+        where = f"audit state {args.state}, round {number}"
+        papers = {b: model.parse_ranking_cell(cell, where) for b, cell in rnd["interpretations"].items()}
+        ballots = []
+        for ballot in islice(sample, rnd["draws"]):
+            if ballot not in papers:
+                raise ElectionDataError(f"{where}: no manual interpretation for drawn ballot {ballot!r}")
+            ballots.append(ballot)
+        rounds.append((ballots, papers))
     # Only the next segment of the seeded sample may be scored: a chosen or
     # replayed manifest would let the ballots that get audited be picked.
-    if manifest != sample[drawn:]:
+    if manifest != list(islice(sample, len(manifest))):
         raise ElectionDataError(
             f"manifest {args.manifest} is not the next {len(manifest)} draws of the audit's sample "
             f"(seed {state['seed']}, {drawn} ballots drawn so far)"
         )
-
-    # The recorded rounds are the audit's evidence: each one's slice of the
-    # sample with its paper interpretations, replayed with this round's.
-    rounds, start = [], 0
-    for number, rnd in enumerate(recorded, start=1):
-        where = f"audit state {args.state}, round {number}"
-        papers = {b: model.parse_ranking_cell(cell, where) for b, cell in rnd["interpretations"].items()}
-        rounds.append((sample[start : start + rnd["draws"]], papers))
-        start += rnd["draws"]
     rounds.append((manifest, interpretations))
     pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    states, status, suggestion = risk.run_audit_round(pairs, cvrs, rounds, state["alpha"], state["gamma"])
+    states, status, suggestion = risk.run_audit_round(pairs, cvrs, rounds, spec.params.alpha, spec.params.gamma)
     recorded.append(
         {"draws": len(manifest), "interpretations": {b: "|".join(interpretations[b]) for b in manifest}}
     )

@@ -45,7 +45,7 @@ from typing import Mapping
 
 from .assertions import PairwiseDiff
 from .model import ElectionProfile, ReportedOutcome
-from .tabulation import count_piles, tabulate
+from .tabulation import count_piles
 
 LEVEL_SLACK = {2: 2, 3: 1}
 
@@ -61,7 +61,6 @@ class SkippedPair:
 @dataclass(frozen=True)
 class DelegateAssertionSet:
     assertions: tuple[PairwiseDiff, ...]
-    level: int
     skipped: tuple[SkippedPair, ...]
     tie_flag: bool
 
@@ -93,23 +92,22 @@ def gen_delegate_assertions(outcome: ReportedOutcome, level: int) -> DelegateAss
                 skipped.append(SkippedPair(m, n, d, "vacuous: holds for any qualified proportions"))
                 continue
             assertions.append(PairwiseDiff(m, n, d, outcome.viable))
-    return DelegateAssertionSet(tuple(assertions), level, tuple(skipped), outcome.tie_flag)
+    return DelegateAssertionSet(tuple(assertions), tuple(skipped), outcome.tie_flag)
 
 
 def find_violated_assertion(
     profile: ElectionProfile,
     alt_allocation: Mapping[str, int],
-    outcome: ReportedOutcome | None = None,
+    outcome: ReportedOutcome,
 ) -> PairwiseDiff | None:
     """Return an exact-allocation assertion built from ``alt_allocation`` that
     fails (margin <= 0) on the profile's true ballots, or None when the
-    alternative is in fact the correct allocation.
+    alternative is in fact the correct allocation ``outcome`` of the profile.
 
     Any allocation differing from the true largest-remainder result admits
     such a witness (see module docstring); the search checks every
     non-vacuous ordered pair on the qualified tallies, exactly.
     """
-    outcome = outcome or tabulate(profile)
     viable = [c for c in profile.labels if c in outcome.viable]
     if set(alt_allocation) != set(viable):
         raise ValueError("alternative allocation must cover exactly the viable set")

@@ -5,18 +5,22 @@ Formats:
 * Election JSON: ``{"candidates": [...], "threshold": "15/100",
   "delegates": 5, "style": "irv", "ballots": [{"ranking": [...],
   "count": 50000}, ...]}``.  The threshold may be a rational string
-  ("3/20"), a decimal string ("0.15") or a JSON number.
+  ("3/20"), a plain decimal string ("0.15") or a JSON number.
 * Cast-vote-record CSV: header ``ballot_id,ranking``; the ranking cell is
   ``|``-separated candidate labels, empty cell = blank ballot.
-* Audit-spec JSON: metadata (risk parameters, seed, schema version) plus
-  one object per assertion; exact rationals are serialized as strings so
-  a save/load round trip is the identity.
+* Audit-spec JSON (schema 2): metadata (risk parameters, seed, schema
+  version) plus one object per assertion holding the assertion, its exact
+  margin and its ``eae``; exact rationals are serialized as ``p/q``
+  strings so a save/load round trip is the identity.  The assorter's
+  upper bound follows from the assertion and its mean from the margin,
+  so neither is stored.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -33,7 +37,7 @@ PLURALITY = "plurality"
 IRV = "irv"
 STYLES = (PLURALITY, IRV)
 
-SPEC_SCHEMA_VERSION = 1
+SPEC_SCHEMA_VERSION = 2
 
 STATUS_COMPLETE = "complete"
 STATUS_FULL_COUNT = "requires-full-count"
@@ -148,15 +152,13 @@ class ReportedOutcome:
 
 @dataclass(frozen=True)
 class SpecEntry:
-    """One assertion with its exact assorter statistics and estimated effort.
+    """One assertion with its exact assorter margin and estimated effort.
 
     ``eae`` is an integer expected sample size, or ``math.inf`` when the
     assertion cannot be confirmed short of a full count.
     """
 
     assertion: Assertion
-    upper_bound: Fraction
-    mean: Fraction
     margin: Fraction
     eae: float
 
@@ -175,13 +177,21 @@ class AuditSpec:
         return tuple(e.assertion for e in self.entries)
 
 
+# A rational string ("3/20") or a plain decimal one ("0.15"), never an
+# exponent: Fraction expands "1e-10000000" digit by digit, for seconds.
+_PROPORTION = re.compile(r"[-+]?(?:[0-9]+/[0-9]+|[0-9]*\.?[0-9]+)")
+
+
 def parse_proportion(value: object) -> Fraction:
     """Parse a threshold/ratio given as "3/20", "0.15", or a JSON number."""
     try:
         if isinstance(value, bool):
             raise ValueError("boolean is not a proportion")
         if isinstance(value, str):
-            return Fraction(value.strip())
+            text = value.strip()
+            if not _PROPORTION.fullmatch(text):
+                raise ValueError("expected a rational p/q or a plain decimal")
+            return Fraction(text)
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, float):
@@ -391,13 +401,7 @@ def audit_spec_to_dict(spec: AuditSpec) -> dict:
             "seed": spec.params.seed,
         },
         "assertions": [
-            dict(
-                e.assertion.to_dict(),
-                upper_bound=str(e.upper_bound),
-                mean=str(e.mean),
-                margin=str(e.margin),
-                eae=_eae_to_json(e.eae),
-            )
+            dict(e.assertion.to_dict(), margin=str(e.margin), eae=_eae_to_json(e.eae))
             for e in spec.entries
         ],
     }
@@ -424,13 +428,7 @@ def audit_spec_from_dict(data: dict) -> AuditSpec:
             seed=_checked(meta, "seed", "an integer", _is_int),
         )
         entries = tuple(
-            SpecEntry(
-                assertion=assertion_from_dict(obj),
-                upper_bound=_rational(obj, "upper_bound"),
-                mean=_rational(obj, "mean"),
-                margin=_rational(obj, "margin"),
-                eae=_eae_from_json(obj),
-            )
+            SpecEntry(assertion_from_dict(obj), _rational(obj, "margin"), _eae_from_json(obj))
             for obj in data["assertions"]
         )
         return AuditSpec(

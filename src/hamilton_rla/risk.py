@@ -43,8 +43,9 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .assertions import Assertion, assertion_key
 from .model import AuditSpec, ElectionDataError, Ranking, open_input
@@ -74,8 +75,8 @@ class RiskParams:
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha {self.alpha} outside (0, 1)")
-        if self.gamma <= 1:
-            raise ValueError(f"gamma {self.gamma} must exceed 1")
+        if not 1 < self.gamma < math.inf:  # NaN too: every comparison with it fails
+            raise ValueError(f"gamma {self.gamma} must be a finite number above 1")
         if not 0 <= self.error_rate < 1:
             raise ValueError(f"error rate {self.error_rate} outside [0, 1)")
         if self.trials < 1:
@@ -84,7 +85,7 @@ class RiskParams:
 
 @dataclass(frozen=True)
 class RiskState:
-    """Per-assertion audit progress: draw and discrepancy counts.
+    """Per-assertion audit progress: the discrepancy count of each category.
 
     The p-value is the (capped) product of per-draw factors; computing it
     from counts keeps it independent of the order in which ballots were
@@ -93,11 +94,14 @@ class RiskState:
 
     margin: float
     gamma: float
-    draws: int = 0
     clean: int = 0
     one_vote: int = 0
     two_vote: int = 0
     understatement: int = 0
+
+    @property
+    def draws(self) -> int:
+        return self.clean + self.one_vote + self.two_vote + self.understatement
 
     @property
     def product(self) -> float:
@@ -266,22 +270,23 @@ def estimate_audit_asn(spec: "AuditSpec") -> float:
     return max((entry.eae for entry in spec.entries), default=0)
 
 
-def draw_sample(seed: int, count: int, universe: Sequence[str], skip: int = 0) -> list[str]:
-    """Deterministic uniform sample with replacement from ``universe``.
-
-    ``skip`` discards that many leading draws, so successive audit rounds
-    continue a single stream: round two's manifest is
-    ``draw_sample(seed, n2, universe, skip=n1)``.
-    """
+def sample_stream(seed: int, universe: Sequence[str]) -> Iterator[str]:
+    """The audit's endless deterministic sample, uniform with replacement
+    from ``universe``: every round's manifest is its next segment."""
     if not universe:
         raise ValueError("cannot sample from an empty universe")
-    if count < 0 or skip < 0:
-        raise ValueError("count and skip must be nonnegative")
     rng = random.Random(f"{seed}|sample")
     size = len(universe)
-    for _ in range(skip):
-        rng.randrange(size)
-    return [universe[rng.randrange(size)] for _ in range(count)]
+    while True:
+        yield universe[rng.randrange(size)]
+
+
+def draw_sample(seed: int, count: int, universe: Sequence[str], skip: int = 0) -> list[str]:
+    """``count`` draws of ``sample_stream`` after the first ``skip``, so
+    round two's manifest is ``draw_sample(seed, n2, universe, skip=n1)``."""
+    if count < 0 or skip < 0:
+        raise ValueError("count and skip must be nonnegative")
+    return list(islice(sample_stream(seed, universe), skip, skip + count))
 
 
 def write_manifest(draws: Sequence[str], path: str | Path) -> None:
@@ -330,14 +335,13 @@ def run_audit_round(
             if ballot_id not in interpretations:
                 raise ElectionDataError(f"round {number}: no manual interpretation for drawn ballot {ballot_id!r}")
             pairs[cvrs[ballot_id], interpretations[ballot_id]] += 1
-    drawn = sum(pairs.values())
 
     states: dict[str, RiskState] = {}
     for assertion, m in assertions:
         counts: Counter[str] = Counter()
         for (cvr, paper), n in pairs.items():
             counts[discrepancy(assertion, cvr, paper)] += n
-        states[assertion_key(assertion)] = RiskState(margin=float(m), gamma=gamma, draws=drawn, **counts)
+        states[assertion_key(assertion)] = RiskState(margin=float(m), gamma=gamma, **counts)
 
     # p_value raises CannotAuditError for a nonpositive margin
     unconfirmed = {k: s for k, s in states.items() if s.p_value > alpha}

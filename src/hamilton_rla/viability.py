@@ -67,7 +67,6 @@ from typing import Mapping, Sequence
 
 from .assertions import (
     Assertion,
-    AssorterSummary,
     IrvWins,
     NonViable,
     Viable,
@@ -105,7 +104,7 @@ class AuditContext:
     is eliminated, plus the ballots that exhaust.  Their integer
     ``scaled_margin`` gives ``holds`` by its sign and the float margin of
     the effort estimates by one division, rounded as ``float`` of the exact
-    margin is; only ``summary`` builds fractions.
+    margin is; only ``exact_margin`` builds a fraction.
     """
 
     def __init__(self, profile: ElectionProfile, params: RiskParams | None = None):
@@ -138,10 +137,9 @@ class AuditContext:
         """Exact margin-positivity test via integer tallies."""
         return self._scaled_margin(assertion) > 0
 
-    def summary(self, assertion: Assertion) -> AssorterSummary:
-        """Exact assorter upper bound, mean and margin over every cast ballot."""
-        margin = Fraction(self._scaled_margin(assertion), self.total * assertion.scale)
-        return AssorterSummary(assertion.upper_bound, (1 + margin) / 2, margin)
+    def exact_margin(self, assertion: Assertion) -> Fraction:
+        """The exact assorter margin over every cast ballot."""
+        return Fraction(self._scaled_margin(assertion), self.total * assertion.scale)
 
     def eae(self, assertion: Assertion) -> float:
         key = assertion_key(assertion)
@@ -183,8 +181,7 @@ class AuditContext:
         return cached
 
     def entry(self, assertion: Assertion) -> SpecEntry:
-        s = self.summary(assertion)
-        return SpecEntry(assertion, s.upper_bound, s.mean, s.margin, self.eae(assertion))
+        return SpecEntry(assertion, self.exact_margin(assertion), self.eae(assertion))
 
 
 def compute_W_L(ctx: AuditContext) -> tuple[frozenset[str], frozenset[str], tuple[SpecEntry, ...]]:

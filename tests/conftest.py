@@ -17,7 +17,7 @@ def km_step(state: RiskState, category: str) -> RiskState:
     """The per-ballot scoring oracle: record one drawn ballot of the given
     discrepancy category."""
     step_factor(state.margin, state.gamma, category)  # validates margin and category
-    return replace(state, draws=state.draws + 1, **{category: getattr(state, category) + 1})
+    return replace(state, **{category: getattr(state, category) + 1})
 
 
 @pytest.fixture

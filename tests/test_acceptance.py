@@ -12,14 +12,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import enumerate_allocations, perturb_profile, random_irv_profile
-from hamilton_rla import (
-    RiskParams,
-    UnsupportedOutcomeError,
-    build_profile,
-    find_violated_assertion,
-    irv_viability,
-    tabulate,
-)
+from hamilton_rla import RiskParams, UnsupportedOutcomeError, build_profile, tabulate
 from hamilton_rla.assertions import (
     IrvWins,
     NonViable,
@@ -30,9 +23,10 @@ from hamilton_rla.assertions import (
     margin,
 )
 from hamilton_rla.cli import main as cli_main
+from hamilton_rla.delegates import find_violated_assertion
 from hamilton_rla.model import STATUS_COMPLETE, load_election
 from hamilton_rla.risk import estimate_asn, estimate_audit_asn
-from hamilton_rla.tabulation import count_piles
+from hamilton_rla.tabulation import count_piles, irv_viability
 from hamilton_rla.viability import AuditContext, branch_and_bound, build_audit_spec
 
 TAU = Fraction(3, 20)

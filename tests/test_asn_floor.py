@@ -7,8 +7,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from hamilton_rla import RiskParams, estimate_asn
-from hamilton_rla.risk import _trial_draws, asn_floor
+from hamilton_rla import RiskParams
+from hamilton_rla.risk import _trial_draws, asn_floor, estimate_asn
 
 # down to margins below float resolution, where 1 - m/(2*gamma) rounds to 1
 # and the assertion needs a full count (a huge delegate count gives those)

@@ -4,13 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_irv_profile
-from hamilton_rla import (
-    UnsupportedOutcomeError,
-    build_profile,
-    holds_on,
-    margin,
-    tabulate,
-)
+from hamilton_rla import build_profile, tabulate
 from hamilton_rla.assertions import (
     IrvWins,
     NonViable,
@@ -18,6 +12,7 @@ from hamilton_rla.assertions import (
     Viable,
     assertion_key,
     assorter_value,
+    margin,
 )
 from hamilton_rla.tabulation import count_piles
 from hamilton_rla.viability import AuditContext
@@ -132,8 +127,8 @@ def test_unanimous_viable_margin_is_inverse_threshold():
 
 
 def test_holds_on_example(plurality_profile):
-    assert holds_on(NonViable("Cal", frozenset(), TAU), plurality_profile)
-    assert not holds_on(Viable("Cal", frozenset(), TAU), plurality_profile)
+    assert margin(NonViable("Cal", frozenset(), TAU), plurality_profile).margin > 0
+    assert not margin(Viable("Cal", frozenset(), TAU), plurality_profile).margin > 0
 
 
 # thresholds and offsets at the edges of their ranges, besides the profile's
@@ -228,7 +223,7 @@ def test_fast_holds_matches_exact_margin_random():
         ctx = AuditContext(profile)
         for a in _random_assertions(profile, rng):
             assert ctx.holds(a) == (margin(a, profile).margin > 0)
-            assert ctx.summary(a) == margin(a, profile)
+            assert ctx.exact_margin(a) == margin(a, profile).margin
 
 
 def test_zero_offset_reduces_to_pairwise_majority():
@@ -255,7 +250,7 @@ def test_pairwise_diff_margin_positive_iff_tabulated_outcome(plurality_profile):
             for d_num in range(-9, 10):
                 d = Fraction(d_num, 10)
                 a = PairwiseDiff(m_c, n_c, d, outcome.viable)
-                assert holds_on(a, plurality_profile) == (p[m_c] > p[n_c] + d)
+                assert (margin(a, plurality_profile).margin > 0) == (p[m_c] > p[n_c] + d)
 
 
 def test_assertion_keys_unique_and_stable():

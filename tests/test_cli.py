@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import time
 from pathlib import Path
@@ -6,10 +7,10 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, km_step
-from hamilton_rla import RiskState, discrepancy, load_audit_spec, load_cvrs, viability
+from hamilton_rla import load_audit_spec, load_cvrs, read_manifest, viability
 from hamilton_rla.assertions import describe
 from hamilton_rla.cli import _state_checksum, main
-from hamilton_rla.risk import read_manifest
+from hamilton_rla.risk import RiskState, discrepancy
 
 PLURALITY = str(DATA / "election_plurality.json")
 IRV = str(DATA / "election_irv.json")
@@ -203,13 +204,14 @@ def test_audit_init_refuses_mistyped_spec_field(capsys, tmp_path, case):
 
 
 @pytest.mark.parametrize("phase", ["init", "round"])
-@pytest.mark.parametrize("value", ["1/0", 0.25, True])
-@pytest.mark.parametrize("field", ["t", "d", "upper_bound", "mean", "margin"])
+@pytest.mark.parametrize("value", ["1/0", 0.25, True, "1e-10000000"])
+@pytest.mark.parametrize("field", ["t", "d", "margin"])
 def test_audit_refuses_bad_spec_rational(capsys, tmp_path, field, value, phase):
     """Every rational of an assertion entry is a string holding a finite
-    fraction: a zero denominator is refused with exit 2 naming the field,
-    not a ZeroDivisionError traceback, and a JSON number or boolean is
-    refused rather than coerced."""
+    fraction p/q: a zero denominator is refused with exit 2 naming the field,
+    not a ZeroDivisionError traceback, a JSON number or boolean is refused
+    rather than coerced, and a decimal exponent is refused at once rather
+    than expanded (ten million digits for this 12-character one)."""
     spec = tmp_path / "spec.json"
     run(capsys, "generate", "--election", SMALL, "--level", "3", "--seed", "3", "--out", str(spec))
     manifest = tmp_path / "round1.csv"
@@ -220,7 +222,9 @@ def test_audit_refuses_bad_spec_rational(capsys, tmp_path, field, value, phase):
     next(e for e in doc["assertions"] if field in e)[field] = value
     spec.write_text(json.dumps(doc))
     argv = ["--manifest", str(manifest)] + (["--interpretations", SMALL_CVRS] if phase == "round" else [])
+    started = time.perf_counter()
     code, out, err = run(capsys, "audit", phase, *audit, *argv)
+    assert time.perf_counter() - started < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and f"{field!r} must be a string holding a finite rational" in err
 
@@ -237,6 +241,51 @@ def test_audit_init_with_eae_beyond_the_ballots_requires_full_count(capsys, tmp_
                          "--manifest", str(manifest), "--state", str(tmp_path / "state.json"))
     assert code == 4 and out == ""
     assert "exceeds the ballot universe" in err and not manifest.exists()
+
+
+def _init_with_edited_spec(capsys, tmp_path, edit):
+    """``audit init`` on a level-3 spec of the small election after ``edit``
+    changed its JSON document in place."""
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "3", "--seed", "3", "--out", str(spec))
+    doc = json.loads(spec.read_text())
+    edit(doc)
+    spec.write_text(json.dumps(doc))
+    return run(capsys, "audit", "init", "--spec", str(spec), "--cvrs", SMALL_CVRS,
+               "--manifest", str(tmp_path / "round1.csv"), "--state", str(tmp_path / "state.json"))
+
+
+def test_audit_init_refuses_schema_1_spec(capsys, tmp_path):
+    """A spec of schema 1 (which stored each assorter's upper bound and mean)
+    is refused, not read with its extra fields ignored."""
+    def schema_1(doc):
+        doc["schema_version"] = 1
+        for entry in doc["assertions"]:
+            entry.update(upper_bound="1", mean="3/4")
+
+    code, out, err = _init_with_edited_spec(capsys, tmp_path, schema_1)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "schema version 1 unsupported (expected 2)" in err
+
+
+def test_audit_init_refuses_spec_with_nan_gamma(capsys, tmp_path):
+    """A NaN gamma fails every comparison, so a range check written as
+    ``gamma <= 1`` would let it through."""
+    code, out, err = _init_with_edited_spec(capsys, tmp_path, lambda doc: doc["metadata"].update(gamma=math.nan))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "gamma nan must be a finite number above 1" in err
+
+
+def test_tabulate_refuses_threshold_with_exponent_quickly(capsys, tmp_path):
+    """A threshold is a p/q or plain decimal string, or a JSON number: a
+    12-character exponent string would expand ten million digits first."""
+    path = tmp_path / "election.json"
+    path.write_text(json.dumps(dict(WELL_TYPED, threshold="1e-10000000")))
+    started = time.perf_counter()
+    code, out, err = run(capsys, "tabulate", "--election", str(path))
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "bad proportion '1e-10000000'" in err
 
 
 def test_tabulate_blank_only_exit_3(capsys, tmp_path):
@@ -777,7 +826,8 @@ def test_audit_rounds_replayable(capsys, tmp_path):
     assert saved["rounds"]
     # replaying the recorded rounds, each its slice of the seeded sample,
     # reproduces the stored p-values
-    from hamilton_rla import draw_sample, load_audit_spec, load_cvrs, run_audit_round
+    from hamilton_rla import load_audit_spec, load_cvrs
+    from hamilton_rla.risk import draw_sample, run_audit_round
     from hamilton_rla.model import parse_ranking_cell
 
     spec = load_audit_spec(spec_path)
@@ -964,8 +1014,10 @@ def test_audit_round_ignores_state_summary(capsys, tmp_path, case):
 @pytest.mark.parametrize("command", ["generate", "estimate"])
 @pytest.mark.parametrize(
     "flag, value, message",
-    [("--alpha", "2", "alpha"), ("--gamma", "1", "gamma"), ("--trials", "0", "trials"),
-     ("--error-rate", "1", "error rate")],
+    # a NaN gamma passes no comparison, so a `gamma <= 1` check let it claim
+    # one draw per assertion; an infinite one made every assertion a full count
+    [("--alpha", "2", "alpha"), ("--gamma", "1", "gamma"), ("--gamma", "nan", "gamma"), ("--gamma", "inf", "gamma"),
+     ("--trials", "0", "trials"), ("--error-rate", "1", "error rate")],
 )
 def test_out_of_range_risk_flags_exit_2(capsys, command, flag, value, message):
     code, out, err = run(capsys, command, "--election", PLURALITY, "--seed", "1", flag, value)

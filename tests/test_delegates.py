@@ -4,22 +4,15 @@ from fractions import Fraction
 import pytest
 
 from conftest import enumerate_allocations, random_plurality_profile
-from hamilton_rla import (
-    AuditContext,
-    PairwiseDiff,
-    UnsupportedOutcomeError,
-    build_profile,
-    find_violated_assertion,
-    gen_delegate_assertions,
-    margin,
-    tabulate,
-)
+from hamilton_rla import PairwiseDiff, UnsupportedOutcomeError, build_profile, tabulate
+from hamilton_rla.assertions import margin
+from hamilton_rla.delegates import find_violated_assertion, gen_delegate_assertions
+from hamilton_rla.viability import AuditContext
 
 
 def test_exact_level_assertions_for_example(plurality_profile):
     outcome = tabulate(plurality_profile)
     dset = gen_delegate_assertions(outcome, 3)
-    assert dset.level == 3
     by_pair = {(a.winner, a.loser): a for a in dset.assertions}
     assert by_pair[("Ann", "Bob")].offset == Fraction(2, 5)
     assert by_pair[("Bob", "Ann")].offset == Fraction(-4, 5)
@@ -81,7 +74,7 @@ def test_closed_form_margin_matches_assorter_scan(plurality_profile):
     outcome = tabulate(plurality_profile)
     ctx = AuditContext(plurality_profile)
     for a in gen_delegate_assertions(outcome, 3).assertions:
-        assert ctx.summary(a).margin == margin(a, plurality_profile).margin
+        assert ctx.exact_margin(a) == margin(a, plurality_profile).margin
 
 
 def test_misallocation_3_2_is_caught(plurality_profile):
@@ -170,7 +163,7 @@ def test_two_delegate_overaward_violates_level2_fuzz():
                 d = Fraction(reported[m] - reported[n] - 2, outcome.delegates)
                 if d <= -1:
                     continue
-                value = ctx.summary(PairwiseDiff(m, n, d, outcome.viable)).margin
+                value = ctx.exact_margin(PairwiseDiff(m, n, d, outcome.viable))
                 if value <= 0:
                     slack2_violated = True
         assert slack2_violated, (profile.rankings, reported, true)

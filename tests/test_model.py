@@ -186,7 +186,7 @@ def test_spec_round_trip_identity(tmp_path, plurality_profile):
 
 def test_spec_round_trip_all_assertion_types(tmp_path):
     entries = tuple(
-        SpecEntry(a, Fraction(1), Fraction(3, 4), Fraction(1, 2), eae)
+        SpecEntry(a, Fraction(1, 2), eae)
         for a, eae in [
             (Viable("A", frozenset({"B"}), Fraction(3, 20)), 10),
             (NonViable("B", frozenset(), Fraction(3, 20)), 20),

@@ -8,8 +8,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hamilton_rla import IRV, ElectionProfile, build_profile, top_remaining
-from hamilton_rla.tabulation import count_piles
+from hamilton_rla import ElectionProfile, build_profile
+from hamilton_rla.model import IRV
+from hamilton_rla.tabulation import count_piles, top_remaining
 
 
 def scan_piles(profile, eliminated):

@@ -6,18 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import km_step
-from hamilton_rla import (
-    CannotAuditError,
-    RiskParams,
-    RiskState,
-    discrepancy,
-    draw_sample,
-    estimate_asn,
-    estimate_audit_asn,
-    run_audit_round,
-    step_factor,
-    tabulate,
-)
+from hamilton_rla import RiskParams, estimate_audit_asn, read_manifest, tabulate, write_manifest
 from hamilton_rla.assertions import IrvWins, NonViable, PairwiseDiff, Viable, assorter_value
 from hamilton_rla.risk import (
     CATEGORIES,
@@ -26,8 +15,13 @@ from hamilton_rla.risk import (
     ONE_VOTE,
     TWO_VOTE,
     UNDERSTATEMENT,
-    read_manifest,
-    write_manifest,
+    CannotAuditError,
+    RiskState,
+    discrepancy,
+    draw_sample,
+    estimate_asn,
+    run_audit_round,
+    step_factor,
 )
 from hamilton_rla.viability import build_audit_spec
 
@@ -221,9 +215,7 @@ def _key(entry):
 def test_estimate_audit_asn_zero_margin_sentinel():
     from hamilton_rla import AuditSpec, SpecEntry
 
-    entry = SpecEntry(
-        Viable("Ann", frozenset(), TAU), Fraction(10, 3), Fraction(1, 2), Fraction(0), math.inf
-    )
+    entry = SpecEntry(Viable("Ann", frozenset(), TAU), Fraction(0), math.inf)
     spec = AuditSpec((entry,), 1, "requires-full-count", 1000, RiskParams(seed=1))
     assert math.isinf(estimate_audit_asn(spec))
 
@@ -234,7 +226,7 @@ def test_single_assertion_spec_asn_is_that_assertion():
     from hamilton_rla import AuditSpec, SpecEntry
 
     a = Viable("Ann", frozenset(), TAU)
-    entry = SpecEntry(a, Fraction(10, 3), Fraction(3, 4), Fraction(1, 2), 28)
+    entry = SpecEntry(a, Fraction(1, 2), 28)
     spec = AuditSpec((entry,), 1, "complete", 1000, RiskParams(seed=6))
     assert estimate_audit_asn(spec) == 28
 

@@ -5,16 +5,14 @@ from itertools import permutations
 import pytest
 
 from conftest import random_irv_profile, random_plurality_profile
-from hamilton_rla import (
-    UnsupportedOutcomeError,
-    build_profile,
+from hamilton_rla import UnsupportedOutcomeError, build_profile, tabulate
+from hamilton_rla.tabulation import (
+    count_piles,
     hamilton_allocate,
     irv_viability,
     plurality_viability,
-    tabulate,
     top_remaining,
 )
-from hamilton_rla.tabulation import count_piles
 
 
 def test_top_remaining_transfers():

@@ -10,23 +10,28 @@ from conftest import perturb_profile, random_irv_profile
 from hamilton_rla import (
     RiskParams,
     UnsupportedOutcomeError,
+    build_audit_spec,
     build_profile,
+    tabulate,
+    viability,
+)
+from hamilton_rla.assertions import IrvWins, NonViable, Viable, assertion_key
+from hamilton_rla.model import STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
+from hamilton_rla.risk import estimate_asn, estimate_audit_asn
+from hamilton_rla.tabulation import irv_viability
+from hamilton_rla.viability import (
+    AltOutcomeNode,
+    AuditContext,
+    _cheapest,
     best_root_assertion,
     branch_and_bound,
-    build_audit_spec,
+    build_audit_specs,
     compute_W_L,
     enumerate_alt_sets,
     expand_node,
     gen_plurality_viability,
-    irv_viability,
     max_viable,
-    tabulate,
 )
-from hamilton_rla import viability
-from hamilton_rla.assertions import IrvWins, NonViable, Viable, assertion_key
-from hamilton_rla.model import STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
-from hamilton_rla.risk import estimate_asn, estimate_audit_asn
-from hamilton_rla.viability import AltOutcomeNode, AuditContext, _cheapest, build_audit_specs
 
 DATA = Path(__file__).parent / "data"
 TAU = Fraction(3, 20)
