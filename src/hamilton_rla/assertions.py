@@ -333,7 +333,7 @@ def margin(assertion: Assertion, profile: "ElectionProfile") -> AssorterSummary:
 
 
 def assertion_key(assertion: Assertion) -> str:
-    """Canonical identity string: used for deduplication, ordering and PRNG streams."""
+    """Canonical identity string: it deduplicates spec entries and keys per-assertion audit state."""
     return assertion.key
 
 

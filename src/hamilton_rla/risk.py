@@ -22,12 +22,12 @@ Expected sample sizes (ASN) are estimated by simulation: ballots are
 drawn one at a time, each independently a one-vote overstatement with
 probability ``error_rate``, until the p-value reaches ``alpha`` or every
 ballot has been reviewed (the full-count sentinel).  The estimate is the
-median trial length over ``trials`` runs.  Each trial's PRNG stream is
-derived from (seed, stream label, trial index), so estimates do not
-depend on evaluation order.  No draw lowers the p-value more than a
-clean one, so no trial, and no estimate, is shorter than the no-error
-count (``clean_draws``); ``asn_floor`` states that bound, and the outcome
-search uses it to skip simulating assertions that cannot be cheapest.
+median trial length over ``trials`` runs.  Trial ``t`` draws its error
+positions once, from a PRNG seeded by (seed, ``t``) alone, and every
+assertion replays them (common random numbers).  So an estimate depends
+only on the margin, not on evaluation order, and since a larger margin
+lowers every per-draw factor, each trial's length, and hence the
+estimate, never rises with the margin.
 
 Audit rounds are scored from the evidence alone: ``run_audit_round``
 takes every round so far (manifest plus that round's paper
@@ -40,9 +40,11 @@ import csv
 import math
 import random
 import statistics
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -178,17 +180,40 @@ def clean_draws(margin: float, alpha: float, gamma: float, log_p: float = 0.0) -
     return math.ceil((math.log(alpha) - log_p) / math.log(clean))
 
 
-def _trial_draws(
-    margin: float,
-    params: RiskParams,
-    population: int,
-    rng: random.Random,
-) -> float:
+class _ErrorGaps:
+    """One trial's error positions, drawn on demand from the PRNG of (seed,
+    trial) and replayed for every margin: ``gaps[k]`` counts the draws
+    after overstatement ``k`` (the start, for ``k = 0``) through the next
+    one, a geometric variate."""
+
+    def __init__(self, seed: int, trial: int, log_no_error: float):
+        self._rng = random.Random(f"{seed}|{trial}")
+        self._log_no_error = log_no_error
+        self._gaps = array("q")
+
+    def __getitem__(self, k: int) -> int:
+        gaps = self._gaps
+        while k >= len(gaps):
+            gaps.append(int(math.log(1.0 - self._rng.random()) / self._log_no_error) + 1)
+        return gaps[k]
+
+
+@lru_cache(maxsize=1)
+def _shared_trials(seed: int, error_rate: float, trials: int) -> tuple[_ErrorGaps, ...]:
+    """The error positions of every trial, shared by all estimates with these
+    parameters.  They are a function of the key alone, so sharing them
+    across callers changes no result; one key is kept, which bounds the
+    memory to one build's draws."""
+    log_no_error = math.log(1.0 - error_rate)
+    return tuple(_ErrorGaps(seed, trial, log_no_error) for trial in range(trials))
+
+
+def _trial_draws(margin: float, params: RiskParams, population: int, gaps: _ErrorGaps) -> float:
     """Length of one simulated audit: draws until p <= alpha or the ballots run out.
 
     Equivalent to drawing ballots one at a time with per-draw error
     probability ``error_rate``, but skips between error positions
-    (geometric gaps), so a trial costs O(number of errors).
+    (geometric ``gaps``), so a trial costs O(number of errors).
     """
     clean = max(0.0, 1.0 - margin / (2.0 * params.gamma))
     if clean <= 0.0:
@@ -202,12 +227,12 @@ def _trial_draws(
     # zero also for a rate too small to move 1 - error_rate: no errors
     log_no_error = math.log(1.0 - params.error_rate)
     log_p = 0.0
-    draws = 0
+    draws = errors = 0
     while draws < population:
         if log_no_error < 0.0:
-            # next overstatement is `gap` draws ahead (inclusive), geometric
-            u = 1.0 - rng.random()
-            gap = int(math.log(u) / log_no_error) + 1
+            # next overstatement is `gap` draws ahead (inclusive)
+            gap = gaps[errors]
+            errors += 1
         else:
             gap = population - draws + 1
         clean_run = gap - 1
@@ -228,40 +253,17 @@ def _trial_draws(
     return FULL_COUNT
 
 
-def estimate_asn(
-    margin: float | Fraction,
-    params: RiskParams,
-    population: int,
-    stream: str = "",
-) -> float:
-    """Median simulated sample size for one assertion; inf if unauditable.
-
-    ``stream`` labels the PRNG stream (normally the assertion identity) so
-    that concurrent or reordered estimation reproduces the same value.
-    """
+def estimate_asn(margin: float | Fraction, params: RiskParams, population: int) -> float:
+    """Median simulated sample size for one assertion; inf if unauditable."""
     if margin <= 0:
         return FULL_COUNT
     if population < 1:
         return FULL_COUNT
     m = float(margin)
-    lengths = [
-        _trial_draws(m, params, population, random.Random(f"{params.seed}|{stream}|{trial}"))
-        for trial in range(params.trials)
-    ]
+    trials = _shared_trials(params.seed, params.error_rate, params.trials)
+    lengths = [_trial_draws(m, params, population, gaps) for gaps in trials]
     med = statistics.median(lengths)
     return med if math.isinf(med) else int(math.ceil(med))
-
-
-def asn_floor(margin: float | Fraction, params: RiskParams) -> float:
-    """A lower bound on ``estimate_asn`` for ``margin`` and ``params``, at
-    any population and stream.
-
-    A trial stops only once its p-value reaches ``alpha``, and no draw
-    shrinks the p-value more than a clean one, so every trial (and hence
-    the median) takes at least the clean-run length.  One less, so that
-    the float sums of ``_trial_draws`` cannot undercut it.
-    """
-    return clean_draws(float(margin), params.alpha, params.gamma) - 1
 
 
 def estimate_audit_asn(spec: "AuditSpec") -> float:

@@ -28,12 +28,12 @@ whose best assertion costs no more than the current lower bound on audit
 effort.  If some complete branch admits no assertion at all, no audit
 short of a full manual count certifies the outcome.
 
-Picking an assertion simulates only the options that can still win.  No
-option's estimate is below its no-error floor (``risk.asn_floor``), so
-options are simulated in order of floor and the scan stops once the next
-floor exceeds the least estimate found; every option tied at that least
-estimate is kept, and the first of them in option order is the one a
-full ``min`` picks.
+Picking an assertion simulates only the options that can still win.  An
+estimate depends only on the margin and never rises with it
+(``risk.estimate_asn``), so options are scanned in decreasing margin: the
+first has the least estimate, and the scan stops at the first estimate
+above it.  Every option tied at that least estimate is kept, and the
+first of them in option order is the one a full ``min`` picks.
 
 A child's options depend only on the candidate it eliminates and the set
 ``rest`` still to be eliminated before it: the ``Viable`` for the
@@ -84,7 +84,7 @@ from .model import (
     ReportedOutcome,
     SpecEntry,
 )
-from .risk import RiskParams, asn_floor, estimate_asn
+from .risk import RiskParams, estimate_asn
 from .tabulation import count_piles
 
 
@@ -96,7 +96,7 @@ def max_viable(threshold: Fraction) -> int:
 
 
 class AuditContext:
-    """Per-profile caches: piles by elimination set, effort by assertion,
+    """Per-profile caches: piles by elimination set, effort by margin,
     and the cheapest elimination moves by ``(candidate, rest)``.
 
     Every tally-based answer starts from ``piles``: an assertion's classes
@@ -116,8 +116,7 @@ class AuditContext:
         self.labels = profile.labels
         self.index = {c: i for i, c in enumerate(self.labels)}
         self._piles: dict[frozenset[str], dict[str, int]] = {}
-        self._eae: dict[str, float] = {}
-        self._floors: dict[str, float] = {}
+        self._eae: dict[float, float] = {}
         self._moves: dict[tuple[str, frozenset[str]], tuple[Mapping[str | None, Assertion], float]] = {}
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
@@ -142,20 +141,12 @@ class AuditContext:
         return Fraction(self._scaled_margin(assertion), self.total * assertion.scale)
 
     def eae(self, assertion: Assertion) -> float:
-        key = assertion_key(assertion)
-        cached = self._eae.get(key)
+        """The estimated sample size, simulated once per distinct margin."""
+        margin = self._margin(assertion)
+        cached = self._eae.get(margin)
         if cached is None:
-            cached = estimate_asn(self._margin(assertion), self.params, self.total, stream=key)
-            self._eae[key] = cached
-        return cached
-
-    def eae_floor(self, assertion: Assertion) -> float:
-        """A lower bound on ``eae`` that needs no simulation."""
-        key = assertion_key(assertion)
-        cached = self._floors.get(key)
-        if cached is None:
-            cached = asn_floor(self._margin(assertion), self.params)
-            self._floors[key] = cached
+            cached = estimate_asn(margin, self.params, self.total)
+            self._eae[margin] = cached
         return cached
 
     def move(self, cand: str, rest: frozenset[str]) -> tuple[Mapping[str | None, Assertion], float]:
@@ -272,19 +263,17 @@ def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[list[Ass
     """Every option of least ``eae``, in option order, and that ``eae``;
     ``([], inf)`` when there is none.  ``min`` picks the first of them.
 
-    Options are simulated in order of their ``eae_floor``, and the scan
-    stops at the first floor above the least estimate found: such an
-    option cannot tie, so it is never simulated.
+    ``eae`` never rises with the margin, so options are simulated in
+    decreasing margin: the first gives the least ``eae``, and the scan
+    stops at the first option above it, which no later option can undercut.
     """
     best, tied = math.inf, []
-    for floor, index in sorted((ctx.eae_floor(a), i) for i, a in enumerate(options)):
-        if floor > best:
-            break
+    for _, index in sorted((-ctx._margin(a), i) for i, a in enumerate(options)):
         eae = ctx.eae(options[index])
-        if eae < best:
-            best, tied = eae, [index]
-        elif eae == best:
-            tied.append(index)
+        if eae > best:
+            break
+        best = eae
+        tied.append(index)
     return [options[i] for i in sorted(tied)], best
 
 

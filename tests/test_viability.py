@@ -389,21 +389,28 @@ def test_soundness_mini_fuzz():
             )
 
 
-def _nine_candidate_cyclic():
-    """Two first-preference leaders and a ring of seven minor candidates,
-    each passing its votes to the next one or two in the ring."""
-    labels = [f"c{i}" for i in range(9)]
-    strengths = [4400, 3160, 2400, 2200, 2000, 1800, 1600, 1340, 1100]
+def _cyclic_contest(strengths):
+    """Two first-preference leaders and a ring of minor candidates, each
+    passing its votes to the next one or two in the ring."""
+    labels = [f"c{i}" for i in range(len(strengths))]
+    ring = labels[2:]
     ballots = []
     for i, (label, weight) in enumerate(zip(labels, strengths)):
         if i < 2:
             ballots.append(([label], weight))
         else:
-            nxt = labels[2 + ((i - 2 + 1) % 7)]
-            nxt2 = labels[2 + ((i - 2 + 2) % 7)]
+            nxt, nxt2 = ring[(i - 1) % len(ring)], ring[i % len(ring)]
             ballots.append(([label, nxt, nxt2], weight * 2 // 3))
             ballots.append(([label, nxt2], weight - weight * 2 // 3))
     return build_profile(labels, ballots, TAU, 14, "irv")
+
+
+def _nine_candidate_cyclic():
+    return _cyclic_contest((4400, 3160, 2400, 2200, 2000, 1800, 1600, 1340, 1100))
+
+
+# the benchmark's irv-search contest
+TEN_STRENGTHS = (4400, 3160, 2400, 2200, 2000, 1800, 1700, 1600, 1340, 1100)
 
 
 def test_nine_candidate_search_under_budget():
@@ -423,14 +430,15 @@ def test_nine_candidate_search_under_budget():
 
 
 class _Costs:
-    """Stand-in for AuditContext in ``_cheapest``: fixed floors and
-    estimates, recording which options were simulated."""
+    """Stand-in for AuditContext in ``_cheapest``: fixed margins and
+    estimates (never rising with the margin), recording which options
+    were simulated."""
 
-    def __init__(self, floors, eaes):
-        self.floors, self.eaes, self.simulated = floors, eaes, []
+    def __init__(self, margins, eaes):
+        self.margins, self.eaes, self.simulated = margins, eaes, []
 
-    def eae_floor(self, option):
-        return self.floors[option]
+    def _margin(self, option):
+        return self.margins[option]
 
     def eae(self, option):
         self.simulated.append(option)
@@ -438,39 +446,41 @@ class _Costs:
 
 
 def test_cheapest_ties_go_to_the_first_option():
-    costs = _Costs({"x": 5, "y": 5}, {"x": 7, "y": 7})
+    costs = _Costs({"x": 0.1, "y": 0.1}, {"x": 7, "y": 7})
     assert _cheapest(["x", "y"], costs) == (["x", "y"], 7)
     assert _cheapest(["y", "x"], costs) == (["y", "x"], 7)
-    # every option whose floor equals the least estimate can still tie, so
-    # all three are simulated and kept, in option order
-    costs = _Costs({"a": 5, "b": 2, "c": 5}, {"a": 5, "b": 5, "c": 5})
+    # a smaller margin can still tie, so all three are simulated, in
+    # decreasing margin, and kept in option order
+    costs = _Costs({"a": 0.1, "b": 0.3, "c": 0.1}, {"a": 5, "b": 5, "c": 5})
     assert _cheapest(["a", "b", "c"], costs) == (["a", "b", "c"], 5)
     assert costs.simulated == ["b", "a", "c"]
 
 
 def test_cheapest_all_infinite_and_empty():
-    costs = _Costs({"x": 9, "y": 3, "z": 3}, dict.fromkeys("xyz", math.inf))
+    costs = _Costs({"x": 0.3, "y": 0.1, "z": 0.1}, dict.fromkeys("xyz", math.inf))
     assert _cheapest(["x", "y", "z"], costs) == (["x", "y", "z"], math.inf)
     assert _cheapest([], costs) == ([], math.inf)
 
 
-def test_cheapest_skips_options_whose_floor_loses():
-    costs = _Costs({"x": 10, "y": 3}, {"x": 12, "y": 8})
-    assert _cheapest(["x", "y"], costs) == (["y"], 8)
-    assert costs.simulated == ["y"]
-    # a floor equal to the least estimate is simulated; a larger one is not
-    costs = _Costs({"x": 8, "y": 3, "z": 9}, {"x": 9, "y": 8, "z": 9})
+def test_cheapest_stops_at_the_first_costlier_margin():
+    costs = _Costs({"x": 0.2, "y": 0.3, "z": 0.1}, {"x": 9, "y": 8, "z": 12})
     assert _cheapest(["x", "y", "z"], costs) == (["y"], 8)
     assert costs.simulated == ["y", "x"]
+    # a tie with the largest margin is kept; the next costlier one ends the scan
+    costs = _Costs({"x": 0.2, "y": 0.3, "z": 0.1, "w": 0.05}, {"x": 8, "y": 8, "z": 9, "w": 9})
+    assert _cheapest(["x", "y", "z", "w"], costs) == (["x", "y"], 8)
+    assert costs.simulated == ["y", "x", "z"]
 
 
 def test_cheapest_matches_min_on_random_costs():
     rng = random.Random(11)
     for _ in range(500):
         options = list(range(rng.randint(0, 8)))
-        floors = {o: rng.randint(0, 6) for o in options}
-        eaes = {o: floors[o] + rng.choice([0, 0, 1, 2, 5, math.inf]) for o in options}
-        costs = _Costs(floors, eaes)
+        margins = {o: rng.randint(1, 6) / 10 for o in options}
+        # estimates by margin, never rising with it
+        by_margin = sorted((rng.choice([1, 2, 3, 5, 8, math.inf]) for _ in range(6)), reverse=True)
+        eaes = {o: by_margin[round(10 * margins[o]) - 1] for o in options}
+        costs = _Costs(margins, eaes)
         best = min(options, key=eaes.__getitem__, default=None)
         least = math.inf if best is None else eaes[best]
         tied, eae = _cheapest(options, costs)
@@ -576,3 +586,31 @@ def test_lazy_cheapest_builds_the_specs_min_builds(monkeypatch):
     assert len(table) > 110
     assert table == reference
     assert table_calls < eager_calls
+
+
+@pytest.mark.parametrize("contest", ["election_irv", "ten_cyclic"])
+def test_one_simulation_per_distinct_margin(contest, monkeypatch):
+    """Every estimate depends only on the margin, so a build simulates each
+    distinct margin once, and entries with equal margins carry equal
+    ``eae``."""
+    simulated = []
+
+    def counted(margin, params, population):
+        simulated.append(margin)
+        return estimate_asn(margin, params, population)
+
+    monkeypatch.setattr(viability, "estimate_asn", counted)
+    if contest == "election_irv":
+        profile = load_election(DATA / "election_irv.json")
+    else:
+        profile = _cyclic_contest(TEN_STRENGTHS)
+    specs = build_audit_specs(profile, tabulate(profile), (1, 2, 3), RiskParams(seed=1))
+    assert len(simulated) == len(set(simulated))
+    for spec, _ in specs.values():
+        assert spec.status == STATUS_COMPLETE
+        eae_by_margin = {}
+        for entry in spec.entries:
+            assert float(entry.margin) in simulated
+            assert eae_by_margin.setdefault(entry.margin, entry.eae) == entry.eae
+        # some distinct assertions share a margin
+        assert len(eae_by_margin) < len(spec.entries)
