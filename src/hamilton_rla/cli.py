@@ -12,14 +12,17 @@ before drawing and refuses a spec that states another, or a nonpositive
 one; the spec stores no other assorter statistic.  The audit state file
 holds the audit's evidence: seed, the spec's ``alpha`` and ``gamma``, the
 SHA-256 of the spec and CVR file, and per round its draw count and paper
-interpretations.  Each ``audit round`` rebuilds the manifests from the
-seed and replays every round to score, refusing a round whose draws its
-interpretations do not cover at the first such draw; the draw total and
-per-assertion counts and p-values it also writes are a summary for
-readers and are never read back.  A round
-that leaves an assertion unconfirmed whose margin is too small to move a
-float p-value ends with status ``requires-full-count`` and exit 4; it is
-still recorded, since its paper interpretations are evidence too.
+interpretations.  Each ``audit round`` replays the evidence in one pass
+over the seeded sample: every recorded round's slice, then this round's
+manifest, each draw checked against its own round's interpretations and
+counted per (CVR ranking, paper ranking) pair; a round whose draws its
+interpretations do not cover is refused at the first such draw.  The
+same stream then yields the next manifest.  The draw total and
+per-assertion counts and p-values the state also holds are a summary for
+readers and are never read back.  A round that leaves an assertion
+unconfirmed whose margin is too small to move a float p-value ends with
+status ``requires-full-count`` and exit 4; it is still recorded, since its
+paper interpretations are evidence too.
 """
 from __future__ import annotations
 
@@ -329,7 +332,7 @@ def cmd_audit_init(args: argparse.Namespace) -> int:
     _check_margins(spec, cvrs, args.cvrs)
     seed = args.seed if args.seed is not None else spec.params.seed
     universe = [r.ballot_id for r in cvrs]
-    draws = risk.draw_sample(seed, int(size), universe)
+    draws = list(islice(risk.sample_stream(seed, universe), int(size)))
     risk.write_manifest(draws, args.manifest)
     state = {
         "schema_version": STATE_SCHEMA_VERSION,
@@ -368,21 +371,25 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     recorded = state["rounds"]
     drawn = sum(rnd["draws"] for rnd in recorded)
 
-    # The recorded rounds are the audit's evidence: each one's slice of the
-    # sample with its paper interpretations, replayed with this round's.
-    # Each slice is checked as it is drawn, so a recorded draw count that
-    # its interpretations do not back ends at its first unbacked draw.
+    # The audit's evidence, replayed in one pass over the seeded sample: each
+    # recorded round's slice with its paper interpretations, then this round's
+    # manifest with its own, and the stream goes on to the next manifest.
+    # Each draw is checked against its own round's papers as it is drawn, so
+    # a recorded draw count that its interpretations do not back ends at its
+    # first unbacked draw; only the (CVR, paper) pair counts are kept.
     sample = risk.sample_stream(state["seed"], universe)
-    rounds = []
+    pairs: Counter[tuple[model.Ranking, model.Ranking]] = Counter()
+
+    def count(ballots, papers, where):
+        for ballot in ballots:
+            if ballot not in papers:
+                raise ElectionDataError(f"{where}: no manual interpretation for drawn ballot {ballot!r}")
+            pairs[cvrs[ballot], papers[ballot]] += 1
+
     for number, rnd in enumerate(recorded, start=1):
         where = f"audit state {args.state}, round {number}"
         papers = {b: model.parse_ranking_cell(cell, where) for b, cell in rnd["interpretations"].items()}
-        ballots = []
-        for ballot in islice(sample, rnd["draws"]):
-            if ballot not in papers:
-                raise ElectionDataError(f"{where}: no manual interpretation for drawn ballot {ballot!r}")
-            ballots.append(ballot)
-        rounds.append((ballots, papers))
+        count(islice(sample, rnd["draws"]), papers, where)
     # Only the next segment of the seeded sample may be scored: a chosen or
     # replayed manifest would let the ballots that get audited be picked.
     if manifest != list(islice(sample, len(manifest))):
@@ -390,16 +397,13 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
             f"manifest {args.manifest} is not the next {len(manifest)} draws of the audit's sample "
             f"(seed {state['seed']}, {drawn} ballots drawn so far)"
         )
-    rounds.append((manifest, interpretations))
-    pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    states, status, suggestion = risk.run_audit_round(pairs, cvrs, rounds, spec.params.alpha, spec.params.gamma)
+    count(manifest, interpretations, f"round {len(recorded) + 1}")
+    assertions = [(e.assertion, float(e.margin)) for e in spec.entries]
+    states, status, suggestion = risk.run_audit_round(assertions, pairs, spec.params.alpha, spec.params.gamma)
     recorded.append(
         {"draws": len(manifest), "interpretations": {b: "|".join(interpretations[b]) for b in manifest}}
     )
     total = drawn + len(manifest)
-    if status == "escalate" and math.isinf(suggestion):
-        # a margin below float resolution: no number of draws confirms it
-        status = STATUS_FULL_COUNT
 
     per_assertion = {
         key: {"margin": s.margin, "p_value": s.p_value, "draws": s.draws, "discrepancies": s.discrepancies}
@@ -418,8 +422,7 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     if status == "escalate":
         lines.append(f"suggested additional draws: {int(suggestion)}")
         if args.next_manifest:
-            draws = risk.draw_sample(state["seed"], int(suggestion), universe, skip=total)
-            risk.write_manifest(draws, args.next_manifest)
+            risk.write_manifest(list(islice(sample, int(suggestion))), args.next_manifest)
             lines.append(f"next manifest -> {args.next_manifest}")
             payload["next_manifest"] = args.next_manifest
     # saved last, so a failed write above leaves the audit where it was

@@ -29,10 +29,11 @@ only on the margin, not on evaluation order, and since a larger margin
 lowers every per-draw factor, each trial's length, and hence the
 estimate, never rises with the margin.
 
-Audit rounds are scored from the evidence alone: ``run_audit_round``
-takes every round so far (manifest plus that round's paper
-interpretations) and builds each assertion's ``RiskState`` from the
-category counts of all its draws, so no state is carried between calls.
+Audit rounds are scored from the evidence alone: the caller replays
+every round so far along ``sample_stream`` and counts its draws per
+(CVR ranking, paper ranking) pair, and ``run_audit_round`` builds each
+assertion's ``RiskState`` from those counts, so no state is carried
+between calls.
 """
 from __future__ import annotations
 
@@ -45,12 +46,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .assertions import Assertion, assertion_key
-from .model import AuditSpec, ElectionDataError, Ranking, open_input
+from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, Ranking, open_input
 
 FULL_COUNT = math.inf
 
@@ -283,14 +283,6 @@ def sample_stream(seed: int, universe: Sequence[str]) -> Iterator[str]:
         yield universe[rng.randrange(size)]
 
 
-def draw_sample(seed: int, count: int, universe: Sequence[str], skip: int = 0) -> list[str]:
-    """``count`` draws of ``sample_stream`` after the first ``skip``, so
-    round two's manifest is ``draw_sample(seed, n2, universe, skip=n1)``."""
-    if count < 0 or skip < 0:
-        raise ValueError("count and skip must be nonnegative")
-    return list(islice(sample_stream(seed, universe), skip, skip + count))
-
-
 def write_manifest(draws: Sequence[str], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -311,33 +303,24 @@ def read_manifest(path: str | Path) -> list[str]:
 
 def run_audit_round(
     assertions: Sequence[tuple[Assertion, float]],
-    cvrs: Mapping[str, "Ranking"],
-    rounds: Iterable[tuple[Iterable[str], Mapping[str, "Ranking"]]],
+    pairs: Mapping[tuple["Ranking", "Ranking"], int],
     alpha: float,
     gamma: float,
-) -> tuple[dict[str, RiskState], str, int]:
-    """Score every round of the audit so far against every assertion.
+) -> tuple[dict[str, RiskState], str, float]:
+    """Score the audit's draws so far against every assertion.
 
-    ``assertions`` pairs each assertion with its margin; ``rounds`` holds
-    each round's manifest with that round's paper interpretations.  The
-    draws of all rounds are counted per distinct (CVR ranking, paper
-    ranking) pair, and each pair is classified once per assertion; since
-    the p-value depends only on the per-category counts, this equals
-    scoring the ballots one at a time in draw order.  Returns the
-    per-assertion states (keyed by assertion identity), the audit status
-    (``confirmed`` or ``escalate``), and, when escalating, the suggested
-    number of additional draws: the fewest that confirm every assertion
-    if they are all clean.
+    ``assertions`` pairs each assertion with its margin; ``pairs`` counts
+    the draws of every round per distinct (CVR ranking, paper ranking),
+    each draw paired with its own round's paper.  Each pair is classified
+    once per assertion; since the p-value depends only on the per-category
+    counts, this equals scoring the ballots one at a time in draw order.
+    Returns the per-assertion states (keyed by assertion identity), the
+    audit status and the suggested number of additional draws: 0 when
+    ``confirmed``; when escalating, the fewest that confirm every
+    assertion if they are all clean; infinite, with status
+    ``requires-full-count``, when an unconfirmed margin is too small for
+    any number of draws to move its p-value.
     """
-    pairs: Counter[tuple["Ranking", "Ranking"]] = Counter()
-    for number, (manifest, interpretations) in enumerate(rounds, start=1):
-        for ballot_id in manifest:
-            if ballot_id not in cvrs:
-                raise ElectionDataError(f"drawn ballot {ballot_id!r} is not in the CVR file")
-            if ballot_id not in interpretations:
-                raise ElectionDataError(f"round {number}: no manual interpretation for drawn ballot {ballot_id!r}")
-            pairs[cvrs[ballot_id], interpretations[ballot_id]] += 1
-
     states: dict[str, RiskState] = {}
     for assertion, m in assertions:
         counts: Counter[str] = Counter()
@@ -354,4 +337,4 @@ def run_audit_round(
         clean_draws(state.margin, alpha, state.gamma, math.log(state.product))
         for state in unconfirmed.values()
     )
-    return states, "escalate", suggestion
+    return states, STATUS_FULL_COUNT if math.isinf(suggestion) else "escalate", suggestion

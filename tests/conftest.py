@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,12 @@ def km_step(state: RiskState, category: str) -> RiskState:
     discrepancy category."""
     step_factor(state.margin, state.gamma, category)  # validates margin and category
     return replace(state, **{category: getattr(state, category) + 1})
+
+
+def count_pairs(cvrs, rounds) -> Counter:
+    """The draws of (manifest, papers) rounds counted per (CVR ranking, paper
+    ranking) pair, each draw paired with its own round's paper."""
+    return Counter((cvrs[b], papers[b]) for manifest, papers in rounds for b in manifest)
 
 
 @pytest.fixture

@@ -2,15 +2,17 @@ import json
 import math
 import re
 import time
+import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from conftest import DATA, km_step
+from conftest import DATA, count_pairs, km_step
 from hamilton_rla import load_audit_spec, load_cvrs, read_manifest, viability
 from hamilton_rla.assertions import describe
 from hamilton_rla.cli import _state_checksum, main
-from hamilton_rla.risk import RiskState, discrepancy
+from hamilton_rla.risk import RiskState, discrepancy, sample_stream, write_manifest
 
 PLURALITY = str(DATA / "election_plurality.json")
 IRV = str(DATA / "election_irv.json")
@@ -827,12 +829,12 @@ def test_audit_rounds_replayable(capsys, tmp_path):
     # replaying the recorded rounds, each its slice of the seeded sample,
     # reproduces the stored p-values
     from hamilton_rla import load_audit_spec, load_cvrs
-    from hamilton_rla.risk import draw_sample, run_audit_round
+    from hamilton_rla.risk import run_audit_round, sample_stream
     from hamilton_rla.model import parse_ranking_cell
 
     spec = load_audit_spec(spec_path)
     cvrs = {r.ballot_id: r.ranking for r in load_cvrs(SMALL_CVRS)}
-    sample = draw_sample(saved["seed"], sum(rnd["draws"] for rnd in saved["rounds"]), list(cvrs))
+    sample = list(islice(sample_stream(saved["seed"], list(cvrs)), sum(rnd["draws"] for rnd in saved["rounds"])))
     assert sample == read_manifest(manifest)
     rounds, start = [], 0
     for rnd in saved["rounds"]:
@@ -840,7 +842,7 @@ def test_audit_rounds_replayable(capsys, tmp_path):
         rounds.append((sample[start : start + rnd["draws"]], interp))
         start += rnd["draws"]
     pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    states, _, _ = run_audit_round(pairs, cvrs, rounds, saved["alpha"], saved["gamma"])
+    states, _, _ = run_audit_round(pairs, count_pairs(cvrs, rounds), saved["alpha"], saved["gamma"])
     for key, persisted in saved["assertions"].items():
         assert states[key].p_value == persisted["p_value"]
 
@@ -982,6 +984,55 @@ def test_audit_state_replays_every_draw(capsys, tmp_path):
                 replayed = km_step(replayed, discrepancy(e.assertion, cvrs[ballot], paper_of[ballot]))
         assert reported[e.assertion.key]["p_value"] == replayed.p_value
         assert state["assertions"][e.assertion.key]["p_value"] == replayed.p_value
+
+
+def test_audit_round_refuses_interpretations_missing_a_drawn_ballot(capsys, tmp_path):
+    """Each draw of the current manifest needs its paper reading: a second
+    round whose interpretations miss one of its ballots is refused with
+    exit 2, before any scoring, and writes no next manifest and leaves the
+    state as it was."""
+    audit, _, second, _ = _escalating_audit(capsys, tmp_path)
+    missing = read_manifest(second)[0]
+    partial = tmp_path / "partial.csv"
+    lines = Path(SMALL_CVRS).read_text().splitlines(keepends=True)
+    partial.write_text("".join(line for line in lines if not line.startswith(f"{missing},")))
+    state = Path(audit[-1])
+    saved = state.read_bytes()
+    next_manifest = tmp_path / "round3.csv"
+    code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(second),
+                         "--interpretations", str(partial), "--next-manifest", str(next_manifest))
+    assert code == 2 and out == ""
+    assert f"round 2: no manual interpretation for drawn ballot {missing!r}" in err
+    assert not next_manifest.exists()
+    assert state.read_bytes() == saved
+
+
+def test_audit_round_replay_memory_does_not_grow_with_claimed_draws(capsys, tmp_path):
+    """A re-signed state whose round 1 interprets every ballot and claims
+    200,000 draws is replayed as a stream: the round's peak traced memory
+    stays far below the 1.6 MB that holding those draws in a list takes."""
+    audit, manifest = _audit_after_init(capsys, tmp_path)
+    assert run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
+               "--interpretations", SMALL_CVRS)[0] == 0
+    state = Path(audit[-1])
+    doc = json.loads(state.read_text())
+    claimed = 200_000
+    lines = Path(SMALL_CVRS).read_text().splitlines()[1:]
+    doc["state"]["rounds"] = [{"draws": claimed, "interpretations": dict(line.split(",", 1) for line in lines)}]
+    doc["checksum"] = _state_checksum(doc["state"])
+    state.write_text(json.dumps(doc))
+    ballots = [line.split(",", 1)[0] for line in lines]
+    write_manifest(list(islice(sample_stream(doc["state"]["seed"], ballots), claimed, claimed + 5)), manifest)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
+                             "--interpretations", SMALL_CVRS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert out.startswith(f"status: confirmed  cumulative draws: {claimed + 5}")
+    assert peak < 0.5 * 2**20
 
 
 SUMMARY_EDITS = {

@@ -2,10 +2,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
-from conftest import km_step
+from conftest import count_pairs, km_step
 from hamilton_rla import RiskParams, estimate_audit_asn, read_manifest, tabulate, write_manifest
 from hamilton_rla.assertions import IrvWins, NonViable, PairwiseDiff, Viable, assorter_value
 from hamilton_rla.risk import (
@@ -18,9 +19,9 @@ from hamilton_rla.risk import (
     CannotAuditError,
     RiskState,
     discrepancy,
-    draw_sample,
     estimate_asn,
     run_audit_round,
+    sample_stream,
     step_factor,
 )
 from hamilton_rla.viability import build_audit_spec
@@ -236,26 +237,29 @@ def test_clean_replay_confirms_at_estimated_size(plurality_profile):
         for _ in range(count):
             cvrs[f"b{i}"] = ranking
             i += 1
-    manifest = draw_sample(42, int(size), list(cvrs))
+    manifest = list(islice(sample_stream(42, list(cvrs)), int(size)))
     pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    states, status, _ = run_audit_round(pairs, cvrs, [(manifest, cvrs)], alpha=0.05, gamma=1.1)
+    states, status, _ = run_audit_round(pairs, count_pairs(cvrs, [(manifest, cvrs)]), alpha=0.05, gamma=1.1)
     assert status == "confirmed"
     assert all(s.draws == int(size) for s in states.values())
 
 
-def test_draw_sample_deterministic_and_continuable():
+def test_sample_stream_deterministic_and_continuable():
     universe = [f"b{i}" for i in range(50)]
-    first = draw_sample(123, 10, universe)
-    assert first == draw_sample(123, 10, universe)
-    assert draw_sample(123, 0, universe) == []
-    combined = draw_sample(123, 25, universe)
+    first = list(islice(sample_stream(123, universe), 10))
+    assert first == list(islice(sample_stream(123, universe), 10))
+    assert list(islice(sample_stream(123, universe), 0)) == []
+    combined = list(islice(sample_stream(123, universe), 25))
     assert combined[:10] == first
-    assert draw_sample(123, 15, universe, skip=10) == combined[10:]
+    assert list(islice(sample_stream(123, universe), 10, 25)) == combined[10:]
+    for cut in range(26):  # one stream read in two slices, cut anywhere, is one sequence
+        stream = sample_stream(123, universe)
+        assert list(islice(stream, cut)) + list(islice(stream, 25 - cut)) == combined
 
 
-def test_draw_sample_uniform_frequencies():
+def test_sample_stream_uniform_frequencies():
     universe = [str(i) for i in range(10)]
-    counts = Counter(draw_sample(99, 1_000_000, universe))
+    counts = Counter(islice(sample_stream(99, universe), 1_000_000))
     expect = 100_000
     sigma = math.sqrt(1_000_000 * 0.1 * 0.9)
     for label in universe:
@@ -278,7 +282,7 @@ def _toy_audit():
 def test_run_audit_round_clean_confirms():
     a, cvrs = _toy_audit()
     manifest = [f"b{i}" for i in range(1, 50) if i % 3]
-    states, status, extra = run_audit_round([(a, 0.5)], cvrs, [(manifest, cvrs)], alpha=0.05, gamma=1.1)
+    states, status, extra = run_audit_round([(a, 0.5)], count_pairs(cvrs, [(manifest, cvrs)]), alpha=0.05, gamma=1.1)
     assert status == "confirmed"
     assert extra == 0
     (state,) = states.values()
@@ -290,7 +294,7 @@ def test_run_audit_round_overstatements_escalate():
     a, cvrs = _toy_audit()
     manifest = ["b1", "b2", "b4"]
     paper = {b: ("L",) for b in cvrs}  # every drawn CVR overstates maximally
-    states, status, extra = run_audit_round([(a, 0.5)], cvrs, [(manifest, paper)], alpha=0.05, gamma=1.1)
+    states, status, extra = run_audit_round([(a, 0.5)], count_pairs(cvrs, [(manifest, paper)]), alpha=0.05, gamma=1.1)
     assert status == "escalate"
     assert extra > 0
     (state,) = states.values()
@@ -305,7 +309,7 @@ def test_suggestion_counts_the_overstatement_above_one():
     that start from the capped value."""
     a, cvrs = _toy_audit()
     first = (["b1"] * 47 + ["b2"] * 11, {"b1": ("W",), "b2": ()})
-    states, status, suggestion = run_audit_round([(a, 0.2)], cvrs, [first], alpha=0.05, gamma=1.1)
+    states, status, suggestion = run_audit_round([(a, 0.2)], count_pairs(cvrs, [first]), alpha=0.05, gamma=1.1)
     (state,) = states.values()
     assert (status, state.clean, state.one_vote, state.p_value) == ("escalate", 47, 11, 1.0)
     assert suggestion == 44
@@ -316,25 +320,24 @@ def test_suggestion_counts_the_overstatement_above_one():
 def test_suggested_clean_draws_are_the_fewest_that_confirm(margin, one_vote):
     a, cvrs = _toy_audit()
     first = (["b1"] * 20 + ["b2"] * one_vote, {"b1": ("W",), "b2": ()})
-    _, status, suggestion = run_audit_round([(a, margin)], cvrs, [first], alpha=0.05, gamma=1.1)
+    _, status, suggestion = run_audit_round([(a, margin)], count_pairs(cvrs, [first]), alpha=0.05, gamma=1.1)
     if status == "confirmed":
         return
 
     def after(extra):
-        return run_audit_round([(a, margin)], cvrs, [first, (["b1"] * extra, cvrs)], alpha=0.05, gamma=1.1)[1]
+        pairs = count_pairs(cvrs, [first, (["b1"] * extra, cvrs)])
+        return run_audit_round([(a, margin)], pairs, alpha=0.05, gamma=1.1)[1]
 
     assert after(suggestion) == "confirmed"
     assert after(suggestion - 1) == "escalate"
 
 
-def test_run_audit_round_missing_interpretation():
-    from hamilton_rla import ElectionDataError
-
+def test_run_audit_round_margin_below_float_resolution_requires_full_count():
+    """No number of draws moves the p-value of a margin the clean factor
+    rounds away, so the round reports a full count, not an escalation."""
     a, cvrs = _toy_audit()
-    with pytest.raises(ElectionDataError, match="interpretation"):
-        run_audit_round([(a, 0.5)], cvrs, [(["b1"], {})], alpha=0.05, gamma=1.1)
-    with pytest.raises(ElectionDataError, match="not in the CVR"):
-        run_audit_round([(a, 0.5)], cvrs, [(["zz"], {"zz": ()})], alpha=0.05, gamma=1.1)
+    _, status, suggestion = run_audit_round([(a, 1e-17)], count_pairs(cvrs, [(["b1"], cvrs)]), 0.05, 1.1)
+    assert (status, suggestion) == ("requires-full-count", FULL_COUNT)
 
 
 def _random_assertion(rng, labels):
@@ -383,7 +386,7 @@ def test_grouped_round_matches_per_ballot_scoring():
             }
             rounds.append((manifest, papers))
             expected = _per_ballot_round(assertions, cvrs, manifest, papers, expected, 1.1)
-        states, _, _ = run_audit_round(assertions, cvrs, rounds, 0.05, 1.1)
+        states, _, _ = run_audit_round(assertions, count_pairs(cvrs, rounds), 0.05, 1.1)
         assert states == expected
         (first, first_papers), (second, second_papers) = rounds
         rereads += sum(first_papers[b] != second_papers[b] for b in set(first) & set(second))
@@ -400,7 +403,7 @@ def test_run_audit_round_nonpositive_margin_cannot_be_audited(margin):
     a, cvrs = _toy_audit()
     b = IrvWins("L", "W", frozenset())
     with pytest.raises(CannotAuditError):
-        run_audit_round([(a, 0.5), (b, margin)], cvrs, [(["b1", "b1"], cvrs)], alpha=0.05, gamma=1.1)
+        run_audit_round([(a, 0.5), (b, margin)], count_pairs(cvrs, [(["b1", "b1"], cvrs)]), alpha=0.05, gamma=1.1)
 
 
 def test_risk_params_validation():
