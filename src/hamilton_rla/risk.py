@@ -59,7 +59,6 @@ CLEAN = "clean"
 ONE_VOTE = "one_vote"
 TWO_VOTE = "two_vote"
 UNDERSTATEMENT = "understatement"
-CATEGORIES = (CLEAN, ONE_VOTE, TWO_VOTE, UNDERSTATEMENT)
 
 
 class CannotAuditError(ValueError):
@@ -108,9 +107,7 @@ class RiskState:
     @property
     def product(self) -> float:
         """The uncapped product of the per-draw factors."""
-        f_clean = step_factor(self.margin, self.gamma, CLEAN)
-        f_one = step_factor(self.margin, self.gamma, ONE_VOTE)
-        f_two = step_factor(self.margin, self.gamma, TWO_VOTE)
+        f_clean, f_one, f_two = _factors(self.margin, self.gamma)
         raw = f_clean ** (self.clean + self.understatement)
         if self.one_vote:
             raw *= f_one**self.one_vote
@@ -132,18 +129,13 @@ class RiskState:
         }
 
 
-def step_factor(margin: float, gamma: float, category: str) -> float:
-    """Multiplicative p-value factor for one drawn ballot."""
+def _factors(margin: float, gamma: float) -> tuple[float, float, float]:
+    """The per-draw p-value factors of a clean draw (or understatement), a
+    one-vote and a two-vote overstatement."""
     if margin <= 0:
         raise CannotAuditError(f"margin {margin} is not positive; assertion cannot be audited")
     clean = max(0.0, 1.0 - margin / (2.0 * gamma))
-    if category in (CLEAN, UNDERSTATEMENT):
-        return clean
-    if category == ONE_VOTE:
-        return clean / (1.0 - 1.0 / (2.0 * gamma))
-    if category == TWO_VOTE:
-        return clean / (1.0 - 1.0 / gamma)
-    raise ValueError(f"unknown discrepancy category {category!r}")
+    return clean, clean / (1.0 - 1.0 / (2.0 * gamma)), clean / (1.0 - 1.0 / gamma)
 
 
 def discrepancy(assertion: Assertion, cvr: "Ranking", paper: "Ranking") -> str:
@@ -172,7 +164,7 @@ def clean_draws(margin: float, alpha: float, gamma: float, log_p: float = 0.0) -
     clean factor, so no audit that starts at ``exp(log_p)`` confirms in
     fewer draws.
     """
-    clean = step_factor(margin, gamma, CLEAN)
+    clean = _factors(margin, gamma)[0]
     if clean <= 0.0:
         return 1
     if clean == 1.0:
@@ -215,12 +207,11 @@ def _trial_draws(margin: float, params: RiskParams, population: int, gaps: _Erro
     probability ``error_rate``, but skips between error positions
     (geometric ``gaps``), so a trial costs O(number of errors).
     """
-    clean = max(0.0, 1.0 - margin / (2.0 * params.gamma))
+    clean, over, _ = _factors(margin, params.gamma)
     if clean <= 0.0:
         return 1 if population >= 1 else FULL_COUNT
     if clean == 1.0:  # a margin below float resolution: no draw lowers p
         return FULL_COUNT
-    over = clean / (1.0 - 1.0 / (2.0 * params.gamma))
     log_clean = math.log(clean)
     log_over = math.log(over)
     log_target = math.log(params.alpha)

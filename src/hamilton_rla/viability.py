@@ -28,21 +28,16 @@ whose best assertion costs no more than the current lower bound on audit
 effort.  If some complete branch admits no assertion at all, no audit
 short of a full manual count certifies the outcome.
 
-Picking an assertion simulates only the options that can still win.  An
-estimate depends only on the margin and never rises with it
-(``risk.estimate_asn``), so options are scanned in decreasing margin: the
-first has the least estimate, and the scan stops at the first estimate
-above it.  Every option tied at that least estimate is kept, and the
-first of them in option order is the one a full ``min`` picks.
+Each branch gets the assertion of largest margin among its options, and
+only that one is simulated: an estimate depends only on the margin and
+never rises with it (``risk.estimate_asn``), so the largest margin is a
+least estimate.  Among equal margins the first option wins.
 
 A child's options depend only on the candidate it eliminates and the set
 ``rest`` still to be eliminated before it: the ``Viable`` for the
-candidate, and an ``IrvWins`` over each standing candidate.  So the scan
-runs once per ``(candidate, rest)`` (``AuditContext.move``), and each
-child only breaks ties: the ``Viable`` if it is tied, otherwise the
-``IrvWins`` over the first tied loser in the child's own order of standing
-candidates (its pinned eliminations, then the viable set in roster
-order), which is the option ``min`` over the child's list would pick.
+candidate, then an ``IrvWins`` over each standing candidate in roster
+order.  So the pick is made once per ``(candidate, rest)``
+(``AuditContext.move``) and shared by every child that makes that move.
 
 The frontier is a heap ranked once per node, when it is queued: highest
 finite estimated effort first, unresolved (infinite) nodes last, then
@@ -63,7 +58,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, count
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .assertions import (
     Assertion,
@@ -97,7 +92,7 @@ def max_viable(threshold: Fraction) -> int:
 
 class AuditContext:
     """Per-profile caches: piles by elimination set, effort by margin,
-    and the cheapest elimination moves by ``(candidate, rest)``.
+    and the assertion picked for each elimination move ``(candidate, rest)``.
 
     Every tally-based answer starts from ``piles``: an assertion's classes
     are the piles of the candidates left standing once its ``removed`` set
@@ -117,7 +112,7 @@ class AuditContext:
         self.index = {c: i for i, c in enumerate(self.labels)}
         self._piles: dict[frozenset[str], dict[str, int]] = {}
         self._eae: dict[float, float] = {}
-        self._moves: dict[tuple[str, frozenset[str]], tuple[Mapping[str | None, Assertion], float]] = {}
+        self._moves: dict[tuple[str, frozenset[str]], tuple[Assertion | None, float]] = {}
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
         cached = self._piles.get(eliminated)
@@ -149,26 +144,21 @@ class AuditContext:
             self._eae[margin] = cached
         return cached
 
-    def move(self, cand: str, rest: frozenset[str]) -> tuple[Mapping[str | None, Assertion], float]:
-        """The cheapest assertions showing that ``cand`` is not eliminated
-        while exactly ``rest`` is gone, and their ``eae``.
+    def move(self, cand: str, rest: frozenset[str]) -> tuple[Assertion | None, float]:
+        """The assertion showing that ``cand`` is not eliminated while
+        exactly ``rest`` is gone, and its ``eae``; ``(None, inf)`` if none
+        holds.
 
         Everyone outside ``rest`` and ``cand`` is standing, so the options
-        are ``Viable(cand, rest)`` and ``IrvWins(cand, other, rest)`` for
-        each standing ``other``.  Every holding option tied at the least
-        ``eae`` is kept, keyed by loser (``None`` for the ``Viable``).
+        are ``Viable(cand, rest)``, then ``IrvWins(cand, other, rest)`` for
+        each standing ``other`` in roster order; ``_cheapest`` picks one.
         """
         key = (cand, rest)
         cached = self._moves.get(key)
         if cached is None:
-            holding: dict[str | None, Assertion] = {}
-            for loser in [None, *(c for c in self.labels if c != cand and c not in rest)]:
-                a = Viable(cand, rest, self.threshold) if loser is None else IrvWins(cand, loser, rest)
-                if self.holds(a):
-                    holding[loser] = a
-            tied, eae = _cheapest(list(holding.values()), self)
-            cached = {loser: a for loser, a in holding.items() if a in tied}, eae
-            self._moves[key] = cached
+            options: list[Assertion] = [Viable(cand, rest, self.threshold)]
+            options += [IrvWins(cand, c, rest) for c in self.labels if c != cand and c not in rest]
+            cached = self._moves[key] = _cheapest(options, self)
         return cached
 
     def entry(self, assertion: Assertion) -> SpecEntry:
@@ -259,22 +249,17 @@ class AltOutcomeNode:
         return f"[... {tail} | viable {v}]"
 
 
-def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[list[Assertion], float]:
-    """Every option of least ``eae``, in option order, and that ``eae``;
-    ``([], inf)`` when there is none.  ``min`` picks the first of them.
+def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[Assertion | None, float]:
+    """The option of largest margin (the first of equal margins) and its
+    ``eae``; ``(None, inf)`` when it does not hold or there is no option.
 
-    ``eae`` never rises with the margin, so options are simulated in
-    decreasing margin: the first gives the least ``eae``, and the scan
-    stops at the first option above it, which no later option can undercut.
+    ``eae`` never rises with the margin, so no other option is cheaper,
+    and only the pick is simulated.
     """
-    best, tied = math.inf, []
-    for _, index in sorted((-ctx._margin(a), i) for i, a in enumerate(options)):
-        eae = ctx.eae(options[index])
-        if eae > best:
-            break
-        best = eae
-        tied.append(index)
-    return [options[i] for i in sorted(tied)], best
+    best = max(options, key=ctx._margin, default=None)
+    if best is None or not ctx.holds(best):
+        return None, math.inf
+    return best, ctx.eae(best)
 
 
 def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assertion | None, float]:
@@ -286,21 +271,11 @@ def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assert
     matter how the eliminations were ordered.
     """
     tau = ctx.threshold
-    options: list[Assertion] = []
-    for c in ctx.labels:
-        if c not in vset:
-            a = Viable(c, frozenset(), tau)
-            if ctx.holds(a):
-                options.append(a)
+    options: list[Assertion] = [Viable(c, frozenset(), tau) for c in ctx.labels if c not in vset]
     if tau < 1:
         others = frozenset(ctx.labels) - vset
-        for c in ctx.labels:
-            if c in vset:
-                a = NonViable(c, others, tau)
-                if ctx.holds(a):
-                    options.append(a)
-    tied, eae = _cheapest(options, ctx)
-    return (tied[0] if tied else None), eae
+        options += [NonViable(c, others, tau) for c in ctx.labels if c in vset]
+    return _cheapest(options, ctx)
 
 
 def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]:
@@ -309,17 +284,13 @@ def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]
     The child's assertion must show that elimination impossible with
     exactly the remaining unmentioned candidates gone: either the
     candidate still clears the threshold there, or it out-tallies someone
-    who is still standing (a pinned or viable candidate).  Of the cheapest
-    such assertions (``AuditContext.move``) the ``Viable`` comes first,
-    then the ``IrvWins`` in this node's order of standing candidates.
+    who is still standing (a pinned or viable candidate); ``AuditContext.move``
+    picks it.
     """
     unmentioned = node.unmentioned(ctx.labels)
-    # losers in this node's option order: the Viable, then the standing candidates
-    order = [None, *node.eliminated_suffix, *(c for c in ctx.labels if c in node.viable)]
     children: list[AltOutcomeNode] = []
     for cand in unmentioned:
-        tied, eae = ctx.move(cand, frozenset(u for u in unmentioned if u != cand))
-        assertion = next((tied[loser] for loser in order if loser in tied), None)
+        assertion, eae = ctx.move(cand, frozenset(u for u in unmentioned if u != cand))
         child = AltOutcomeNode(
             eliminated_suffix=(cand,) + node.eliminated_suffix,
             viable=node.viable,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hamilton_rla import ElectionProfile, build_profile
-from hamilton_rla.risk import RiskState, step_factor
+from hamilton_rla.risk import RiskState, _factors
 
 DATA = Path(__file__).parent / "data"
 
@@ -17,7 +17,7 @@ TAU = Fraction(15, 100)
 def km_step(state: RiskState, category: str) -> RiskState:
     """The per-ballot scoring oracle: record one drawn ballot of the given
     discrepancy category."""
-    step_factor(state.margin, state.gamma, category)  # validates margin and category
+    _factors(state.margin, state.gamma)  # validates the margin
     return replace(state, **{category: getattr(state, category) + 1})
 
 

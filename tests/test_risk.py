@@ -10,7 +10,6 @@ from conftest import count_pairs, km_step
 from hamilton_rla import RiskParams, estimate_audit_asn, read_manifest, tabulate, write_manifest
 from hamilton_rla.assertions import IrvWins, NonViable, PairwiseDiff, Viable, assorter_value
 from hamilton_rla.risk import (
-    CATEGORIES,
     CLEAN,
     FULL_COUNT,
     ONE_VOTE,
@@ -18,11 +17,11 @@ from hamilton_rla.risk import (
     UNDERSTATEMENT,
     CannotAuditError,
     RiskState,
+    _factors,
     discrepancy,
     estimate_asn,
     run_audit_round,
     sample_stream,
-    step_factor,
 )
 from hamilton_rla.viability import build_audit_spec
 
@@ -39,7 +38,7 @@ def closed_form(margin, alpha=0.05, gamma=1.1):
 def test_huge_margin_confirms_in_one_draw():
     # factor collapses to zero when margin >= 2*gamma
     state = RiskState(margin=4.073, gamma=1.1)
-    assert step_factor(4.073, 1.1, CLEAN) == 0.0
+    assert _factors(4.073, 1.1) == (0.0, 0.0, 0.0)
     state = km_step(state, CLEAN)
     assert state.p_value == 0.0
     assert state.draws == 1
@@ -71,14 +70,15 @@ def test_zero_error_closed_form_random_margins():
 
 def test_overstatement_factors_exceed_clean():
     for m in (0.01, 0.12, 0.378, 1.1, 2.0):
-        clean = step_factor(m, 1.1, CLEAN)
-        assert step_factor(m, 1.1, UNDERSTATEMENT) == clean
-        assert step_factor(m, 1.1, ONE_VOTE) > clean
-        assert step_factor(m, 1.1, TWO_VOTE) > step_factor(m, 1.1, ONE_VOTE)
-    # one-vote factor is clean / (1 - 1/(2*gamma))
-    assert step_factor(0.12, 1.1, ONE_VOTE) == pytest.approx(
-        step_factor(0.12, 1.1, CLEAN) / (1 - 1 / 2.2)
-    )
+        clean, one_vote, two_vote = _factors(m, 1.1)
+        assert one_vote > clean
+        assert two_vote > one_vote
+        # an understatement is scored as a clean draw
+        assert RiskState(m, 1.1, understatement=1).product == clean
+    # one-vote factor is clean / (1 - 1/(2*gamma)), two-vote clean / (1 - 1/gamma)
+    clean, one_vote, two_vote = _factors(0.12, 1.1)
+    assert one_vote == pytest.approx(clean / (1 - 1 / 2.2))
+    assert two_vote == pytest.approx(clean / (1 - 1 / 1.1))
 
 
 def test_km_step_monotonicity_and_counts():
@@ -94,7 +94,7 @@ def test_km_step_monotonicity_and_counts():
 
 def test_km_step_rejects_nonpositive_margin():
     with pytest.raises(CannotAuditError):
-        step_factor(0.0, 1.1, CLEAN)
+        _factors(0.0, 1.1)
     with pytest.raises(CannotAuditError):
         km_step(RiskState(margin=-0.1, gamma=1.1), CLEAN)
 
@@ -395,7 +395,7 @@ def test_grouped_round_matches_per_ballot_scoring():
             seen_categories.update(state.discrepancies)
     assert seen_types == {Viable, NonViable, IrvWins, PairwiseDiff}
     assert repeats > 0 and rereads > 0
-    assert all(seen_categories[c] > 0 for c in CATEGORIES)
+    assert all(seen_categories[c] > 0 for c in (CLEAN, ONE_VOTE, TWO_VOTE, UNDERSTATEMENT))
 
 
 @pytest.mark.parametrize("margin", [0.0, -0.1])

@@ -431,14 +431,17 @@ def test_nine_candidate_search_under_budget():
 
 class _Costs:
     """Stand-in for AuditContext in ``_cheapest``: fixed margins and
-    estimates (never rising with the margin), recording which options
-    were simulated."""
+    estimates (never rising with the margin), a positive margin holding,
+    recording which options were simulated."""
 
     def __init__(self, margins, eaes):
         self.margins, self.eaes, self.simulated = margins, eaes, []
 
     def _margin(self, option):
         return self.margins[option]
+
+    def holds(self, option):
+        return self.margins[option] > 0
 
     def eae(self, option):
         self.simulated.append(option)
@@ -447,45 +450,48 @@ class _Costs:
 
 def test_cheapest_ties_go_to_the_first_option():
     costs = _Costs({"x": 0.1, "y": 0.1}, {"x": 7, "y": 7})
-    assert _cheapest(["x", "y"], costs) == (["x", "y"], 7)
-    assert _cheapest(["y", "x"], costs) == (["y", "x"], 7)
-    # a smaller margin can still tie, so all three are simulated, in
-    # decreasing margin, and kept in option order
-    costs = _Costs({"a": 0.1, "b": 0.3, "c": 0.1}, {"a": 5, "b": 5, "c": 5})
-    assert _cheapest(["a", "b", "c"], costs) == (["a", "b", "c"], 5)
-    assert costs.simulated == ["b", "a", "c"]
+    assert _cheapest(["x", "y"], costs) == ("x", 7)
+    assert _cheapest(["y", "x"], costs) == ("y", 7)
+    # the first of the largest margins, wherever it sits in the list
+    costs = _Costs({"a": 0.1, "b": 0.3, "c": 0.3}, {"a": 5, "b": 5, "c": 5})
+    assert _cheapest(["a", "c", "b"], costs) == ("c", 5)
 
 
 def test_cheapest_all_infinite_and_empty():
     costs = _Costs({"x": 0.3, "y": 0.1, "z": 0.1}, dict.fromkeys("xyz", math.inf))
-    assert _cheapest(["x", "y", "z"], costs) == (["x", "y", "z"], math.inf)
-    assert _cheapest([], costs) == ([], math.inf)
+    assert _cheapest(["x", "y", "z"], costs) == ("x", math.inf)
+    # a pick that does not hold leaves nothing that does: none is simulated
+    costs = _Costs({"x": 0.0, "y": -0.1}, {"x": math.inf, "y": math.inf})
+    assert _cheapest(["y", "x"], costs) == (None, math.inf)
+    assert _cheapest([], costs) == (None, math.inf)
+    assert costs.simulated == []
 
 
-def test_cheapest_stops_at_the_first_costlier_margin():
+def test_cheapest_simulates_only_the_largest_margin():
     costs = _Costs({"x": 0.2, "y": 0.3, "z": 0.1}, {"x": 9, "y": 8, "z": 12})
-    assert _cheapest(["x", "y", "z"], costs) == (["y"], 8)
-    assert costs.simulated == ["y", "x"]
-    # a tie with the largest margin is kept; the next costlier one ends the scan
+    assert _cheapest(["x", "y", "z"], costs) == ("y", 8)
+    assert costs.simulated == ["y"]
+    # options tied with the pick are not simulated either
     costs = _Costs({"x": 0.2, "y": 0.3, "z": 0.1, "w": 0.05}, {"x": 8, "y": 8, "z": 9, "w": 9})
-    assert _cheapest(["x", "y", "z", "w"], costs) == (["x", "y"], 8)
-    assert costs.simulated == ["y", "x", "z"]
+    assert _cheapest(["x", "y", "z", "w"], costs) == ("y", 8)
+    assert costs.simulated == ["y"]
 
 
 def test_cheapest_matches_min_on_random_costs():
     rng = random.Random(11)
     for _ in range(500):
         options = list(range(rng.randint(0, 8)))
-        margins = {o: rng.randint(1, 6) / 10 for o in options}
-        # estimates by margin, never rising with it
+        margins = {o: rng.randint(-1, 6) / 10 for o in options}
+        # estimates by margin, never rising with it; a margin of 0 or less does not hold
         by_margin = sorted((rng.choice([1, 2, 3, 5, 8, math.inf]) for _ in range(6)), reverse=True)
-        eaes = {o: by_margin[round(10 * margins[o]) - 1] for o in options}
+        eaes = {o: by_margin[round(10 * margins[o]) - 1] if margins[o] > 0 else math.inf for o in options}
         costs = _Costs(margins, eaes)
-        best = min(options, key=eaes.__getitem__, default=None)
-        least = math.inf if best is None else eaes[best]
-        tied, eae = _cheapest(options, costs)
-        assert (tied, eae) == ([o for o in options if eaes[o] == least], least)
-        assert tied[:1] == ([] if best is None else [best])
+        least = min(eaes.values(), default=math.inf)
+        pick, eae = _cheapest(options, costs)
+        assert eae == least
+        assert (pick is None) == all(m <= 0 for m in margins.values())
+        assert pick is None or pick == max(options, key=margins.__getitem__)
+        assert len(costs.simulated) == (pick is not None)
 
 
 def _tie_heavy_contest(rng):
@@ -522,70 +528,125 @@ def _equivalence_contests():
     return contests
 
 
-def _eager_cheapest(options, ctx):
-    best = min(options, key=ctx.eae, default=None)
+def _full_scan_min(options, ctx):
+    """Every holding option simulated, and ``min`` by ``eae``: the first of
+    the least estimates in option order."""
+    best = min((a for a in options if ctx.holds(a)), key=ctx.eae, default=None)
     return best, math.inf if best is None else ctx.eae(best)
 
 
-def _eager_root(vset, ctx):
-    """Every holding root option, simulated, and ``min``."""
+def _eager_min(options, ctx):
+    """Every holding option simulated, and ``min`` by ``(eae, -margin, index)``."""
+    holding = [(ctx.eae(a), -ctx._margin(a), i, a) for i, a in enumerate(options) if ctx.holds(a)]
+    if not holding:
+        return None, math.inf
+    eae, _, _, best = min(holding, key=lambda t: t[:3])
+    return best, eae
+
+
+def _root_options(vset, ctx):
     tau = ctx.threshold
     options = [Viable(c, frozenset(), tau) for c in ctx.labels if c not in vset]
     if tau < 1:
         others = frozenset(ctx.labels) - vset
         options += [NonViable(c, others, tau) for c in ctx.labels if c in vset]
-    return _eager_cheapest([a for a in options if ctx.holds(a)], ctx)
+    return options
 
 
-def _eager_expand(node, ctx):
-    """Each child's own option list: the ``Viable``, then an ``IrvWins``
-    per standing candidate in the child's order; every holding option
-    simulated, and ``min``."""
-    unmentioned = node.unmentioned(ctx.labels)
-    standing_later = list(node.eliminated_suffix) + [c for c in ctx.labels if c in node.viable]
-    children = []
-    for cand in unmentioned:
-        rest = frozenset(unmentioned) - {cand}
-        options = [Viable(cand, rest, ctx.threshold)] + [IrvWins(cand, other, rest) for other in standing_later]
-        assertion, eae = _eager_cheapest([a for a in options if ctx.holds(a)], ctx)
-        child = AltOutcomeNode((cand,) + node.eliminated_suffix, node.viable, assertion, eae, node)
-        node.children.append(child)
-        children.append(child)
-    return children
+def _expand_with(pick, standing_order):
+    """``expand_node`` with each child's own option list (the ``Viable``,
+    then an ``IrvWins`` per standing candidate in ``standing_order(node,
+    ctx)``) handed to ``pick``."""
+
+    def expand(node, ctx):
+        unmentioned = node.unmentioned(ctx.labels)
+        standing = standing_order(node, ctx)
+        children = []
+        for cand in unmentioned:
+            rest = frozenset(unmentioned) - {cand}
+            options = [Viable(cand, rest, ctx.threshold)] + [IrvWins(cand, other, rest) for other in standing]
+            assertion, eae = pick(options, ctx)
+            child = AltOutcomeNode((cand,) + node.eliminated_suffix, node.viable, assertion, eae, node)
+            node.children.append(child)
+            children.append(child)
+        return children
+
+    return expand
 
 
-def test_lazy_cheapest_builds_the_specs_min_builds(monkeypatch):
-    """The move table (one floor-ordered scan per ``(candidate, rest)``,
-    ties broken in each child's order) gives the specs and proof logs of
-    building every root's and every child's option list, simulating each
-    option and taking ``min``, with strictly fewer simulations across the
-    sample; the tie-heavy contests make the tie rule matter."""
+def _roster_order(node, ctx):
+    return [c for c in ctx.labels if c in node.eliminated_suffix or c in node.viable]
+
+
+def _child_order(node, ctx):
+    """The child's pinned eliminations, then the viable set in roster order."""
+    return list(node.eliminated_suffix) + [c for c in ctx.labels if c in node.viable]
+
+
+def _build_equivalence_specs(pick=None, standing_order=None):
+    """Level 1 and 3 specs and logs of every tabulable equivalence contest,
+    with roots and children picked by ``pick`` when given, and the number of
+    simulations the builds ran."""
     calls = [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return estimate_asn(*args, **kwargs)
 
-    def build_all():
-        calls[0] = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(viability, "estimate_asn", counted)
+        if pick is not None:
+            patch.setattr(viability, "best_root_assertion", lambda vset, ctx: pick(_root_options(vset, ctx), ctx))
+            patch.setattr(viability, "expand_node", _expand_with(pick, standing_order))
         built = []
         for profile, params in _equivalence_contests():
             try:
                 outcome = tabulate(profile)
             except UnsupportedOutcomeError:
                 continue
-            specs = build_audit_specs(profile, outcome, (1, 3), params)
-            built.append({level: (audit_spec_to_dict(spec), log) for level, (spec, log) in specs.items()})
-        return built, calls[0]
+            built.append(build_audit_specs(profile, outcome, (1, 3), params))
+    return built, calls[0]
 
-    monkeypatch.setattr(viability, "estimate_asn", counted)
-    table, table_calls = build_all()
-    monkeypatch.setattr(viability, "best_root_assertion", _eager_root)
-    monkeypatch.setattr(viability, "expand_node", _eager_expand)
-    reference, eager_calls = build_all()
-    assert len(table) > 110
-    assert table == reference
-    assert table_calls < eager_calls
+
+@pytest.fixture(scope="module")
+def equivalence_builds():
+    return _build_equivalence_specs()
+
+
+def _as_bytes(built):
+    return [{level: (audit_spec_to_dict(spec), log) for level, (spec, log) in specs.items()} for specs in built]
+
+
+def test_largest_margin_builds_the_specs_eager_min_builds(equivalence_builds):
+    """Simulating only the largest margin per ``(candidate, rest)`` gives the
+    specs and proof logs of building every root's and every child's option
+    list in roster order, simulating each holding option and taking ``min``
+    by ``(eae, -margin, index)``, with strictly fewer simulations across the
+    sample; the tie-heavy contests make the tie rule matter."""
+    built, calls = equivalence_builds
+    reference, eager_calls = _build_equivalence_specs(_eager_min, _roster_order)
+    assert len(built) > 110
+    assert _as_bytes(built) == _as_bytes(reference)
+    assert calls < eager_calls
+
+
+def test_largest_margin_costs_no_more_than_the_full_scan(equivalence_builds):
+    """Against the full scan that takes ``min`` by ``eae`` over each child's
+    own option order, every spec has the same status and the same largest
+    ``eae`` (each node's estimate is the same least one, so the search
+    prunes the same nodes), and never more entries."""
+    built, _ = equivalence_builds
+    reference, _ = _build_equivalence_specs(_full_scan_min, _child_order)
+    assert len(built) == len(reference) > 110
+    fewer = 0
+    for specs, ref_specs in zip(built, reference):
+        for level, (spec, _) in specs.items():
+            ref_spec = ref_specs[level][0]
+            assert spec.status == ref_spec.status
+            assert estimate_audit_asn(spec) == estimate_audit_asn(ref_spec)
+            assert len(spec.entries) <= len(ref_spec.entries)
+            fewer += len(spec.entries) < len(ref_spec.entries)
+    assert fewer > 0
 
 
 @pytest.mark.parametrize("contest", ["election_irv", "ten_cyclic"])
