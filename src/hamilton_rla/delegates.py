@@ -44,8 +44,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .assertions import PairwiseDiff
-from .model import ElectionProfile, ReportedOutcome
-from .tabulation import count_piles
+from .model import ReportedOutcome
 
 LEVEL_SLACK = {2: 2, 3: 1}
 
@@ -94,36 +93,3 @@ def gen_delegate_assertions(outcome: ReportedOutcome, level: int) -> DelegateAss
             assertions.append(PairwiseDiff(m, n, d, outcome.viable))
     return DelegateAssertionSet(tuple(assertions), tuple(skipped), outcome.tie_flag)
 
-
-def find_violated_assertion(
-    profile: ElectionProfile,
-    alt_allocation: Mapping[str, int],
-    outcome: ReportedOutcome,
-) -> PairwiseDiff | None:
-    """Return an exact-allocation assertion built from ``alt_allocation`` that
-    fails (margin <= 0) on the profile's true ballots, or None when the
-    alternative is in fact the correct allocation ``outcome`` of the profile.
-
-    Any allocation differing from the true largest-remainder result admits
-    such a witness (see module docstring); the search checks every
-    non-vacuous ordered pair on the qualified tallies, exactly.
-    """
-    viable = [c for c in profile.labels if c in outcome.viable]
-    if set(alt_allocation) != set(viable):
-        raise ValueError("alternative allocation must cover exactly the viable set")
-    if sum(alt_allocation.values()) != outcome.delegates:
-        raise ValueError("alternative allocation must award every delegate")
-    if dict(alt_allocation) == dict(outcome.allocation):
-        return None
-
-    witnesses = []
-    for m in viable:
-        for n in viable:
-            d = pair_offset(alt_allocation, outcome.delegates, m, n, LEVEL_SLACK[3])
-            if m != n and d > -1:  # d <= -1 is vacuous, never the witness
-                witnesses.append(PairwiseDiff(m, n, d, outcome.viable))
-    if not witnesses:
-        return None
-    # every witness shares the viable set, hence its classes
-    classes, _ = count_piles(profile, witnesses[0].removed(profile.labels))
-    return next((a for a in witnesses if a.scaled_margin(classes, profile.valid_ballots) <= 0), None)

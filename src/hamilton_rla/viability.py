@@ -38,6 +38,14 @@ A child's options depend only on the candidate it eliminates and the set
 candidate, then an ``IrvWins`` over each standing candidate in roster
 order.  So the pick is made once per ``(candidate, rest)``
 (``AuditContext.move``) and shared by every child that makes that move.
+Every ``IrvWins`` there is scored on the same piles, so only the first
+over a least standing pile can have the largest margin, and ``move``
+weighs just that one against the ``Viable``.
+
+A node carries its bookkeeping: the candidates still unmentioned, in
+roster order, and its frontier tie keys.  Roots read them off the roster
+once per viable set; each child takes them from its parent, so no search
+step rescans the roster.
 
 The frontier is a heap ranked once per node, when it is queued: highest
 finite estimated effort first, unresolved (infinite) nodes last, then
@@ -151,13 +159,22 @@ class AuditContext:
 
         Everyone outside ``rest`` and ``cand`` is standing, so the options
         are ``Viable(cand, rest)``, then ``IrvWins(cand, other, rest)`` for
-        each standing ``other`` in roster order; ``_cheapest`` picks one.
+        each standing ``other`` in roster order.  Every ``IrvWins`` shares
+        the piles after ``rest`` and scores ``2 * (pile[cand] - pile[other])``
+        over ``2 * total``, so only the first of those with the largest
+        float margin can be picked: ``_cheapest`` weighs it against the
+        ``Viable``.
         """
         key = (cand, rest)
         cached = self._moves.get(key)
         if cached is None:
             options: list[Assertion] = [Viable(cand, rest, self.threshold)]
-            options += [IrvWins(cand, c, rest) for c in self.labels if c != cand and c not in rest]
+            piles = self.piles(rest)  # the standing candidates, in roster order
+            won, scale = piles[cand], IrvWins.scale * self.total
+            standing = [c for c in piles if c != cand]
+            if standing:
+                loser = max(standing, key=lambda c: 2 * (won - piles[c]) / scale)
+                options.append(IrvWins(cand, loser, rest))
             cached = self._moves[key] = _cheapest(options, self)
         return cached
 
@@ -217,31 +234,56 @@ def enumerate_alt_sets(
     return out
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class AltOutcomeNode:
     """A class of alternative outcomes: ``eliminated_suffix`` is the pinned
     tail of the elimination sequence in chronological order (its last entry
     is the final elimination) and ``viable`` the resulting viable set; every
-    unmentioned candidate is assumed eliminated, in some order, beforehand."""
+    candidate in ``unmentioned`` (roster order) is assumed eliminated, in
+    some order, beforehand.  ``order`` holds the roster indices of the
+    suffix and ``viable_order`` the sorted roster indices of the viable
+    set: the frontier's tie keys.  ``build`` derives the bookkeeping from
+    the roster; ``expand_node`` passes it down to each child.
+    """
 
     eliminated_suffix: tuple[str, ...]
     viable: frozenset[str]
+    unmentioned: tuple[str, ...]
+    order: tuple[int, ...]
+    viable_order: tuple[int, ...]
     assertion: Assertion | None = None
     eae: float = math.inf
     parent: "AltOutcomeNode | None" = None
     children: list["AltOutcomeNode"] = field(default_factory=list, repr=False)
     pruned: bool = False
 
+    @classmethod
+    def build(
+        cls,
+        eliminated_suffix: tuple[str, ...],
+        viable: frozenset[str],
+        ctx: AuditContext,
+        assertion: Assertion | None = None,
+        eae: float = math.inf,
+    ) -> "AltOutcomeNode":
+        """A node with no parent, its bookkeeping read off the roster."""
+        pinned = set(eliminated_suffix) | viable
+        return cls(
+            eliminated_suffix,
+            viable,
+            tuple(c for c in ctx.labels if c not in pinned),
+            tuple(ctx.index[c] for c in eliminated_suffix),
+            tuple(sorted(ctx.index[c] for c in viable)),
+            assertion,
+            eae,
+        )
+
     @property
     def depth(self) -> int:
         return len(self.eliminated_suffix)
 
-    def unmentioned(self, labels: Sequence[str]) -> list[str]:
-        pinned = set(self.eliminated_suffix) | self.viable
-        return [c for c in labels if c not in pinned]
-
-    def is_leaf(self, labels: Sequence[str]) -> bool:
-        return not self.unmentioned(labels)
+    def is_leaf(self) -> bool:
+        return not self.unmentioned
 
     def describe(self) -> str:
         tail = " -> ".join(self.eliminated_suffix) if self.eliminated_suffix else "(any order)"
@@ -285,18 +327,23 @@ def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]
     exactly the remaining unmentioned candidates gone: either the
     candidate still clears the threshold there, or it out-tallies someone
     who is still standing (a pinned or viable candidate); ``AuditContext.move``
-    picks it.
+    picks it.  Those remaining candidates are the child's ``unmentioned``,
+    and its order key is the candidate's roster index before the node's.
     """
-    unmentioned = node.unmentioned(ctx.labels)
+    unmentioned = node.unmentioned
     children: list[AltOutcomeNode] = []
-    for cand in unmentioned:
-        assertion, eae = ctx.move(cand, frozenset(u for u in unmentioned if u != cand))
+    for i, cand in enumerate(unmentioned):
+        rest = unmentioned[:i] + unmentioned[i + 1:]
+        assertion, eae = ctx.move(cand, frozenset(rest))
         child = AltOutcomeNode(
-            eliminated_suffix=(cand,) + node.eliminated_suffix,
-            viable=node.viable,
-            assertion=assertion,
-            eae=eae,
-            parent=node,
+            (cand,) + node.eliminated_suffix,
+            node.viable,
+            rest,
+            (ctx.index[cand],) + node.order,
+            node.viable_order,
+            assertion,
+            eae,
+            node,
         )
         node.children.append(child)
         children.append(child)
@@ -317,17 +364,11 @@ def _prune(node: AltOutcomeNode) -> None:
             _prune(child)
 
 
-def _rank(node: AltOutcomeNode, ctx: AuditContext) -> tuple:
+def _rank(node: AltOutcomeNode) -> tuple:
     """Frontier order: highest finite estimated effort first, unresolved
     (infinite) nodes last; ties toward deeper nodes, then roster order of
     the suffix and of the viable set.  No two nodes share a rank."""
-    return (
-        math.isinf(node.eae),
-        -node.eae,
-        -node.depth,
-        tuple(ctx.index[c] for c in node.eliminated_suffix),
-        tuple(sorted(ctx.index[c] for c in node.viable)),
-    )
+    return (math.isinf(node.eae), -node.eae, -node.depth, node.order, node.viable_order)
 
 
 def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationResult:
@@ -372,8 +413,8 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
         cheapest node, raises the bound and prunes every waiting node the
         bound covers, in arrival order; False if no assertion closes it."""
         nonlocal lower_bound
-        if not node.is_leaf(ctx.labels):
-            heappush(frontier, (_rank(node, ctx), next(arrivals), node))
+        if not node.is_leaf():
+            heappush(frontier, (_rank(node), next(arrivals), node))
             return True
         branch: list[AltOutcomeNode] = []
         walk: AltOutcomeNode | None = node
@@ -393,7 +434,7 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
             _prune(waiting)
         return True
 
-    complete = all(visit(AltOutcomeNode((), vset, *best_root_assertion(vset, ctx))) for vset in alt_sets)
+    complete = all(visit(AltOutcomeNode.build((), vset, ctx, *best_root_assertion(vset, ctx))) for vset in alt_sets)
     while complete and frontier:
         node = heappop(frontier)[2]
         if node.pruned:

@@ -3,11 +3,14 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 
-from hamilton_rla import ElectionProfile, build_profile
+from hamilton_rla import ElectionProfile, PairwiseDiff, ReportedOutcome, build_profile
+from hamilton_rla.delegates import LEVEL_SLACK, pair_offset
 from hamilton_rla.risk import RiskState, _factors
+from hamilton_rla.tabulation import count_piles
 
 DATA = Path(__file__).parent / "data"
 
@@ -151,3 +154,58 @@ def perturb_profile(profile: ElectionProfile, rng: random.Random) -> ElectionPro
     if not ballots:
         ballots = [([labels[0]], 1)]
     return build_profile(labels, ballots, profile.threshold, profile.delegates, profile.style)
+
+
+def find_violated_assertion(
+    profile: ElectionProfile,
+    alt_allocation: Mapping[str, int],
+    outcome: ReportedOutcome,
+) -> PairwiseDiff | None:
+    """Return an exact-allocation assertion built from ``alt_allocation`` that
+    fails (margin <= 0) on the profile's true ballots, or None when the
+    alternative is in fact the correct allocation ``outcome`` of the profile.
+
+    Any allocation differing from the true largest-remainder result admits
+    such a witness (see the ``hamilton_rla.delegates`` docstring); the
+    search checks every non-vacuous ordered pair on the qualified tallies,
+    exactly.
+    """
+    viable = [c for c in profile.labels if c in outcome.viable]
+    if set(alt_allocation) != set(viable):
+        raise ValueError("alternative allocation must cover exactly the viable set")
+    if sum(alt_allocation.values()) != outcome.delegates:
+        raise ValueError("alternative allocation must award every delegate")
+    if dict(alt_allocation) == dict(outcome.allocation):
+        return None
+
+    witnesses = []
+    for m in viable:
+        for n in viable:
+            d = pair_offset(alt_allocation, outcome.delegates, m, n, LEVEL_SLACK[3])
+            if m != n and d > -1:  # d <= -1 is vacuous, never the witness
+                witnesses.append(PairwiseDiff(m, n, d, outcome.viable))
+    if not witnesses:
+        return None
+    # every witness shares the viable set, hence its classes
+    classes, _ = count_piles(profile, witnesses[0].removed(profile.labels))
+    return next((a for a in witnesses if a.scaled_margin(classes, profile.valid_ballots) <= 0), None)
+
+
+def cyclic_contest(strengths) -> ElectionProfile:
+    """Two first-preference leaders and a ring of minor candidates, each
+    passing its votes to the next one or two in the ring."""
+    labels = [f"c{i}" for i in range(len(strengths))]
+    ring = labels[2:]
+    ballots = []
+    for i, (label, weight) in enumerate(zip(labels, strengths)):
+        if i < 2:
+            ballots.append(([label], weight))
+        else:
+            nxt, nxt2 = ring[(i - 1) % len(ring)], ring[i % len(ring)]
+            ballots.append(([label, nxt, nxt2], weight * 2 // 3))
+            ballots.append(([label, nxt2], weight - weight * 2 // 3))
+    return build_profile(labels, ballots, TAU, 14, "irv")
+
+
+# the benchmark's irv-search contest
+TEN_STRENGTHS = (4400, 3160, 2400, 2200, 2000, 1800, 1700, 1600, 1340, 1100)

@@ -95,6 +95,20 @@ def test_wrong_json_types_exit_2(capsys, tmp_path, command, content):
     assert "error" in err
 
 
+@pytest.mark.parametrize("label", ["Bo|b", " Bob", "Bob ", ""])
+@pytest.mark.parametrize("command", ["tabulate", "generate"])
+def test_roster_label_a_cvr_cell_cannot_hold_exit_2(capsys, tmp_path, command, label):
+    election = tmp_path / "election.json"
+    election.write_text(json.dumps(dict(WELL_TYPED, candidates=["A", label, "C"])))
+    argv = {
+        "tabulate": ["tabulate", "--election", str(election)],
+        "generate": ["generate", "--election", str(election), "--level", "1", "--out", str(tmp_path / "spec.json")],
+    }[command]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert repr(label) in err
+
+
 @pytest.mark.parametrize("command", ["tabulate", "audit init", "audit round"])
 def test_integer_literal_too_long_to_parse_exit_2(capsys, tmp_path, command):
     # json.load raises a plain ValueError for an integer of over 4,300 digits

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import enumerate_allocations, random_plurality_profile
+from conftest import enumerate_allocations, find_violated_assertion, random_plurality_profile
 from hamilton_rla import PairwiseDiff, UnsupportedOutcomeError, build_profile, tabulate
 from hamilton_rla.assertions import margin
-from hamilton_rla.delegates import find_violated_assertion, gen_delegate_assertions
+from hamilton_rla.delegates import gen_delegate_assertions
 from hamilton_rla.viability import AuditContext
 
 

@@ -1,6 +1,8 @@
 """Golden byte-identity test: the SHA-256 of ``generate``'s spec and proof
 log for every ``tests/data`` election at levels 1-3, seeds 1 and 7 and
-error rates 0.002 and 0.02.
+error rates 0.002 and 0.02, and for the ten-candidate cyclic contest
+(``ten_cyclic``, the benchmark's large search) at levels 1 and 3, seed 1
+and error rate 0.002.
 
 A refactor must leave every byte of these outputs unchanged.  A change that
 moves numbers on purpose (normalising margins by the upper bound, or common
@@ -15,19 +17,20 @@ applied.
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
 import pytest
 
-from conftest import DATA
+from conftest import DATA, TEN_STRENGTHS, cyclic_contest
 from hamilton_rla.cli import main
 
 ELECTIONS = ("election_irv", "election_plurality", "election_small")
 CASES = [
     (election, level, seed, rate)
     for election in ELECTIONS for level in (1, 2, 3) for seed in (1, 7) for rate in ("0.002", "0.02")
-]
+] + [("ten_cyclic", level, 1, "0.002") for level in (1, 3)]
 
 # "election/level/seed/error rate": (SHA-256 of the spec, SHA-256 of the proof log)
 GOLDEN = {
@@ -175,13 +178,37 @@ GOLDEN = {
         "a4aa72f08079e07fc183ed0b0fbab4f2b16abf34c97ad1a45aa3c05e937c654a",
         "de377fce6278616621de7ecf66eaf8649487af937e07ee750cacae4b7d76c615",
     ),
+    "ten_cyclic/1/1/0.002": (
+        "032ff8d938b750c765db12522e318a3478bd85ea0f7558e37d02f9a872426206",
+        "1b9b2ecceef1bd4432bcee8a7f26611d80d31be2567929c35b98ca26c1caf720",
+    ),
+    "ten_cyclic/3/1/0.002": (
+        "500897d8fd4fc98de0fb1e458b1a00b28501de22980b86ea2658c4492842e873",
+        "ccb0f5436ef8a3c9028cef245f2e67b0ca53bd52c6ad869612301ef2f5856517",
+    ),
 }
+
+
+def _election_file(election: str, directory: Path) -> Path:
+    """A ``tests/data`` election, or ``ten_cyclic`` written to ``directory``."""
+    if election != "ten_cyclic":
+        return DATA / f"{election}.json"
+    profile = cyclic_contest(TEN_STRENGTHS)
+    path = directory / "ten_cyclic.json"
+    path.write_text(json.dumps({
+        "candidates": list(profile.labels),
+        "threshold": str(profile.threshold),
+        "delegates": profile.delegates,
+        "style": profile.style,
+        "ballots": [{"ranking": list(r), "count": n} for r, n in profile.rankings.items()],
+    }), encoding="utf-8")
+    return path
 
 
 def _generate(election: str, level: int, seed: int, rate: str, directory: Path) -> tuple[str, str]:
     spec, log = directory / "spec.json", directory / "proof.log"
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["generate", "--election", str(DATA / f"{election}.json"), "--level", str(level),
+        code = main(["generate", "--election", str(_election_file(election, directory)), "--level", str(level),
                      "--seed", str(seed), "--error-rate", rate, "--out", str(spec), "--proof-log", str(log)])
     assert code == 0
     return hashlib.sha256(spec.read_bytes()).hexdigest(), hashlib.sha256(log.read_bytes()).hexdigest()

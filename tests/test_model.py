@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,14 @@ def test_plurality_rejects_long_rankings():
 def test_duplicate_roster_label_rejected():
     with pytest.raises(ElectionDataError, match="duplicate"):
         build_profile(["A", "A"], [], "0.15", 2, "plurality")
+
+
+@pytest.mark.parametrize("label", ["Bo|b", " Bob", "Bob ", ""])
+def test_roster_label_a_cvr_cell_cannot_hold_rejected(label):
+    # a CVR cell splits on "|" and strips each label, so it could never
+    # record a ballot for this candidate
+    with pytest.raises(ElectionDataError, match=re.escape(f"candidate label {label!r}")):
+        build_profile(["Ann", label], [(["Ann"], 1)], "0.15", 2, "irv")
 
 
 def test_aggregation_split_lines_equivalent(tmp_path):

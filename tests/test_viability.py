@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import perturb_profile, random_irv_profile
+from conftest import TEN_STRENGTHS, cyclic_contest, perturb_profile, random_irv_profile
 from hamilton_rla import (
     RiskParams,
     UnsupportedOutcomeError,
@@ -223,7 +223,7 @@ def test_best_root_assertion_missing_strong_candidate():
 
 def test_expand_node_children_and_assertions(irv_profile):
     ctx = AuditContext(irv_profile, PARAMS)
-    root = AltOutcomeNode((), frozenset({"Ann"}))
+    root = AltOutcomeNode.build((), frozenset({"Ann"}), ctx)
     children = expand_node(root, ctx)
     assert [c.eliminated_suffix for c in children] == [("Bob",), ("Cal",), ("Dee",)]
     by_last = {c.eliminated_suffix[0]: c for c in children}
@@ -240,9 +240,27 @@ def test_expand_node_leaf_has_no_children():
         ["A", "B"], [(["A"], 60), (["B"], 40)], TAU, 2, "irv"
     )
     ctx = AuditContext(profile, PARAMS)
-    leaf = AltOutcomeNode(("B",), frozenset({"A"}))
-    assert leaf.is_leaf(ctx.labels)
+    leaf = AltOutcomeNode.build(("B",), frozenset({"A"}), ctx)
+    assert leaf.is_leaf()
     assert expand_node(leaf, ctx) == []
+
+
+def test_children_inherit_the_bookkeeping_build_reads_off_the_roster():
+    """``expand_node`` passes each child its unmentioned candidates and
+    order keys; they equal what ``AltOutcomeNode.build`` reads off the
+    roster, here one whose roster order is not the labels' sort order."""
+    cyclic = cyclic_contest(TEN_STRENGTHS[:7])
+    ballots = [(list(r), n) for r, n in cyclic.rankings.items()]
+    profile = build_profile(list(reversed(cyclic.labels)), ballots, TAU, 14, "irv")
+    ctx = AuditContext(profile, PARAMS)
+    layer = [AltOutcomeNode.build((), frozenset({"c1", "c5"}), ctx)]
+    for _ in range(3):
+        layer = [child for node in layer for child in expand_node(node, ctx)]
+        for child in layer:
+            built = AltOutcomeNode.build(child.eliminated_suffix, child.viable, ctx)
+            assert (child.unmentioned, child.order, child.viable_order) == (
+                built.unmentioned, built.order, built.viable_order)
+    assert len(layer) == 5 * 4 * 3
 
 
 def test_irv_beats_option_used_when_viability_fails(irv_profile):
@@ -250,7 +268,7 @@ def test_irv_beats_option_used_when_viability_fails(irv_profile):
     # last two eliminations pinned as Bob then Dee, with Cal gone first:
     # Bob's 15,630 > Dee's 8,378 gives a pairwise assertion even though no
     # candidate assertion is needed here
-    node = AltOutcomeNode(("Dee",), frozenset({"Ann"}))
+    node = AltOutcomeNode.build(("Dee",), frozenset({"Ann"}), ctx)
     children = expand_node(node, ctx)
     bob_child = next(c for c in children if c.eliminated_suffix[0] == "Bob")
     assert bob_child.assertion is not None
@@ -389,28 +407,8 @@ def test_soundness_mini_fuzz():
             )
 
 
-def _cyclic_contest(strengths):
-    """Two first-preference leaders and a ring of minor candidates, each
-    passing its votes to the next one or two in the ring."""
-    labels = [f"c{i}" for i in range(len(strengths))]
-    ring = labels[2:]
-    ballots = []
-    for i, (label, weight) in enumerate(zip(labels, strengths)):
-        if i < 2:
-            ballots.append(([label], weight))
-        else:
-            nxt, nxt2 = ring[(i - 1) % len(ring)], ring[i % len(ring)]
-            ballots.append(([label, nxt, nxt2], weight * 2 // 3))
-            ballots.append(([label, nxt2], weight - weight * 2 // 3))
-    return build_profile(labels, ballots, TAU, 14, "irv")
-
-
 def _nine_candidate_cyclic():
-    return _cyclic_contest((4400, 3160, 2400, 2200, 2000, 1800, 1600, 1340, 1100))
-
-
-# the benchmark's irv-search contest
-TEN_STRENGTHS = (4400, 3160, 2400, 2200, 2000, 1800, 1700, 1600, 1340, 1100)
+    return cyclic_contest((4400, 3160, 2400, 2200, 2000, 1800, 1600, 1340, 1100))
 
 
 def test_nine_candidate_search_under_budget():
@@ -494,6 +492,38 @@ def test_cheapest_matches_min_on_random_costs():
         assert len(costs.simulated) == (pick is not None)
 
 
+def test_move_picks_what_max_over_every_option_picks(monkeypatch):
+    """``move`` hands ``_cheapest`` only the ``Viable`` and one ``IrvWins``.
+    The larger margin of the two must be the option ``max`` picks from the
+    full list (the ``Viable``, then an ``IrvWins`` per standing candidate in
+    roster order), ties included, and the move must be what ``_cheapest``
+    makes of the full list.  Small piles make ties common."""
+    handed = []
+    monkeypatch.setattr(viability, "_cheapest", lambda options, ctx: handed.append(options) or _cheapest(options, ctx))
+    rng = random.Random(15)
+    least_ties = viable_ties = 0
+    for _ in range(2000):
+        labels = rng.sample("ABCDEF", rng.randint(2, 6))
+        tau = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), TAU])
+        piles = [rng.randint(0, 6) for _ in labels]
+        if not any(piles):
+            piles[0] = 1
+        ballots = [([c], n) for c, n in zip(labels, piles)] + [([], rng.randint(0, 2))]
+        ctx = AuditContext(build_profile(labels, ballots, tau, 1, "irv"), RiskParams(error_rate=0.0, trials=5))
+        cand = rng.choice(labels)
+        rest = frozenset(c for c in labels if c != cand and rng.random() < 0.3)
+        full = [Viable(cand, rest, tau)] + [IrvWins(cand, c, rest) for c in labels if c != cand and c not in rest]
+        want = max(full, key=ctx._margin)
+        handed.clear()
+        assert ctx.move(cand, rest) == _cheapest(full, ctx)
+        assert max(handed[0], key=ctx._margin) == want
+        best, irv_margins = ctx._margin(want), [ctx._margin(option) for option in full[1:]]
+        least_ties += want is not full[0] and irv_margins.count(best) > 1
+        viable_ties += want is full[0] and best in irv_margins
+    # both tie kinds are exercised, so their rules are tested
+    assert least_ties > 50 and viable_ties > 50
+
+
 def _tie_heavy_contest(rng):
     """A small ring contest at threshold 1/4 whose candidates hold a few
     equal first-preference piles, some passing part of their votes on.
@@ -556,17 +586,19 @@ def _root_options(vset, ctx):
 def _expand_with(pick, standing_order):
     """``expand_node`` with each child's own option list (the ``Viable``,
     then an ``IrvWins`` per standing candidate in ``standing_order(node,
-    ctx)``) handed to ``pick``."""
+    ctx)``) handed to ``pick``; each child is built by
+    ``AltOutcomeNode.build``, its bookkeeping read off the roster rather
+    than inherited."""
 
     def expand(node, ctx):
-        unmentioned = node.unmentioned(ctx.labels)
         standing = standing_order(node, ctx)
         children = []
-        for cand in unmentioned:
-            rest = frozenset(unmentioned) - {cand}
+        for cand in node.unmentioned:
+            rest = frozenset(node.unmentioned) - {cand}
             options = [Viable(cand, rest, ctx.threshold)] + [IrvWins(cand, other, rest) for other in standing]
             assertion, eae = pick(options, ctx)
-            child = AltOutcomeNode((cand,) + node.eliminated_suffix, node.viable, assertion, eae, node)
+            child = AltOutcomeNode.build((cand,) + node.eliminated_suffix, node.viable, ctx, assertion, eae)
+            child.parent = node
             node.children.append(child)
             children.append(child)
         return children
@@ -664,7 +696,7 @@ def test_one_simulation_per_distinct_margin(contest, monkeypatch):
     if contest == "election_irv":
         profile = load_election(DATA / "election_irv.json")
     else:
-        profile = _cyclic_contest(TEN_STRENGTHS)
+        profile = cyclic_contest(TEN_STRENGTHS)
     specs = build_audit_specs(profile, tabulate(profile), (1, 2, 3), RiskParams(seed=1))
     assert len(simulated) == len(set(simulated))
     for spec, _ in specs.values():
