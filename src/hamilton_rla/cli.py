@@ -202,7 +202,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     text = [f"candidates: {len(profile.labels)}  ballots: {profile.total_ballots}"]
     specs = [spec for spec, _ in viability.build_audit_specs(profile, outcome, (1, 2, 3), params).values()]
     for spec in specs:
-        overall = math.inf if spec.status == STATUS_FULL_COUNT else risk.estimate_audit_asn(spec)
+        overall = risk.estimate_audit_asn(spec)
         levels[str(spec.level)] = {
             "status": spec.status,
             "assertions": len(spec.entries),

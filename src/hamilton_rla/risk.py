@@ -259,7 +259,10 @@ def estimate_asn(margin: float | Fraction, params: RiskParams, population: int) 
 
 def estimate_audit_asn(spec: "AuditSpec") -> float:
     """Overall expected draws: the largest estimate stored in the spec, since
-    every drawn ballot is scored against every assertion."""
+    every drawn ballot is scored against every assertion; a full count
+    (``FULL_COUNT``) when the spec's status says one is required."""
+    if spec.status == STATUS_FULL_COUNT:
+        return FULL_COUNT
     return max((entry.eae for entry in spec.entries), default=0)
 
 

@@ -45,15 +45,18 @@ weighs just that one against the ``Viable``.
 A node carries its bookkeeping: the candidates still unmentioned, in
 roster order, and its frontier tie keys.  Roots read them off the roster
 once per viable set; each child takes them from its parent, so no search
-step rescans the roster.
+step rescans the roster.  Links run one way, from child to parent: a node
+is closed when it or an ancestor is pruned, and a branch the search has
+finished with is freed as soon as nothing queued descends from it.
 
 The frontier is a heap ranked once per node, when it is queued: highest
 finite estimated effort first, unresolved (infinite) nodes last, then
-deeper nodes, then roster order.  A pruned node is dropped when it
-reaches the top.  Each leaf closes its branch at the branch's cheapest
-node and raises the lower bound; the bound then prunes the waiting nodes
-it covers in the order they were queued, which fixes the order of spec
-entries and proof-log lines.
+deeper nodes, then roster order.  A closed node is dropped when it
+reaches the top.  A node with k unmentioned candidates has k children,
+so a leaf is always its parent's only child.  Each leaf closes its
+branch at the branch's cheapest node and raises the lower bound; the
+bound then prunes the waiting nodes it covers in the order they were
+queued, which fixes the order of spec entries and proof-log lines.
 
 When ``W`` is empty one more alternative is reachable: every candidate
 eliminated and nobody viable.  That outcome is enumerated as an extra
@@ -62,11 +65,11 @@ tree (empty viable set) so a complete specification excludes it too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, count
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .assertions import (
     Assertion,
@@ -160,20 +163,17 @@ class AuditContext:
         Everyone outside ``rest`` and ``cand`` is standing, so the options
         are ``Viable(cand, rest)``, then ``IrvWins(cand, other, rest)`` for
         each standing ``other`` in roster order.  Every ``IrvWins`` shares
-        the piles after ``rest`` and scores ``2 * (pile[cand] - pile[other])``
-        over ``2 * total``, so only the first of those with the largest
-        float margin can be picked: ``_cheapest`` weighs it against the
-        ``Viable``.
+        the piles after ``rest`` and its margin falls as ``pile[other]``
+        grows, so only the first over the least standing pile can be
+        picked: ``_cheapest`` weighs it against the ``Viable``.
         """
         key = (cand, rest)
         cached = self._moves.get(key)
         if cached is None:
             options: list[Assertion] = [Viable(cand, rest, self.threshold)]
             piles = self.piles(rest)  # the standing candidates, in roster order
-            won, scale = piles[cand], IrvWins.scale * self.total
-            standing = [c for c in piles if c != cand]
-            if standing:
-                loser = max(standing, key=lambda c: 2 * (won - piles[c]) / scale)
+            loser = min((c for c in piles if c != cand), key=piles.__getitem__, default=None)
+            if loser is not None:
                 options.append(IrvWins(cand, loser, rest))
             cached = self._moves[key] = _cheapest(options, self)
         return cached
@@ -243,7 +243,9 @@ class AltOutcomeNode:
     some order, beforehand.  ``order`` holds the roster indices of the
     suffix and ``viable_order`` the sorted roster indices of the viable
     set: the frontier's tie keys.  ``build`` derives the bookkeeping from
-    the roster; ``expand_node`` passes it down to each child.
+    the roster; ``expand_node`` passes it down to each child.  A node links
+    only to its ``parent``; ``pruned`` marks the node whose assertion
+    closes it, and ``closed`` reads that mark off the node's ``branch``.
     """
 
     eliminated_suffix: tuple[str, ...]
@@ -254,7 +256,6 @@ class AltOutcomeNode:
     assertion: Assertion | None = None
     eae: float = math.inf
     parent: "AltOutcomeNode | None" = None
-    children: list["AltOutcomeNode"] = field(default_factory=list, repr=False)
     pruned: bool = False
 
     @classmethod
@@ -284,6 +285,17 @@ class AltOutcomeNode:
 
     def is_leaf(self) -> bool:
         return not self.unmentioned
+
+    def branch(self) -> Iterator["AltOutcomeNode"]:
+        """This node, then each ancestor up to its root."""
+        node: AltOutcomeNode | None = self
+        while node is not None:
+            yield node
+            node = node.parent
+
+    def closed(self) -> bool:
+        """Whether an emitted assertion covers this node: it or an ancestor is pruned."""
+        return any(n.pruned for n in self.branch())
 
     def describe(self) -> str:
         tail = " -> ".join(self.eliminated_suffix) if self.eliminated_suffix else "(any order)"
@@ -335,7 +347,7 @@ def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]
     for i, cand in enumerate(unmentioned):
         rest = unmentioned[:i] + unmentioned[i + 1:]
         assertion, eae = ctx.move(cand, frozenset(rest))
-        child = AltOutcomeNode(
+        children.append(AltOutcomeNode(
             (cand,) + node.eliminated_suffix,
             node.viable,
             rest,
@@ -344,9 +356,7 @@ def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]
             assertion,
             eae,
             node,
-        )
-        node.children.append(child)
-        children.append(child)
+        ))
     return children
 
 
@@ -355,13 +365,6 @@ class GenerationResult:
     entries: tuple[SpecEntry, ...]
     status: str
     proof_log: tuple[str, ...]
-
-
-def _prune(node: AltOutcomeNode) -> None:
-    node.pruned = True
-    for child in node.children:
-        if not child.pruned:
-            _prune(child)
 
 
 def _rank(node: AltOutcomeNode) -> tuple:
@@ -397,7 +400,7 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
         alt_sets.append(frozenset())
 
     lower_bound = 0.0
-    # (rank, arrival, node); pruned nodes stay until they reach the top
+    # (rank, arrival, node); closed nodes stay until they reach the top
     frontier: list[tuple[tuple, int, AltOutcomeNode]] = []
     arrivals = count()
 
@@ -416,35 +419,24 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
         if not node.is_leaf():
             heappush(frontier, (_rank(node), next(arrivals), node))
             return True
-        branch: list[AltOutcomeNode] = []
-        walk: AltOutcomeNode | None = node
-        while walk is not None:
-            branch.append(walk)
-            walk = walk.parent
-        best = min(branch, key=lambda n: (n.eae, n.depth))
+        best = min(node.branch(), key=lambda n: (n.eae, n.depth))
         if math.isinf(best.eae):
             log.append(f"FAIL: no assertion invalidates branch {node.describe()}")
             return False
         add_assertion(best, "branch")
         lower_bound = max(lower_bound, best.eae)
-        _prune(best)
-        covered = [(arrival, n) for _, arrival, n in frontier if not n.pruned and n.eae <= lower_bound]
+        best.pruned = True
+        covered = [(arrival, n) for _, arrival, n in frontier if n.eae <= lower_bound and not n.closed()]
         for _, waiting in sorted(covered):
             add_assertion(waiting, f"bound {lower_bound}")
-            _prune(waiting)
+            waiting.pruned = True
         return True
 
     complete = all(visit(AltOutcomeNode.build((), vset, ctx, *best_root_assertion(vset, ctx))) for vset in alt_sets)
     while complete and frontier:
         node = heappop(frontier)[2]
-        if node.pruned:
-            continue
-        for child in expand_node(node, ctx):
-            if node.pruned:
-                break
-            if not visit(child):
-                complete = False
-                break
+        if not node.closed():
+            complete = all(visit(child) for child in expand_node(node, ctx))
 
     status = STATUS_COMPLETE if complete else STATUS_FULL_COUNT
     ordered = tuple(entries.values())

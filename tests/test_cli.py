@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 import time
 import tracemalloc
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, count_pairs, km_step
+from conftest import DATA, count_pairs, km_step, random_irv_profile
 from hamilton_rla import load_audit_spec, load_cvrs, read_manifest, viability
 from hamilton_rla.assertions import describe
 from hamilton_rla.cli import _state_checksum, main
@@ -421,6 +422,27 @@ def test_generate_full_count_exit_4_spec_still_written(capsys, tmp_path):
     payload = json.loads(spec.read_text())
     assert payload["status"] == "requires-full-count"
     assert any(a["eae"] is None for a in payload["assertions"])
+
+
+def test_generate_full_count_shows_no_overall_draws(capsys, tmp_path):
+    """A search that fails on one branch needs a full count, even when every
+    assertion it did emit has a finite estimate (40 draws at most here), so
+    the table's overall line shows the dash, as ``estimate`` does."""
+    profile = random_irv_profile(random.Random(52))
+    election = tmp_path / "seed52.json"
+    election.write_text(json.dumps({
+        "candidates": list(profile.labels),
+        "threshold": str(profile.threshold),
+        "delegates": profile.delegates,
+        "style": profile.style,
+        "ballots": [{"ranking": list(r), "count": n} for r, n in profile.rankings.items()],
+    }))
+    code, out, _ = run(capsys, "generate", "--election", str(election), "--level", "1", "--seed", "52",
+                       "--out", str(tmp_path / "spec.json"))
+    assert code == 4
+    assert "status requires-full-count" in out
+    assert "  eae     40  " in out
+    assert "overall expected draws: --\n" in out
 
 
 def test_generate_deterministic_bytes(capsys, tmp_path):

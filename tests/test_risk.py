@@ -213,6 +213,16 @@ def test_estimate_audit_asn_zero_margin_sentinel():
     assert math.isinf(estimate_audit_asn(spec))
 
 
+def test_estimate_audit_asn_full_count_status():
+    """A spec whose search found no assertion for some branch needs a full
+    count, however small the estimates of the assertions it does list."""
+    from hamilton_rla import AuditSpec, SpecEntry
+
+    entry = SpecEntry(Viable("Ann", frozenset(), TAU), Fraction(1, 2), 28)
+    spec = AuditSpec((entry,), 1, "requires-full-count", 1000, RiskParams(seed=1))
+    assert math.isinf(estimate_audit_asn(spec))
+
+
 def test_single_assertion_spec_asn_is_that_assertion():
     """The overall estimate is the spec's stored per-assertion estimate, not a
     fresh simulation (which gives 12 for this margin)."""
