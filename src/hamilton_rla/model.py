@@ -66,7 +66,10 @@ class ElectionProfile:
     Immutable after construction; safe to share.  ``labels`` is the roster
     in order; ``rankings`` maps each distinct ranking (a tuple of labels,
     possibly empty = blank) to its ballot count, in first-seen order.
-    ``ranking_tree`` is derived from ``rankings`` once and cached.
+    ``total_ballots``, ``valid_ballots`` and the root of ``ranking_tree``
+    are derived from ``rankings`` once and cached; the tree's inner nodes
+    grow as tallies walk down to them, and a node grown twice comes out
+    the same, so sharing stays safe.
     """
 
     labels: tuple[str, ...]
@@ -75,44 +78,29 @@ class ElectionProfile:
     delegates: int
     style: str
 
-    @property
+    @cached_property
     def total_ballots(self) -> int:
         return sum(self.rankings.values())
 
-    @property
+    @cached_property
     def valid_ballots(self) -> int:
         """Ballots with at least one choice in the contest."""
         return sum(n for r, n in self.rankings.items() if r)
 
     @cached_property
     def ranking_tree(self) -> list:
-        """The non-blank rankings as a prefix tree, built on first use.
+        """The root of the non-blank rankings' prefix tree.
 
-        A node is a list ``[through, ended, children]``: the ballots whose
-        ranking passes through the node, the ballots whose ranking ends at
-        it, and a dict from label to child node (None at a leaf).  The root
-        is the empty prefix; blank rankings are left out of the tree.
+        A node is a list ``[through, ended, children, pending]``: the
+        ballots whose ranking passes through the node, the ballots whose
+        ranking ends at it, a dict from label to child node, and the
+        ``(ranking, count)`` pairs through it.  A node is *pending* until
+        a tally first walks down it (``tabulation.count_piles``): until
+        then ``ended`` is 0 and ``children`` None; afterwards ``pending``
+        is None.  The root is the empty prefix; blank rankings are left
+        out of the tree.
         """
-        root: list = [0, 0, None]
-        for ranking, count in self.rankings.items():
-            if not ranking:
-                continue
-            root[0] += count
-            node = root
-            for label in ranking:
-                children = node[2]
-                if children is None:
-                    child = [count, 0, None]
-                    node[2] = {label: child}
-                else:
-                    child = children.get(label)
-                    if child is None:
-                        child = children[label] = [count, 0, None]
-                    else:
-                        child[0] += count
-                node = child
-            node[1] += count
-        return root
+        return [self.valid_ballots, 0, None, [(r, n) for r, n in self.rankings.items() if r]]
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ that fixed denominator.  Instant-runoff rounds repeatedly eliminate the
 lowest pile until every standing candidate clears the cutoff.
 
 Piles are tallied through the profile's prefix tree of rankings
-(``ElectionProfile.ranking_tree``, built once per profile): a count
-descends only through eliminated labels, so its work is the number of
-eliminated prefixes present, not the number of distinct rankings.
+(``ElectionProfile.ranking_tree``), which grows on demand: a count
+descends only through eliminated labels, and the first count to walk
+down a node builds that node's children from the rankings through it.
+Tallying thus touches only the rankings below eliminated prefixes, and
+a grown node is kept for the profile's later counts.
 
 Delegates are then awarded to viable candidates by the largest-remainder
 rule: each candidate ``c`` gets ``floor(q_c)`` delegates from quota
@@ -68,26 +70,55 @@ def top_remaining(ranking: Ranking, eliminated: frozenset[str] | set[str]) -> st
     return None
 
 
+def _grow(node: list, depth: int, pending: list) -> None:
+    """Build a pending node's ``ended`` count and children from ``pending``,
+    the pairs whose rankings pass through it ``depth`` labels deep.
+
+    Each child starts pending with its own pairs.  The results go to
+    locals and are stored before ``pending`` is dropped, so a node grown
+    twice (by tallies racing on a shared profile) ends up the same.
+    """
+    ended = 0
+    children: dict[str, list] = {}
+    for pair in pending:
+        ranking, count = pair
+        if len(ranking) == depth:
+            ended += count
+            continue
+        label = ranking[depth]
+        child = children.get(label)
+        if child is None:
+            children[label] = [count, 0, None, [pair]]
+        else:
+            child[0] += count
+            child[3].append(pair)
+    node[1] = ended
+    node[2] = children
+    node[3] = None
+
+
 def count_piles(
     profile: ElectionProfile, eliminated: frozenset[str] | set[str]
 ) -> tuple[dict[str, int], int]:
     """Pile sizes for standing candidates plus the exhausted (non-blank) count.
 
-    Walks the profile's ranking tree through eliminated labels only: every
-    ballot below a standing child tops that child's pile, and a ballot
-    whose ranking ends on an eliminated prefix is exhausted.
+    Walks the profile's ranking tree through eliminated labels only,
+    growing each pending node it walks down: every ballot below a standing
+    child tops that child's pile, and a ballot whose ranking ends on an
+    eliminated prefix is exhausted.
     """
     piles = {label: 0 for label in profile.labels if label not in eliminated}
     exhausted = 0
-    stack = [profile.ranking_tree]
+    stack = [(profile.ranking_tree, 0)]
     while stack:
-        _, ended, children = stack.pop()
-        exhausted += ended
-        if children is None:
-            continue
-        for label, child in children.items():
+        node, depth = stack.pop()
+        pending = node[3]
+        if pending is not None:
+            _grow(node, depth, pending)
+        exhausted += node[1]
+        for label, child in node[2].items():
             if label in eliminated:
-                stack.append(child)
+                stack.append((child, depth + 1))
             else:
                 piles[label] += child[0]
     return piles, exhausted

@@ -135,8 +135,10 @@ class AuditContext:
     def _scaled_margin(self, assertion: Assertion) -> int:
         return assertion.scaled_margin(self.piles(assertion.removed(self.labels)), self.valid)
 
-    def _margin(self, assertion: Assertion) -> float:
-        return self._scaled_margin(assertion) / (self.total * assertion.scale)
+    def _margins(self, assertion: Assertion) -> tuple[int, float]:
+        """The integer margin and the float margin it gives."""
+        scaled = self._scaled_margin(assertion)
+        return scaled, scaled / (self.total * assertion.scale)
 
     def holds(self, assertion: Assertion) -> bool:
         """Exact margin-positivity test via integer tallies."""
@@ -148,7 +150,9 @@ class AuditContext:
 
     def eae(self, assertion: Assertion) -> float:
         """The estimated sample size, simulated once per distinct margin."""
-        margin = self._margin(assertion)
+        return self._effort(self._margins(assertion)[1])
+
+    def _effort(self, margin: float) -> float:
         cached = self._eae.get(margin)
         if cached is None:
             cached = estimate_asn(margin, self.params, self.total)
@@ -179,7 +183,8 @@ class AuditContext:
         return cached
 
     def entry(self, assertion: Assertion) -> SpecEntry:
-        return SpecEntry(assertion, self.exact_margin(assertion), self.eae(assertion))
+        scaled, margin = self._margins(assertion)
+        return SpecEntry(assertion, Fraction(scaled, self.total * assertion.scale), self._effort(margin))
 
 
 def compute_W_L(ctx: AuditContext) -> tuple[frozenset[str], frozenset[str], tuple[SpecEntry, ...]]:
@@ -308,12 +313,18 @@ def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[Assertio
     ``eae``; ``(None, inf)`` when it does not hold or there is no option.
 
     ``eae`` never rises with the margin, so no other option is cheaper,
-    and only the pick is simulated.
+    and only the pick is simulated.  Each option's margins are computed
+    once: the pick's integer margin says whether it holds, and its float
+    margin gives the estimate.
     """
-    best = max(options, key=ctx._margin, default=None)
-    if best is None or not ctx.holds(best):
+    best, scaled, margin = None, 0, -math.inf
+    for option in options:
+        option_scaled, option_margin = ctx._margins(option)
+        if option_margin > margin:
+            best, scaled, margin = option, option_scaled, option_margin
+    if best is None or scaled <= 0:
         return None, math.inf
-    return best, ctx.eae(best)
+    return best, ctx._effort(margin)
 
 
 def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assertion | None, float]:

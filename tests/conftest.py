@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Mapping
 
@@ -10,7 +11,7 @@ import pytest
 from hamilton_rla import ElectionProfile, PairwiseDiff, ReportedOutcome, build_profile
 from hamilton_rla.delegates import LEVEL_SLACK, pair_offset
 from hamilton_rla.risk import RiskState, _factors
-from hamilton_rla.tabulation import count_piles
+from hamilton_rla.tabulation import count_piles, top_remaining
 
 DATA = Path(__file__).parent / "data"
 
@@ -110,6 +111,35 @@ def random_irv_profile(
     if rng.random() < 0.2:
         ballots.append(([], rng.randint(1, 10)))
     return build_profile(labels, ballots, threshold, delegates or rng.randint(1, 8), "irv")
+
+
+def scan_piles(profile: ElectionProfile, eliminated) -> tuple[dict[str, int], int]:
+    """The reference tally: each non-blank ranking's top standing choice."""
+    piles = {c: 0 for c in profile.labels if c not in eliminated}
+    exhausted = 0
+    for ranking, count in profile.rankings.items():
+        if not ranking:
+            continue
+        top = top_remaining(ranking, eliminated)
+        if top is None:
+            exhausted += count
+        else:
+            piles[top] += count
+    return piles, exhausted
+
+
+def elimination_sets(labels) -> list[frozenset[str]]:
+    """Every subset of ``labels``, in ascending size."""
+    return [frozenset(c) for size in range(len(labels) + 1) for c in combinations(labels, size)]
+
+
+def assert_tallies_match_scan(profile: ElectionProfile, sets) -> None:
+    """``count_piles`` equals ``scan_piles``, pile order included, on each set."""
+    for eliminated in sets:
+        piles, exhausted = count_piles(profile, eliminated)
+        expected_piles, expected_exhausted = scan_piles(profile, eliminated)
+        assert list(piles.items()) == list(expected_piles.items()), eliminated
+        assert exhausted == expected_exhausted, eliminated
 
 
 def enumerate_allocations(viable, delegates: int):

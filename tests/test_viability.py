@@ -470,52 +470,57 @@ def test_nine_candidate_search_under_budget():
         assert ctx.holds(entry.assertion)
 
 
+def ctx_margin(ctx):
+    """The float margin ``ctx`` gives an assertion."""
+    return lambda assertion: ctx._margins(assertion)[1]
+
+
 class _Costs:
-    """Stand-in for AuditContext in ``_cheapest``: fixed margins and
-    estimates (never rising with the margin), a positive margin holding,
-    recording which options were simulated."""
+    """Stand-in for AuditContext in ``_cheapest``: fixed margins per option
+    (the integer margin, whose sign is ``holds``, is a thousand times the
+    margin) and estimates per margin (never rising with it), recording
+    which options were scored and which margins were simulated."""
 
     def __init__(self, margins, eaes):
-        self.margins, self.eaes, self.simulated = margins, eaes, []
+        self.margins, self.eaes, self.scored, self.simulated = margins, eaes, [], []
 
-    def _margin(self, option):
-        return self.margins[option]
+    def _margins(self, option):
+        self.scored.append(option)
+        return round(1000 * self.margins[option]), self.margins[option]
 
-    def holds(self, option):
-        return self.margins[option] > 0
-
-    def eae(self, option):
-        self.simulated.append(option)
-        return self.eaes[option]
+    def _effort(self, margin):
+        self.simulated.append(margin)
+        return self.eaes[margin]
 
 
 def test_cheapest_ties_go_to_the_first_option():
-    costs = _Costs({"x": 0.1, "y": 0.1}, {"x": 7, "y": 7})
+    costs = _Costs({"x": 0.1, "y": 0.1}, {0.1: 7})
     assert _cheapest(["x", "y"], costs) == ("x", 7)
     assert _cheapest(["y", "x"], costs) == ("y", 7)
     # the first of the largest margins, wherever it sits in the list
-    costs = _Costs({"a": 0.1, "b": 0.3, "c": 0.3}, {"a": 5, "b": 5, "c": 5})
+    costs = _Costs({"a": 0.1, "b": 0.3, "c": 0.3}, {0.1: 5, 0.3: 5})
     assert _cheapest(["a", "c", "b"], costs) == ("c", 5)
 
 
 def test_cheapest_all_infinite_and_empty():
-    costs = _Costs({"x": 0.3, "y": 0.1, "z": 0.1}, dict.fromkeys("xyz", math.inf))
+    costs = _Costs({"x": 0.3, "y": 0.1, "z": 0.1}, {0.3: math.inf, 0.1: math.inf})
     assert _cheapest(["x", "y", "z"], costs) == ("x", math.inf)
     # a pick that does not hold leaves nothing that does: none is simulated
-    costs = _Costs({"x": 0.0, "y": -0.1}, {"x": math.inf, "y": math.inf})
+    costs = _Costs({"x": 0.0, "y": -0.1}, {})
     assert _cheapest(["y", "x"], costs) == (None, math.inf)
     assert _cheapest([], costs) == (None, math.inf)
     assert costs.simulated == []
 
 
 def test_cheapest_simulates_only_the_largest_margin():
-    costs = _Costs({"x": 0.2, "y": 0.3, "z": 0.1}, {"x": 9, "y": 8, "z": 12})
+    costs = _Costs({"x": 0.2, "y": 0.3, "z": 0.1}, {0.2: 9, 0.3: 8, 0.1: 12})
     assert _cheapest(["x", "y", "z"], costs) == ("y", 8)
-    assert costs.simulated == ["y"]
+    assert costs.simulated == [0.3]
+    assert costs.scored == ["x", "y", "z"]  # each option's margins once
     # options tied with the pick are not simulated either
-    costs = _Costs({"x": 0.2, "y": 0.3, "z": 0.1, "w": 0.05}, {"x": 8, "y": 8, "z": 9, "w": 9})
+    costs = _Costs({"x": 0.2, "y": 0.3, "z": 0.1, "w": 0.05}, {0.2: 8, 0.3: 8, 0.1: 9, 0.05: 9})
     assert _cheapest(["x", "y", "z", "w"], costs) == ("y", 8)
-    assert costs.simulated == ["y"]
+    assert costs.simulated == [0.3]
 
 
 def test_cheapest_matches_min_on_random_costs():
@@ -525,9 +530,9 @@ def test_cheapest_matches_min_on_random_costs():
         margins = {o: rng.randint(-1, 6) / 10 for o in options}
         # estimates by margin, never rising with it; a margin of 0 or less does not hold
         by_margin = sorted((rng.choice([1, 2, 3, 5, 8, math.inf]) for _ in range(6)), reverse=True)
-        eaes = {o: by_margin[round(10 * margins[o]) - 1] if margins[o] > 0 else math.inf for o in options}
+        eaes = {m: by_margin[round(10 * m) - 1] if m > 0 else math.inf for m in margins.values()}
         costs = _Costs(margins, eaes)
-        least = min(eaes.values(), default=math.inf)
+        least = min((eaes[margins[o]] for o in options), default=math.inf)
         pick, eae = _cheapest(options, costs)
         assert eae == least
         assert (pick is None) == all(m <= 0 for m in margins.values())
@@ -556,11 +561,11 @@ def test_move_picks_what_max_over_every_option_picks(monkeypatch):
         cand = rng.choice(labels)
         rest = frozenset(c for c in labels if c != cand and rng.random() < 0.3)
         full = [Viable(cand, rest, tau)] + [IrvWins(cand, c, rest) for c in labels if c != cand and c not in rest]
-        want = max(full, key=ctx._margin)
+        want = max(full, key=ctx_margin(ctx))
         handed.clear()
         assert ctx.move(cand, rest) == _cheapest(full, ctx)
-        assert max(handed[0], key=ctx._margin) == want
-        best, irv_margins = ctx._margin(want), [ctx._margin(option) for option in full[1:]]
+        assert max(handed[0], key=ctx_margin(ctx)) == want
+        best, irv_margins = ctx_margin(ctx)(want), list(map(ctx_margin(ctx), full[1:]))
         least_ties += want is not full[0] and irv_margins.count(best) > 1
         viable_ties += want is full[0] and best in irv_margins
     # both tie kinds are exercised, so their rules are tested
@@ -610,7 +615,7 @@ def _full_scan_min(options, ctx):
 
 def _eager_min(options, ctx):
     """Every holding option simulated, and ``min`` by ``(eae, -margin, index)``."""
-    holding = [(ctx.eae(a), -ctx._margin(a), i, a) for i, a in enumerate(options) if ctx.holds(a)]
+    holding = [(ctx.eae(a), -ctx_margin(ctx)(a), i, a) for i, a in enumerate(options) if ctx.holds(a)]
     if not holding:
         return None, math.inf
     eae, _, _, best = min(holding, key=lambda t: t[:3])
