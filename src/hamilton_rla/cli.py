@@ -58,12 +58,15 @@ STATE_SCHEMA_VERSION = 3
 
 
 def _risk_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.05, help="risk limit (default 0.05)")
-    parser.add_argument("--gamma", type=float, default=1.1, help="inflation factor (default 1.1)")
+    parser.add_argument("--alpha", type=float, default=RiskParams.alpha, help="risk limit (default %(default)s)")
+    parser.add_argument("--gamma", type=float, default=RiskParams.gamma, help="inflation factor (default %(default)s)")
     parser.add_argument(
-        "--error-rate", type=float, default=0.002, help="simulated overstatement rate (default 0.002)"
+        "--error-rate",
+        type=float,
+        default=RiskParams.error_rate,
+        help="simulated overstatement rate (default %(default)s)",
     )
-    parser.add_argument("--trials", type=int, default=20, help="simulation trials (default 20)")
+    parser.add_argument("--trials", type=int, default=RiskParams.trials, help="simulation trials (default %(default)s)")
     parser.add_argument("--seed", type=int, default=None, help="PRNG seed (generated and printed if absent)")
 
 

@@ -61,7 +61,6 @@ class SkippedPair:
 class DelegateAssertionSet:
     assertions: tuple[PairwiseDiff, ...]
     skipped: tuple[SkippedPair, ...]
-    tie_flag: bool
 
 
 def pair_offset(allocation: Mapping[str, int], delegates: int, m: str, n: str, slack: int) -> Fraction:
@@ -72,9 +71,8 @@ def gen_delegate_assertions(outcome: ReportedOutcome, level: int) -> DelegateAss
     """Both orderings of every viable pair, at the level's slack.
 
     With a single viable candidate the allocation is forced and the set is
-    empty.  ``tie_flag`` is propagated from the allocation: an exact
-    remainder tie at the award boundary makes some margin zero, which
-    forces a full count downstream.
+    empty.  An exact remainder tie at the award boundary (the outcome's
+    ``tie_flag``) makes some margin zero, which forces a full count.
     """
     if level not in LEVEL_SLACK:
         raise ValueError(f"delegate assertions exist only for levels {sorted(LEVEL_SLACK)}")
@@ -91,5 +89,5 @@ def gen_delegate_assertions(outcome: ReportedOutcome, level: int) -> DelegateAss
                 skipped.append(SkippedPair(m, n, d, "vacuous: holds for any qualified proportions"))
                 continue
             assertions.append(PairwiseDiff(m, n, d, outcome.viable))
-    return DelegateAssertionSet(tuple(assertions), tuple(skipped), outcome.tie_flag)
+    return DelegateAssertionSet(tuple(assertions), tuple(skipped))
 

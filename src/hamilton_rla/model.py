@@ -160,10 +160,6 @@ class AuditSpec:
     params: RiskParams
     schema_version: int = SPEC_SCHEMA_VERSION
 
-    @property
-    def assertions(self) -> tuple[Assertion, ...]:
-        return tuple(e.assertion for e in self.entries)
-
 
 # A rational string ("3/20") or a plain decimal one ("0.15"), never an
 # exponent: Fraction expands "1e-10000000" digit by digit, for seconds.

@@ -201,7 +201,7 @@ def _shared_trials(seed: int, error_rate: float, trials: int) -> tuple[_ErrorGap
 
 
 def _trial_draws(margin: float, params: RiskParams, population: int, gaps: _ErrorGaps) -> float:
-    """Length of one simulated audit: draws until p <= alpha or the ballots run out.
+    """Length of one simulated audit: draws until p <= alpha or the ballots (at least one) run out.
 
     Equivalent to drawing ballots one at a time with per-draw error
     probability ``error_rate``, but skips between error positions
@@ -209,7 +209,7 @@ def _trial_draws(margin: float, params: RiskParams, population: int, gaps: _Erro
     """
     clean, over, _ = _factors(margin, params.gamma)
     if clean <= 0.0:
-        return 1 if population >= 1 else FULL_COUNT
+        return 1
     if clean == 1.0:  # a margin below float resolution: no draw lowers p
         return FULL_COUNT
     log_clean = math.log(clean)
@@ -246,9 +246,7 @@ def _trial_draws(margin: float, params: RiskParams, population: int, gaps: _Erro
 
 def estimate_asn(margin: float | Fraction, params: RiskParams, population: int) -> float:
     """Median simulated sample size for one assertion; inf if unauditable."""
-    if margin <= 0:
-        return FULL_COUNT
-    if population < 1:
+    if margin <= 0 or population < 1:
         return FULL_COUNT
     m = float(margin)
     trials = _shared_trials(params.seed, params.error_rate, params.trials)

@@ -25,8 +25,10 @@ with everyone else gone, or an outsider whose first preferences alone
 make them viable).  A branch-and-bound search over these trees picks a
 cheap assertion per branch, pruning whole subtrees and any frontier node
 whose best assertion costs no more than the current lower bound on audit
-effort.  If some complete branch admits no assertion at all, no audit
-short of a full manual count certifies the outcome.
+effort.  The search is ``closed`` when every alternative outcome got an
+assertion.  If it is not, or an entry or the delegate allocation cannot
+be audited, ``build_audit_specs`` rules that no audit short of a full
+manual count certifies the outcome.
 
 Each branch gets the assertion of largest margin among its options, and
 only that one is simulated: an estimate depends only on the margin and
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, count
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .assertions import (
     Assertion,
@@ -108,9 +110,9 @@ class AuditContext:
     Every tally-based answer starts from ``piles``: an assertion's classes
     are the piles of the candidates left standing once its ``removed`` set
     is eliminated, plus the ballots that exhaust.  Their integer
-    ``scaled_margin`` gives ``holds`` by its sign and the float margin of
-    the effort estimates by one division, rounded as ``float`` of the exact
-    margin is; only ``exact_margin`` builds a fraction.
+    ``scaled_margin`` gives by its sign whether the assertion holds, and
+    the float margin of the estimates by one division, rounded as ``float``
+    of the exact margin is; only ``exact_margin`` builds a fraction.
     """
 
     def __init__(self, profile: ElectionProfile, params: RiskParams | None = None):
@@ -132,27 +134,17 @@ class AuditContext:
             self._piles[eliminated] = cached
         return cached
 
-    def _scaled_margin(self, assertion: Assertion) -> int:
-        return assertion.scaled_margin(self.piles(assertion.removed(self.labels)), self.valid)
-
     def _margins(self, assertion: Assertion) -> tuple[int, float]:
         """The integer margin and the float margin it gives."""
-        scaled = self._scaled_margin(assertion)
+        scaled = assertion.scaled_margin(self.piles(assertion.removed(self.labels)), self.valid)
         return scaled, scaled / (self.total * assertion.scale)
-
-    def holds(self, assertion: Assertion) -> bool:
-        """Exact margin-positivity test via integer tallies."""
-        return self._scaled_margin(assertion) > 0
 
     def exact_margin(self, assertion: Assertion) -> Fraction:
         """The exact assorter margin over every cast ballot."""
-        return Fraction(self._scaled_margin(assertion), self.total * assertion.scale)
-
-    def eae(self, assertion: Assertion) -> float:
-        """The estimated sample size, simulated once per distinct margin."""
-        return self._effort(self._margins(assertion)[1])
+        return Fraction(self._margins(assertion)[0], self.total * assertion.scale)
 
     def _effort(self, margin: float) -> float:
+        """The estimated sample size, simulated once per distinct margin."""
         cached = self._eae.get(margin)
         if cached is None:
             cached = estimate_asn(margin, self.params, self.total)
@@ -191,29 +183,22 @@ def compute_W_L(ctx: AuditContext) -> tuple[frozenset[str], frozenset[str], tupl
     """Definite-viable and never-viable candidates plus their reduction assertions.
 
     Membership requires the assertion to hold with a *finite* estimated
-    sample size; a positive but microscopic margin buys nothing, since
-    confirming it would already take a full count.
+    sample size, as ``_cheapest`` rules; a positive but microscopic margin
+    buys nothing, since confirming it would already take a full count.
     """
     tau = ctx.threshold
-    winners: list[str] = []
-    entries: list[SpecEntry] = []
-    for c in ctx.labels:
-        assertion = Viable(c, frozenset(), tau)
-        if ctx.holds(assertion) and not math.isinf(ctx.eae(assertion)):
-            winners.append(c)
-            entries.append(ctx.entry(assertion))
-    w_set = frozenset(winners)
-    losers: list[str] = []
+
+    def affordable(assertions: Iterable[Assertion]) -> list[Assertion]:
+        """The assertions that hold at a finite estimate, in order."""
+        return [a for a in assertions if not math.isinf(_cheapest([a], ctx)[1])]
+
+    reductions = affordable(Viable(c, frozenset(), tau) for c in ctx.labels)
+    winners = frozenset(a.candidate for a in reductions)
     if tau < 1:
-        for c in ctx.labels:
-            if c in w_set:
-                continue
-            eliminated = frozenset(ctx.labels) - w_set - {c}
-            assertion = NonViable(c, eliminated, tau)
-            if ctx.holds(assertion) and not math.isinf(ctx.eae(assertion)):
-                losers.append(c)
-                entries.append(ctx.entry(assertion))
-    return w_set, frozenset(losers), tuple(entries)
+        others = frozenset(ctx.labels) - winners
+        reductions += affordable(NonViable(c, others - {c}, tau) for c in ctx.labels if c in others)
+    losers = frozenset(a.candidate for a in reductions if isinstance(a, NonViable))
+    return winners, losers, tuple(ctx.entry(a) for a in reductions)
 
 
 def enumerate_alt_sets(
@@ -373,9 +358,18 @@ def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]
 
 @dataclass
 class GenerationResult:
+    """A search's entries and proof log; ``closed`` says whether every
+    alternative outcome got an assertion.  ``build_audit_specs`` rules on
+    the status."""
+
     entries: tuple[SpecEntry, ...]
-    status: str
+    closed: bool
     proof_log: tuple[str, ...]
+
+
+def _line(prefix: str, entry: SpecEntry) -> str:
+    """The proof-log line of one entry."""
+    return f"{prefix}{describe(entry.assertion)} margin {float(entry.margin):.4f} eae {entry.eae}"
 
 
 def _rank(node: AltOutcomeNode) -> tuple:
@@ -389,19 +383,15 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
     """Viability assertion set for an instant-runoff contest.
 
     Returns the reduction assertions plus one invalidating assertion per
-    pruned branch of the alternative-outcome forest; status is
-    ``requires-full-count`` when some branch admits no assertion.
+    pruned branch of the alternative-outcome forest; the result is not
+    ``closed`` when some branch admits no assertion.
     """
     if ctx.profile.style != IRV:
         raise ValueError("branch and bound applies to instant-runoff contests")
     winners, losers, reductions = compute_W_L(ctx)
-    log: list[str] = [
-        f"definite viable W = {sorted(winners)}; never viable L = {sorted(losers)}"
-    ]
-    entries: dict[str, SpecEntry] = {}
-    for entry in reductions:
-        entries[assertion_key(entry.assertion)] = entry
-        log.append(f"reduction: {describe(entry.assertion)} margin {float(entry.margin):.4f} eae {entry.eae}")
+    log = [f"definite viable W = {sorted(winners)}; never viable L = {sorted(losers)}"]
+    entries = {assertion_key(entry.assertion): entry for entry in reductions}
+    log += [_line("reduction: ", entry) for entry in reductions]
 
     cap = max_viable(ctx.threshold)
     alt_sets = enumerate_alt_sets(ctx.labels, winners, losers, cap, outcome.viable)
@@ -443,52 +433,44 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
             waiting.pruned = True
         return True
 
-    complete = all(visit(AltOutcomeNode.build((), vset, ctx, *best_root_assertion(vset, ctx))) for vset in alt_sets)
-    while complete and frontier:
+    closed = all(visit(AltOutcomeNode.build((), vset, ctx, *best_root_assertion(vset, ctx))) for vset in alt_sets)
+    while closed and frontier:
         node = heappop(frontier)[2]
         if not node.closed():
-            complete = all(visit(child) for child in expand_node(node, ctx))
-
-    status = STATUS_COMPLETE if complete else STATUS_FULL_COUNT
-    ordered = tuple(entries.values())
-    if status == STATUS_COMPLETE and any(
-        e.margin <= 0 or math.isinf(e.eae) for e in ordered
-    ):
-        status = STATUS_FULL_COUNT
-    log.append(f"status: {status}; assertions: {len(ordered)}")
-    return GenerationResult(ordered, status, tuple(log))
+            closed = all(visit(child) for child in expand_node(node, ctx))
+    return GenerationResult(tuple(entries.values()), closed, tuple(log))
 
 
 def gen_plurality_viability(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationResult:
     """One Viable per reported-viable candidate, one NonViable per other.
 
     Jointly these pin the viable set exactly, so no outcome search is
-    needed.  Any nonpositive margin (a candidate sitting exactly on the
-    threshold) makes the contest unauditable short of a full count.
+    needed.  At threshold 1 no non-viability assertion exists, so the
+    result is not ``closed`` when some candidate was not reported viable.
     """
     if ctx.profile.style != PLURALITY:
         raise ValueError("plurality generation applies to plurality contests")
     tau = ctx.threshold
     entries: list[SpecEntry] = []
     log: list[str] = []
-    status = STATUS_COMPLETE
     for c in ctx.labels:
         if c in outcome.viable:
             assertion: Assertion = Viable(c, frozenset(), tau)
+        elif tau == 1:
+            log.append(f"FAIL: no non-viability assertion exists for {c} at threshold 1")
+            continue
         else:
-            if tau == 1:
-                log.append(f"FAIL: no non-viability assertion exists for {c} at threshold 1")
-                status = STATUS_FULL_COUNT
-                continue
             assertion = NonViable(c, frozenset(), tau)
         entry = ctx.entry(assertion)
         entries.append(entry)
-        log.append(f"{describe(assertion)} margin {float(entry.margin):.4f} eae {entry.eae}")
-        if entry.margin <= 0 or math.isinf(entry.eae):
-            # exactly on or too near the threshold: no affordable audit exists
-            status = STATUS_FULL_COUNT
-    log.append(f"status: {status}; assertions: {len(entries)}")
-    return GenerationResult(tuple(entries), status, tuple(log))
+        log.append(_line("", entry))
+    return GenerationResult(tuple(entries), len(entries) == len(ctx.labels), tuple(log))
+
+
+def _status(closed: bool, tie: bool, entries: Sequence[SpecEntry]) -> str:
+    """Complete iff the search closed, with no remainder tie, and every entry is auditable."""
+    auditable = all(entry.margin > 0 and not math.isinf(entry.eae) for entry in entries)
+    return STATUS_COMPLETE if closed and not tie and auditable else STATUS_FULL_COUNT
 
 
 def build_audit_specs(
@@ -502,38 +484,39 @@ def build_audit_specs(
     Level 1 certifies viability only; levels 2 and 3 add the delegate
     allocation assertions (slack 2 and 1 respectively).  The viability
     part does not depend on the level, so one context and one search
-    serve every level.
+    serve every level.  A level is complete when the search closed, there
+    is no delegate remainder tie (levels 2 and 3), and every entry has a
+    positive margin and a finite estimate; otherwise it requires a full
+    count.  The log's ``status`` line gives the viability part's status.
     """
     if any(level not in (1, 2, 3) for level in levels):
         raise ValueError("audit level must be 1, 2 or 3")
     ctx = AuditContext(profile, params)
     search = gen_plurality_viability if profile.style == PLURALITY else branch_and_bound
     result = search(ctx, outcome)
+    status = _status(result.closed, False, result.entries)
+    viability_log = (*result.proof_log, f"status: {status}; assertions: {len(result.entries)}")
 
     specs: dict[int, tuple[AuditSpec, tuple[str, ...]]] = {}
     for level in levels:
         entries = list(result.entries)
-        log = list(result.proof_log)
-        status = result.status
+        log = list(viability_log)
+        tie = level >= 2 and outcome.tie_flag
         if level >= 2:
             dset = gen_delegate_assertions(outcome, level)
-            for assertion in dset.assertions:
-                entry = ctx.entry(assertion)
-                entries.append(entry)
-                log.append(f"delegates: {describe(assertion)} margin {float(entry.margin):.4f} eae {entry.eae}")
-                if entry.margin <= 0 or math.isinf(entry.eae):
-                    status = STATUS_FULL_COUNT
-            for skip in dset.skipped:
-                log.append(
-                    f"delegates: skip ({skip.winner}, {skip.loser}) d={skip.offset}: {skip.reason}"
-                )
-            if dset.tie_flag:
+            delegate_entries = [ctx.entry(assertion) for assertion in dset.assertions]
+            entries += delegate_entries
+            log += [_line("delegates: ", entry) for entry in delegate_entries]
+            log += [
+                f"delegates: skip ({skip.winner}, {skip.loser}) d={skip.offset}: {skip.reason}"
+                for skip in dset.skipped
+            ]
+            if tie:
                 log.append("delegates: exact remainder tie at the award boundary; full count required")
-                status = STATUS_FULL_COUNT
         spec = AuditSpec(
             entries=tuple(entries),
             level=level,
-            status=status,
+            status=_status(result.closed, tie, entries),
             total_ballots=profile.total_ballots,
             params=ctx.params,
         )

@@ -147,13 +147,13 @@ def test_criterion_5_viability_soundness_fuzz():
         except UnsupportedOutcomeError:
             continue
         result = branch_and_bound(AuditContext(profile, fuzz_params), outcome)
-        if result.status != STATUS_COMPLETE:
+        if not result.closed:
             continue
         elections += 1
         for _ in range(8):
             perturbed = perturb_profile(profile, rng)
             ctx = AuditContext(perturbed)
-            if not all(ctx.holds(e.assertion) for e in result.entries):
+            if not all(ctx.exact_margin(e.assertion) > 0 for e in result.entries):
                 continue
             perturbations_checked += 1
             try:

@@ -1,13 +1,14 @@
 import gc
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from conftest import TEN_STRENGTHS, cyclic_contest, perturb_profile, random_irv_profile
+from conftest import TEN_STRENGTHS, cyclic_contest, perturb_profile, random_irv_profile, random_plurality_profile
 from hamilton_rla import (
     RiskParams,
     UnsupportedOutcomeError,
@@ -17,7 +18,7 @@ from hamilton_rla import (
     viability,
 )
 from hamilton_rla.assertions import IrvWins, NonViable, Viable, assertion_key
-from hamilton_rla.model import STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
+from hamilton_rla.model import IRV, PLURALITY, STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
 from hamilton_rla.risk import estimate_asn, estimate_audit_asn
 from hamilton_rla.tabulation import irv_viability
 from hamilton_rla.viability import (
@@ -48,13 +49,13 @@ def test_max_viable():
 
 def test_plurality_spec_example(plurality_profile):
     outcome = tabulate(plurality_profile)
-    result = gen_plurality_viability(AuditContext(plurality_profile, PARAMS), outcome)
-    assert result.status == STATUS_COMPLETE
-    kinds = [type(e.assertion).__name__ for e in result.entries]
+    spec, _ = build_audit_spec(plurality_profile, outcome, 1, PARAMS)
+    assert spec.status == STATUS_COMPLETE
+    kinds = [type(e.assertion).__name__ for e in spec.entries]
     assert kinds == ["Viable", "Viable", "NonViable", "NonViable"]
     expected = {"Ann": 4.073, "Bob": 0.378, "Cal": 0.152, "Dee": 0.163}
     asns = []
-    for e in result.entries:
+    for e in spec.entries:
         assert abs(float(e.margin) - expected[e.assertion.candidate]) < 0.001
         asns.append(e.eae)
     # reported estimates were 1, 17, 46, 42 with an overall of 46
@@ -69,7 +70,8 @@ def test_plurality_all_viable_only_viable_assertions():
     outcome = tabulate(profile)
     result = gen_plurality_viability(AuditContext(profile, PARAMS), outcome)
     assert all(isinstance(e.assertion, Viable) for e in result.entries)
-    assert result.status == STATUS_COMPLETE
+    assert result.closed
+    assert build_audit_spec(profile, outcome, 1, PARAMS)[0].status == STATUS_COMPLETE
 
 
 def test_plurality_threshold_one_unanimous_required():
@@ -84,7 +86,8 @@ def test_plurality_threshold_one_unanimous_required():
     outcome = tabulate(profile)
     assert outcome.viable == {"A"}
     result = gen_plurality_viability(AuditContext(profile, PARAMS), outcome)
-    assert result.status == STATUS_FULL_COUNT
+    assert not result.closed
+    assert build_audit_spec(profile, outcome, 1, PARAMS)[0].status == STATUS_FULL_COUNT
 
 
 def test_plurality_exact_threshold_full_count():
@@ -93,8 +96,53 @@ def test_plurality_exact_threshold_full_count():
     outcome = tabulate(profile)
     assert outcome.viable == {"A", "B"}
     result = gen_plurality_viability(AuditContext(profile, PARAMS), outcome)
-    assert result.status == STATUS_FULL_COUNT
+    assert result.closed  # every outcome is ruled out, but not affordably
     assert any(e.margin == 0 for e in result.entries)
+    assert build_audit_spec(profile, outcome, 1, PARAMS)[0].status == STATUS_FULL_COUNT
+
+
+def _status_by_rule(spec, log):
+    """The status rule read off a built spec and its proof log."""
+    closed = not any(line.startswith("FAIL:") for line in log)
+    tie = any(line.startswith("delegates: exact remainder tie") for line in log)
+    auditable = all(e.margin > 0 and not math.isinf(e.eae) for e in spec.entries)
+    return STATUS_COMPLETE if closed and not tie and auditable else STATUS_FULL_COUNT, (closed, tie, auditable)
+
+
+def test_status_is_complete_exactly_when_closed_untied_and_auditable():
+    """A spec is complete exactly when its search ruled out every
+    alternative outcome (no ``FAIL:`` line), the allocation has no
+    remainder tie, and every entry has a positive margin and a finite
+    ``eae``; the log's ``status`` line is the viability part's.  Seeded
+    plurality and IRV contests at levels 1-3 exercise each condition on
+    its own."""
+    rng = random.Random(7)
+    unanimous = build_profile(["A", "B", "C"], [(["A"], 100)], Fraction(1), 2, "plurality")
+    contests = [unanimous] + [
+        (random_irv_profile if i % 2 else random_plurality_profile)(rng) for i in range(200)
+    ]
+    params = RiskParams(trials=5, seed=3)
+    seen = Counter()
+    for profile in contests:
+        try:
+            outcome = tabulate(profile)
+        except UnsupportedOutcomeError:
+            continue
+        specs = build_audit_specs(profile, outcome, (1, 2, 3), params)
+        for level, (spec, log) in specs.items():
+            status, conditions = _status_by_rule(spec, log)
+            assert spec.status == status, (level, log)
+            seen[profile.style, conditions] += 1
+        level_1 = specs[1][0]
+        status_lines = [line for line in specs[3][1] if line.startswith("status: ")]
+        assert status_lines == [f"status: {level_1.status}; assertions: {len(level_1.entries)}"]
+    # (closed, tie, auditable): only the threshold-1 contest leaves a plurality search open
+    assert seen[PLURALITY, (False, False, False)] == 3
+    for style in (PLURALITY, IRV):
+        assert seen[style, (True, False, True)] > 0
+        assert seen[style, (True, True, True)] > 0
+        assert seen[style, (True, False, False)] > 0
+    assert seen[IRV, (False, False, True)] > 0
 
 
 def test_compute_W_L_example(irv_profile):
@@ -302,7 +350,7 @@ def test_search_nodes_are_freed_without_the_cycle_collector():
         after = alive()
     finally:
         gc.enable()
-    assert result.status == STATUS_COMPLETE
+    assert result.closed
     assert after == before
 
 
@@ -320,12 +368,12 @@ def test_irv_beats_option_used_when_viability_fails(irv_profile):
 def test_branch_and_bound_example_complete(irv_profile):
     outcome = tabulate(irv_profile)
     result = branch_and_bound(AuditContext(irv_profile, PARAMS), outcome)
-    assert result.status == STATUS_COMPLETE
+    assert result.closed
     assert result.entries  # reductions plus branch assertions
     ctx = AuditContext(irv_profile, PARAMS)
     for entry in result.entries:
         assert entry.margin > 0
-        assert ctx.holds(entry.assertion)
+        assert ctx.exact_margin(entry.assertion) == entry.margin
     assert any(isinstance(e.assertion, Viable) and e.assertion.candidate == "Ann" for e in result.entries)
     assert len(result.proof_log) >= len(result.entries)
 
@@ -348,7 +396,8 @@ def test_branch_and_bound_tied_threshold_requires_full_count():
     )
     outcome = tabulate(profile)
     result = branch_and_bound(AuditContext(profile, PARAMS), outcome)
-    assert result.status == STATUS_FULL_COUNT
+    assert not result.closed
+    assert build_audit_spec(profile, outcome, 1, PARAMS)[0].status == STATUS_FULL_COUNT
 
 
 def test_branch_and_bound_level_assembly(irv_profile):
@@ -417,7 +466,7 @@ FUZZ_PARAMS = RiskParams(trials=5, seed=7)
 
 def _spec_holds_on(entries, profile) -> bool:
     ctx = AuditContext(profile)
-    return all(ctx.holds(e.assertion) for e in entries)
+    return all(ctx.exact_margin(e.assertion) > 0 for e in entries)
 
 
 def test_soundness_mini_fuzz():
@@ -431,7 +480,7 @@ def test_soundness_mini_fuzz():
         except UnsupportedOutcomeError:
             continue
         result = branch_and_bound(AuditContext(profile, FUZZ_PARAMS), outcome)
-        if result.status != STATUS_COMPLETE:
+        if not result.closed:
             continue
         elections += 1
         for _ in range(6):
@@ -467,7 +516,7 @@ def test_nine_candidate_search_under_budget():
     assert len(spec.entries) > 50
     ctx = AuditContext(profile, PARAMS)
     for entry in spec.entries:
-        assert ctx.holds(entry.assertion)
+        assert ctx.exact_margin(entry.assertion) > 0
 
 
 def ctx_margin(ctx):
@@ -606,16 +655,21 @@ def _equivalence_contests():
     return contests
 
 
+def _holding(options, ctx):
+    """Each option that holds, with its index and ``eae``, in option order."""
+    return [(i, a, ctx.entry(a).eae) for i, a in enumerate(options) if ctx.exact_margin(a) > 0]
+
+
 def _full_scan_min(options, ctx):
     """Every holding option simulated, and ``min`` by ``eae``: the first of
     the least estimates in option order."""
-    best = min((a for a in options if ctx.holds(a)), key=ctx.eae, default=None)
-    return best, math.inf if best is None else ctx.eae(best)
+    _, best, eae = min(_holding(options, ctx), key=lambda t: t[2], default=(None, None, math.inf))
+    return best, eae
 
 
 def _eager_min(options, ctx):
     """Every holding option simulated, and ``min`` by ``(eae, -margin, index)``."""
-    holding = [(ctx.eae(a), -ctx_margin(ctx)(a), i, a) for i, a in enumerate(options) if ctx.holds(a)]
+    holding = [(eae, -ctx_margin(ctx)(a), i, a) for i, a, eae in _holding(options, ctx)]
     if not holding:
         return None, math.inf
     eae, _, _, best = min(holding, key=lambda t: t[:3])
