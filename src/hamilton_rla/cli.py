@@ -27,6 +27,7 @@ paper interpretations are evidence too.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -438,6 +439,25 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code.
+
+    The cyclic garbage collector is paused while the command runs and
+    left as the caller had it on every way out.  A command's data (the
+    parsed input, the profile, the search's nodes, which link only to
+    their parents) holds no reference cycles, so reference counting frees
+    it without the collector; its passes, set off by the many objects a
+    load allocates, would only rescan live data.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

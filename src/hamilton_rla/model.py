@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .assertions import Assertion
@@ -53,8 +53,13 @@ class UnsupportedOutcomeError(RuntimeError):
     """The election has no viable candidate; outside the supported rules."""
 
 
-@dataclass(frozen=True)
-class CvrRecord:
+class CvrRecord(NamedTuple):
+    """One cast-vote record: a ballot's id and the ranking its CVR holds.
+
+    A named tuple, so immutable and cheap to build one per ballot; it
+    compares equal to the plain ``(ballot_id, ranking)`` tuple.
+    """
+
     ballot_id: str
     ranking: Ranking
 
@@ -195,7 +200,12 @@ def build_profile(
     """Validate and aggregate raw ballot data into a profile.
 
     Duplicate rankings are merged; validation is total — any malformed
-    entry raises ElectionDataError naming the offender.
+    entry raises ElectionDataError naming the offender.  The roster,
+    style, threshold and delegate count are checked before the first
+    ballot is read.  A ranking passes when its choices are distinct roster
+    labels, which two set checks decide; only a ranking that fails them
+    (or holds an unhashable choice) is walked choice by choice to name its
+    first unknown or repeated one.
     """
     labels = list(candidates)
     if not labels:
@@ -227,13 +237,18 @@ def build_profile(
         if count < 0:
             raise ElectionDataError(f"negative ballot count {count}")
         prefs = tuple(ranking)
-        seen: set[str] = set()
-        for choice in prefs:
-            if not isinstance(choice, str) or choice not in roster:
-                raise ElectionDataError(f"unknown candidate {choice!r} in ranking {list(prefs)}")
-            if choice in seen:
-                raise ElectionDataError(f"candidate {choice!r} repeated in ranking {list(prefs)}")
-            seen.add(choice)
+        try:
+            valid = roster.issuperset(prefs) and len(set(prefs)) == len(prefs)
+        except TypeError:  # an unhashable choice
+            valid = False
+        if not valid:  # name the first offender
+            seen: set[str] = set()
+            for choice in prefs:
+                if not isinstance(choice, str) or choice not in roster:
+                    raise ElectionDataError(f"unknown candidate {choice!r} in ranking {list(prefs)}")
+                if choice in seen:
+                    raise ElectionDataError(f"candidate {choice!r} repeated in ranking {list(prefs)}")
+                seen.add(choice)
         if style == PLURALITY and len(prefs) > 1:
             raise ElectionDataError(
                 f"plurality contest cannot rank more than one candidate: {list(prefs)}"
@@ -270,7 +285,13 @@ def load_json(path: str | Path, what: str) -> object:
 
 
 def load_election(path: str | Path) -> ElectionProfile:
-    """Load and validate an election JSON file."""
+    """Load and validate an election JSON file.
+
+    The ballot entries go to ``build_profile`` one at a time as they are
+    checked, so the first fault reported is the first that validation
+    meets: the roster, style, threshold and delegate count, then the
+    entries in file order, each entry's shape before its count and labels.
+    """
     raw = load_json(path, "election file")
     if not isinstance(raw, dict):
         raise ElectionDataError(f"election file {path} must hold a JSON object")
@@ -282,14 +303,17 @@ def load_election(path: str | Path) -> ElectionProfile:
         raise ElectionDataError("'candidates' must be a list of strings")
     if not isinstance(raw["ballots"], list):
         raise ElectionDataError("'ballots' must be a list of objects")
-    ballots = []
-    for i, entry in enumerate(raw["ballots"]):
-        if not isinstance(entry, dict) or "ranking" not in entry or "count" not in entry:
-            raise ElectionDataError(f"ballot entry {i} must have 'ranking' and 'count'")
-        if not isinstance(entry["ranking"], list):  # build_profile checks the labels
-            raise ElectionDataError(f"ballot entry {i}: 'ranking' must be a list of strings")
-        ballots.append((entry["ranking"], entry["count"]))
-    return build_profile(candidates, ballots, raw["threshold"], raw["delegates"], raw["style"])
+
+    def ballots() -> Iterator[tuple[list, object]]:
+        for i, entry in enumerate(raw["ballots"]):
+            if not isinstance(entry, dict) or "ranking" not in entry or "count" not in entry:
+                raise ElectionDataError(f"ballot entry {i} must have 'ranking' and 'count'")
+            ranking = entry["ranking"]
+            if not isinstance(ranking, list):  # build_profile checks the labels
+                raise ElectionDataError(f"ballot entry {i}: 'ranking' must be a list of strings")
+            yield ranking, entry["count"]
+
+    return build_profile(candidates, ballots(), raw["threshold"], raw["delegates"], raw["style"])
 
 
 def load_cvrs(path: str | Path) -> list[CvrRecord]:

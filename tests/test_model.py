@@ -9,6 +9,7 @@ import pytest
 from conftest import DATA, random_plurality_profile
 from hamilton_rla import (
     AuditSpec,
+    CvrRecord,
     ElectionDataError,
     RiskParams,
     SpecEntry,
@@ -20,6 +21,7 @@ from hamilton_rla import (
     tabulate,
 )
 from hamilton_rla.assertions import IrvWins, NonViable, PairwiseDiff, Viable
+from hamilton_rla.cli import main
 from hamilton_rla.model import (
     assertion_from_dict,
     audit_spec_from_dict,
@@ -85,6 +87,46 @@ def test_profile_validation_errors(ballots, message):
         build_profile(["A", "B"], ballots, "0.15", 2, "irv")
 
 
+# A ranking with a choice that is not a roster label, or that repeats one,
+# and the message naming its first offender: the set checks that pass a
+# good ranking send every other one through the per-choice walk, whose
+# wording these pin.
+OFFENDERS = [
+    (["Ann", "Zed"], "unknown candidate 'Zed' in ranking ['Ann', 'Zed']"),
+    (["Ann", "Bob", "Ann"], "candidate 'Ann' repeated in ranking ['Ann', 'Bob', 'Ann']"),
+    (["Ann", 1], "unknown candidate 1 in ranking ['Ann', 1]"),
+    (["Ann", True], "unknown candidate True in ranking ['Ann', True]"),
+    ([None], "unknown candidate None in ranking [None]"),
+    (["Bob", 1.5], "unknown candidate 1.5 in ranking ['Bob', 1.5]"),
+    (["Ann", ["Bob"]], "unknown candidate ['Bob'] in ranking ['Ann', ['Bob']]"),
+    ([{"Ann": 1}], "unknown candidate {'Ann': 1} in ranking [{'Ann': 1}]"),
+    (["Ann", "Ann", "Zed"], "candidate 'Ann' repeated in ranking ['Ann', 'Ann', 'Zed']"),
+    (["Zed", "Ann", "Ann"], "unknown candidate 'Zed' in ranking ['Zed', 'Ann', 'Ann']"),
+    (["Ann", "Ann", ["Bob"]], "candidate 'Ann' repeated in ranking ['Ann', 'Ann', ['Bob']]"),
+]
+OFFENDER_IDS = ["unknown", "repeated", "int", "true", "none", "float", "nested-list", "dict",
+                "repeated-then-unknown", "unknown-then-repeated", "repeated-then-unhashable"]
+
+
+@pytest.mark.parametrize("ranking, message", OFFENDERS, ids=OFFENDER_IDS)
+def test_ranking_offender_named(ranking, message):
+    with pytest.raises(ElectionDataError) as excinfo:
+        build_profile(["Ann", "Bob", "Cal"], [(["Bob"], 3), (ranking, 2)], "1/4", 3, "irv")
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("ranking, message", OFFENDERS, ids=OFFENDER_IDS)
+def test_tabulate_names_the_ranking_offender(capsys, tmp_path, ranking, message):
+    election = tmp_path / "election.json"
+    election.write_text(json.dumps({
+        "candidates": ["Ann", "Bob", "Cal"], "threshold": "1/4", "delegates": 3, "style": "irv",
+        "ballots": [{"ranking": ["Bob"], "count": 3}, {"ranking": ranking, "count": 2}],
+    }))
+    assert main(["tabulate", "--election", str(election)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_plurality_rejects_long_rankings():
     with pytest.raises(ElectionDataError, match="plurality"):
         build_profile(["A", "B"], [(["A", "B"], 1)], "0.15", 2, "plurality")
@@ -127,6 +169,18 @@ def test_load_cvrs(tmp_path):
     assert records[0].ranking == ("A", "D", "C", "B")
     assert records[1].ranking == ()
     assert records[2].ranking == ("C",)
+
+
+def test_cvr_records_are_immutable_named_pairs(tmp_path):
+    path = tmp_path / "cvrs.csv"
+    path.write_text("ballot_id,ranking\nb1,A|B\n")
+    (record,) = load_cvrs(path)
+    assert isinstance(record, CvrRecord)
+    assert (record.ballot_id, record.ranking) == ("b1", ("A", "B"))
+    assert record == CvrRecord("b1", ("A", "B")) == ("b1", ("A", "B"))
+    for field in ("ballot_id", "ranking"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "b2")
 
 
 def test_load_cvrs_reads_columns_by_position(tmp_path):
