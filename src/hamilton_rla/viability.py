@@ -487,20 +487,19 @@ def build_audit_specs(
     serve every level.  A level is complete when the search closed, there
     is no delegate remainder tie (levels 2 and 3), and every entry has a
     positive margin and a finite estimate; otherwise it requires a full
-    count.  The log's ``status`` line gives the viability part's status.
+    count.  Each level's log ends with its own ``status: …; assertions:
+    N`` line, giving that level's status and entry count.
     """
     if any(level not in (1, 2, 3) for level in levels):
         raise ValueError("audit level must be 1, 2 or 3")
     ctx = AuditContext(profile, params)
     search = gen_plurality_viability if profile.style == PLURALITY else branch_and_bound
     result = search(ctx, outcome)
-    status = _status(result.closed, False, result.entries)
-    viability_log = (*result.proof_log, f"status: {status}; assertions: {len(result.entries)}")
 
     specs: dict[int, tuple[AuditSpec, tuple[str, ...]]] = {}
     for level in levels:
         entries = list(result.entries)
-        log = list(viability_log)
+        log = list(result.proof_log)
         tie = level >= 2 and outcome.tie_flag
         if level >= 2:
             dset = gen_delegate_assertions(outcome, level)
@@ -513,10 +512,12 @@ def build_audit_specs(
             ]
             if tie:
                 log.append("delegates: exact remainder tie at the award boundary; full count required")
+        status = _status(result.closed, tie, entries)
+        log.append(f"status: {status}; assertions: {len(entries)}")
         spec = AuditSpec(
             entries=tuple(entries),
             level=level,
-            status=_status(result.closed, tie, entries),
+            status=status,
             total_ballots=profile.total_ballots,
             params=ctx.params,
         )

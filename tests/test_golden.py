@@ -12,7 +12,9 @@ on ``PYTHONPATH``) and lists the digests that changed in CHANGES.md.  A
 change to the spec format alone (such as schema 2 dropping the stored upper
 bound and mean) regenerates only the spec digests: the proof-log digests
 stay fixed, and each new spec must equal the old one with the format change
-applied.
+applied.  A change to the proof log alone (such as each level's log
+stating its own status) regenerates only the proof-log digests, and the
+spec digests stay fixed.
 """
 import contextlib
 import hashlib
@@ -52,35 +54,35 @@ GOLDEN = {
     ),
     "election_irv/2/1/0.002": (
         "627208c99b4b713b0957eabd79e552f6741ce7885d6ff984a5e5237b2f936174",
-        "847db6d6657a28de23da1a1db78ee7baf49a253ed0ff31a1b007dfec5c3fc03e",
+        "30ed1d485c759eab5fbf24e09637b7024a4a32ea78777eb45fa6f1a8eef75ad4",
     ),
     "election_irv/2/1/0.02": (
         "1de28eb12b56e80d1bac1403270aa044bab6aaeb9119fdd1fd603156562ff9d9",
-        "ab6c8bf0fd7c552ce5e7a782fa64963867b0d4c4adbbbe975125f8f8d2d3c2c2",
+        "1a6a716b265c784cbdaf1146137518d462dd636aded00295118b750f869b7877",
     ),
     "election_irv/2/7/0.002": (
         "03d9aad84d4db4ed363840aff907d69b39b755a87f924c787d702e4e5ab2d808",
-        "ad94ee5ddb07fb5a5a762af8a1fc22f5be3bde85423abf27454a6999352142e5",
+        "3ce7a3f9d2d2d0fdd6c780fe9cb7ec468defa4df59aee3810dcf2e31976ea2a0",
     ),
     "election_irv/2/7/0.02": (
         "5b64515b3a4bc5cf0d84d39d679420bbe92fbf09d9c083a7102732d364367153",
-        "a502e5365c58b0725fd5b0ceb2b3414c58c832b9dedd97af0c50d7adf3082660",
+        "63e1749c6af9c771875761cf6536d1c1a88fc11917131abbceca84b8d88cf16b",
     ),
     "election_irv/3/1/0.002": (
         "694f13ca5227f4c72f6fda33ffa97ee2cc9f8b1f8fb5086eb985d14f4f776c77",
-        "91779c3539d678eae62e07b0034f5bbd007f57090602fc76b006f3f07754008d",
+        "a4fc44cba4c551592667bcd4711ae5450872b91830c40b69f07bffb5ca421bb6",
     ),
     "election_irv/3/1/0.02": (
         "5c52324f5c1f4b0d8138ee691f317021f963071f744cdfbf810e2505438ed8af",
-        "dd3078d510302e8558eb2b83742f5fbb0f927943c775778eb19d7a8fec6a5f81",
+        "04d6c00aeb8084b709945bb9e6ec0ee6077b023329450caa21346a1f8fed10e1",
     ),
     "election_irv/3/7/0.002": (
         "9a2fa8195cbdd067bc71af07518df6c46d885de91de94a0fd6a9dfc9207813cd",
-        "1da0b88e1c966c057656350dea3e8ac09583376455bbdf916fce8cbaafdda261",
+        "673a9b20741c4d7962595888e7c79213fffc0b87117c9b85e81033cee21ee91b",
     ),
     "election_irv/3/7/0.02": (
         "b7dd27c8db3e0200b7e6ee920fb1bd9b7fd0fc4c95a63d11fed78def7c54eaaa",
-        "fa93c3b4ef0582ef0f02fd2375fabce8c1c5b491d8085510865c3caac137c0c3",
+        "83819acec233c095cb2f52fa4756e6c839901b7e50f4d16387e8195efbfdcfd7",
     ),
     "election_plurality/1/1/0.002": (
         "350c3b70b7fd232e0d4183624beaec27c600a78e0dc0a5578b238868d59c4075",
@@ -100,35 +102,35 @@ GOLDEN = {
     ),
     "election_plurality/2/1/0.002": (
         "059e57224cf4b6882c33d33b4f41af1dca4ff267e8a0323cf8a353d4a6a65ca0",
-        "f6b8cd4fd1f5ada8a5b0dcf94733a938927618a58dcc3c03c9e05aba211ab739",
+        "6f12c0f8c27da4cedc9c4eb980a35355963c03dfa08bbd7abf5245ee34305d8f",
     ),
     "election_plurality/2/1/0.02": (
         "667d98d846d2f58b133804dae393aaea1b78a0b2f2155af36d9452b58807a28b",
-        "82f93eb93a1ba5367456902d66c337a5da7dde396230469646b1cb12ab3dc200",
+        "00ab2d6b29d277aa16e39c0ae607038754e20c4fdf9675b5c57dc7699d65dc70",
     ),
     "election_plurality/2/7/0.002": (
         "40d3a4d552dda14929c17c1db596abd6cd25c3e73e42185ca7a087e1d5c097f7",
-        "f6b8cd4fd1f5ada8a5b0dcf94733a938927618a58dcc3c03c9e05aba211ab739",
+        "6f12c0f8c27da4cedc9c4eb980a35355963c03dfa08bbd7abf5245ee34305d8f",
     ),
     "election_plurality/2/7/0.02": (
         "40cfbd6affe1c112d5a87776d6f1d7f6d1939451d7e3025450f48ccb5ca1219d",
-        "1a7cac7ce274adffcb1f256b32e71fd6ef8743b16c4246b3e0ffa2db773c128f",
+        "23366ac3326e3970c906f3ce8549a261a0f66c41043ef7b8f5d0d7df76e477f4",
     ),
     "election_plurality/3/1/0.002": (
         "3d42c328e4aa5534cd401cec1ed12a70bc51525d6ebab0e1e78500e7d5e29e28",
-        "40f70e4b639516b15e698bb938198eaf62b21cdefcd5a72cac7fcbd242e374d2",
+        "c9e76538d02e7b1f37a86f5a1c06b1fff599e7f148ea6eaeb97d3e47bbb9f05e",
     ),
     "election_plurality/3/1/0.02": (
         "7646add5fd259ff8129187c0cdc8aa6f2792b18ac406ee30fd675beaa7495568",
-        "1155be81be027828addd415f4e8f66bc29641345b1748ce6811c9bc9d4993fc2",
+        "4228679a5b4fa6f2c2e67b8d8be4584489a3077b45597b87fa7293a150da4072",
     ),
     "election_plurality/3/7/0.002": (
         "59e02100c748d2b00cf880c4646c3adab9cf27fa0b10c9cc6a4dff3c5dc0888c",
-        "40f70e4b639516b15e698bb938198eaf62b21cdefcd5a72cac7fcbd242e374d2",
+        "c9e76538d02e7b1f37a86f5a1c06b1fff599e7f148ea6eaeb97d3e47bbb9f05e",
     ),
     "election_plurality/3/7/0.02": (
         "9a70b9cc219d4ce92b1c06f100889b2f7985d33c9ceb1180ebc42474b39378c9",
-        "821bca4ad6b1e7a252a16e5bcf2eae4d912ac932924595d35b5600e71d446ae1",
+        "71dbe3bf51855db9cc87422227471b4176600fe8b383169058ea3d749445c3ef",
     ),
     "election_small/1/1/0.002": (
         "8f1178c2360150694562b500ea6fbd60ed8247523bc7cd99c9b61073bb691f0c",
@@ -148,35 +150,35 @@ GOLDEN = {
     ),
     "election_small/2/1/0.002": (
         "3007c131dc4a58f88407b57d9278753b949a7e41c935627a16496c6e25268a7d",
-        "7908fb6875d7fcfbd12e437fe15672f001cb97d61a9dfb4211c0d8c932c11bff",
+        "597e6303c80b8a49fa4ebc6723902073b695fa472e087bfc522c86cf1ed09005",
     ),
     "election_small/2/1/0.02": (
         "f4861f3166c3e49aa24d11ad2201b607f1027b5636bdd60c4024134f2b26f373",
-        "7908fb6875d7fcfbd12e437fe15672f001cb97d61a9dfb4211c0d8c932c11bff",
+        "597e6303c80b8a49fa4ebc6723902073b695fa472e087bfc522c86cf1ed09005",
     ),
     "election_small/2/7/0.002": (
         "b8010b0f0077946639fe2d9fafaa400f01bc6352c8eab22d15c5e7dfd47726a7",
-        "7908fb6875d7fcfbd12e437fe15672f001cb97d61a9dfb4211c0d8c932c11bff",
+        "597e6303c80b8a49fa4ebc6723902073b695fa472e087bfc522c86cf1ed09005",
     ),
     "election_small/2/7/0.02": (
         "27082b6f9069a9148fa1ca34d3236195d9afc7a86352e8513665a4c88bd8098c",
-        "7908fb6875d7fcfbd12e437fe15672f001cb97d61a9dfb4211c0d8c932c11bff",
+        "597e6303c80b8a49fa4ebc6723902073b695fa472e087bfc522c86cf1ed09005",
     ),
     "election_small/3/1/0.002": (
         "72e13d4effe8a7777a6b46480bc41c79d31f7e0daf676f859ef4c05258c62e48",
-        "de377fce6278616621de7ecf66eaf8649487af937e07ee750cacae4b7d76c615",
+        "4c179227a563f18ad9023ff53907ab61bf7232033e82868ec84921e10df90f80",
     ),
     "election_small/3/1/0.02": (
         "297d1bc913fc7a42c464b88a6c4619d1b0cc9972ff129150e631c87c14f6322b",
-        "de377fce6278616621de7ecf66eaf8649487af937e07ee750cacae4b7d76c615",
+        "4c179227a563f18ad9023ff53907ab61bf7232033e82868ec84921e10df90f80",
     ),
     "election_small/3/7/0.002": (
         "aa58cef7b074e7cffc133d10ae061d74d3e42652ba3f8be00decb12a1237b767",
-        "de377fce6278616621de7ecf66eaf8649487af937e07ee750cacae4b7d76c615",
+        "4c179227a563f18ad9023ff53907ab61bf7232033e82868ec84921e10df90f80",
     ),
     "election_small/3/7/0.02": (
         "a4aa72f08079e07fc183ed0b0fbab4f2b16abf34c97ad1a45aa3c05e937c654a",
-        "de377fce6278616621de7ecf66eaf8649487af937e07ee750cacae4b7d76c615",
+        "4c179227a563f18ad9023ff53907ab61bf7232033e82868ec84921e10df90f80",
     ),
     "ten_cyclic/1/1/0.002": (
         "032ff8d938b750c765db12522e318a3478bd85ea0f7558e37d02f9a872426206",
@@ -184,7 +186,7 @@ GOLDEN = {
     ),
     "ten_cyclic/3/1/0.002": (
         "500897d8fd4fc98de0fb1e458b1a00b28501de22980b86ea2658c4492842e873",
-        "ccb0f5436ef8a3c9028cef245f2e67b0ca53bd52c6ad869612301ef2f5856517",
+        "8ceece94a0f9632f4ea36a5954431f9f07009107c6c21f8e801bff824d6ed4e7",
     ),
 }
 

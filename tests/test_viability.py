@@ -113,9 +113,9 @@ def test_status_is_complete_exactly_when_closed_untied_and_auditable():
     """A spec is complete exactly when its search ruled out every
     alternative outcome (no ``FAIL:`` line), the allocation has no
     remainder tie, and every entry has a positive margin and a finite
-    ``eae``; the log's ``status`` line is the viability part's.  Seeded
-    plurality and IRV contests at levels 1-3 exercise each condition on
-    its own."""
+    ``eae``; each level's log ends with its one ``status`` line, which
+    gives that level's own status and entry count.  Seeded plurality and
+    IRV contests at levels 1-3 exercise each condition on its own."""
     rng = random.Random(7)
     unanimous = build_profile(["A", "B", "C"], [(["A"], 100)], Fraction(1), 2, "plurality")
     contests = [unanimous] + [
@@ -133,9 +133,9 @@ def test_status_is_complete_exactly_when_closed_untied_and_auditable():
             status, conditions = _status_by_rule(spec, log)
             assert spec.status == status, (level, log)
             seen[profile.style, conditions] += 1
-        level_1 = specs[1][0]
-        status_lines = [line for line in specs[3][1] if line.startswith("status: ")]
-        assert status_lines == [f"status: {level_1.status}; assertions: {len(level_1.entries)}"]
+            status_lines = [line for line in log if line.startswith("status: ")]
+            assert status_lines == [log[-1]] == [f"status: {spec.status}; assertions: {len(spec.entries)}"]
+            seen["status differs from level 1"] += spec.status != specs[1][0].status
     # (closed, tie, auditable): only the threshold-1 contest leaves a plurality search open
     assert seen[PLURALITY, (False, False, False)] == 3
     for style in (PLURALITY, IRV):
@@ -143,6 +143,7 @@ def test_status_is_complete_exactly_when_closed_untied_and_auditable():
         assert seen[style, (True, True, True)] > 0
         assert seen[style, (True, False, False)] > 0
     assert seen[IRV, (False, False, True)] > 0
+    assert seen["status differs from level 1"] > 0
 
 
 def test_compute_W_L_example(irv_profile):
