@@ -10,6 +10,7 @@ import pytest
 
 from hamilton_rla import ElectionProfile, PairwiseDiff, ReportedOutcome, build_profile
 from hamilton_rla.delegates import LEVEL_SLACK, pair_offset
+from hamilton_rla.model import write_json
 from hamilton_rla.risk import RiskState, _factors
 from hamilton_rla.tabulation import count_piles, top_remaining
 
@@ -23,6 +24,18 @@ def km_step(state: RiskState, category: str) -> RiskState:
     discrepancy category."""
     _factors(state.margin, state.gamma)  # validates the margin
     return replace(state, **{category: getattr(state, category) + 1})
+
+
+def save_election(profile: ElectionProfile, path) -> None:
+    """Write a profile in the election JSON format that load_election reads."""
+    payload = {
+        "candidates": list(profile.labels),
+        "threshold": str(profile.threshold),
+        "delegates": profile.delegates,
+        "style": profile.style,
+        "ballots": [{"ranking": list(r), "count": n} for r, n in profile.rankings.items()],
+    }
+    write_json(payload, path)
 
 
 def count_pairs(cvrs, rounds) -> Counter:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, TEN_STRENGTHS, count_pairs, cyclic_contest, km_step, random_irv_profile
+from conftest import DATA, TEN_STRENGTHS, count_pairs, cyclic_contest, km_step, random_irv_profile, save_election
 from hamilton_rla import cli, load_audit_spec, load_cvrs, read_manifest, viability
 from hamilton_rla.assertions import describe
 from hamilton_rla.cli import _state_checksum, main
@@ -1303,11 +1303,7 @@ def test_paused_collector_leaves_the_same_garbage_whatever_the_search(capsys, tm
     objects (its argument parser), the same for a three-candidate contest
     as for the ten-candidate search's 20k nodes."""
     ten = tmp_path / "ten.json"
-    profile = cyclic_contest(TEN_STRENGTHS)
-    ten.write_text(json.dumps({
-        "candidates": list(profile.labels), "threshold": str(profile.threshold), "delegates": profile.delegates,
-        "style": profile.style, "ballots": [{"ranking": list(r), "count": n} for r, n in profile.rankings.items()],
-    }))
+    save_election(cyclic_contest(TEN_STRENGTHS), ten)
     left = []
     for election in (SMALL, ten, SMALL, ten):
         gc.collect()

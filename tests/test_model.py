@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import DATA, random_plurality_profile
+from conftest import DATA, random_plurality_profile, save_election
 from hamilton_rla import (
     AuditSpec,
     CvrRecord,
@@ -29,21 +29,8 @@ from hamilton_rla.model import (
     canonical_json,
     parse_proportion,
     parse_ranking_cell,
-    write_json,
 )
 from hamilton_rla.viability import build_audit_spec
-
-
-def save_election(profile, path):
-    """Write a profile in the election JSON format that load_election reads."""
-    payload = {
-        "candidates": list(profile.labels),
-        "threshold": str(profile.threshold),
-        "delegates": profile.delegates,
-        "style": profile.style,
-        "ballots": [{"ranking": list(r), "count": n} for r, n in profile.rankings.items()],
-    }
-    write_json(payload, path)
 
 
 def test_load_plurality_example():
