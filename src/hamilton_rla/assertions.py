@@ -39,13 +39,18 @@ number of cast ballots) sums ``2*points - scale`` over the class tallies,
 so the assertion holds exactly when it is positive.  The functions at the
 end of the module score one ballot at a time: the exact reference the
 tally path is tested against.
+
+An assertion's derived values (``scale``, ``points``, ``other_points``,
+``max_points``, ``upper_bound``, ``key`` and its ``description``) are
+computed at most once per object, on first read, and without a lock.  That
+is safe because each is a pure function of the frozen fields: a race
+between two first reads can only compute the same value twice.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar, Collection, Mapping
 
 from .tabulation import top_remaining
@@ -54,13 +59,37 @@ if TYPE_CHECKING:  # pragma: no cover
     from .model import ElectionProfile, Ranking
 
 
+class _cached:
+    """A derived value computed on its first read and stored on the
+    instance, where every later read finds it without calling back here.
+
+    Unlike ``functools.cached_property`` before Python 3.12 it takes no
+    lock: every value cached this way is a pure function of an assertion's
+    frozen fields, so threads racing on a first read would only compute the
+    same value twice, and one of the equal results stays.
+    """
+
+    def __init__(self, func):
+        self.func = func
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Assertion:
     """The protocol shared by the four assertion forms.
 
     Subclasses define ``tag`` (the spec JSON type), the assorter as
     integer ``points`` per class with ``other_points`` for every class not
-    named there over an even ``scale``, and ``key``, ``__str__`` and the
-    dict form.  The bound and the margin derive from the points.
+    named there over an even ``scale``, and ``key``, ``description`` (the
+    ``str`` form) and the dict form.  The bound and the margin derive from
+    the points.
     """
 
     tag: ClassVar[str]
@@ -69,17 +98,21 @@ class Assertion:
     points: Mapping[str | None, int]
     other_points: int
     key: str
+    description: str
+
+    def __str__(self) -> str:
+        return self.description
 
     def removed(self, labels: Collection[str]) -> frozenset[str]:
         """Candidates treated as eliminated when classing ballots that rank
         only candidates in ``labels``."""
         return self.eliminated
 
-    @cached_property
+    @_cached
     def max_points(self) -> int:
         return max(self.other_points, *self.points.values())
 
-    @cached_property
+    @_cached
     def upper_bound(self) -> Fraction:
         return Fraction(self.max_points, self.scale)
 
@@ -149,11 +182,12 @@ class _ThresholdAssertion(Assertion):
         if self.candidate in self.eliminated:
             raise ValueError(f"candidate {self.candidate!r} cannot be in its own elimination set")
 
-    @cached_property
+    @_cached
     def key(self) -> str:
         return f"{self.tag}:{self.candidate}:E={','.join(sorted(self.eliminated))}:t={self.threshold}"
 
-    def __str__(self) -> str:
+    @_cached
+    def description(self) -> str:
         return f"{type(self).__name__}({self.candidate} | out {_set_repr(self.eliminated)} | t={self.threshold})"
 
     def to_dict(self) -> dict:
@@ -174,16 +208,16 @@ class Viable(_ThresholdAssertion):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0 < self.threshold <= 1:
+        if not 0 < self.threshold.numerator <= self.threshold.denominator:
             raise ValueError(f"threshold {self.threshold} outside (0, 1]")
 
     other_points = 0
 
-    @cached_property
+    @_cached
     def scale(self) -> int:
         return 2 * self.threshold.numerator
 
-    @cached_property
+    @_cached
     def points(self) -> Mapping[str | None, int]:
         return {self.candidate: self.threshold.denominator}
 
@@ -193,18 +227,18 @@ class NonViable(_ThresholdAssertion):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0 < self.threshold < 1:
+        if not 0 < self.threshold.numerator < self.threshold.denominator:
             raise ValueError(f"non-viability threshold {self.threshold} outside (0, 1)")
 
-    @cached_property
+    @_cached
     def scale(self) -> int:
         return 2 * (self.threshold.denominator - self.threshold.numerator)
 
-    @cached_property
+    @_cached
     def points(self) -> Mapping[str | None, int]:
         return {self.candidate: 0}
 
-    @cached_property
+    @_cached
     def other_points(self) -> int:
         return self.threshold.denominator
 
@@ -225,15 +259,16 @@ class IrvWins(Assertion):
         if self.winner in self.eliminated or self.loser in self.eliminated:
             raise ValueError("winner/loser cannot be in the elimination set")
 
-    @cached_property
+    @_cached
     def points(self) -> Mapping[str | None, int]:
         return {self.winner: 2, self.loser: 0}
 
-    @cached_property
+    @_cached
     def key(self) -> str:
         return f"{self.tag}:{self.winner}>{self.loser}:E={','.join(sorted(self.eliminated))}"
 
-    def __str__(self) -> str:
+    @_cached
+    def description(self) -> str:
         return f"IrvWins({self.winner} > {self.loser} | out {_set_repr(self.eliminated)})"
 
     def to_dict(self) -> dict:
@@ -269,23 +304,24 @@ class PairwiseDiff(Assertion):
     def removed(self, labels: Collection[str]) -> frozenset[str]:
         return frozenset(labels) - self.viable
 
-    @cached_property
+    @_cached
     def scale(self) -> int:
         return 2 * (self.offset.denominator + self.offset.numerator)
 
-    @cached_property
+    @_cached
     def points(self) -> Mapping[str | None, int]:
         return {self.winner: 2 * self.other_points, self.loser: 0, None: self.scale // 2}
 
-    @cached_property
+    @_cached
     def other_points(self) -> int:
         return self.offset.denominator
 
-    @cached_property
+    @_cached
     def key(self) -> str:
         return f"{self.tag}:{self.winner}>{self.loser}:d={self.offset}:V={','.join(sorted(self.viable))}"
 
-    def __str__(self) -> str:
+    @_cached
+    def description(self) -> str:
         return f"PairwiseDiff({self.winner} > {self.loser} + {self.offset} | viable {_set_repr(self.viable)})"
 
     def to_dict(self) -> dict:
@@ -339,4 +375,4 @@ def assertion_key(assertion: Assertion) -> str:
 
 def describe(assertion: Assertion) -> str:
     """Short human-readable rendering for tables and proof logs."""
-    return str(assertion)
+    return assertion.description

@@ -185,10 +185,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     outcome = tabulation.tabulate(profile)
     spec, log = viability.build_audit_spec(profile, outcome, args.level, params)
     out_path = args.out or f"{Path(args.election).with_suffix('')}.level{args.level}.spec.json"
-    model.save_audit_spec(spec, out_path)
+    payload = model.save_audit_spec(spec, out_path)
     if args.proof_log:
         Path(args.proof_log).write_text("\n".join(log) + "\n", encoding="utf-8")
-    payload = model.audit_spec_to_dict(spec)
     payload["spec_path"] = str(out_path)
     _emit(payload, args, _spec_table(spec) + f"\nspec written to {out_path}")
     if spec.status == STATUS_FULL_COUNT:

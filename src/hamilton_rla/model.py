@@ -458,8 +458,11 @@ def audit_spec_from_dict(data: dict) -> AuditSpec:
         raise ElectionDataError(f"bad audit spec: {exc}") from None
 
 
-def save_audit_spec(spec: AuditSpec, path: str | Path) -> None:
-    write_json(audit_spec_to_dict(spec), path)
+def save_audit_spec(spec: AuditSpec, path: str | Path) -> dict:
+    """Write the spec as canonical JSON; returns the dict written."""
+    payload = audit_spec_to_dict(spec)
+    write_json(payload, path)
+    return payload
 
 
 def load_audit_spec(path: str | Path) -> AuditSpec:

@@ -40,6 +40,9 @@ A child's options depend only on the candidate it eliminates and the set
 candidate, then an ``IrvWins`` over each standing candidate in roster
 order.  So the pick is made once per ``(candidate, rest)``
 (``AuditContext.move``) and shared by every child that makes that move.
+The move is looked up by ``rest`` as the roster-ordered tuple the child
+carries as its ``unmentioned``, which names each set in one way only; the
+set itself is built only when the pick is made.
 Every ``IrvWins`` there is scored on the same piles, so only the first
 over a least standing pile can have the largest margin, and ``move``
 weighs just that one against the ``Viable``.
@@ -49,7 +52,9 @@ roster order, and its frontier tie keys.  Roots read them off the roster
 once per viable set; each child takes them from its parent, so no search
 step rescans the roster.  Links run one way, from child to parent: a node
 is closed when it or an ancestor is pruned, and a branch the search has
-finished with is freed as soon as nothing queued descends from it.
+finished with is freed as soon as nothing queued descends from it.  Both
+per-node walks, ``closed`` and a leaf's ``cheapest``, follow those links
+in a plain loop.
 
 The frontier is a heap ranked once per node, when it is queued: highest
 finite estimated effort first, unresolved (infinite) nodes last, then
@@ -71,13 +76,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations, count
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .assertions import (
     Assertion,
     IrvWins,
     NonViable,
     Viable,
+    _set_repr,
     assertion_key,
     describe,
 )
@@ -125,7 +131,7 @@ class AuditContext:
         self.index = {c: i for i, c in enumerate(self.labels)}
         self._piles: dict[frozenset[str], dict[str, int]] = {}
         self._eae: dict[float, float] = {}
-        self._moves: dict[tuple[str, frozenset[str]], tuple[Assertion | None, float]] = {}
+        self._moves: dict[tuple[str, tuple[str, ...]], tuple[Assertion | None, float]] = {}
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
         cached = self._piles.get(eliminated)
@@ -151,10 +157,14 @@ class AuditContext:
             self._eae[margin] = cached
         return cached
 
-    def move(self, cand: str, rest: frozenset[str]) -> tuple[Assertion | None, float]:
+    def move(self, cand: str, rest: tuple[str, ...]) -> tuple[Assertion | None, float]:
         """The assertion showing that ``cand`` is not eliminated while
         exactly ``rest`` is gone, and its ``eae``; ``(None, inf)`` if none
         holds.
+
+        ``rest`` comes in roster order, as the child's ``unmentioned``, so
+        the tuple names its set in one way only and keys the cache as it
+        is; the set is built only on a miss, for the options and ``piles``.
 
         Everyone outside ``rest`` and ``cand`` is standing, so the options
         are ``Viable(cand, rest)``, then ``IrvWins(cand, other, rest)`` for
@@ -166,11 +176,12 @@ class AuditContext:
         key = (cand, rest)
         cached = self._moves.get(key)
         if cached is None:
-            options: list[Assertion] = [Viable(cand, rest, self.threshold)]
-            piles = self.piles(rest)  # the standing candidates, in roster order
+            removed = frozenset(rest)
+            options: list[Assertion] = [Viable(cand, removed, self.threshold)]
+            piles = self.piles(removed)  # the standing candidates, in roster order
             loser = min((c for c in piles if c != cand), key=piles.__getitem__, default=None)
             if loser is not None:
-                options.append(IrvWins(cand, loser, rest))
+                options.append(IrvWins(cand, loser, removed))
             cached = self._moves[key] = _cheapest(options, self)
         return cached
 
@@ -235,7 +246,8 @@ class AltOutcomeNode:
     set: the frontier's tie keys.  ``build`` derives the bookkeeping from
     the roster; ``expand_node`` passes it down to each child.  A node links
     only to its ``parent``; ``pruned`` marks the node whose assertion
-    closes it, and ``closed`` reads that mark off the node's ``branch``.
+    closes it, and ``closed`` looks for that mark on the node and its
+    ancestors.
     """
 
     eliminated_suffix: tuple[str, ...]
@@ -276,21 +288,30 @@ class AltOutcomeNode:
     def is_leaf(self) -> bool:
         return not self.unmentioned
 
-    def branch(self) -> Iterator["AltOutcomeNode"]:
-        """This node, then each ancestor up to its root."""
-        node: AltOutcomeNode | None = self
-        while node is not None:
-            yield node
-            node = node.parent
-
     def closed(self) -> bool:
         """Whether an emitted assertion covers this node: it or an ancestor is pruned."""
-        return any(n.pruned for n in self.branch())
+        node: AltOutcomeNode | None = self
+        while node is not None:
+            if node.pruned:
+                return True
+            node = node.parent
+        return False
 
-    def describe(self) -> str:
+    def cheapest(self) -> "AltOutcomeNode":
+        """The node of least ``eae`` among this one and its ancestors, the
+        shallower of equal ones: where a leaf closes its branch."""
+        best, node = self, self.parent
+        while node is not None:
+            if node.eae <= best.eae:
+                best = node
+            node = node.parent
+        return best
+
+    def describe(self, viable_text: str | None = None) -> str:
+        """The node as a proof log names it; ``viable_text`` is the viable
+        set's ``{…}`` text when the caller keeps it."""
         tail = " -> ".join(self.eliminated_suffix) if self.eliminated_suffix else "(any order)"
-        v = "{" + ",".join(sorted(self.viable)) + "}" if self.viable else "{}"
-        return f"[... {tail} | viable {v}]"
+        return f"[... {tail} | viable {viable_text or _set_repr(self.viable)}]"
 
 
 def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[Assertion | None, float]:
@@ -342,7 +363,7 @@ def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]
     children: list[AltOutcomeNode] = []
     for i, cand in enumerate(unmentioned):
         rest = unmentioned[:i] + unmentioned[i + 1:]
-        assertion, eae = ctx.move(cand, frozenset(rest))
+        assertion, eae = ctx.move(cand, rest)
         children.append(AltOutcomeNode(
             (cand,) + node.eliminated_suffix,
             node.viable,
@@ -404,13 +425,15 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
     # (rank, arrival, node); closed nodes stay until they reach the top
     frontier: list[tuple[tuple, int, AltOutcomeNode]] = []
     arrivals = count()
+    viable_texts = {vset: _set_repr(vset) for vset in alt_sets}
 
     def add_assertion(node: AltOutcomeNode, why: str) -> None:
         assert node.assertion is not None
         key = assertion_key(node.assertion)
         if key not in entries:
             entries[key] = ctx.entry(node.assertion)
-        log.append(f"{why}: prune {node.describe()} with {describe(node.assertion)} (eae {node.eae})")
+        described = node.describe(viable_texts[node.viable])
+        log.append(f"{why}: prune {described} with {describe(node.assertion)} (eae {node.eae})")
 
     def visit(node: AltOutcomeNode) -> bool:
         """Queue an inner node.  A leaf closes its branch at the branch's
@@ -420,7 +443,7 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
         if not node.is_leaf():
             heappush(frontier, (_rank(node), next(arrivals), node))
             return True
-        best = min(node.branch(), key=lambda n: (n.eae, n.depth))
+        best = node.cheapest()
         if math.isinf(best.eae):
             log.append(f"FAIL: no assertion invalidates branch {node.describe()}")
             return False

@@ -12,8 +12,10 @@ from hamilton_rla.assertions import (
     Viable,
     assertion_key,
     assorter_value,
+    describe,
     margin,
 )
+from hamilton_rla.model import assertion_from_dict
 from hamilton_rla.tabulation import count_piles
 from hamilton_rla.viability import AuditContext
 
@@ -87,12 +89,59 @@ def test_assertion_invariants_validated():
         Viable("A", frozenset({"A"}), TAU)
     with pytest.raises(ValueError):
         NonViable("A", frozenset(), Fraction(1))
+    for t in (Fraction(0), Fraction(-1, 5), Fraction(6, 5)):
+        with pytest.raises(ValueError, match=rf"^threshold {t} outside \(0, 1\]$"):
+            Viable("A", frozenset(), t)
+    for t in (Fraction(0), Fraction(6, 5)):
+        with pytest.raises(ValueError, match=rf"^non-viability threshold {t} outside \(0, 1\)$"):
+            NonViable("A", frozenset(), t)
+    # the ends of each range that are inside it
+    for t in (Fraction(1), Fraction(1, 1000)):
+        Viable("A", frozenset(), t)
+    for t in (Fraction(999, 1000), Fraction(1, 1000)):
+        NonViable("A", frozenset(), t)
     with pytest.raises(ValueError):
         IrvWins("A", "A", frozenset())
     with pytest.raises(ValueError):
         PairwiseDiff("A", "B", Fraction(-6, 5), frozenset({"A", "B"}))
     with pytest.raises(ValueError):
         PairwiseDiff("A", "B", Fraction(0), frozenset({"A"}))
+
+
+# each form's description, with t=1, an empty eliminated set and sets of
+# several labels, as specs, tables and proof logs have always written it
+DESCRIPTIONS = [
+    (Viable("Ann", frozenset(), Fraction(1)), "Viable(Ann | out {} | t=1)"),
+    (Viable("Ann", frozenset({"Dee", "Cal"}), TAU), "Viable(Ann | out {Cal,Dee} | t=3/20)"),
+    (NonViable("Cal", frozenset({"Dee", "Bob"}), TAU), "NonViable(Cal | out {Bob,Dee} | t=3/20)"),
+    (NonViable("Cal", frozenset(), Fraction(1, 2)), "NonViable(Cal | out {} | t=1/2)"),
+    (IrvWins("Bob", "Cal", frozenset({"Dee"})), "IrvWins(Bob > Cal | out {Dee})"),
+    (IrvWins("Bob", "Cal", frozenset()), "IrvWins(Bob > Cal | out {})"),
+    (PairwiseDiff("Bob", "Ann", Fraction(-4, 5), frozenset({"Ann", "Bob", "Cal"})),
+     "PairwiseDiff(Bob > Ann + -4/5 | viable {Ann,Bob,Cal})"),
+    (PairwiseDiff("Ann", "Bob", Fraction(0), frozenset({"Ann", "Bob"})), "PairwiseDiff(Ann > Bob + 0 | viable {Ann,Bob})"),
+]
+
+
+@pytest.mark.parametrize("assertion, text", DESCRIPTIONS)
+def test_descriptions_are_pinned(assertion, text):
+    """Built directly or read back from its dict form, an assertion reads the
+    same through ``str``, ``describe`` and ``description``."""
+    for a in (assertion, assertion_from_dict(assertion.to_dict())):
+        assert str(a) == describe(a) == a.description == text
+
+
+@pytest.mark.parametrize("assertion, text", DESCRIPTIONS)
+def test_derived_values_are_computed_once(assertion, text):
+    """A second read of a derived value returns the object the first read
+    cached, equal to what a fresh instance computes."""
+    a = assertion_from_dict(assertion.to_dict())
+    fresh = assertion_from_dict(assertion.to_dict())
+    for name in ("description", "key", "scale", "points", "other_points", "max_points", "upper_bound"):
+        first = getattr(a, name)
+        assert getattr(a, name) is first, name
+        assert first == getattr(fresh, name), name
+    assert (a.key, a.scale, a.points) == (assertion.key, assertion.scale, assertion.points)
 
 
 def test_viability_margins_match_reported_values(plurality_profile):

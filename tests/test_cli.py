@@ -467,6 +467,10 @@ def test_generate_deterministic_bytes(capsys, tmp_path):
         assert code == 0
         blobs.append((out, spec_path.read_bytes()))
     assert blobs[0] == blobs[1]
+    # the JSON payload is the spec written, plus where it went
+    payload = json.loads(blobs[0][0])
+    assert payload.pop("spec_path") == str(spec_path)
+    assert payload == json.loads(blobs[0][1])
 
 
 def test_estimate_emits_three_levels(capsys):

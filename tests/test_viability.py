@@ -313,17 +313,24 @@ def test_children_inherit_the_bookkeeping_build_reads_off_the_roster():
     assert len(layer) == 5 * 4 * 3
 
 
+def _chain(ctx, eaes):
+    """A root and its descendants, one per ``eaes`` value, each linked to
+    the one before it."""
+    nodes, suffix = [], ()
+    for cand, eae in zip(("Dee", "Cal", "Bob"), eaes):
+        node = AltOutcomeNode.build(suffix, frozenset({"Ann"}), ctx, eae=eae)
+        node.parent = nodes[-1] if nodes else None
+        nodes.append(node)
+        suffix = (cand,) + suffix
+    return nodes
+
+
 def test_closed_reads_the_prune_mark_off_the_ancestors(irv_profile):
-    """``branch`` walks a node and its ancestors, nearest first; a node is
-    closed when it or an ancestor is pruned, never by a pruned descendant."""
+    """A node is closed when it or an ancestor is pruned, never by a pruned
+    descendant, and a closed mark ends the walk up the branch."""
     ctx = AuditContext(irv_profile, PARAMS)
-    root = AltOutcomeNode.build((), frozenset({"Ann"}), ctx)
-    child = AltOutcomeNode.build(("Bob",), frozenset({"Ann"}), ctx)
-    grandchild = AltOutcomeNode.build(("Cal", "Bob"), frozenset({"Ann"}), ctx)
-    child.parent, grandchild.parent = root, child
-    assert list(grandchild.branch()) == [grandchild, child, root]
-    assert list(root.branch()) == [root]
-    chain = (root, child, grandchild)
+    chain = root, child, grandchild = _chain(ctx, (1.0, 2.0, 3.0))
+    assert (root.parent, child.parent, grandchild.parent) == (None, root, child)
     assert [n.closed() for n in chain] == [False, False, False]
     grandchild.pruned = True
     assert [n.closed() for n in chain] == [False, False, True]
@@ -331,6 +338,25 @@ def test_closed_reads_the_prune_mark_off_the_ancestors(irv_profile):
     assert [n.closed() for n in chain] == [False, True, True]
     root.pruned = True
     assert [n.closed() for n in chain] == [True, True, True]
+
+
+@pytest.mark.parametrize("eaes, want", [
+    ((5.0, 3.0, 4.0), 1),  # least eae wins
+    ((3.0, 3.0, 3.0), 0),  # equal eae: the shallowest
+    ((7.0, 2.0, 2.0), 1),
+    ((math.inf, math.inf, 9.0), 2),
+    ((math.inf, math.inf, math.inf), 0),  # nothing holds: the root, whose inf fails the branch
+    ((4.0, math.inf, math.inf), 0),
+])
+def test_leaf_closes_its_branch_at_the_cheapest_node(irv_profile, eaes, want):
+    """A leaf closes its branch at the node of least ``eae`` among it and its
+    ancestors, the shallower of equal ones: the pick ``min`` makes over the
+    branch by ``(eae, depth)``.  A lone root picks itself."""
+    ctx = AuditContext(irv_profile, PARAMS)
+    chain = _chain(ctx, eaes)
+    assert chain[-1].cheapest() is chain[want]
+    assert chain[want] is min(chain, key=lambda n: (n.eae, n.depth))
+    assert chain[0].cheapest() is chain[0]
 
 
 def test_search_nodes_are_freed_without_the_cycle_collector():
@@ -353,6 +379,21 @@ def test_search_nodes_are_freed_without_the_cycle_collector():
         gc.enable()
     assert result.closed
     assert after == before
+
+
+def test_move_cache_keys_each_move_once():
+    """The move cache is keyed by the roster-ordered ``rest`` tuple, so after
+    the ten-candidate search no two keys name the same candidate and set: a
+    second spelling of a set would split the cache and could change which
+    of tied options a child gets."""
+    profile = cyclic_contest(TEN_STRENGTHS)
+    ctx = AuditContext(profile, RiskParams(seed=1))
+    assert branch_and_bound(ctx, tabulate(profile)).closed
+    keys = list(ctx._moves)
+    assert len(keys) > 1000
+    assert len({(cand, frozenset(rest)) for cand, rest in keys}) == len(keys)
+    roster = ctx.index.__getitem__
+    assert all(list(rest) == sorted(rest, key=roster) and cand not in rest for cand, rest in keys)
 
 
 def test_irv_beats_option_used_when_viability_fails(irv_profile):
@@ -609,8 +650,9 @@ def test_move_picks_what_max_over_every_option_picks(monkeypatch):
         ballots = [([c], n) for c, n in zip(labels, piles)] + [([], rng.randint(0, 2))]
         ctx = AuditContext(build_profile(labels, ballots, tau, 1, "irv"), RiskParams(error_rate=0.0, trials=5))
         cand = rng.choice(labels)
-        rest = frozenset(c for c in labels if c != cand and rng.random() < 0.3)
-        full = [Viable(cand, rest, tau)] + [IrvWins(cand, c, rest) for c in labels if c != cand and c not in rest]
+        rest = tuple(c for c in ctx.labels if c != cand and rng.random() < 0.3)  # roster order
+        removed = frozenset(rest)
+        full = [Viable(cand, removed, tau)] + [IrvWins(cand, c, removed) for c in labels if c != cand and c not in rest]
         want = max(full, key=ctx_margin(ctx))
         handed.clear()
         assert ctx.move(cand, rest) == _cheapest(full, ctx)
