@@ -17,8 +17,8 @@ over the seeded sample: every recorded round's slice, then this round's
 manifest, each draw checked against its own round's interpretations and
 counted per (CVR ranking, paper ranking) pair; a round whose draws its
 interpretations do not cover is refused at the first such draw.  The
-same stream then yields the next manifest.  The draw total and
-per-assertion counts and p-values the state also holds are a summary for
+same stream then yields the next manifest.  The draw total and the
+round's ``assertions`` report the state also holds are a summary for
 readers and are never read back.  A round that leaves an assertion
 unconfirmed whose margin is too small to move a float p-value ends with
 status ``requires-full-count`` and exit 4; it is still recorded, since its
@@ -37,6 +37,7 @@ import time
 from collections import Counter
 from itertools import islice
 from pathlib import Path
+from typing import Callable, Iterable
 
 from . import model, risk, tabulation, viability
 from .assertions import assertion_key, describe
@@ -47,7 +48,7 @@ from .model import (
     ElectionDataError,
     UnsupportedOutcomeError,
 )
-from .risk import RiskParams, RiskState
+from .risk import RiskParams
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -129,11 +130,11 @@ def _params_from(args: argparse.Namespace) -> RiskParams:
         raise ElectionDataError(str(exc)) from None
 
 
-def _emit(payload: dict, args: argparse.Namespace, text: str) -> None:
+def _emit(payload: dict, args: argparse.Namespace, lines: Callable[[], Iterable[str]]) -> None:
     if args.format == "json":
         sys.stdout.write(model.canonical_json(payload))
     else:
-        print(text)
+        print("\n".join(lines()))
 
 
 def _fmt_asn(value: float) -> str:
@@ -166,7 +167,7 @@ def cmd_tabulate(args: argparse.Namespace) -> int:
         )
     if outcome.tie_flag or outcome.viability_tie_warning:
         lines.append("warning: tie broken during tabulation; affected margins are zero")
-    _emit(payload, args, "\n".join(lines))
+    _emit(payload, args, lambda: lines)
     return EXIT_OK
 
 
@@ -189,7 +190,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     if args.proof_log:
         Path(args.proof_log).write_text("\n".join(log) + "\n", encoding="utf-8")
     payload["spec_path"] = str(out_path)
-    _emit(payload, args, _spec_table(spec) + f"\nspec written to {out_path}")
+    _emit(payload, args, lambda: (_spec_table(spec), f"spec written to {out_path}"))
     if spec.status == STATUS_FULL_COUNT:
         print("full manual count required", file=sys.stderr)
         return EXIT_FULL_COUNT
@@ -227,7 +228,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "ballots": profile.total_ballots,
         "levels": levels,
     }
-    _emit(payload, args, "\n".join(text))
+    _emit(payload, args, lambda: text)
     return EXIT_FULL_COUNT if any(spec.status == STATUS_FULL_COUNT for spec in specs) else EXIT_OK
 
 
@@ -236,12 +237,10 @@ def _state_checksum(payload: dict) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
-def _save_state(state: dict, path: str, states: dict[str, RiskState]) -> None:
+def _save_state(state: dict, path: str, assertions: dict) -> None:
     """Write the audit's evidence plus a summary derived from it and never
-    read back: the draw count and each assertion's counts and p-value."""
-    summary = {key: {"margin": s.margin, "draws": s.draws, **s.discrepancies, "p_value": s.p_value}
-               for key, s in states.items()}
-    state = dict(state, total_draws=sum(rnd["draws"] for rnd in state["rounds"]), assertions=summary)
+    read back: the draw count and the round's per-assertion report."""
+    state = dict(state, total_draws=sum(rnd["draws"] for rnd in state["rounds"]), assertions=assertions)
     model.write_json({"checksum": _state_checksum(state), "state": state}, path)
 
 
@@ -345,14 +344,17 @@ def cmd_audit_init(args: argparse.Namespace) -> int:
         "rounds": [],
         **{field: _sha256(getattr(args, option)) for field, option in _BOUND_INPUTS},
     }
-    _save_state(state, args.state, states={})
+    _save_state(state, args.state, assertions={})
     payload = {"manifest": args.manifest, "draws": len(draws), "seed": seed, "state": args.state}
-    _emit(payload, args, f"first-round manifest: {len(draws)} draws -> {args.manifest} (seed {seed})")
+    _emit(payload, args, lambda: [f"first-round manifest: {len(draws)} draws -> {args.manifest} (seed {seed})"])
     return EXIT_OK
 
 
 def cmd_audit_round(args: argparse.Namespace) -> int:
     spec = model.load_audit_spec(args.spec)
+    for e in spec.entries:  # rounds score with the stated margins, which must be positive
+        if e.margin <= 0:
+            raise ElectionDataError(f"audit spec {args.spec} states {describe(e.assertion)} margin {e.margin}, not positive")
     cvr_records = _load_contest_cvrs(args.cvrs, spec)
     cvrs = {r.ballot_id: r.ranking for r in cvr_records}
     manifest = risk.read_manifest(args.manifest)
@@ -418,19 +420,23 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
         "suggested_additional_draws": int(suggestion) if status == "escalate" else None,
         "assertions": per_assertion,
     }
-    lines = [f"status: {status}  cumulative draws: {total}"]
-    for e in spec.entries:
-        s = states[assertion_key(e.assertion)]
-        lines.append(f"  p={s.p_value:.6f} draws={s.draws}  {describe(e.assertion)}")
-    if status == "escalate":
-        lines.append(f"suggested additional draws: {int(suggestion)}")
-        if args.next_manifest:
-            risk.write_manifest(list(islice(sample, int(suggestion))), args.next_manifest)
-            lines.append(f"next manifest -> {args.next_manifest}")
-            payload["next_manifest"] = args.next_manifest
+    if status == "escalate" and args.next_manifest:
+        risk.write_manifest(list(islice(sample, int(suggestion))), args.next_manifest)
+        payload["next_manifest"] = args.next_manifest
     # saved last, so a failed write above leaves the audit where it was
-    _save_state(state, args.state, states)
-    _emit(payload, args, "\n".join(lines))
+    _save_state(state, args.state, per_assertion)
+
+    def lines() -> Iterable[str]:
+        yield f"status: {status}  cumulative draws: {total}"
+        for e in spec.entries:
+            s = per_assertion[assertion_key(e.assertion)]
+            yield f"  p={s['p_value']:.6f} draws={s['draws']}  {describe(e.assertion)}"
+        if status == "escalate":
+            yield f"suggested additional draws: {int(suggestion)}"
+        if "next_manifest" in payload:
+            yield f"next manifest -> {args.next_manifest}"
+
+    _emit(payload, args, lines)
     if status == STATUS_FULL_COUNT:
         print("no number of further draws confirms every assertion; full manual count required", file=sys.stderr)
         return EXIT_FULL_COUNT

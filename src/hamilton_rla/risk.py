@@ -8,15 +8,16 @@ comparison form with inflation factor ``gamma``:
 * one-vote overstatement:       clean factor / ``(1 - 1/(2*gamma))``
 * two-vote overstatement:       clean factor / ``(1 - 1/gamma)``
 
-An assertion is confirmed once its p-value falls to the risk limit
+The p-value is held as its log: it is the exponential of the sum of the
+draws' log factors, capped at 0, so no count of overstatements overflows
+it.  An assertion is confirmed once its p-value falls to the risk limit
 ``alpha``.  With no errors the required number of draws is exactly
 ``ceil(ln(alpha) / ln(1 - m/(2*gamma)))``; a margin of ``2*gamma`` or
 more confirms on the first draw, and one so small that the clean factor
 rounds to 1 never confirms (a full count).  Understatements are
-conservatively given the clean factor, never less.  The p-value is
-capped at 1, but the product under the cap is what later draws multiply,
-so an escalating round suggests the clean draws that take that product
-to ``alpha``.
+conservatively given the clean factor, never less.  Later draws add to
+the uncapped sum, so an escalating round suggests the clean draws that
+take it to ``ln(alpha)``.
 
 Expected sample sizes (ASN) are estimated by simulation: ballots are
 drawn one at a time, each independently a one-vote overstatement with
@@ -88,9 +89,9 @@ class RiskParams:
 class RiskState:
     """Per-assertion audit progress: the discrepancy count of each category.
 
-    The p-value is the (capped) product of per-draw factors; computing it
-    from counts keeps it independent of the order in which ballots were
-    processed.
+    The p-value is the exponential of the (capped) sum of per-draw log
+    factors; computing it from counts keeps it independent of the order in
+    which ballots were processed.
     """
 
     margin: float
@@ -105,19 +106,15 @@ class RiskState:
         return self.clean + self.one_vote + self.two_vote + self.understatement
 
     @property
-    def product(self) -> float:
-        """The uncapped product of the per-draw factors."""
-        f_clean, f_one, f_two = _factors(self.margin, self.gamma)
-        raw = f_clean ** (self.clean + self.understatement)
-        if self.one_vote:
-            raw *= f_one**self.one_vote
-        if self.two_vote:
-            raw *= f_two**self.two_vote
-        return raw
+    def log_product(self) -> float:
+        """The log of the uncapped product of the per-draw factors; a zero
+        count adds nothing, so ``0 * -inf`` never occurs."""
+        counts = (self.clean + self.understatement, self.one_vote, self.two_vote)
+        return sum((n * f for n, f in zip(counts, _log_factors(self.margin, self.gamma)) if n), 0.0)
 
     @property
     def p_value(self) -> float:
-        return min(1.0, self.product)
+        return math.exp(min(0.0, self.log_product))
 
     @property
     def discrepancies(self) -> dict[str, int]:
@@ -129,13 +126,17 @@ class RiskState:
         }
 
 
-def _factors(margin: float, gamma: float) -> tuple[float, float, float]:
-    """The per-draw p-value factors of a clean draw (or understatement), a
-    one-vote and a two-vote overstatement."""
+def _log_factors(margin: float, gamma: float) -> tuple[float, float, float]:
+    """The logs of the per-draw p-value factors of a clean draw (or
+    understatement), a one-vote and a two-vote overstatement: all ``-inf``
+    when one clean draw zeroes the p-value (margin ``2*gamma`` or more), a
+    clean log of 0 when the margin is below float resolution."""
     if margin <= 0:
         raise CannotAuditError(f"margin {margin} is not positive; assertion cannot be audited")
-    clean = max(0.0, 1.0 - margin / (2.0 * gamma))
-    return clean, clean / (1.0 - 1.0 / (2.0 * gamma)), clean / (1.0 - 1.0 / gamma)
+    clean = 1.0 - margin / (2.0 * gamma)
+    if clean <= 0.0:
+        return -math.inf, -math.inf, -math.inf
+    return math.log(clean), math.log(clean / (1.0 - 1.0 / (2.0 * gamma))), math.log(clean / (1.0 - 1.0 / gamma))
 
 
 def discrepancy(assertion: Assertion, cvr: "Ranking", paper: "Ranking") -> str:
@@ -164,12 +165,12 @@ def clean_draws(margin: float, alpha: float, gamma: float, log_p: float = 0.0) -
     clean factor, so no audit that starts at ``exp(log_p)`` confirms in
     fewer draws.
     """
-    clean = _factors(margin, gamma)[0]
-    if clean <= 0.0:
+    log_clean = _log_factors(margin, gamma)[0]
+    if log_clean == -math.inf:
         return 1
-    if clean == 1.0:
+    if log_clean == 0.0:
         return FULL_COUNT
-    return math.ceil((math.log(alpha) - log_p) / math.log(clean))
+    return math.ceil((math.log(alpha) - log_p) / log_clean)
 
 
 class _ErrorGaps:
@@ -207,13 +208,9 @@ def _trial_draws(margin: float, params: RiskParams, population: int, gaps: _Erro
     probability ``error_rate``, but skips between error positions
     (geometric ``gaps``), so a trial costs O(number of errors).
     """
-    clean, over, _ = _factors(margin, params.gamma)
-    if clean <= 0.0:
-        return 1
-    if clean == 1.0:  # a margin below float resolution: no draw lowers p
-        return FULL_COUNT
-    log_clean = math.log(clean)
-    log_over = math.log(over)
+    log_clean, log_over, _ = _log_factors(margin, params.gamma)
+    if not -math.inf < log_clean < 0.0:  # one draw zeroes p, or none lowers it
+        return clean_draws(margin, params.alpha, params.gamma)
     log_target = math.log(params.alpha)
     # zero also for a rate too small to move 1 - error_rate: no errors
     log_no_error = math.log(1.0 - params.error_rate)
@@ -324,9 +321,6 @@ def run_audit_round(
     unconfirmed = {k: s for k, s in states.items() if s.p_value > alpha}
     if not unconfirmed:
         return states, "confirmed", 0
-    # later draws multiply the uncapped product, so the excess above 1 counts
-    suggestion = max(
-        clean_draws(state.margin, alpha, state.gamma, math.log(state.product))
-        for state in unconfirmed.values()
-    )
+    # later draws add to the uncapped log, so the excess above 0 counts
+    suggestion = max(clean_draws(s.margin, alpha, s.gamma, s.log_product) for s in unconfirmed.values())
     return states, STATUS_FULL_COUNT if math.isinf(suggestion) else "escalate", suggestion

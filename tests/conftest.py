@@ -11,7 +11,7 @@ import pytest
 from hamilton_rla import ElectionProfile, PairwiseDiff, ReportedOutcome, build_profile
 from hamilton_rla.delegates import LEVEL_SLACK, pair_offset
 from hamilton_rla.model import write_json
-from hamilton_rla.risk import RiskState, _factors
+from hamilton_rla.risk import RiskState, _log_factors
 from hamilton_rla.tabulation import count_piles, top_remaining
 
 DATA = Path(__file__).parent / "data"
@@ -22,7 +22,7 @@ TAU = Fraction(15, 100)
 def km_step(state: RiskState, category: str) -> RiskState:
     """The per-ballot scoring oracle: record one drawn ballot of the given
     discrepancy category."""
-    _factors(state.margin, state.gamma)  # validates the margin
+    _log_factors(state.margin, state.gamma)  # validates the margin
     return replace(state, **{category: getattr(state, category) + 1})
 
 

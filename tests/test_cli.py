@@ -1,10 +1,12 @@
 import gc
+import hashlib
 import json
 import math
 import random
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -1074,6 +1076,50 @@ def test_audit_round_replay_memory_does_not_grow_with_claimed_draws(capsys, tmp_
     assert code == 0, err
     assert out.startswith(f"status: confirmed  cumulative draws: {claimed + 5}")
     assert peak < 0.5 * 2**20
+
+
+@pytest.mark.parametrize("margin", ["0", "-1/2"])
+def test_audit_round_refuses_a_nonpositive_stated_margin(capsys, tmp_path, margin):
+    """A spec edited to state a nonpositive margin, and a state re-signed to
+    bind it, are refused with exit 2 naming the spec and the assertion,
+    before any draw is replayed: no such margin can be audited."""
+    audit, manifest = _audit_after_init(capsys, tmp_path)
+    spec, state = Path(audit[1]), Path(audit[-1])
+    doc = json.loads(spec.read_text())
+    doc["assertions"][0]["margin"] = margin
+    spec.write_text(json.dumps(doc))
+    signed = json.loads(state.read_text())
+    signed["state"]["spec_sha256"] = hashlib.sha256(spec.read_bytes()).hexdigest()
+    signed["checksum"] = _state_checksum(signed["state"])
+    state.write_text(json.dumps(signed))
+    saved = state.read_bytes()
+    code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
+                         "--interpretations", SMALL_CVRS)
+    assert code == 2 and out == ""
+    assert f"audit spec {spec} states Viable(Pat | out {{}} | t=1/4) margin {Fraction(margin)}, not positive" in err
+    assert state.read_bytes() == saved
+
+
+def test_wrong_outcome_audit_escalates_without_overflow(capsys, tmp_path):
+    """Papers that all read Remy overstate every assertion of the reported
+    outcome.  The round-1 escalation suggests 518 draws; round 2 then holds
+    hundreds of two-vote overstatements, whose linear p-value product
+    overflowed, and must escalate again with its next manifest written."""
+    audit, manifest = _audit_after_init(capsys, tmp_path)
+    remy = tmp_path / "remy.csv"
+    remy.write_text("ballot_id,ranking\n" + "".join(f"{r.ballot_id},Remy\n" for r in load_cvrs(SMALL_CVRS)))
+    suggested = []
+    for number in (1, 2):
+        following = tmp_path / f"round{number + 1}.csv"
+        code, out, err = run(capsys, "--format", "json", "audit", "round", *audit, "--manifest", str(manifest),
+                             "--interpretations", str(remy), "--next-manifest", str(following))
+        assert code == 5, err
+        payload = json.loads(out)
+        assert payload["status"] == "escalate"
+        assert len(read_manifest(following)) == payload["suggested_additional_draws"]
+        suggested.append(payload["suggested_additional_draws"])
+        manifest = following
+    assert suggested == [518, 10674]
 
 
 SUMMARY_EDITS = {

@@ -17,7 +17,8 @@ from hamilton_rla.risk import (
     UNDERSTATEMENT,
     CannotAuditError,
     RiskState,
-    _factors,
+    _log_factors,
+    clean_draws,
     discrepancy,
     estimate_asn,
     run_audit_round,
@@ -36,9 +37,9 @@ def closed_form(margin, alpha=0.05, gamma=1.1):
 
 
 def test_huge_margin_confirms_in_one_draw():
-    # factor collapses to zero when margin >= 2*gamma
+    # every log factor is -inf when margin >= 2*gamma: one draw zeroes the p-value
     state = RiskState(margin=4.073, gamma=1.1)
-    assert _factors(4.073, 1.1) == (0.0, 0.0, 0.0)
+    assert _log_factors(4.073, 1.1) == (-math.inf, -math.inf, -math.inf)
     state = km_step(state, CLEAN)
     assert state.p_value == 0.0
     assert state.draws == 1
@@ -70,13 +71,13 @@ def test_zero_error_closed_form_random_margins():
 
 def test_overstatement_factors_exceed_clean():
     for m in (0.01, 0.12, 0.378, 1.1, 2.0):
-        clean, one_vote, two_vote = _factors(m, 1.1)
+        clean, one_vote, two_vote = _log_factors(m, 1.1)
         assert one_vote > clean
         assert two_vote > one_vote
         # an understatement is scored as a clean draw
-        assert RiskState(m, 1.1, understatement=1).product == clean
+        assert RiskState(m, 1.1, understatement=1).p_value == math.exp(clean) == pytest.approx(1 - m / 2.2)
     # one-vote factor is clean / (1 - 1/(2*gamma)), two-vote clean / (1 - 1/gamma)
-    clean, one_vote, two_vote = _factors(0.12, 1.1)
+    clean, one_vote, two_vote = map(math.exp, _log_factors(0.12, 1.1))
     assert one_vote == pytest.approx(clean / (1 - 1 / 2.2))
     assert two_vote == pytest.approx(clean / (1 - 1 / 1.1))
 
@@ -94,9 +95,37 @@ def test_km_step_monotonicity_and_counts():
 
 def test_km_step_rejects_nonpositive_margin():
     with pytest.raises(CannotAuditError):
-        _factors(0.0, 1.1)
+        _log_factors(0.0, 1.1)
     with pytest.raises(CannotAuditError):
         km_step(RiskState(margin=-0.1, gamma=1.1), CLEAN)
+
+
+@pytest.mark.parametrize("category", [ONE_VOTE, TWO_VOTE])
+def test_a_million_overstatements_keep_the_p_value_finite(category):
+    """The linear product of a few hundred overstatements overflowed; the
+    log stays finite, the p-value is capped at 1 and the clean draws that
+    would bring it down are a finite count."""
+    state = RiskState(margin=0.1, gamma=1.1, clean=10, **{category: 10**6})
+    assert math.isfinite(state.log_product) and state.log_product > 0
+    assert state.p_value == 1.0
+    assert 10**6 < clean_draws(0.1, 0.05, 1.1, state.log_product) < math.inf
+
+
+def test_p_value_matches_per_draw_linear_product():
+    """Over random counts whose linear product is finite, the p-value is that
+    of multiplying the linear factors one draw at a time."""
+    rng = random.Random(21)
+    for _ in range(300):
+        gamma = rng.uniform(1.01, 3.0)
+        m = rng.uniform(1e-3, 2 * gamma * 0.999)
+        clean = 1 - m / (2 * gamma)
+        factor = {CLEAN: clean, UNDERSTATEMENT: clean,
+                  ONE_VOTE: clean / (1 - 1 / (2 * gamma)), TWO_VOTE: clean / (1 - 1 / gamma)}
+        state, product = RiskState(margin=m, gamma=gamma), 1.0
+        for category in rng.choices(list(factor), k=rng.randint(0, 60)):
+            state = km_step(state, category)
+            product *= factor[category]
+        assert state.p_value == pytest.approx(min(1.0, product), rel=1e-12, abs=0)
 
 
 def test_p_value_order_independent():
