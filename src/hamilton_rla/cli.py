@@ -83,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("tabulate", help="compute the reported outcome")
     p_tab.add_argument("--election", required=True)
     p_tab.add_argument("--out", help="write the outcome JSON here")
+    p_tab.set_defaults(run=cmd_tabulate)
 
     p_gen = sub.add_parser("generate", help="generate the audit assertion set")
     p_gen.add_argument("--election", required=True)
@@ -90,10 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out", help="audit spec path (default: <election>.levelN.spec.json)")
     p_gen.add_argument("--proof-log", help="write the pruning log here")
     _risk_args(p_gen)
+    p_gen.set_defaults(run=cmd_generate)
 
     p_est = sub.add_parser("estimate", help="estimate sample sizes for levels 1-3")
     p_est.add_argument("--election", required=True)
     _risk_args(p_est)
+    p_est.set_defaults(run=cmd_estimate)
 
     p_audit = sub.add_parser("audit", help="run comparison-audit rounds")
     audit_sub = p_audit.add_subparsers(dest="phase", required=True)
@@ -103,6 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_init.add_argument("--manifest", required=True, help="manifest CSV to write")
     p_init.add_argument("--state", required=True, help="audit state file to create")
     p_init.add_argument("--seed", type=int, default=None, help="sampling seed (default: spec seed)")
+    p_init.set_defaults(run=cmd_audit_init)
     p_round = audit_sub.add_parser("round", help="apply one round of manual interpretations")
     p_round.add_argument("--spec", required=True)
     p_round.add_argument("--cvrs", required=True)
@@ -110,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_round.add_argument("--interpretations", required=True, help="manual interpretations CSV")
     p_round.add_argument("--state", required=True)
     p_round.add_argument("--next-manifest", help="where to write the next manifest when escalating")
+    p_round.set_defaults(run=cmd_audit_round)
     return parser
 
 
@@ -147,27 +152,25 @@ def cmd_tabulate(args: argparse.Namespace) -> int:
     payload = model.outcome_to_dict(outcome)
     if args.out:
         model.write_json(payload, args.out)
-    lines = [
-        f"style: {outcome.style}  ballots: {outcome.total_ballots}  valid: {outcome.valid_ballots}",
-        f"viable: {', '.join(sorted(outcome.viable))}",
-    ]
-    if outcome.elimination_order:
-        lines.append(f"eliminated (in order): {', '.join(outcome.elimination_order)}")
-    for i, rnd in enumerate(outcome.rounds, start=1):
-        piles = "  ".join(
-            f"{c}={n} ({100 * n / outcome.valid_ballots:.3f}%)" for c, n in rnd.piles.items()
-        )
-        suffix = f"; exhausted {rnd.exhausted}" if rnd.exhausted else ""
-        out = f" -> out: {rnd.eliminated}" if rnd.eliminated else ""
-        lines.append(f"round {i}: {piles}{suffix}{out}")
-    lines.append(f"qualified votes: {outcome.qualified_total}")
-    for c in sorted(outcome.viable):
-        lines.append(
-            f"  {c}: quota {float(outcome.quotas[c]):.3f} -> {outcome.allocation[c]} of {outcome.delegates} delegates"
-        )
-    if outcome.tie_flag or outcome.viability_tie_warning:
-        lines.append("warning: tie broken during tabulation; affected margins are zero")
-    _emit(payload, args, lambda: lines)
+
+    def lines() -> Iterable[str]:
+        yield f"style: {outcome.style}  ballots: {outcome.total_ballots}  valid: {outcome.valid_ballots}"
+        yield f"viable: {', '.join(sorted(outcome.viable))}"
+        if outcome.elimination_order:
+            yield f"eliminated (in order): {', '.join(outcome.elimination_order)}"
+        for i, rnd in enumerate(outcome.rounds, start=1):
+            piles = "  ".join(f"{c}={n} ({100 * n / outcome.valid_ballots:.3f}%)" for c, n in rnd.piles.items())
+            suffix = f"; exhausted {rnd.exhausted}" if rnd.exhausted else ""
+            out = f" -> out: {rnd.eliminated}" if rnd.eliminated else ""
+            yield f"round {i}: {piles}{suffix}{out}"
+        yield f"qualified votes: {outcome.qualified_total}"
+        for c in sorted(outcome.viable):
+            quota = float(outcome.quotas[c])
+            yield f"  {c}: quota {quota:.3f} -> {outcome.allocation[c]} of {outcome.delegates} delegates"
+        if outcome.tie_flag or outcome.viability_tie_warning:
+            yield "warning: tie broken during tabulation; affected margins are zero"
+
+    _emit(payload, args, lines)
     return EXIT_OK
 
 
@@ -463,27 +466,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "tabulate":
-            return cmd_tabulate(args)
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "estimate":
-            return cmd_estimate(args)
-        if args.command == "audit":
-            if args.phase == "init":
-                return cmd_audit_init(args)
-            return cmd_audit_round(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ElectionDataError, OSError) as exc:  # loaders report read errors, so an OSError is an output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except UnsupportedOutcomeError as exc:
         print(f"unsupported outcome: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,9 +39,7 @@ failing — hence the level-2 form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .assertions import PairwiseDiff
 from .model import ReportedOutcome
@@ -49,45 +47,31 @@ from .model import ReportedOutcome
 LEVEL_SLACK = {2: 2, 3: 1}
 
 
-@dataclass(frozen=True)
-class SkippedPair:
-    winner: str
-    loser: str
-    offset: Fraction
-    reason: str
-
-
-@dataclass(frozen=True)
-class DelegateAssertionSet:
-    assertions: tuple[PairwiseDiff, ...]
-    skipped: tuple[SkippedPair, ...]
-
-
-def pair_offset(allocation: Mapping[str, int], delegates: int, m: str, n: str, slack: int) -> Fraction:
-    return Fraction(allocation[m] - allocation[n] - slack, delegates)
-
-
-def gen_delegate_assertions(outcome: ReportedOutcome, level: int) -> DelegateAssertionSet:
+def gen_delegate_assertions(
+    outcome: ReportedOutcome, level: int
+) -> tuple[list[PairwiseDiff], list[tuple[str, str, Fraction]]]:
     """Both orderings of every viable pair, at the level's slack.
 
-    With a single viable candidate the allocation is forced and the set is
-    empty.  An exact remainder tie at the award boundary (the outcome's
-    ``tie_flag``) makes some margin zero, which forces a full count.
+    Returns the assertions and the skipped vacuous pairs, each as
+    ``(winner, loser, offset)`` with ``offset <= -1``, both in final-tally
+    order.  With a single viable candidate the allocation is forced and
+    both lists are empty.  An exact remainder tie at the award boundary
+    (the outcome's ``tie_flag``) makes some margin zero, which forces a
+    full count.
     """
     if level not in LEVEL_SLACK:
         raise ValueError(f"delegate assertions exist only for levels {sorted(LEVEL_SLACK)}")
     slack = LEVEL_SLACK[level]
     viable = [c for c in outcome.final_tally if c in outcome.viable]
     assertions: list[PairwiseDiff] = []
-    skipped: list[SkippedPair] = []
+    skipped: list[tuple[str, str, Fraction]] = []
     for m in viable:
         for n in viable:
             if m == n:
                 continue
-            d = pair_offset(outcome.allocation, outcome.delegates, m, n, slack)
+            d = Fraction(outcome.allocation[m] - outcome.allocation[n] - slack, outcome.delegates)
             if d <= -1:
-                skipped.append(SkippedPair(m, n, d, "vacuous: holds for any qualified proportions"))
+                skipped.append((m, n, d))
                 continue
             assertions.append(PairwiseDiff(m, n, d, outcome.viable))
-    return DelegateAssertionSet(tuple(assertions), tuple(skipped))
-
+    return assertions, skipped

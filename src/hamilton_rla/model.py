@@ -163,7 +163,6 @@ class AuditSpec:
     status: str
     total_ballots: int
     params: RiskParams
-    schema_version: int = SPEC_SCHEMA_VERSION
 
 
 # A rational string ("3/20") or a plain decimal one ("0.15"), never an
@@ -404,7 +403,7 @@ def _eae_from_json(record: dict) -> float:
 
 def audit_spec_to_dict(spec: AuditSpec) -> dict:
     return {
-        "schema_version": spec.schema_version,
+        "schema_version": SPEC_SCHEMA_VERSION,
         "level": spec.level,
         "status": spec.status,
         "total_ballots": spec.total_ballots,

@@ -173,40 +173,24 @@ def clean_draws(margin: float, alpha: float, gamma: float, log_p: float = 0.0) -
     return math.ceil((math.log(alpha) - log_p) / log_clean)
 
 
-class _ErrorGaps:
-    """One trial's error positions, drawn on demand from the PRNG of (seed,
-    trial) and replayed for every margin: ``gaps[k]`` counts the draws
-    after overstatement ``k`` (the start, for ``k = 0``) through the next
-    one, a geometric variate."""
-
-    def __init__(self, seed: int, trial: int, log_no_error: float):
-        self._rng = random.Random(f"{seed}|{trial}")
-        self._log_no_error = log_no_error
-        self._gaps = array("q")
-
-    def __getitem__(self, k: int) -> int:
-        gaps = self._gaps
-        while k >= len(gaps):
-            gaps.append(int(math.log(1.0 - self._rng.random()) / self._log_no_error) + 1)
-        return gaps[k]
-
-
 @lru_cache(maxsize=1)
-def _shared_trials(seed: int, error_rate: float, trials: int) -> tuple[_ErrorGaps, ...]:
-    """The error positions of every trial, shared by all estimates with these
-    parameters.  They are a function of the key alone, so sharing them
-    across callers changes no result; one key is kept, which bounds the
-    memory to one build's draws."""
-    log_no_error = math.log(1.0 - error_rate)
-    return tuple(_ErrorGaps(seed, trial, log_no_error) for trial in range(trials))
+def _shared_trials(seed: int, error_rate: float, trials: int) -> tuple[tuple[random.Random, array], ...]:
+    """Every trial's error positions, drawn on demand from the PRNG of (seed,
+    trial) and replayed for every margin: ``gaps[k]`` counts the draws after
+    overstatement ``k`` (the start, for ``k = 0``) through the next one, a
+    geometric variate, and ``_trial_draws`` appends it from the trial's PRNG
+    when first needed.  The positions are a function of the key alone, so
+    sharing them across all estimates with these parameters changes no
+    result; one key is kept, which bounds the memory to one build's draws."""
+    return tuple((random.Random(f"{seed}|{trial}"), array("q")) for trial in range(trials))
 
 
-def _trial_draws(margin: float, params: RiskParams, population: int, gaps: _ErrorGaps) -> float:
+def _trial_draws(margin: float, params: RiskParams, population: int, trial: tuple[random.Random, array]) -> float:
     """Length of one simulated audit: draws until p <= alpha or the ballots (at least one) run out.
 
     Equivalent to drawing ballots one at a time with per-draw error
     probability ``error_rate``, but skips between error positions
-    (geometric ``gaps``), so a trial costs O(number of errors).
+    (the trial's geometric ``gaps``), so a trial costs O(number of errors).
     """
     log_clean, log_over, _ = _log_factors(margin, params.gamma)
     if not -math.inf < log_clean < 0.0:  # one draw zeroes p, or none lowers it
@@ -214,11 +198,14 @@ def _trial_draws(margin: float, params: RiskParams, population: int, gaps: _Erro
     log_target = math.log(params.alpha)
     # zero also for a rate too small to move 1 - error_rate: no errors
     log_no_error = math.log(1.0 - params.error_rate)
+    rng, gaps = trial
     log_p = 0.0
     draws = errors = 0
     while draws < population:
         if log_no_error < 0.0:
             # next overstatement is `gap` draws ahead (inclusive)
+            if errors == len(gaps):
+                gaps.append(int(math.log(1.0 - rng.random()) / log_no_error) + 1)
             gap = gaps[errors]
             errors += 1
         else:
@@ -247,7 +234,7 @@ def estimate_asn(margin: float | Fraction, params: RiskParams, population: int) 
         return FULL_COUNT
     m = float(margin)
     trials = _shared_trials(params.seed, params.error_rate, params.trials)
-    lengths = [_trial_draws(m, params, population, gaps) for gaps in trials]
+    lengths = [_trial_draws(m, params, population, trial) for trial in trials]
     med = statistics.median(lengths)
     return med if math.isinf(med) else int(math.ceil(med))
 

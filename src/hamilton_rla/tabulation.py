@@ -236,15 +236,9 @@ def hamilton_allocate(
     )
 
 
-def viability_for(profile: ElectionProfile) -> ViabilityResult:
-    if profile.style == PLURALITY:
-        return plurality_viability(profile)
-    return irv_viability(profile)
-
-
 def tabulate(profile: ElectionProfile) -> ReportedOutcome:
     """Full pipeline: viability rounds, then delegate allocation."""
-    viability = viability_for(profile)
+    viability = plurality_viability(profile) if profile.style == PLURALITY else irv_viability(profile)
     allocation = hamilton_allocate(viability, profile.delegates, profile.labels)
 
     final_tally: dict[str, int] = {}

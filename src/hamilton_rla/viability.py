@@ -525,13 +525,13 @@ def build_audit_specs(
         log = list(result.proof_log)
         tie = level >= 2 and outcome.tie_flag
         if level >= 2:
-            dset = gen_delegate_assertions(outcome, level)
-            delegate_entries = [ctx.entry(assertion) for assertion in dset.assertions]
+            assertions, skipped = gen_delegate_assertions(outcome, level)
+            delegate_entries = [ctx.entry(assertion) for assertion in assertions]
             entries += delegate_entries
             log += [_line("delegates: ", entry) for entry in delegate_entries]
             log += [
-                f"delegates: skip ({skip.winner}, {skip.loser}) d={skip.offset}: {skip.reason}"
-                for skip in dset.skipped
+                f"delegates: skip ({m}, {n}) d={d}: vacuous: holds for any qualified proportions"
+                for m, n, d in skipped
             ]
             if tie:
                 log.append("delegates: exact remainder tie at the award boundary; full count required")

@@ -9,7 +9,7 @@ from typing import Mapping
 import pytest
 
 from hamilton_rla import ElectionProfile, PairwiseDiff, ReportedOutcome, build_profile
-from hamilton_rla.delegates import LEVEL_SLACK, pair_offset
+from hamilton_rla.delegates import LEVEL_SLACK
 from hamilton_rla.model import write_json
 from hamilton_rla.risk import RiskState, _log_factors
 from hamilton_rla.tabulation import count_piles, top_remaining
@@ -224,7 +224,7 @@ def find_violated_assertion(
     witnesses = []
     for m in viable:
         for n in viable:
-            d = pair_offset(alt_allocation, outcome.delegates, m, n, LEVEL_SLACK[3])
+            d = Fraction(alt_allocation[m] - alt_allocation[n] - LEVEL_SLACK[3], outcome.delegates)
             if m != n and d > -1:  # d <= -1 is vacuous, never the witness
                 witnesses.append(PairwiseDiff(m, n, d, outcome.viable))
     if not witnesses:

@@ -2,8 +2,11 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -263,6 +266,39 @@ def test_audit_init_with_eae_beyond_the_ballots_requires_full_count(capsys, tmp_
     assert "exceeds the ballot universe" in err and not manifest.exists()
 
 
+# Two candidates with six ballots each share three delegates: both quotas are
+# 3/2, an exact remainder tie at the award boundary.
+TIED = {"candidates": ["A", "B"], "threshold": "1/4", "delegates": 3, "style": "plurality",
+        "ballots": [{"ranking": ["A"], "count": 6}, {"ranking": ["B"], "count": 6}]}
+
+
+def test_tabulate_text_warns_of_a_tie(capsys, tmp_path):
+    election = tmp_path / "tied.json"
+    election.write_text(json.dumps(TIED))
+    code, out, err = run(capsys, "tabulate", "--election", str(election))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == [
+        "  A: quota 1.500 -> 2 of 3 delegates",
+        "  B: quota 1.500 -> 1 of 3 delegates",
+        "warning: tie broken during tabulation; affected margins are zero",
+    ]
+
+
+def test_audit_init_on_a_full_count_spec_draws_nothing(capsys, tmp_path):
+    """A spec that requires a full manual count (here the tie's level 3)
+    has nothing to sample: exit 4, and no manifest or state is written."""
+    election, spec, cvrs = tmp_path / "tied.json", tmp_path / "spec.json", tmp_path / "cvrs.csv"
+    election.write_text(json.dumps(TIED))
+    code, _, _ = run(capsys, "generate", "--election", str(election), "--level", "3", "--seed", "1", "--out", str(spec))
+    assert code == 4
+    cvrs.write_text("ballot_id,ranking\n" + "".join(f"b{i:02d},{'AB'[i % 2]}\n" for i in range(12)))
+    manifest, state = tmp_path / "round1.csv", tmp_path / "state.json"
+    code, out, err = run(capsys, "audit", "init", "--spec", str(spec), "--cvrs", str(cvrs),
+                         "--manifest", str(manifest), "--state", str(state))
+    assert (code, out, err) == (4, "", "spec requires a full manual count; nothing to sample\n")
+    assert not manifest.exists() and not state.exists()
+
+
 def _init_with_edited_spec(capsys, tmp_path, edit):
     """``audit init`` on a level-3 spec of the small election after ``edit``
     changed its JSON document in place."""
@@ -296,6 +332,33 @@ def test_audit_init_refuses_spec_with_nan_gamma(capsys, tmp_path):
     assert err.startswith("error: ") and "gamma nan must be a finite number above 1" in err
 
 
+def _irv_wins_eliminating_its_winner(doc):
+    doc["assertions"].append(
+        {"type": "irv_wins", "winner": "Pat", "loser": "Quinn", "eliminated": ["Pat"], "margin": "1/2", "eae": 5}
+    )
+
+
+def _pairwise_diff_against_itself(doc):
+    entry = next(e for e in doc["assertions"] if e["type"] == "pairwise_diff")
+    entry["loser"] = entry["winner"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_irv_wins_eliminating_its_winner, "winner/loser cannot be in the elimination set"),
+        (_pairwise_diff_against_itself, "winner and loser must differ"),
+    ],
+    ids=["irv-wins-winner-eliminated", "pairwise-diff-winner-is-loser"],
+)
+def test_audit_init_refuses_an_assertion_that_cannot_exist(capsys, tmp_path, edit, message):
+    """An assertion object whose fields contradict each other is refused
+    when the spec is read, naming the object."""
+    code, out, err = _init_with_edited_spec(capsys, tmp_path, edit)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad audit spec: bad assertion object {") and err.endswith(f"}}: {message}\n")
+
+
 def test_tabulate_refuses_threshold_with_exponent_quickly(capsys, tmp_path):
     """A threshold is a p/q or plain decimal string, or a JSON number: a
     12-character exponent string would expand ten million digits first."""
@@ -306,6 +369,23 @@ def test_tabulate_refuses_threshold_with_exponent_quickly(capsys, tmp_path):
     assert time.perf_counter() - started < 1
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "bad proportion '1e-10000000'" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"threshold": True}, "bad proportion True: boolean is not a proportion"),
+        ({"threshold": "2"}, "threshold 2 outside (0, 1]"),
+        ({"candidates": []}, "candidate roster is empty"),
+    ],
+    ids=["threshold-bool", "threshold-above-1", "roster-empty"],
+)
+def test_tabulate_refuses_bad_threshold_or_empty_roster(capsys, tmp_path, edit, message):
+    """A boolean threshold is not read as 1, a threshold must lie in (0, 1],
+    and a contest needs a candidate: each is an input error."""
+    path = tmp_path / "election.json"
+    path.write_text(json.dumps(dict(WELL_TYPED, **edit)))
+    assert run(capsys, "tabulate", "--election", str(path)) == (2, "", f"error: {message}\n")
 
 
 def test_tabulate_blank_only_exit_3(capsys, tmp_path):
@@ -916,6 +996,7 @@ STATE_EDITS = {
     "round-draws-string": (True, lambda state: state["rounds"][0].update(draws="3"), "audit state"),
     "interpretation-malformed": (True, lambda state: _first_cell(state, "Pat||Remy"), "audit state"),
     "gamma-not-above-1": (False, lambda state: state.update(gamma=1.0), "audit state"),
+    "round-not-an-object": (False, lambda state: state.update(rounds=[5]), "'rounds' must be a list of {draws"),
     "schema-version-unknown": (False, lambda state: state.update(schema_version=99), "audit state"),
     # a fresh state differs from the previous layout's only in its version
     "schema-version-2": (False, lambda state: state.update(schema_version=2), "'schema_version' must be 3"),
@@ -1398,3 +1479,17 @@ def test_audit_init_refuses_a_faulty_cvr_file(capsys, tmp_path, fault):
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
         assert gc.isenabled()
+
+
+def test_module_entry_point(capsys):
+    """``python -m hamilton_rla`` runs the same ``main``: the same output and
+    exit code as in process, and argparse's exit 2 with no subcommand."""
+    argv = ["--format", "json", "tabulate", "--election", SMALL]
+    expected = run(capsys, *argv)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    module = [sys.executable, "-m", "hamilton_rla"]
+    done = subprocess.run(module + argv, capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, expected[1])
+    bare = subprocess.run(module, capture_output=True, text=True, env=env)
+    assert bare.returncode == 2 and "the following arguments are required: command" in bare.stderr

@@ -12,12 +12,12 @@ from hamilton_rla.viability import AuditContext
 
 def test_exact_level_assertions_for_example(plurality_profile):
     outcome = tabulate(plurality_profile)
-    dset = gen_delegate_assertions(outcome, 3)
-    by_pair = {(a.winner, a.loser): a for a in dset.assertions}
+    assertions, skipped = gen_delegate_assertions(outcome, 3)
+    by_pair = {(a.winner, a.loser): a for a in assertions}
     assert by_pair[("Ann", "Bob")].offset == Fraction(2, 5)
     assert by_pair[("Bob", "Ann")].offset == Fraction(-4, 5)
-    assert len(dset.assertions) == 2
-    assert not dset.skipped
+    assert len(assertions) == 2
+    assert not skipped
     margins = {
         pair: float(margin(a, plurality_profile).margin) for pair, a in by_pair.items()
     }
@@ -27,20 +27,18 @@ def test_exact_level_assertions_for_example(plurality_profile):
 
 def test_level2_uses_extra_slack(plurality_profile):
     outcome = tabulate(plurality_profile)
-    dset = gen_delegate_assertions(outcome, 2)
-    by_pair = {(a.winner, a.loser): a for a in dset.assertions}
+    assertions, skipped = gen_delegate_assertions(outcome, 2)
+    by_pair = {(a.winner, a.loser): a for a in assertions}
     assert by_pair[("Ann", "Bob")].offset == Fraction(1, 5)  # (4-1-2)/5
     # (1-4-2)/5 = -1: vacuous, skipped
     assert ("Bob", "Ann") not in by_pair
-    assert len(dset.skipped) == 1
-    assert dset.skipped[0].offset == Fraction(-1)
+    assert skipped == [("Bob", "Ann", Fraction(-1))]
 
 
 def test_single_viable_candidate_empty_set():
     profile = build_profile(["A", "B"], [(["A"], 90), (["B"], 10)], Fraction(1, 2), 5, "plurality")
     outcome = tabulate(profile)
-    dset = gen_delegate_assertions(outcome, 3)
-    assert dset.assertions == ()
+    assert gen_delegate_assertions(outcome, 3) == ([], [])
 
 
 def test_vacuous_extreme_pair_skipped():
@@ -50,11 +48,11 @@ def test_vacuous_extreme_pair_skipped():
     )
     outcome = tabulate(profile)
     assert outcome.allocation == {"A": 6, "B": 0}
-    dset = gen_delegate_assertions(outcome, 3)
-    pairs = {(a.winner, a.loser) for a in dset.assertions}
+    assertions, skipped = gen_delegate_assertions(outcome, 3)
+    pairs = {(a.winner, a.loser) for a in assertions}
     assert ("A", "B") in pairs  # offset 5/6
     assert ("B", "A") not in pairs  # offset -7/6 vacuous
-    assert dset.skipped[0].offset <= -1
+    assert skipped == [("B", "A", Fraction(-7, 6))]
 
 
 def test_all_offsets_in_open_interval():
@@ -66,14 +64,14 @@ def test_all_offsets_in_open_interval():
         except UnsupportedOutcomeError:
             continue
         for level in (2, 3):
-            for a in gen_delegate_assertions(outcome, level).assertions:
+            for a in gen_delegate_assertions(outcome, level)[0]:
                 assert Fraction(-1) < a.offset < Fraction(1)
 
 
 def test_closed_form_margin_matches_assorter_scan(plurality_profile):
     outcome = tabulate(plurality_profile)
     ctx = AuditContext(plurality_profile)
-    for a in gen_delegate_assertions(outcome, 3).assertions:
+    for a in gen_delegate_assertions(outcome, 3)[0]:
         assert ctx.exact_margin(a) == margin(a, plurality_profile).margin
 
 
