@@ -15,6 +15,13 @@ stay fixed, and each new spec must equal the old one with the format change
 applied.  A change to the proof log alone (such as each level's log
 stating its own status) regenerates only the proof-log digests, and the
 spec digests stay fixed.
+
+``test_audit_bytes_are_pinned`` pins the audit the same way: the level-3
+spec of ``election_small`` (seed 3) audited against ``cvrs_small.csv``, the
+manifest and state ``audit init`` writes, then one escalating round in
+which three drawn papers are misread: its state, its next manifest and its
+``--format json`` stdout without the line naming the next manifest's path.  These digests fix the
+order of the seeded sample and every byte a round writes.
 """
 import contextlib
 import hashlib
@@ -216,13 +223,62 @@ def _generate(election: str, level: int, seed: int, rate: str, directory: Path) 
     return hashlib.sha256(spec.read_bytes()).hexdigest(), hashlib.sha256(log.read_bytes()).hexdigest()
 
 
+# what the audit writes: name -> SHA-256
+AUDIT_GOLDEN = {
+    "init/manifest": "ed46e024396b0b3bce2a3fa67e1f4facbe9c4bc42a722ab81ab362999d98b285",
+    "init/state": "225145a1043c565f8a6151b3f49d23635015da00d30ec1233d26588a16736574",
+    "round/state": "670f7f20458f8e2676ebc101e62fbe1ec4b23a1bf09320f067a9660e3b3c54bd",
+    "round/next_manifest": "788e175bf1108190f311d738bbbc497f53fe20f6da0a50e5fa1f5f24f9b230d8",
+    "round/stdout": "e69df73091475c1418f95e9da26870b2b9f1260e0e5cb2d5bbd51d3ae1cde482",
+}
+
+# drawn ballots whose papers the escalating round reads otherwise
+MISREAD = {"b111": "Remy", "b028": "", "b065": "Quinn|Pat"}
+
+
+def _audit(directory: Path) -> dict[str, str]:
+    """Generate the small election's level-3 spec, ``audit init`` it and
+    run one escalating round; the SHA-256 of every byte they write."""
+    spec, state = directory / "spec.json", directory / "state.json"
+    first, second, paper = directory / "round1.csv", directory / "round2.csv", directory / "paper.csv"
+    lines = []
+    for row in (DATA / "cvrs_small.csv").read_text().splitlines():
+        ballot = row.split(",")[0]
+        lines.append(f"{ballot},{MISREAD[ballot]}" if ballot in MISREAD else row)
+    paper.write_text("\n".join(lines) + "\n")
+    audit = ["--spec", str(spec), "--cvrs", str(DATA / "cvrs_small.csv"), "--state", str(state)]
+    digests = {}
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["generate", "--election", str(DATA / "election_small.json"), "--level", "3",
+                     "--seed", "3", "--out", str(spec)]) == 0
+        assert main(["audit", "init", *audit, "--manifest", str(first)]) == 0
+    digests["init/manifest"] = hashlib.sha256(first.read_bytes()).hexdigest()
+    digests["init/state"] = hashlib.sha256(state.read_bytes()).hexdigest()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--format", "json", "audit", "round", *audit, "--manifest", str(first),
+                     "--interpretations", str(paper), "--next-manifest", str(second)])
+    assert code == 5
+    report = "".join(line for line in out.getvalue().splitlines(True) if '"next_manifest":' not in line)
+    digests["round/state"] = hashlib.sha256(state.read_bytes()).hexdigest()
+    digests["round/next_manifest"] = hashlib.sha256(second.read_bytes()).hexdigest()
+    digests["round/stdout"] = hashlib.sha256(report.encode()).hexdigest()
+    return digests
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda case: "/".join(map(str, case)))
 def test_generate_bytes_are_pinned(case, tmp_path):
     assert _generate(*case, tmp_path) == GOLDEN["/".join(map(str, case))]
 
 
-if __name__ == "__main__":  # print the table above for the current code
+def test_audit_bytes_are_pinned(tmp_path):
+    assert _audit(tmp_path) == AUDIT_GOLDEN
+
+
+if __name__ == "__main__":  # print the tables above for the current code
     with tempfile.TemporaryDirectory() as scratch:
         for case in CASES:
             spec_digest, log_digest = _generate(*case, Path(scratch))
             print(f'    "{"/".join(map(str, case))}": (\n        "{spec_digest}",\n        "{log_digest}",\n    ),')
+        for name, digest in _audit(Path(scratch)).items():
+            print(f'    "{name}": "{digest}",')
