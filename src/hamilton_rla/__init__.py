@@ -8,7 +8,6 @@ formats' loaders and savers.  Internals are imported from their modules.
 from .assertions import IrvWins, NonViable, PairwiseDiff, Viable
 from .model import (
     AuditSpec,
-    CvrRecord,
     ElectionDataError,
     ElectionProfile,
     ReportedOutcome,

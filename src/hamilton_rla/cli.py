@@ -41,13 +41,7 @@ from typing import Callable, Iterable
 
 from . import model, risk, tabulation, viability
 from .assertions import assertion_key, describe
-from .model import (
-    STATUS_COMPLETE,
-    STATUS_FULL_COUNT,
-    AuditSpec,
-    ElectionDataError,
-    UnsupportedOutcomeError,
-)
+from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, UnsupportedOutcomeError
 from .risk import RiskParams
 
 EXIT_OK = 0
@@ -291,7 +285,7 @@ def _load_state(path: str) -> dict:
     return state
 
 
-def _load_contest_cvrs(path: str, spec: AuditSpec) -> list[model.CvrRecord]:
+def _load_contest_cvrs(path: str, spec: AuditSpec) -> dict[str, model.Ranking]:
     """The CVR file, which must hold one record per ballot of the contest:
     ballots missing from it could never be drawn."""
     cvrs = model.load_cvrs(path)
@@ -304,12 +298,12 @@ def _load_contest_cvrs(path: str, spec: AuditSpec) -> list[model.CvrRecord]:
     return cvrs
 
 
-def _check_margins(spec: AuditSpec, cvrs: list[model.CvrRecord], path: str) -> None:
+def _check_margins(spec: AuditSpec, cvrs: dict[str, model.Ranking], path: str) -> None:
     """Each assertion's margin must be the one the CVRs give, and positive:
     rounds score with the spec's margin, so an overstated one would demand
     less evidence, and CVRs that tabulate to another outcome would be
     audited against one they do not report."""
-    rankings = Counter(r.ranking for r in cvrs)
+    rankings = Counter(cvrs.values())
     labels = {c for ranking in rankings for c in ranking}
     labels.update(c for e in spec.entries for c in e.assertion.points if c is not None)
     # threshold, delegates and style do not enter an assorter's margin
@@ -336,8 +330,7 @@ def cmd_audit_init(args: argparse.Namespace) -> int:
         raise ElectionDataError(f"audit spec {args.spec} asks for no draws, so there is nothing to audit")
     _check_margins(spec, cvrs, args.cvrs)
     seed = args.seed if args.seed is not None else spec.params.seed
-    universe = [r.ballot_id for r in cvrs]
-    draws = list(islice(risk.sample_stream(seed, universe), int(size)))
+    draws = list(islice(risk.sample_stream(seed, list(cvrs)), int(size)))
     risk.write_manifest(draws, args.manifest)
     state = {
         "schema_version": STATE_SCHEMA_VERSION,
@@ -358,10 +351,9 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     for e in spec.entries:  # rounds score with the stated margins, which must be positive
         if e.margin <= 0:
             raise ElectionDataError(f"audit spec {args.spec} states {describe(e.assertion)} margin {e.margin}, not positive")
-    cvr_records = _load_contest_cvrs(args.cvrs, spec)
-    cvrs = {r.ballot_id: r.ranking for r in cvr_records}
+    cvrs = _load_contest_cvrs(args.cvrs, spec)
     manifest = risk.read_manifest(args.manifest)
-    interpretations = {r.ballot_id: r.ranking for r in model.load_cvrs(args.interpretations)}
+    interpretations = model.load_cvrs(args.interpretations)
     state = _load_state(args.state)
     for field, option in _BOUND_INPUTS:
         path = getattr(args, option)
@@ -375,7 +367,6 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
             raise ElectionDataError(f"audit state {args.state}: {name!r} is not the spec's {expected}")
     if not manifest:
         raise ElectionDataError(f"manifest {args.manifest} lists no draws")
-    universe = [r.ballot_id for r in cvr_records]
     recorded = state["rounds"]
     drawn = sum(rnd["draws"] for rnd in recorded)
 
@@ -385,7 +376,7 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     # Each draw is checked against its own round's papers as it is drawn, so
     # a recorded draw count that its interpretations do not back ends at its
     # first unbacked draw; only the (CVR, paper) pair counts are kept.
-    sample = risk.sample_stream(state["seed"], universe)
+    sample = risk.sample_stream(state["seed"], list(cvrs))
     pairs: Counter[tuple[model.Ranking, model.Ranking]] = Counter()
 
     def count(ballots, papers, where):

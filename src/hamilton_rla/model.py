@@ -8,12 +8,13 @@ Formats:
   ("3/20"), a plain decimal string ("0.15") or a JSON number.
 * Cast-vote-record CSV: header ``ballot_id,ranking``; the ranking cell is
   ``|``-separated candidate labels, empty cell = blank ballot.
-* Audit-spec JSON (schema 2): metadata (risk parameters, seed, schema
-  version) plus one object per assertion holding the assertion, its exact
-  margin and its ``eae``; exact rationals are serialized as ``p/q``
-  strings so a save/load round trip is the identity.  The assorter's
-  upper bound follows from the assertion and its mean from the margin,
-  so neither is stored.
+* Audit-spec JSON (schema 2): the schema version, level, status and
+  ballot count at top level, ``metadata`` (risk parameters and seed), and
+  one object per assertion holding the assertion, its exact margin and its
+  ``eae``; exact rationals are serialized as ``p/q`` strings so a
+  save/load round trip is the identity.  The assorter's upper bound
+  follows from the assertion and its mean from the margin, so neither is
+  stored.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .assertions import Assertion
@@ -51,17 +52,6 @@ class ElectionDataError(ValueError):
 
 class UnsupportedOutcomeError(RuntimeError):
     """The election has no viable candidate; outside the supported rules."""
-
-
-class CvrRecord(NamedTuple):
-    """One cast-vote record: a ballot's id and the ranking its CVR holds.
-
-    A named tuple, so immutable and cheap to build one per ballot; it
-    compares equal to the plain ``(ballot_id, ranking)`` tuple.
-    """
-
-    ballot_id: str
-    ranking: Ranking
 
 
 @dataclass(frozen=True)
@@ -315,15 +305,15 @@ def load_election(path: str | Path) -> ElectionProfile:
     return build_profile(candidates, ballots(), raw["threshold"], raw["delegates"], raw["style"])
 
 
-def load_cvrs(path: str | Path) -> list[CvrRecord]:
-    """Load a cast-vote-record CSV (header ``ballot_id,ranking``).
+def load_cvrs(path: str | Path) -> dict[str, Ranking]:
+    """Load a cast-vote-record CSV (header ``ballot_id,ranking``) as each
+    ballot's ranking keyed by its id, in file order.
 
     Each distinct ranking cell is parsed once and its tuple shared by every
-    record that repeats it; a malformed cell is reported at the line of its
+    ballot that repeats it; a malformed cell is reported at the line of its
     first occurrence.
     """
-    records: list[CvrRecord] = []
-    seen: set[str] = set()
+    cvrs: dict[str, Ranking] = {}
     rankings: dict[str, Ranking] = {}
     with open_input(path, "CVR file") as fh:
         reader = csv.reader(fh)
@@ -336,15 +326,14 @@ def load_cvrs(path: str | Path) -> list[CvrRecord]:
             ballot_id = row[0].strip()
             if not ballot_id:
                 raise ElectionDataError(f"{path}:{reader.line_num}: empty ballot_id")
-            if ballot_id in seen:
+            if ballot_id in cvrs:
                 raise ElectionDataError(f"{path}:{reader.line_num}: duplicate ballot_id {ballot_id!r}")
-            seen.add(ballot_id)
             cell = row[1] if len(row) > 1 else ""
             ranking = rankings.get(cell)
             if ranking is None:
                 ranking = rankings[cell] = parse_ranking_cell(cell, f"{path}:{reader.line_num}")
-            records.append(CvrRecord(ballot_id, ranking))
-    return records
+            cvrs[ballot_id] = ranking
+    return cvrs
 
 
 def parse_ranking_cell(cell: str, where: str = "ranking") -> Ranking:

@@ -19,13 +19,19 @@ rule: each candidate ``c`` gets ``floor(q_c)`` delegates from quota
 fractional remainders.  All quotas and proportions are exact rationals;
 remainder comparisons are therefore exact, which matters because real
 contests turn on remainder differences of a few thousandths.
+
+Remainder ties are broken toward the larger final tally, then roster
+order.  ``tie_flag`` is set only when the tie falls on the boundary of the
+leftover awards (positions r-1 and r of the remainder ranking): only there
+does the tie-break decide a delegate, which zeroes the margin of the
+corresponding allocation assertion.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .model import (
     IRV,
@@ -48,18 +54,6 @@ class ViabilityResult:
     @property
     def final_piles(self) -> Mapping[str, int]:
         return self.rounds[-1].piles
-
-
-@dataclass(frozen=True)
-class AllocationResult:
-    qualified_total: int
-    proportions: Mapping[str, Fraction]
-    quotas: Mapping[str, Fraction]
-    floors: Mapping[str, int]
-    leftover: int
-    allocation: Mapping[str, int]
-    remainder_rank: tuple[str, ...]
-    tie_flag: bool
 
 
 def top_remaining(ranking: Ranking, eliminated: frozenset[str] | set[str]) -> str | None:
@@ -185,86 +179,50 @@ def irv_viability(profile: ElectionProfile) -> ViabilityResult:
         order.append(victim)
 
 
-def hamilton_allocate(
-    viability: ViabilityResult, delegates: int, roster: Sequence[str]
-) -> AllocationResult:
-    """Largest-remainder allocation of ``delegates`` over the viable set.
-
-    Remainder ties are broken toward the larger final tally, then roster
-    order.  ``tie_flag`` is set only when the tie falls on the boundary of
-    the leftover awards (positions r-1 and r of the remainder ranking):
-    only there does the tie-break decide a delegate, which zeroes the
-    margin of the corresponding allocation assertion.
-    """
-    if not viability.viable:
-        raise ValueError("allocation requires at least one viable candidate")
+def tabulate(profile: ElectionProfile) -> ReportedOutcome:
+    """Full pipeline: viability rounds, then the largest-remainder
+    allocation of the profile's delegates over the viable set."""
+    viability = plurality_viability(profile) if profile.style == PLURALITY else irv_viability(profile)
+    delegates = profile.delegates
     if delegates < 1:
         raise ValueError("delegate count must be positive")
-    viable = [c for c in roster if c in viability.viable]
-    tallies = {c: viability.final_piles[c] for c in viable}
-    qualified = sum(tallies.values())
-    if qualified == 0:
-        raise UnsupportedOutcomeError("viable candidates hold no ballots")
-
-    proportions = {c: Fraction(tallies[c], qualified) for c in viable}
-    quotas = {c: delegates * proportions[c] for c in viable}
-    floors = {c: math.floor(quotas[c]) for c in viable}
-    leftover = delegates - sum(floors.values())
-
-    index = {c: i for i, c in enumerate(roster)}
-    ranked = sorted(
-        viable,
-        key=lambda c: (-(quotas[c] - floors[c]), -tallies[c], index[c]),
-    )
-    awarded = set(ranked[:leftover])
-    allocation = {c: floors[c] + (1 if c in awarded else 0) for c in viable}
-
-    tie_flag = False
-    if 0 < leftover < len(viable):
-        boundary_in = quotas[ranked[leftover - 1]] - floors[ranked[leftover - 1]]
-        boundary_out = quotas[ranked[leftover]] - floors[ranked[leftover]]
-        tie_flag = boundary_in == boundary_out
-    return AllocationResult(
-        qualified_total=qualified,
-        proportions=proportions,
-        quotas=quotas,
-        floors=floors,
-        leftover=leftover,
-        allocation=allocation,
-        remainder_rank=tuple(ranked),
-        tie_flag=tie_flag,
-    )
-
-
-def tabulate(profile: ElectionProfile) -> ReportedOutcome:
-    """Full pipeline: viability rounds, then delegate allocation."""
-    viability = plurality_viability(profile) if profile.style == PLURALITY else irv_viability(profile)
-    allocation = hamilton_allocate(viability, profile.delegates, profile.labels)
-
     final_tally: dict[str, int] = {}
     for rnd in viability.rounds:
         if rnd.eliminated is not None:
             final_tally[rnd.eliminated] = rnd.piles[rnd.eliminated]
-    for c, tally in viability.final_piles.items():
-        final_tally[c] = tally
+    final_tally.update(viability.final_piles)
+
+    viable = [c for c in profile.labels if c in viability.viable]
+    qualified = sum(final_tally[c] for c in viable)
+    if qualified == 0:
+        raise UnsupportedOutcomeError("viable candidates hold no ballots")
+    proportions = {c: Fraction(final_tally[c], qualified) for c in viable}
+    quotas = {c: delegates * proportions[c] for c in viable}
+    floors = {c: math.floor(quotas[c]) for c in viable}
+    leftover = delegates - sum(floors.values())
+    remainders = {c: quotas[c] - floors[c] for c in viable}
+    # a stable sort of the roster-ordered viable list: roster order breaks the last ties
+    ranked = sorted(viable, key=lambda c: (-remainders[c], -final_tally[c]))
+    awarded = set(ranked[:leftover])
+    tie_flag = 0 < leftover < len(viable) and remainders[ranked[leftover - 1]] == remainders[ranked[leftover]]
 
     return ReportedOutcome(
         style=profile.style,
         threshold=profile.threshold,
-        delegates=profile.delegates,
+        delegates=delegates,
         total_ballots=profile.total_ballots,
         valid_ballots=profile.valid_ballots,
         viable=viability.viable,
         elimination_order=viability.elimination_order,
         rounds=viability.rounds,
         final_tally=final_tally,
-        qualified_total=allocation.qualified_total,
-        proportions=allocation.proportions,
-        quotas=allocation.quotas,
-        floors=allocation.floors,
-        leftover=allocation.leftover,
-        allocation=allocation.allocation,
-        remainder_rank=allocation.remainder_rank,
-        tie_flag=allocation.tie_flag,
+        qualified_total=qualified,
+        proportions=proportions,
+        quotas=quotas,
+        floors=floors,
+        leftover=leftover,
+        allocation={c: floors[c] + (1 if c in awarded else 0) for c in viable},
+        remainder_rank=tuple(ranked),
+        tie_flag=tie_flag,
         viability_tie_warning=viability.tie_warning,
     )

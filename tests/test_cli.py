@@ -956,7 +956,7 @@ def test_audit_rounds_replayable(capsys, tmp_path):
     from hamilton_rla.model import parse_ranking_cell
 
     spec = load_audit_spec(spec_path)
-    cvrs = {r.ballot_id: r.ranking for r in load_cvrs(SMALL_CVRS)}
+    cvrs = load_cvrs(SMALL_CVRS)
     sample = list(islice(sample_stream(saved["seed"], list(cvrs)), sum(rnd["draws"] for rnd in saved["rounds"])))
     assert sample == read_manifest(manifest)
     rounds, start = [], 0
@@ -1098,8 +1098,8 @@ def test_audit_state_replays_every_draw(capsys, tmp_path):
     assert state["total_draws"] == cumulative
     assert {a["draws"] for a in state["assertions"].values()} == {cumulative}
 
-    cvrs = {r.ballot_id: r.ranking for r in load_cvrs(SMALL_CVRS)}
-    papers = [{r.ballot_id: r.ranking for r in load_cvrs(path)} for path in (paper, SMALL_CVRS)]
+    cvrs = load_cvrs(SMALL_CVRS)
+    papers = [load_cvrs(path) for path in (paper, SMALL_CVRS)]
     reported = json.loads(out)["assertions"]
     for e in load_audit_spec(audit[1]).entries:
         replayed = RiskState(margin=float(e.margin), gamma=state["gamma"])
@@ -1188,7 +1188,7 @@ def test_wrong_outcome_audit_escalates_without_overflow(capsys, tmp_path):
     overflowed, and must escalate again with its next manifest written."""
     audit, manifest = _audit_after_init(capsys, tmp_path)
     remy = tmp_path / "remy.csv"
-    remy.write_text("ballot_id,ranking\n" + "".join(f"{r.ballot_id},Remy\n" for r in load_cvrs(SMALL_CVRS)))
+    remy.write_text("ballot_id,ranking\n" + "".join(f"{ballot},Remy\n" for ballot in load_cvrs(SMALL_CVRS)))
     suggested = []
     for number in (1, 2):
         following = tmp_path / f"round{number + 1}.csv"

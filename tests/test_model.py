@@ -9,7 +9,6 @@ import pytest
 from conftest import DATA, random_plurality_profile, save_election
 from hamilton_rla import (
     AuditSpec,
-    CvrRecord,
     ElectionDataError,
     RiskParams,
     SpecEntry,
@@ -151,23 +150,9 @@ def test_election_round_trip(tmp_path, irv_profile):
 def test_load_cvrs(tmp_path):
     path = tmp_path / "cvrs.csv"
     path.write_text("ballot_id,ranking\nb1,A|D|C|B\nb2,\nb3,C\n")
-    records = load_cvrs(path)
-    assert [r.ballot_id for r in records] == ["b1", "b2", "b3"]
-    assert records[0].ranking == ("A", "D", "C", "B")
-    assert records[1].ranking == ()
-    assert records[2].ranking == ("C",)
-
-
-def test_cvr_records_are_immutable_named_pairs(tmp_path):
-    path = tmp_path / "cvrs.csv"
-    path.write_text("ballot_id,ranking\nb1,A|B\n")
-    (record,) = load_cvrs(path)
-    assert isinstance(record, CvrRecord)
-    assert (record.ballot_id, record.ranking) == ("b1", ("A", "B"))
-    assert record == CvrRecord("b1", ("A", "B")) == ("b1", ("A", "B"))
-    for field in ("ballot_id", "ranking"):
-        with pytest.raises(AttributeError):
-            setattr(record, field, "b2")
+    cvrs = load_cvrs(path)
+    assert list(cvrs) == ["b1", "b2", "b3"]
+    assert cvrs == {"b1": ("A", "D", "C", "B"), "b2": (), "b3": ("C",)}
 
 
 def test_load_cvrs_reads_columns_by_position(tmp_path):
@@ -175,23 +160,23 @@ def test_load_cvrs_reads_columns_by_position(tmp_path):
     position: a spaced header must not turn every ranking blank."""
     path = tmp_path / "cvrs.csv"
     path.write_text("ballot_id, ranking\nb1,A|B\n")
-    assert [r.ranking for r in load_cvrs(path)] == [("A", "B")]
+    assert load_cvrs(path) == {"b1": ("A", "B")}
 
 
 def test_load_cvrs_duplicate_id_named(tmp_path):
     path = tmp_path / "cvrs.csv"
     path.write_text("ballot_id,ranking\nb7,A\nb7,B\n")
-    with pytest.raises(ElectionDataError, match="b7"):
+    with pytest.raises(ElectionDataError, match=":3: duplicate ballot_id 'b7'"):
         load_cvrs(path)
 
 
 def test_load_cvrs_repeated_cells_share_one_ranking(tmp_path):
     path = tmp_path / "cvrs.csv"
     path.write_text("ballot_id,ranking\nb4,A|B\nb2,C\nb9,\nb1, A | B\nb3,A|B\nb5,\n")
-    records = load_cvrs(path)
-    assert [r.ballot_id for r in records] == ["b4", "b2", "b9", "b1", "b3", "b5"]
-    assert [r.ranking for r in records] == [("A", "B"), ("C",), (), ("A", "B"), ("A", "B"), ()]
-    assert records[4].ranking is records[0].ranking
+    cvrs = load_cvrs(path)
+    assert list(cvrs) == ["b4", "b2", "b9", "b1", "b3", "b5"]
+    assert list(cvrs.values()) == [("A", "B"), ("C",), (), ("A", "B"), ("A", "B"), ()]
+    assert cvrs["b3"] is cvrs["b4"]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # types they return, the two error types and the four assertion forms
 PUBLIC = {
     "build_profile", "tabulate", "build_audit_spec", "build_audit_specs", "RiskParams", "estimate_audit_asn",
-    "load_election", "ElectionProfile", "ReportedOutcome", "load_cvrs", "CvrRecord",
+    "load_election", "ElectionProfile", "ReportedOutcome", "load_cvrs",
     "load_audit_spec", "save_audit_spec", "AuditSpec", "SpecEntry", "read_manifest", "write_manifest",
     "ElectionDataError", "UnsupportedOutcomeError",
     "Viable", "NonViable", "IrvWins", "PairwiseDiff",

@@ -5,14 +5,8 @@ from itertools import permutations
 import pytest
 
 from conftest import random_irv_profile, random_plurality_profile
-from hamilton_rla import UnsupportedOutcomeError, build_profile, tabulate
-from hamilton_rla.tabulation import (
-    count_piles,
-    hamilton_allocate,
-    irv_viability,
-    plurality_viability,
-    top_remaining,
-)
+from hamilton_rla import ElectionProfile, UnsupportedOutcomeError, build_profile, tabulate
+from hamilton_rla.tabulation import count_piles, irv_viability, plurality_viability, top_remaining
 
 
 def test_top_remaining_transfers():
@@ -160,8 +154,7 @@ def test_irv_line_order_does_not_matter():
 
 
 def test_allocation_example(irv_profile):
-    result = irv_viability(irv_profile)
-    allocation = hamilton_allocate(result, 5, irv_profile.labels)
+    allocation = tabulate(irv_profile)
     assert allocation.qualified_total == 73162
     assert abs(float(allocation.quotas["Ann"]) - 3.932) < 0.001
     assert abs(float(allocation.quotas["Bob"]) - 1.068) < 0.001
@@ -173,25 +166,32 @@ def test_allocation_example(irv_profile):
 
 def test_allocation_single_viable_gets_everything():
     profile = build_profile(["A", "B"], [(["A"], 90), (["B"], 10)], Fraction(1, 2), 7, "plurality")
-    allocation = hamilton_allocate(plurality_viability(profile), 7, profile.labels)
+    allocation = tabulate(profile)
     assert allocation.allocation == {"A": 7}
     assert allocation.leftover == 0
 
 
 def test_allocation_matches_largest_remainder_definition():
-    """Brute-force check of the defining properties on random contests."""
+    """Brute-force check of the defining properties on random contests,
+    plurality and instant-runoff: an IRV allocation is made over the piles
+    left after its eliminations."""
     rng = random.Random(11)
-    checked = 0
-    for _ in range(400):
-        profile = random_plurality_profile(rng, max_candidates=6, max_delegates=12)
+    checked = {"plurality": 0, "irv": 0}
+    contests = [random_plurality_profile(rng, max_candidates=6, max_delegates=12) for _ in range(400)]
+    contests += [random_irv_profile(rng, max_candidates=6) for _ in range(400)]
+    for profile in contests:
         try:
-            viability = plurality_viability(profile)
+            allocation = tabulate(profile)
         except UnsupportedOutcomeError:
             continue
         delegates = profile.delegates
-        allocation = hamilton_allocate(viability, delegates, profile.labels)
         quotas = allocation.quotas
         floors = allocation.floors
+        # each quota is D times the candidate's share of the viable final piles
+        final = allocation.rounds[-1].piles
+        assert set(allocation.allocation) == allocation.viable
+        assert allocation.qualified_total == sum(final[c] for c in allocation.viable)
+        assert quotas == {c: Fraction(delegates * final[c], allocation.qualified_total) for c in allocation.viable}
         assert sum(allocation.allocation.values()) == delegates
         rounded_up = set()
         for c, a in allocation.allocation.items():
@@ -204,19 +204,19 @@ def test_allocation_matches_largest_remainder_definition():
             allocation.allocation,
             key=lambda c: (
                 -(quotas[c] - floors[c]),
-                -viability.final_piles[c],
+                -allocation.final_tally[c],
                 profile.labels.index(c),
             ),
         )
         assert rounded_up == set(order[: allocation.leftover])
-        checked += 1
-    assert checked >= 200
+        checked[profile.style] += 1
+    assert min(checked.values()) >= 200
 
 
 def test_allocation_boundary_tie_flagged():
     # equal tallies give equal remainders competing for one leftover delegate
     profile = build_profile(["A", "B"], [(["A"], 50), (["B"], 50)], "0.15", 3, "plurality")
-    allocation = hamilton_allocate(plurality_viability(profile), 3, profile.labels)
+    allocation = tabulate(profile)
     assert allocation.tie_flag
     assert allocation.allocation == {"A": 2, "B": 1}  # roster tie-break
 
@@ -224,10 +224,18 @@ def test_allocation_boundary_tie_flagged():
 def test_allocation_exact_quotas_no_tie_flag():
     # integer quotas leave no leftover delegates, so the tie is harmless
     profile = build_profile(["A", "B"], [(["A"], 50), (["B"], 50)], "0.15", 2, "plurality")
-    allocation = hamilton_allocate(plurality_viability(profile), 2, profile.labels)
+    allocation = tabulate(profile)
     assert allocation.allocation == {"A": 1, "B": 1}
     assert allocation.leftover == 0
     assert not allocation.tie_flag
+
+
+def test_tabulate_refuses_a_profile_without_delegates():
+    """``build_profile`` refuses a delegate count below 1; a profile built
+    directly with none still cannot be allocated."""
+    profile = ElectionProfile(("A", "B"), {("A",): 3, ("B",): 1}, Fraction(1, 10), 0, "plurality")
+    with pytest.raises(ValueError, match="delegate count must be positive"):
+        tabulate(profile)
 
 
 def test_tabulate_example1_matches_example3(plurality_profile, irv_profile):
