@@ -287,7 +287,9 @@ def run_audit_round(
 
     ``assertions`` pairs each assertion with its margin; ``pairs`` counts
     the draws of every round per distinct (CVR ranking, paper ranking),
-    each draw paired with its own round's paper.  Each pair is classified
+    each draw paired with its own round's paper.  A pair whose paper reads
+    as its CVR overstates nothing under any assertion, so those pairs are
+    summed once as clean draws and only the differing pairs are classified,
     once per assertion; since the p-value depends only on the per-category
     counts, this equals scoring the ballots one at a time in draw order.
     Returns the per-assertion states (keyed by assertion identity), the
@@ -297,10 +299,12 @@ def run_audit_round(
     ``requires-full-count``, when an unconfirmed margin is too small for
     any number of draws to move its p-value.
     """
+    clean = sum(n for (cvr, paper), n in pairs.items() if cvr == paper)
+    differing = [(cvr, paper, n) for (cvr, paper), n in pairs.items() if cvr != paper]
     states: dict[str, RiskState] = {}
     for assertion, m in assertions:
-        counts: Counter[str] = Counter()
-        for (cvr, paper), n in pairs.items():
+        counts: Counter[str] = Counter({CLEAN: clean})
+        for cvr, paper, n in differing:
             counts[discrepancy(assertion, cvr, paper)] += n
         states[assertion_key(assertion)] = RiskState(margin=float(m), gamma=gamma, **counts)
 

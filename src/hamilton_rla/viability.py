@@ -25,7 +25,8 @@ with everyone else gone, or an outsider whose first preferences alone
 make them viable).  A branch-and-bound search over these trees picks a
 cheap assertion per branch, pruning whole subtrees and any frontier node
 whose best assertion costs no more than the current lower bound on audit
-effort.  The search is ``closed`` when every alternative outcome got an
+effort, and closing any node that an assertion it already emitted rules
+out.  The search is ``closed`` when every alternative outcome got an
 assertion.  If it is not, or an entry or the delegate allocation cannot
 be audited, ``build_audit_specs`` rules that no audit short of a full
 manual count certifies the outcome.
@@ -63,7 +64,19 @@ reaches the top.  A node with k unmentioned candidates has k children,
 so a leaf is always its parent's only child.  Each leaf closes its
 branch at the branch's cheapest node and raises the lower bound; the
 bound then prunes the waiting nodes it covers in the order they were
-queued, which fixes the order of spec entries and proof-log lines.
+queued, which fixes the order of spec entries and proof-log lines.  A
+node that reaches the top with an ``eae`` the bound already covers is
+pruned there with its own assertion rather than expanded (a ``pop``
+line): the audit's draws are its largest ``eae``, so that assertion
+costs none.
+
+Every ``Viable(c, E)`` the search emits also closes, with no new entry,
+each node whose next elimination is ``c`` with ``E`` among the
+candidates already gone: ``c``'s pile only grows as more candidates go,
+so ``c`` still clears the threshold there.  That check runs wherever the
+search would otherwise emit or expand a node (at the top of the
+frontier, for each node the bound covers, and for a leaf's cheapest
+node), and its ``implied`` line names the closing assertion.
 
 When ``W`` is empty one more alternative is reachable: every candidate
 eliminated and nobody viable.  That outcome is enumerated as an extra
@@ -245,9 +258,9 @@ class AltOutcomeNode:
     suffix and ``viable_order`` the sorted roster indices of the viable
     set: the frontier's tie keys.  ``build`` derives the bookkeeping from
     the roster; ``expand_node`` passes it down to each child.  A node links
-    only to its ``parent``; ``pruned`` marks the node whose assertion
-    closes it, and ``closed`` looks for that mark on the node and its
-    ancestors.
+    only to its ``parent``; ``pruned`` marks a node that its own assertion
+    or an emitted ``Viable`` closes, and ``closed`` looks for that mark on
+    the node and its ancestors.
     """
 
     eliminated_suffix: tuple[str, ...]
@@ -426,40 +439,65 @@ def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationR
     frontier: list[tuple[tuple, int, AltOutcomeNode]] = []
     arrivals = count()
     viable_texts = {vset: _set_repr(vset) for vset in alt_sets}
+    # candidate -> the emitted Viable assertions for that candidate
+    viables: dict[str, list[Viable]] = {}
 
     def add_assertion(node: AltOutcomeNode, why: str) -> None:
         assert node.assertion is not None
         key = assertion_key(node.assertion)
         if key not in entries:
             entries[key] = ctx.entry(node.assertion)
+            if isinstance(node.assertion, Viable):
+                viables.setdefault(node.assertion.candidate, []).append(node.assertion)
+        node.pruned = True
         described = node.describe(viable_texts[node.viable])
         log.append(f"{why}: prune {described} with {describe(node.assertion)} (eae {node.eae})")
 
+    def close_implied(node: AltOutcomeNode) -> bool:
+        """Close a node whose next elimination an emitted ``Viable(c, E)``
+        already rules out: ``c`` is next with ``E`` among those gone, and
+        ``c``'s pile only grows as more go.  No entry is added."""
+        if not node.eliminated_suffix:
+            return False
+        gone = frozenset(node.unmentioned)
+        for viable in viables.get(node.eliminated_suffix[0], ()):
+            if viable.eliminated <= gone:
+                node.pruned = True
+                log.append(f"implied: close {node.describe(viable_texts[node.viable])} by {describe(viable)}")
+                return True
+        return False
+
     def visit(node: AltOutcomeNode) -> bool:
         """Queue an inner node.  A leaf closes its branch at the branch's
-        cheapest node, raises the bound and prunes every waiting node the
-        bound covers, in arrival order; False if no assertion closes it."""
+        cheapest node unless an emitted ``Viable`` implies that node, raises
+        the bound and prunes every waiting node the bound covers, in arrival
+        order; False if no assertion closes it."""
         nonlocal lower_bound
         if not node.is_leaf():
             heappush(frontier, (_rank(node), next(arrivals), node))
             return True
         best = node.cheapest()
+        if close_implied(best):
+            return True
         if math.isinf(best.eae):
             log.append(f"FAIL: no assertion invalidates branch {node.describe()}")
             return False
         add_assertion(best, "branch")
         lower_bound = max(lower_bound, best.eae)
-        best.pruned = True
         covered = [(arrival, n) for _, arrival, n in frontier if n.eae <= lower_bound and not n.closed()]
         for _, waiting in sorted(covered):
-            add_assertion(waiting, f"bound {lower_bound}")
-            waiting.pruned = True
+            if not close_implied(waiting):
+                add_assertion(waiting, f"bound {lower_bound}")
         return True
 
     closed = all(visit(AltOutcomeNode.build((), vset, ctx, *best_root_assertion(vset, ctx))) for vset in alt_sets)
     while closed and frontier:
         node = heappop(frontier)[2]
-        if not node.closed():
+        if node.closed() or close_implied(node):
+            continue
+        if node.eae <= lower_bound:  # costs no more draws than the audit already needs
+            add_assertion(node, f"pop {lower_bound}")
+        else:
             closed = all(visit(child) for child in expand_node(node, ctx))
     return GenerationResult(tuple(entries.values()), closed, tuple(log))
 

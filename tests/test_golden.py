@@ -44,52 +44,52 @@ CASES = [
 # "election/level/seed/error rate": (SHA-256 of the spec, SHA-256 of the proof log)
 GOLDEN = {
     "election_irv/1/1/0.002": (
-        "c40da9ffd6f53df0f3ba00d1079764aa16993862b1b3d8ccfec20b1312ac03d4",
-        "5315ce1662c6c591ffeb8b3efd7fada8069250f238827e260054dc19c9c127b2",
+        "1877d6225553f7e982e0db72ba09242f7f9af6f0365b6586375e5a313fce90e3",
+        "d7dd8ff7908dd621935f0f0133969aea23a3fb39d5dc683af4042876c1e84e81",
     ),
     "election_irv/1/1/0.02": (
-        "9cabc8f3eb15d8cc55c7a1012f94bc84d550c5545d79c114342321019496d12f",
-        "c722e196815eaf89d863807c4f133d2568dd3a84bd0a1e1b9632b8695c734975",
+        "0c0d8205bbc85fb366b0f688dc4d04946bf024c87fd8713baec4f1bf72db5c7f",
+        "6a354735bdba54762a70eca0d79b642f44f0ac859aa6aad585cf189b02bddd92",
     ),
     "election_irv/1/7/0.002": (
-        "6a970b933a2d5d84296a22ef2cad2da23b2a96f4e7b7dd2e31a3ae0488aa8268",
-        "4f0456a86a07f693e3f286a8840b402c1ef28a3dbb7f76b00b3b63714a77c685",
+        "472ad2cce48f12961053f0ee89dd8e4757f3a35649df730590e39950347472b6",
+        "26b6c95ee029ca05bc11a2e00b2618c2193da58c5ff4b7b68047ee7cf6cf7a2f",
     ),
     "election_irv/1/7/0.02": (
-        "22c767d06a76b78906970642e9554a72d234de13ea57f7caf0cfa5372009a2ac",
-        "02ca5344319f04b1dae41c252c492b0de2a9461ba69edfb9eb875aceb331add4",
+        "c1fcf3f99deb2fe64beabe0e6657f1bb51ae72061f053ee09759fe69388b8367",
+        "7c5c66ba28f9397001abba1dfe7261b935ba61f1cc5f0f8e2076068ce46050f4",
     ),
     "election_irv/2/1/0.002": (
-        "627208c99b4b713b0957eabd79e552f6741ce7885d6ff984a5e5237b2f936174",
-        "30ed1d485c759eab5fbf24e09637b7024a4a32ea78777eb45fa6f1a8eef75ad4",
+        "8286f53480c24a78e73d7b50de672c28c6e57a19909001f4005d19dbfc9898a3",
+        "cc85c9a4180551b187133706e6b00fd7e39fcc7f80e308fbf8f57b1eb1a57a98",
     ),
     "election_irv/2/1/0.02": (
-        "1de28eb12b56e80d1bac1403270aa044bab6aaeb9119fdd1fd603156562ff9d9",
-        "1a6a716b265c784cbdaf1146137518d462dd636aded00295118b750f869b7877",
+        "0b55a6201df1f3245c8250f3a20f8740d1ae3cf3e6a2f53bceac1483d3135d1f",
+        "49c84fd14952e3d4788cd3bb5cb4b4ff8266aeebd2fae03e7dfed83255475a07",
     ),
     "election_irv/2/7/0.002": (
-        "03d9aad84d4db4ed363840aff907d69b39b755a87f924c787d702e4e5ab2d808",
-        "3ce7a3f9d2d2d0fdd6c780fe9cb7ec468defa4df59aee3810dcf2e31976ea2a0",
+        "8c0a43783618a1f3a10aff6dff42e1473f9374918f5edb3a8348a665e2223f68",
+        "112cc4ed24bb925bcc471e4303076894ec75e2062a0514e6a5cb84c613a1b8c1",
     ),
     "election_irv/2/7/0.02": (
-        "5b64515b3a4bc5cf0d84d39d679420bbe92fbf09d9c083a7102732d364367153",
-        "63e1749c6af9c771875761cf6536d1c1a88fc11917131abbceca84b8d88cf16b",
+        "176585c69d4158f860a3b571440bd32912131e560d1ae3a9096588b78bb33b97",
+        "af478ad8194e6fcc08a9e7a6e028eb502a8d84df6c078bbf48d38ba8260a699a",
     ),
     "election_irv/3/1/0.002": (
-        "694f13ca5227f4c72f6fda33ffa97ee2cc9f8b1f8fb5086eb985d14f4f776c77",
-        "a4fc44cba4c551592667bcd4711ae5450872b91830c40b69f07bffb5ca421bb6",
+        "ea9c8f76f41a1ce59174db1f790da7ad56bfab2f5591d90f66c001acd8aff26a",
+        "18d7ebed7ff6d4b046622a740337e822ad34d3b044a69d57f989fe52b1f7b05b",
     ),
     "election_irv/3/1/0.02": (
-        "5c52324f5c1f4b0d8138ee691f317021f963071f744cdfbf810e2505438ed8af",
-        "04d6c00aeb8084b709945bb9e6ec0ee6077b023329450caa21346a1f8fed10e1",
+        "ea799d3bc60190120bcda4d4c3952492718983056f0868f4be1a09ad6c8d7428",
+        "624146832cff690f028de419e516fc3c166ca1037a1b250a4052db3ea11c7c25",
     ),
     "election_irv/3/7/0.002": (
-        "9a2fa8195cbdd067bc71af07518df6c46d885de91de94a0fd6a9dfc9207813cd",
-        "673a9b20741c4d7962595888e7c79213fffc0b87117c9b85e81033cee21ee91b",
+        "e06eb93712812eb100bf1d67d5994363c8ade1a03b5aa816ea7795470ab10dbb",
+        "04cb22d7f0213f8791ed61cdd23c36251ab8253b433234857f26001a3034b76c",
     ),
     "election_irv/3/7/0.02": (
-        "b7dd27c8db3e0200b7e6ee920fb1bd9b7fd0fc4c95a63d11fed78def7c54eaaa",
-        "83819acec233c095cb2f52fa4756e6c839901b7e50f4d16387e8195efbfdcfd7",
+        "9b2b9c4382e88f36940b5703fbef875d38b6486cf406ed5b2478e832a713f1ae",
+        "36c498e83c3b157a76192e27e6c7069aa3010f8311afa552d79c079662cf39e3",
     ),
     "election_plurality/1/1/0.002": (
         "350c3b70b7fd232e0d4183624beaec27c600a78e0dc0a5578b238868d59c4075",
@@ -188,12 +188,12 @@ GOLDEN = {
         "4c179227a563f18ad9023ff53907ab61bf7232033e82868ec84921e10df90f80",
     ),
     "ten_cyclic/1/1/0.002": (
-        "032ff8d938b750c765db12522e318a3478bd85ea0f7558e37d02f9a872426206",
-        "1b9b2ecceef1bd4432bcee8a7f26611d80d31be2567929c35b98ca26c1caf720",
+        "867df5e6f3b5e347c22d3ebd465adefafa0f7e374872921ff4fe120202ec597f",
+        "eb83f2736548ae3f5784b7bf05214e20be3d39318d7c2261975407288ac8aad5",
     ),
     "ten_cyclic/3/1/0.002": (
-        "500897d8fd4fc98de0fb1e458b1a00b28501de22980b86ea2658c4492842e873",
-        "8ceece94a0f9632f4ea36a5954431f9f07009107c6c21f8e801bff824d6ed4e7",
+        "4050793cc97e42f152934c51547ad9c82a731d4d9657b600a0f6e92e826f13e0",
+        "4148ea813da97c4110bb9f9b523ae9e2417b1ce68da3441725ed542f12a8b288",
     ),
 }
 

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -503,6 +504,72 @@ def test_bound_sweep_prunes_in_arrival_order():
     ]
 
 
+def test_pop_prunes_and_implied_closes_are_logged():
+    """A node that comes off the frontier with ``eae`` at or under the
+    bound is pruned there with its own assertion (``pop``).  A node whose
+    next elimination an emitted ``Viable(c, E)`` rules out, ``E`` being
+    among those already gone, is closed with no new entry (``implied``)."""
+    profile = random_irv_profile(random.Random(395))
+    spec, log = build_audit_spec(profile, tabulate(profile), 1, RiskParams(seed=395))
+    assert log == (
+        "definite viable W = ['A', 'D']; never viable L = []",
+        "reduction: Viable(A | out {} | t=3/20) margin 0.7699 eae 7",
+        "reduction: Viable(D | out {} | t=3/20) margin 2.1268 eae 1",
+        "branch: prune [... (any order) | viable {A,B,C,D,E}] with NonViable(E | out {} | t=3/20) (eae 63)",
+        "bound 63: prune [... (any order) | viable {A,C,D,E}] with NonViable(E | out {B} | t=3/20) (eae 63)",
+        "branch: prune [... (any order) | viable {A,B,C,D}] with NonViable(B | out {E} | t=3/20) (eae 70)",
+        "bound 70: prune [... (any order) | viable {A,B,D,E}] with NonViable(B | out {C} | t=3/20) (eae 70)",
+        "pop 70: prune [... C | viable {A,B,D}] with Viable(C | out {E} | t=3/20) (eae 21)",
+        "pop 70: prune [... E | viable {A,B,D}] with Viable(E | out {C} | t=3/20) (eae 21)",
+        "implied: close [... C | viable {A,D}] by Viable(C | out {E} | t=3/20)",
+        "implied: close [... E | viable {A,D}] by Viable(E | out {C} | t=3/20)",
+        "implied: close [... C -> B | viable {A,D}] by Viable(C | out {E} | t=3/20)",
+        "implied: close [... E -> B | viable {A,D}] by Viable(E | out {C} | t=3/20)",
+        "branch: prune [... C | viable {A,D,E}] with IrvWins(C > E | out {B}) (eae 92)",
+        "branch: prune [... C -> B | viable {A,D,E}] with IrvWins(C > E | out {}) (eae 92)",
+        "status: complete; assertions: 10",
+    )
+    assert spec.status == STATUS_COMPLETE
+    assert [assertion_key(e.assertion) for e in spec.entries][-4:] == [
+        "viable:C:E=E:t=3/20",
+        "viable:E:E=C:t=3/20",
+        "irv_wins:C>E:E=B",
+        "irv_wins:C>E:E=",
+    ]
+
+
+IMPLIED = re.compile(r"implied: close \[\.\.\. (.+) \| viable \{(.*)\}\] by (Viable\((\w+) \| out \{(.*)\} \| t=.+\))")
+
+
+def _implied_lines(profile, spec, log) -> int:
+    """Check each ``implied`` line of a proof log and count them: it names a
+    ``Viable`` among the spec's entries, for the candidate the closed node
+    eliminates next, out of a set that those already gone contain."""
+    emitted = {str(entry.assertion) for entry in spec.entries}
+    lines = [line for line in log if line.startswith("implied:")]
+    for line in lines:
+        suffix, viable, assertion, cand, out = IMPLIED.fullmatch(line).groups()
+        assert assertion in emitted, line
+        assert suffix.split(" -> ")[0] == cand, line
+        gone = set(profile.labels) - set(suffix.split(" -> ")) - set(viable.split(","))
+        assert set(filter(None, out.split(","))) <= gone, line
+    return len(lines)
+
+
+def test_implied_closes_name_an_emitted_viable_that_rules_the_node_out():
+    profile = cyclic_contest(TEN_STRENGTHS)
+    assert _implied_lines(profile, *build_audit_spec(profile, tabulate(profile), 1, RiskParams(seed=1))) > 100
+    rng, implied = random.Random(24), 0
+    for _ in range(60):
+        profile = random_irv_profile(rng, max_candidates=7, max_ballots=3000)
+        try:
+            outcome = tabulate(profile)
+        except UnsupportedOutcomeError:
+            continue
+        implied += _implied_lines(profile, *build_audit_spec(profile, outcome, 1, RiskParams(seed=1)))
+    assert implied > 0
+
+
 FUZZ_PARAMS = RiskParams(trials=5, seed=7)
 
 
@@ -559,6 +626,21 @@ def test_nine_candidate_search_under_budget():
     ctx = AuditContext(profile, PARAMS)
     for entry in spec.entries:
         assert ctx.exact_margin(entry.assertion) > 0
+
+
+def test_thirteen_candidate_search_under_budget():
+    """Pruning at pop and closing what an emitted ``Viable`` implies keep the
+    13-candidate cyclic contest's level-3 search within seconds."""
+    import time
+
+    profile = cyclic_contest(TEN_STRENGTHS + (1500, 1250, 1150))
+    outcome = tabulate(profile)
+    started = time.perf_counter()
+    spec, _ = build_audit_spec(profile, outcome, 3, RiskParams(seed=1))
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0
+    assert spec.status == STATUS_COMPLETE
+    assert max(entry.eae for entry in spec.entries) == 4650
 
 
 def ctx_margin(ctx):
