@@ -549,9 +549,10 @@ def _implied_lines(profile, spec, log) -> int:
     lines = [line for line in log if line.startswith("implied:")]
     for line in lines:
         suffix, viable, assertion, cand, out = IMPLIED.fullmatch(line).groups()
+        order = suffix.split(" -> ")
         assert assertion in emitted, line
-        assert suffix.split(" -> ")[0] == cand, line
-        gone = set(profile.labels) - set(suffix.split(" -> ")) - set(viable.split(","))
+        assert order[0] == cand, line
+        gone = set(profile.labels) - set(order) - set(viable.split(","))
         assert set(filter(None, out.split(","))) <= gone, line
     return len(lines)
 
