@@ -15,18 +15,25 @@ Formats:
   save/load round trip is the identity.  The assorter's upper bound
   follows from the assertion and its mean from the margin, so neither is
   stored.
+
+Every JSON document written (specs, outcomes, audit states, reports) has
+one canonical layout: sorted keys, two-space indent, non-ASCII escaped and
+a trailing newline, the bytes of ``json.dumps(obj, indent=2,
+sort_keys=True) + "\\n"`` (see ``canonical_json``).
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
+import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -490,11 +497,95 @@ def outcome_to_dict(outcome: ReportedOutcome) -> dict:
     }
 
 
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# Each JSON scalar's encoder, by exact type, as json.dumps writes it.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _append(value: object, out: list[str], indent: str) -> None:
+    """Append ``value``'s canonical JSON to ``out``; ``indent`` is the newline
+    and spaces that start the line ``value`` begins on.  Scalar members are
+    encoded in the loops, from ``_SCALARS``, without a call of their own."""
+    encode = _SCALARS.get(type(value))
+    if encode is not None:
+        out.append(encode(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            encode = _SCALARS.get(type(item))
+            if encode is not None:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {encode(item)}")
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _append(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            encode = _SCALARS.get(type(item))
+            if encode is not None:
+                out.append(sep + encode(item))
+            else:
+                out.append(sep)
+                _append(item, out, inner)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def canonical_json(payload: dict) -> str:
-    """Deterministic rendering: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``,
+    built into one list and joined once (with ``indent`` set, json.dumps
+    runs its pure-Python encoder).  Keys must be ``str``, containers
+    ``dict``, ``list`` or ``tuple``, and scalars exactly ``str``, ``int``,
+    ``float``, ``bool`` or ``None``; anything else raises ``TypeError``."""
+    out: list[str] = []
+    _append(payload, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json(payload: dict, path: str | Path) -> None:
-    Path(path).write_text(canonical_json(payload), encoding="utf-8")
+    """Write ``canonical_json(payload)`` to ``path`` atomically: into a
+    temporary file beside it, which is then renamed onto it, so a failed or
+    interrupted write leaves the old file whole.  The temporary file is
+    opened as a plain write opens a new file, so it gets the same mode."""
+    path = Path(path)
+    text = canonical_json(payload)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(temp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc}") from exc
+    finally:  # gone after the rename; left by a failed or interrupted write
+        with suppress(OSError):
+            temp.unlink()
 

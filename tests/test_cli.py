@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import json
@@ -1349,6 +1350,30 @@ def test_output_into_missing_directory_exit_2(capsys, tmp_path, command):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert str(target) in err
+
+
+def test_failed_state_write_keeps_the_recorded_rounds(capsys, monkeypatch, tmp_path):
+    """A round whose state write fails (here the rename onto the state
+    file) exits 2 naming the state, leaves the state's bytes as the last
+    round wrote them and no temporary file beside it; the round can then be
+    run again."""
+    audit, _, second, _ = _escalating_audit(capsys, tmp_path)
+    state = tmp_path / "state.json"
+    before, files = state.read_bytes(), sorted(tmp_path.iterdir())
+
+    def replace(source, target):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "replace", replace)
+    followup = ["audit", "round", *audit, "--manifest", str(second), "--interpretations", SMALL_CVRS]
+    code, out, err = run(capsys, *followup)
+    assert code == 2 and out == ""
+    assert str(state) in err
+    assert state.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == files
+    monkeypatch.undo()
+    assert run(capsys, *followup)[0] == 0
+    assert len(json.loads(state.read_text())["state"]["rounds"]) == 2
 
 
 @pytest.mark.parametrize("election", [PLURALITY, IRV], ids=["plurality", "irv"])

@@ -20,8 +20,15 @@ spec digests stay fixed.
 spec of ``election_small`` (seed 3) audited against ``cvrs_small.csv``, the
 manifest and state ``audit init`` writes, then one escalating round in
 which three drawn papers are misread: its state, its next manifest and its
-``--format json`` stdout without the line naming the next manifest's path.  These digests fix the
-order of the seeded sample and every byte a round writes.
+``--format json`` stdout without the line naming the next manifest's path;
+then a confirming follow-up round that reads every paper as its CVR: its
+state, which records both rounds, and its ``--format json`` stdout.  These
+digests fix the order of the seeded sample and every byte a round writes.
+
+``test_report_bytes_are_pinned`` pins the other JSON documents for every
+``tests/data`` election: ``tabulate --format json``'s stdout and its
+``--out`` file, whose quotas are floats, and ``estimate --format json
+--seed 1``'s stdout, whose margins are floats.
 """
 import contextlib
 import hashlib
@@ -230,6 +237,21 @@ AUDIT_GOLDEN = {
     "round/state": "670f7f20458f8e2676ebc101e62fbe1ec4b23a1bf09320f067a9660e3b3c54bd",
     "round/next_manifest": "788e175bf1108190f311d738bbbc497f53fe20f6da0a50e5fa1f5f24f9b230d8",
     "round/stdout": "e69df73091475c1418f95e9da26870b2b9f1260e0e5cb2d5bbd51d3ae1cde482",
+    "follow-up/state": "42109f338f05d0158716437b89c539fb1c4d4b165cf8920bad8edf91fa8a52a4",
+    "follow-up/stdout": "5d8a4f4c47ae3170a66e663fb5c7d79c27e067578c38297bae3f44b68e00c6cf",
+}
+
+# the JSON reports: "election/command/output" -> SHA-256
+REPORT_GOLDEN = {
+    "election_irv/tabulate/stdout": "6cee65049f1ee0b11027bee2c77e20da3e955fa25dcc926c308306203af64ce7",
+    "election_irv/estimate/stdout": "65e780680ed3c93fad09f48014d1fe306207c648a170f05fae8c7b6eeb40b757",
+    "election_irv/tabulate/out": "6cee65049f1ee0b11027bee2c77e20da3e955fa25dcc926c308306203af64ce7",
+    "election_plurality/tabulate/stdout": "61d1964de0abd8b5f0cc07b23011834ace7c11a0ece09ba5362223c7174f9543",
+    "election_plurality/estimate/stdout": "12ef2d84c2aa3dddb58650357645e8d6292abece84c5cd50b01040222d4c1c1e",
+    "election_plurality/tabulate/out": "61d1964de0abd8b5f0cc07b23011834ace7c11a0ece09ba5362223c7174f9543",
+    "election_small/tabulate/stdout": "b7d1330f11195a65b7a189e92abaec87e030d51b98712db096b06048decc69d3",
+    "election_small/estimate/stdout": "dbd402abd27c42ccce9f184f195c75e007697382c42a861628f901e720e57f8b",
+    "election_small/tabulate/out": "b7d1330f11195a65b7a189e92abaec87e030d51b98712db096b06048decc69d3",
 }
 
 # drawn ballots whose papers the escalating round reads otherwise
@@ -237,8 +259,9 @@ MISREAD = {"b111": "Remy", "b028": "", "b065": "Quinn|Pat"}
 
 
 def _audit(directory: Path) -> dict[str, str]:
-    """Generate the small election's level-3 spec, ``audit init`` it and
-    run one escalating round; the SHA-256 of every byte they write."""
+    """Generate the small election's level-3 spec, ``audit init`` it, run
+    one escalating round and a confirming follow-up; the SHA-256 of every
+    byte they write."""
     spec, state = directory / "spec.json", directory / "state.json"
     first, second, paper = directory / "round1.csv", directory / "round2.csv", directory / "paper.csv"
     lines = []
@@ -263,6 +286,28 @@ def _audit(directory: Path) -> dict[str, str]:
     digests["round/state"] = hashlib.sha256(state.read_bytes()).hexdigest()
     digests["round/next_manifest"] = hashlib.sha256(second.read_bytes()).hexdigest()
     digests["round/stdout"] = hashlib.sha256(report.encode()).hexdigest()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["--format", "json", "audit", "round", *audit, "--manifest", str(second),
+                     "--interpretations", str(DATA / "cvrs_small.csv")])
+    assert code == 0
+    digests["follow-up/state"] = hashlib.sha256(state.read_bytes()).hexdigest()
+    digests["follow-up/stdout"] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return digests
+
+
+def _reports(election: str, directory: Path) -> dict[str, str]:
+    """The SHA-256 of ``tabulate --format json``'s stdout and ``--out`` file
+    and of ``estimate --format json --seed 1``'s stdout."""
+    path, out = str(DATA / f"{election}.json"), directory / "outcome.json"
+    digests = {}
+    for name, argv in (("tabulate", ["tabulate", "--election", path, "--out", str(out)]),
+                       ("estimate", ["estimate", "--election", path, "--seed", "1"])):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["--format", "json", *argv]) == 0
+        digests[f"{election}/{name}/stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    digests[f"{election}/tabulate/out"] = hashlib.sha256(out.read_bytes()).hexdigest()
     return digests
 
 
@@ -275,6 +320,13 @@ def test_audit_bytes_are_pinned(tmp_path):
     assert _audit(tmp_path) == AUDIT_GOLDEN
 
 
+@pytest.mark.parametrize("election", ELECTIONS)
+def test_report_bytes_are_pinned(election, tmp_path):
+    assert _reports(election, tmp_path) == {
+        name: digest for name, digest in REPORT_GOLDEN.items() if name.startswith(f"{election}/")
+    }
+
+
 if __name__ == "__main__":  # print the tables above for the current code
     with tempfile.TemporaryDirectory() as scratch:
         for case in CASES:
@@ -282,3 +334,6 @@ if __name__ == "__main__":  # print the tables above for the current code
             print(f'    "{"/".join(map(str, case))}": (\n        "{spec_digest}",\n        "{log_digest}",\n    ),')
         for name, digest in _audit(Path(scratch)).items():
             print(f'    "{name}": "{digest}",')
+        for election in ELECTIONS:
+            for name, digest in _reports(election, Path(scratch)).items():
+                print(f'    "{name}": "{digest}",')

@@ -25,9 +25,9 @@ from hamilton_rla.model import (
     assertion_from_dict,
     audit_spec_from_dict,
     audit_spec_to_dict,
-    canonical_json,
     parse_proportion,
     parse_ranking_cell,
+    write_json,
 )
 from hamilton_rla.viability import build_audit_spec
 
@@ -288,7 +288,12 @@ def test_random_profile_save_load_round_trip(tmp_path):
         assert load_election(path) == profile
 
 
-def test_canonical_json_sorted_keys():
-    text = canonical_json({"b": 1, "a": {"z": 1, "y": 2}})
-    assert text.index('"a"') < text.index('"b"')
-    assert text.endswith("\n")
+def test_write_json_gives_a_plain_write_mode(tmp_path):
+    """The written file gets the mode a plain write gives a new file (not
+    a temporary file's 0600) and no temporary file stays beside it."""
+    plain = tmp_path / "plain.json"
+    plain.write_text("{}\n", encoding="utf-8")
+    write_json({"a": [1]}, tmp_path / "out.json")
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == '{\n  "a": [\n    1\n  ]\n}\n'
+    assert (tmp_path / "out.json").stat().st_mode == plain.stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "plain.json"]
