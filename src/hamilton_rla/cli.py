@@ -20,8 +20,10 @@ interpretations do not cover is refused at the first such draw.  The
 same stream then yields the next manifest.  The draw total and the
 round's ``assertions`` report the state also holds are a summary for
 readers and are never read back.  A round that leaves an assertion
-unconfirmed whose margin is too small to move a float p-value ends with
-status ``requires-full-count`` and exit 4; it is still recorded, since its
+unconfirmed and whose suggested draws would take the audit past the
+contest's ballots (always, when an unconfirmed margin is too small to move
+a float p-value) ends with status ``requires-full-count``, exit 4 and no
+next manifest, as ``audit init`` does; it is still recorded, since its
 paper interpretations are evidence too.
 """
 from __future__ import annotations
@@ -60,9 +62,8 @@ def _risk_args(parser: argparse.ArgumentParser) -> None:
         "--error-rate",
         type=float,
         default=RiskParams.error_rate,
-        help="simulated overstatement rate (default %(default)s)",
+        help="assumed overstatement rate (default %(default)s)",
     )
-    parser.add_argument("--trials", type=int, default=RiskParams.trials, help="simulation trials (default %(default)s)")
     parser.add_argument("--seed", type=int, default=None, help="PRNG seed (generated and printed if absent)")
 
 
@@ -118,13 +119,7 @@ def _params_from(args: argparse.Namespace) -> RiskParams:
         seed = secrets.randbelow(2**63)
         print(f"seed: {seed} (generated)", file=sys.stderr)
     try:
-        return RiskParams(
-            alpha=args.alpha,
-            gamma=args.gamma,
-            error_rate=args.error_rate,
-            trials=args.trials,
-            seed=seed,
-        )
+        return RiskParams(alpha=args.alpha, gamma=args.gamma, error_rate=args.error_rate, seed=seed)
     except ValueError as exc:
         raise ElectionDataError(str(exc)) from None
 
@@ -403,6 +398,8 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
         {"draws": len(manifest), "interpretations": {b: "|".join(interpretations[b]) for b in manifest}}
     )
     total = drawn + len(manifest)
+    if status == "escalate" and total + suggestion > spec.total_ballots:  # more draws than a full count
+        status = STATUS_FULL_COUNT
 
     per_assertion = {
         key: {"margin": s.margin, "p_value": s.p_value, "draws": s.draws, "discrepancies": s.discrepancies}
@@ -432,7 +429,8 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
 
     _emit(payload, args, lines)
     if status == STATUS_FULL_COUNT:
-        print("no number of further draws confirms every assertion; full manual count required", file=sys.stderr)
+        print("confirming every assertion needs more draws than the contest has ballots; full manual count required",
+              file=sys.stderr)
         return EXIT_FULL_COUNT
     return EXIT_OK if status == "confirmed" else EXIT_ESCALATE
 

@@ -45,7 +45,7 @@ PLURALITY = "plurality"
 IRV = "irv"
 STYLES = (PLURALITY, IRV)
 
-SPEC_SCHEMA_VERSION = 2
+SPEC_SCHEMA_VERSION = 3
 
 STATUS_COMPLETE = "complete"
 STATUS_FULL_COUNT = "requires-full-count"
@@ -407,7 +407,6 @@ def audit_spec_to_dict(spec: AuditSpec) -> dict:
             "alpha": spec.params.alpha,
             "gamma": spec.params.gamma,
             "error_rate": spec.params.error_rate,
-            "trials": spec.params.trials,
             "seed": spec.params.seed,
         },
         "assertions": [
@@ -434,7 +433,6 @@ def audit_spec_from_dict(data: dict) -> AuditSpec:
             alpha=meta["alpha"],
             gamma=meta["gamma"],
             error_rate=meta["error_rate"],
-            trials=_checked(meta, "trials", "a positive integer", lambda v: _is_int(v) and v >= 1),
             seed=_checked(meta, "seed", "an integer", _is_int),
         )
         entries = tuple(

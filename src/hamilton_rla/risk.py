@@ -19,16 +19,13 @@ conservatively given the clean factor, never less.  Later draws add to
 the uncapped sum, so an escalating round suggests the clean draws that
 take it to ``ln(alpha)``.
 
-Expected sample sizes (ASN) are estimated by simulation: ballots are
-drawn one at a time, each independently a one-vote overstatement with
-probability ``error_rate``, until the p-value reaches ``alpha`` or every
-ballot has been reviewed (the full-count sentinel).  The estimate is the
-median trial length over ``trials`` runs.  Trial ``t`` draws its error
-positions once, from a PRNG seeded by (seed, ``t``) alone, and every
-assertion replays them (common random numbers).  So an estimate depends
-only on the margin, not on evaluation order, and since a larger margin
-lowers every per-draw factor, each trial's length, and hence the
-estimate, never rises with the margin.
+Expected sample sizes (ASN) follow Stark's expected-overstatement sizing
+for super-simple audits: one-vote overstatements arrive evenly at rate
+``error_rate`` (the k-th at draw ``ceil((k - 1/2)/error_rate)``), the rest
+of the draws are clean, and the estimate is the first draw at which the
+uncapped p-value reaches ``alpha``, or the full-count sentinel if none up
+to the ballot total does.  It depends on nothing but the margin and the
+risk parameters, and never rises with the margin.
 
 Audit rounds are scored from the evidence alone: the caller replays
 every round so far along ``sample_stream`` and counts its draws per
@@ -41,12 +38,9 @@ from __future__ import annotations
 import csv
 import math
 import random
-import statistics
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -71,7 +65,6 @@ class RiskParams:
     alpha: float = 0.05
     gamma: float = 1.1
     error_rate: float = 0.002
-    trials: int = 20
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -81,8 +74,6 @@ class RiskParams:
             raise ValueError(f"gamma {self.gamma} must be a finite number above 1")
         if not 0 <= self.error_rate < 1:
             raise ValueError(f"error rate {self.error_rate} outside [0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
 
 
 @dataclass(frozen=True)
@@ -173,70 +164,47 @@ def clean_draws(margin: float, alpha: float, gamma: float, log_p: float = 0.0) -
     return math.ceil((math.log(alpha) - log_p) / log_clean)
 
 
-@lru_cache(maxsize=1)
-def _shared_trials(seed: int, error_rate: float, trials: int) -> tuple[tuple[random.Random, array], ...]:
-    """Every trial's error positions, drawn on demand from the PRNG of (seed,
-    trial) and replayed for every margin: ``gaps[k]`` counts the draws after
-    overstatement ``k`` (the start, for ``k = 0``) through the next one, a
-    geometric variate, and ``_trial_draws`` appends it from the trial's PRNG
-    when first needed.  The positions are a function of the key alone, so
-    sharing them across all estimates with these parameters changes no
-    result; one key is kept, which bounds the memory to one build's draws."""
-    return tuple((random.Random(f"{seed}|{trial}"), array("q")) for trial in range(trials))
-
-
-def _trial_draws(margin: float, params: RiskParams, population: int, trial: tuple[random.Random, array]) -> float:
-    """Length of one simulated audit: draws until p <= alpha or the ballots (at least one) run out.
-
-    Equivalent to drawing ballots one at a time with per-draw error
-    probability ``error_rate``, but skips between error positions
-    (the trial's geometric ``gaps``), so a trial costs O(number of errors).
-    """
-    log_clean, log_over, _ = _log_factors(margin, params.gamma)
-    if not -math.inf < log_clean < 0.0:  # one draw zeroes p, or none lowers it
-        return clean_draws(margin, params.alpha, params.gamma)
-    log_target = math.log(params.alpha)
-    # zero also for a rate too small to move 1 - error_rate: no errors
-    log_no_error = math.log(1.0 - params.error_rate)
-    rng, gaps = trial
-    log_p = 0.0
-    draws = errors = 0
-    while draws < population:
-        if log_no_error < 0.0:
-            # next overstatement is `gap` draws ahead (inclusive)
-            if errors == len(gaps):
-                gaps.append(int(math.log(1.0 - rng.random()) / log_no_error) + 1)
-            gap = gaps[errors]
-            errors += 1
-        else:
-            gap = population - draws + 1
-        clean_run = gap - 1
-        need = math.ceil((log_target - log_p) / log_clean)
-        if need <= clean_run:
-            if draws + need <= population:
-                return draws + need
-            break
-        take = min(clean_run, population - draws)
-        log_p += take * log_clean
-        draws += take
-        if draws >= population:
-            break
-        draws += 1  # the overstatement draw itself
-        log_p = min(0.0, log_p + log_over)
-        if log_p <= log_target:
-            return draws
-    return FULL_COUNT
-
-
 def estimate_asn(margin: float | Fraction, params: RiskParams, population: int) -> float:
-    """Median simulated sample size for one assertion; inf if unauditable."""
-    if margin <= 0 or population < 1:
+    """Stark's expected-overstatement sample size for one assertion: the fewest
+    draws ``n`` whose uncapped p-value, as in ``RiskState.log_product``,
+    reaches ``alpha`` when ``floor(error_rate*n + 1/2)`` of them are one-vote
+    overstatements and the rest clean; the full-count sentinel when the
+    margin is not positive or no ``n`` up to ``population`` qualifies.  Every
+    log factor falls as the margin grows, so the estimate never rises with it.
+    """
+    if margin <= 0:
         return FULL_COUNT
     m = float(margin)
-    trials = _shared_trials(params.seed, params.error_rate, params.trials)
-    lengths = [_trial_draws(m, params, population, trial) for trial in trials]
-    med = statistics.median(lengths)
-    return med if math.isinf(med) else int(math.ceil(med))
+    log_clean, log_over, _ = _log_factors(m, params.gamma)
+    if params.error_rate == 0 or not -math.inf < log_clean < 0.0:  # no errors, one draw zeroes p, or none lowers it
+        need = clean_draws(m, params.alpha, params.gamma)
+        return need if need <= population else FULL_COUNT
+    log_alpha = math.log(params.alpha)
+
+    def overstatements(n: int) -> int:
+        return math.floor(params.error_rate * n + 0.5)
+
+    def confirms(n: int, k: int) -> bool:
+        return (n - k) * log_clean + k * log_over <= log_alpha
+
+    # Every draw before n fails.  With k = overstatements(n), the least draw
+    # c >= n that k overstatements would let confirm is estimated by division
+    # and settled by `confirms`, which is monotone in c for a fixed k.  A draw
+    # in [n, c) has at least k overstatements, each only raising the p-value,
+    # so it fails too; c confirms if it has exactly k.
+    n = 1
+    while True:
+        k = overstatements(n)
+        c = min(max(n, math.ceil(k + (log_alpha - k * log_over) / log_clean)), population + 1)
+        while c > n and confirms(c - 1, k):
+            c -= 1
+        while c <= population and not confirms(c, k):
+            c += 1
+        if c > population:
+            return FULL_COUNT
+        if overstatements(c) == k:
+            return c
+        n = c
 
 
 def estimate_audit_asn(spec: "AuditSpec") -> float:

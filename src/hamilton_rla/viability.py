@@ -32,7 +32,7 @@ be audited, ``build_audit_specs`` rules that no audit short of a full
 manual count certifies the outcome.
 
 Each branch gets the assertion of largest margin among its options, and
-only that one is simulated: an estimate depends only on the margin and
+only that one is estimated: an estimate depends only on the margin and
 never rises with it (``risk.estimate_asn``), so the largest margin is a
 least estimate.  Among equal margins the first option wins.
 
@@ -163,7 +163,7 @@ class AuditContext:
         return Fraction(self._margins(assertion)[0], self.total * assertion.scale)
 
     def _effort(self, margin: float) -> float:
-        """The estimated sample size, simulated once per distinct margin."""
+        """The estimated sample size, computed once per distinct margin."""
         cached = self._eae.get(margin)
         if cached is None:
             cached = estimate_asn(margin, self.params, self.total)
@@ -332,7 +332,7 @@ def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[Assertio
     ``eae``; ``(None, inf)`` when it does not hold or there is no option.
 
     ``eae`` never rises with the margin, so no other option is cheaper,
-    and only the pick is simulated.  Each option's margins are computed
+    and only the pick is estimated.  Each option's margins are computed
     once: the pick's integer margin says whether it holds, and its float
     margin gives the estimate.
     """

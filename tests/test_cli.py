@@ -201,7 +201,6 @@ SPEC_FIELD_EDITS = {
     "seed-string": ("metadata", "seed", "x"),
     "seed-float": ("metadata", "seed", 1.5),
     "seed-bool": ("metadata", "seed", True),
-    "trials-float": ("metadata", "trials", 2.5),
     "level-9": ("header", "level", 9),
     "level-string": ("header", "level", "1"),
     "status-bogus": ("header", "status", "bogus"),
@@ -322,7 +321,19 @@ def test_audit_init_refuses_schema_1_spec(capsys, tmp_path):
 
     code, out, err = _init_with_edited_spec(capsys, tmp_path, schema_1)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "schema version 1 unsupported (expected 2)" in err
+    assert err.startswith("error: ") and "schema version 1 unsupported (expected 3)" in err
+
+
+def test_audit_init_refuses_schema_2_spec(capsys, tmp_path):
+    """A spec of schema 2 (which stored the sample-size simulation's trial
+    count) is refused by its version."""
+    def schema_2(doc):
+        doc["schema_version"] = 2
+        doc["metadata"]["trials"] = 20
+
+    code, out, err = _init_with_edited_spec(capsys, tmp_path, schema_2)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "schema version 2 unsupported (expected 3)" in err
 
 
 def test_audit_init_refuses_spec_with_nan_gamma(capsys, tmp_path):
@@ -819,10 +830,13 @@ def test_audit_round_overstatements_escalate(capsys, tmp_path):
         "--state",
         str(state),
     )
-    # fabricate maximally wrong paper ballots: every interpretation is Remy
+    # fabricate wrong paper ballots: four drawn ballots read as Remy, the rest as their CVRs
+    misread = list(dict.fromkeys(read_manifest(manifest)))[:4]
     interpretations = tmp_path / "paper.csv"
-    rows = ["ballot_id,ranking"] + [f"b{i:03d},Remy" for i in range(1, 121)]
-    interpretations.write_text("\n".join(rows) + "\n")
+    interpretations.write_text("ballot_id,ranking\n" + "".join(
+        f"{ballot},Remy\n" if ballot in misread else f"{ballot},{'|'.join(ranking)}\n"
+        for ballot, ranking in load_cvrs(SMALL_CVRS).items()
+    ))
     next_manifest = tmp_path / "round2.csv"
     code, out, _ = run(
         capsys,
@@ -1011,15 +1025,10 @@ def test_audit_round_refuses_ill_formed_state(capsys, tmp_path, case):
     mistyped or out of range, or whose recorded evidence is incomplete, is
     refused with exit 2, before any scoring."""
     after_round, edit, message = STATE_EDITS[case]
-    audit, manifest = _audit_after_init(capsys, tmp_path)
     if after_round:
-        paper = tmp_path / "paper.csv"
-        paper.write_text("ballot_id,ranking\n" + "".join(f"b{i:03d},Remy\n" for i in range(1, 121)))
-        next_manifest = tmp_path / "round2.csv"
-        code, _, _ = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
-                         "--interpretations", str(paper), "--next-manifest", str(next_manifest))
-        assert code == 5
-        manifest = next_manifest
+        audit, _, manifest, _ = _escalating_audit(capsys, tmp_path)
+    else:
+        audit, manifest = _audit_after_init(capsys, tmp_path)
     state = Path(audit[-1])
     doc = json.loads(state.read_text())
     edit(doc["state"])
@@ -1184,24 +1193,27 @@ def test_audit_round_refuses_a_nonpositive_stated_margin(capsys, tmp_path, margi
 
 def test_wrong_outcome_audit_escalates_without_overflow(capsys, tmp_path):
     """Papers that all read Remy overstate every assertion of the reported
-    outcome.  The round-1 escalation suggests 518 draws; round 2 then holds
-    hundreds of two-vote overstatements, whose linear p-value product
-    overflowed, and must escalate again with its next manifest written."""
+    outcome.  Confirming it would take 518 more draws on top of round 1's 29,
+    more than the contest's 120 ballots, so round 1 asks for a full count
+    (exit 4, as ``audit init`` does for a sample larger than the ballots):
+    it writes no next manifest but is recorded, since its papers are
+    evidence.  (The log-space p-value that keeps heavy overstatement from
+    overflowing is tested in ``test_risk``.)"""
     audit, manifest = _audit_after_init(capsys, tmp_path)
     remy = tmp_path / "remy.csv"
     remy.write_text("ballot_id,ranking\n" + "".join(f"{ballot},Remy\n" for ballot in load_cvrs(SMALL_CVRS)))
-    suggested = []
-    for number in (1, 2):
-        following = tmp_path / f"round{number + 1}.csv"
-        code, out, err = run(capsys, "--format", "json", "audit", "round", *audit, "--manifest", str(manifest),
-                             "--interpretations", str(remy), "--next-manifest", str(following))
-        assert code == 5, err
-        payload = json.loads(out)
-        assert payload["status"] == "escalate"
-        assert len(read_manifest(following)) == payload["suggested_additional_draws"]
-        suggested.append(payload["suggested_additional_draws"])
-        manifest = following
-    assert suggested == [518, 10674]
+    following = tmp_path / "round2.csv"
+    code, out, err = run(capsys, "--format", "json", "audit", "round", *audit, "--manifest", str(manifest),
+                         "--interpretations", str(remy), "--next-manifest", str(following))
+    assert code == 4
+    assert err == ("confirming every assertion needs more draws than the contest has ballots; "
+                   "full manual count required\n")
+    payload = json.loads(out)
+    assert payload["status"] == "requires-full-count"
+    assert payload["total_draws"] == 29 and payload["suggested_additional_draws"] is None
+    assert not following.exists()
+    rounds = json.loads(Path(audit[-1]).read_text())["state"]["rounds"]
+    assert [r["draws"] for r in rounds] == [29]
 
 
 SUMMARY_EDITS = {
@@ -1237,12 +1249,33 @@ def test_audit_round_ignores_state_summary(capsys, tmp_path, case):
     # a NaN gamma passes no comparison, so a `gamma <= 1` check let it claim
     # one draw per assertion; an infinite one made every assertion a full count
     [("--alpha", "2", "alpha"), ("--gamma", "1", "gamma"), ("--gamma", "nan", "gamma"), ("--gamma", "inf", "gamma"),
-     ("--trials", "0", "trials"), ("--error-rate", "1", "error rate")],
+     ("--error-rate", "1", "error rate")],
 )
 def test_out_of_range_risk_flags_exit_2(capsys, command, flag, value, message):
     code, out, err = run(capsys, command, "--election", PLURALITY, "--seed", "1", flag, value)
     assert code == 2
     assert f"error: {message}" in err and out == ""
+
+
+@pytest.mark.parametrize("command", ["generate", "estimate"])
+def test_trials_is_an_unknown_option(capsys, command):
+    """Sample sizes are computed, not simulated, so there is no trial count."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--election", PLURALITY, "--seed", "1", "--trials", "20"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --trials 20" in capsys.readouterr().err
+
+
+def test_spec_depends_on_seed_only_through_its_metadata(capsys, tmp_path):
+    """Sample-size estimates involve no randomness: specs generated with two
+    seeds differ only in the seed they record for ``audit init``."""
+    docs = []
+    for seed in ("1", "7"):
+        spec = tmp_path / f"spec{seed}.json"
+        assert run(capsys, "generate", "--election", IRV, "--level", "3", "--seed", seed, "--out", str(spec))[0] == 0
+        docs.append(json.loads(spec.read_text()))
+    assert [doc["metadata"].pop("seed") for doc in docs] == [1, 7]
+    assert docs[0] == docs[1]
 
 
 @pytest.mark.parametrize("case", ["no-ballot-id-column", "missing-file"])
@@ -1309,8 +1342,8 @@ def test_unreadable_input_exit_2(capsys, tmp_path, case):
 def test_audit_round_bound_to_init_spec_and_cvrs(capsys, tmp_path, case):
     """``audit init`` records the SHA-256 of the spec and of the CVR file, and
     a round against any other file is refused.  Without that, blanking the
-    CVRs of exactly the drawn ballots after init turns this escalating round
-    (every drawn paper blank) into a confirmed one."""
+    CVRs of exactly the drawn ballots after init turns this round, which
+    needs a full count (every drawn paper blank), into a confirmed one."""
     spec, cvrs = tmp_path / "spec.json", tmp_path / "cvrs.csv"
     cvrs.write_text(Path(SMALL_CVRS).read_text())
     run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "3", "--out", str(spec))
@@ -1325,7 +1358,7 @@ def test_audit_round_bound_to_init_spec_and_cvrs(capsys, tmp_path, case):
     paper.write_text("ballot_id,ranking\n" + "".join(f"{b},\n" for b in ids))
     state = Path(audit[-1])
     saved = state.read_bytes()
-    assert run(capsys, "audit", "round", *audit, "--interpretations", str(paper))[0] == 5
+    assert run(capsys, "audit", "round", *audit, "--interpretations", str(paper))[0] == 4
     state.write_bytes(saved)
     if case == "cvrs-edited":
         lines = cvrs.read_text().splitlines(keepends=True)

@@ -49,8 +49,8 @@ def test_huge_margin_confirms_in_one_draw():
 def test_zero_error_closed_form_moderate_margin():
     params = RiskParams(error_rate=0.0, seed=5)
     assert estimate_asn(0.378, params, BIG) == closed_form(0.378) == 16
-    # with the default error rate the median stays near the closed form
-    assert abs(estimate_asn(0.378, RiskParams(seed=5), BIG) - 17) <= 5
+    # at the default error rate the first overstatement is draw 250, after it confirms
+    assert estimate_asn(0.378, RiskParams(seed=5), BIG) == 16
 
 
 def test_error_rate_below_float_resolution_acts_as_zero():
@@ -208,22 +208,19 @@ def test_estimate_asn_population_cap_sentinel():
     assert estimate_asn(0.001, params, BIG) == closed_form(0.001)
 
 
-def test_estimate_asn_reproducible_and_seed_keyed():
-    params = RiskParams(seed=77, error_rate=0.02)
-    a = estimate_asn(0.1, params, BIG)
-    assert a == estimate_asn(0.1, params, BIG)
+def test_estimate_asn_does_not_depend_on_the_seed():
     values = {estimate_asn(0.1, RiskParams(seed=s, error_rate=0.02), BIG) for s in range(5)}
-    assert len(values) > 1
-    assert all(abs(v - closed_form(0.1)) < 0.5 * closed_form(0.1) for v in values)
+    assert len(values) == 1
+    assert closed_form(0.1) < values.pop() < 2 * closed_form(0.1)
 
 
 def test_estimate_asn_monotone_in_margin_and_error():
     params = RiskParams(error_rate=0.0, seed=4)
     values = [estimate_asn(m, params, BIG) for m in (0.05, 0.1, 0.2, 0.4, 0.8, 1.6)]
     assert values == sorted(values, reverse=True)
-    # statistically nondecreasing in the error rate
-    lo = estimate_asn(0.05, RiskParams(error_rate=0.0, seed=6, trials=100), BIG)
-    hi = estimate_asn(0.05, RiskParams(error_rate=0.02, seed=6, trials=100), BIG)
+    # nondecreasing in the error rate
+    lo = estimate_asn(0.05, RiskParams(error_rate=0.0, seed=6), BIG)
+    hi = estimate_asn(0.05, RiskParams(error_rate=0.02, seed=6), BIG)
     assert hi >= lo
 
 
@@ -254,7 +251,7 @@ def test_estimate_audit_asn_full_count_status():
 
 def test_single_assertion_spec_asn_is_that_assertion():
     """The overall estimate is the spec's stored per-assertion estimate, not a
-    fresh simulation (which gives 12 for this margin)."""
+    fresh estimate (which gives 12 for this margin)."""
     from hamilton_rla import AuditSpec, SpecEntry
 
     a = Viable("Ann", frozenset(), TAU)
@@ -452,5 +449,3 @@ def test_risk_params_validation():
         RiskParams(gamma=1.0)
     with pytest.raises(ValueError):
         RiskParams(error_rate=1.0)
-    with pytest.raises(ValueError):
-        RiskParams(trials=0)
