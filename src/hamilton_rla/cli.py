@@ -2,8 +2,9 @@
 
 Exit codes: 0 success/confirmed, 2 input error, 3 unsupported outcome
 (no viable candidate), 4 full manual count required, 5 audit escalation
-needed.  All randomness flows from one seed; when none is given a fresh
-seed is generated and printed.  With ``--format json`` every command
+needed.  All randomness flows from one seed; when ``generate`` is given
+none, a fresh seed is generated and printed.  ``estimate`` draws nothing,
+so it uses no seed and ignores ``--seed``.  With ``--format json`` every command
 writes deterministic JSON (same inputs and seed give byte-identical
 output); timing goes to stderr.
 
@@ -55,7 +56,7 @@ EXIT_ESCALATE = 5
 STATE_SCHEMA_VERSION = 3
 
 
-def _risk_args(parser: argparse.ArgumentParser) -> None:
+def _risk_args(parser: argparse.ArgumentParser, seed_help: str = "PRNG seed (generated and printed if absent)") -> None:
     parser.add_argument("--alpha", type=float, default=RiskParams.alpha, help="risk limit (default %(default)s)")
     parser.add_argument("--gamma", type=float, default=RiskParams.gamma, help="inflation factor (default %(default)s)")
     parser.add_argument(
@@ -64,7 +65,7 @@ def _risk_args(parser: argparse.ArgumentParser) -> None:
         default=RiskParams.error_rate,
         help="assumed overstatement rate (default %(default)s)",
     )
-    parser.add_argument("--seed", type=int, default=None, help="PRNG seed (generated and printed if absent)")
+    parser.add_argument("--seed", type=int, default=None, help=seed_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate sample sizes for levels 1-3")
     p_est.add_argument("--election", required=True)
-    _risk_args(p_est)
+    _risk_args(p_est, seed_help="accepted but has no effect here: sample sizes involve no randomness")
     p_est.set_defaults(run=cmd_estimate)
 
     p_audit = sub.add_parser("audit", help="run comparison-audit rounds")
@@ -113,8 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_from(args: argparse.Namespace) -> RiskParams:
-    seed = args.seed
+def _params_from(args: argparse.Namespace, seeded: bool = True) -> RiskParams:
+    """The risk parameters; unless ``seeded``, the default seed, with none
+    drawn and ``--seed`` ignored."""
+    seed = args.seed if seeded else RiskParams.seed
     if seed is None:
         seed = secrets.randbelow(2**63)
         print(f"seed: {seed} (generated)", file=sys.stderr)
@@ -191,7 +194,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     profile = model.load_election(args.election)
-    params = _params_from(args)
+    params = _params_from(args, seeded=False)
     started = time.perf_counter()
     outcome = tabulation.tabulate(profile)
     levels: dict[str, dict] = {}

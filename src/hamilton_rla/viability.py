@@ -14,81 +14,73 @@ reduction assertions are always part of the emitted set.  Only viable
 sets containing ``W``, avoiding ``L`` and no larger than
 ``floor(1/threshold)`` remain possible.
 
-Each remaining alternative set roots a tree of outcomes.  A node pins
-the final segment of an elimination sequence (everything unmentioned is
-assumed already eliminated, in some order).  Expanding a node prepends
-one more elimination; a node is invalidated by an assertion showing that
-elimination impossible at that point (the candidate still cleared the
-threshold, or out-tallied someone standing), and a root is invalidated
-by an assertion contradicting the final state (a member below threshold
-with everyone else gone, or an outsider whose first preferences alone
-make them viable).  A branch-and-bound search over these trees picks a
-cheap assertion per branch, pruning whole subtrees and any frontier node
-whose best assertion costs no more than the current lower bound on audit
-effort, and closing any node that an assertion it already emitted rules
-out.  The search is ``closed`` when every alternative outcome got an
-assertion.  If it is not, or an entry or the delegate allocation cannot
-be audited, ``build_audit_specs`` rules that no audit short of a full
-manual count certifies the outcome.
+Each remaining alternative set ``V`` is ruled out by ruling out every
+elimination order that leaves it viable.  Those orders form a DAG over
+the sets ``U`` of candidates still to be eliminated, read backwards from
+the end of the count:
 
-Each branch gets the assertion of largest margin among its options, and
+- ``V`` roots an edge into ``labels - V``, ruled out by an assertion
+  contradicting ``V`` as the final viable set (``best_root_assertion``: a
+  member below threshold with everyone else gone, or an outsider whose
+  first preferences alone make them viable);
+- a step ``U -> U - {c}`` says that ``c`` goes right after exactly
+  ``U - {c}`` is gone; it is ruled out by an assertion that ``c`` still
+  cleared the threshold there or out-tallied someone standing
+  (``AuditContext.move``);
+- reaching the empty set means a complete order that nothing ruled out.
+
+A complete spec is a set of edges cutting every root from the empty set,
+and its audit cost is the largest ``eae`` among its entries.  The search
+takes three steps.  A maximin pass over the sets, smallest first, gives
+``T*``, the least cost any cut can have: ``best(empty) = inf`` and
+``best(U)`` is the largest, over the steps out of ``U``, of the step's
+``eae`` and its target's ``best``, whichever is smaller.  The path it
+maximises is the proof log's witness that no cheaper cut exists.  Then a
+unit-capacity maximum flow (Dinic's) runs at ``T``, the larger of ``T*``
+and the reductions' largest ``eae``: an edge whose ``eae`` is at most
+``T`` costs one, any other cannot be cut.  The spec is the reductions,
+then the assertions on the edges leaving the set the source still
+reaches in the final residual graph, deduplicated by key, the roots' in
+the order of the alternative sets and then the steps' from the largest
+sets down.  That set is the same for every maximum flow, so the bytes
+depend only on the graph.
+
+Before any of this, a search through edges that no assertion rules out
+looks for a root that reaches the empty set.  If one does, no audit short
+of a full manual count certifies the outcome, the result is not
+``closed``, and the proof log names that outcome.  ``build_audit_specs``
+also rules a full count when an entry or the delegate allocation cannot
+be audited.
+
+Each edge gets the assertion of largest margin among its options, and
 only that one is estimated: an estimate depends only on the margin and
 never rises with it (``risk.estimate_asn``), so the largest margin is a
 least estimate.  Among equal margins the first option wins.
 
-A child's options depend only on the candidate it eliminates and the set
-``rest`` still to be eliminated before it: the ``Viable`` for the
-candidate, then an ``IrvWins`` over each standing candidate in roster
-order.  So the pick is made once per ``(candidate, rest)``
-(``AuditContext.move``) and shared by every child that makes that move.
-The move is looked up by ``rest`` as the roster-ordered tuple the child
-carries as its ``unmentioned``, which names each set in one way only; the
-set itself is built only when the pick is made.
-Every ``IrvWins`` there is scored on the same piles, so only the first
-over a least standing pile can have the largest margin, and ``move``
-weighs just that one against the ``Viable``.
+A step's options depend only on the candidate it eliminates and the set
+``rest`` gone before it: the ``Viable`` for the candidate, then an
+``IrvWins`` over each standing candidate in roster order.  So the pick
+is made once per ``(candidate, rest)`` (``AuditContext.move``), with
+``rest`` as the roster-ordered tuple that names each set in one way only;
+the set itself is built only when the pick is made.  Every ``IrvWins``
+there is scored on the same piles, so only the first over a least
+standing pile can have the largest margin, and ``move`` weighs just that
+one against the ``Viable``.
 
-A node carries its bookkeeping: the candidates still unmentioned, in
-roster order, and its frontier tie keys.  Roots read them off the roster
-once per viable set; each child takes them from its parent, so no search
-step rescans the roster.  Links run one way, from child to parent: a node
-is closed when it or an ancestor is pruned, and a branch the search has
-finished with is freed as soon as nothing queued descends from it.  Both
-per-node walks, ``closed`` and a leaf's ``cheapest``, follow those links
-in a plain loop.
-
-The frontier is a heap ranked once per node, when it is queued: highest
-finite estimated effort first, unresolved (infinite) nodes last, then
-deeper nodes, then roster order.  A closed node is dropped when it
-reaches the top.  A node with k unmentioned candidates has k children,
-so a leaf is always its parent's only child.  Each leaf closes its
-branch at the branch's cheapest node and raises the lower bound; the
-bound then prunes the waiting nodes it covers in the order they were
-queued, which fixes the order of spec entries and proof-log lines.  A
-node that reaches the top with an ``eae`` the bound already covers is
-pruned there with its own assertion rather than expanded (a ``pop``
-line): the audit's draws are its largest ``eae``, so that assertion
-costs none.
-
-Every ``Viable(c, E)`` the search emits also closes, with no new entry,
-each node whose next elimination is ``c`` with ``E`` among the
-candidates already gone: ``c``'s pile only grows as more candidates go,
-so ``c`` still clears the threshold there.  That check runs wherever the
-search would otherwise emit or expand a node (at the top of the
-frontier, for each node the bound covers, and for a leaf's cheapest
-node), and its ``implied`` line names the closing assertion.
+Each set is one ``AltOutcomeNode``, linked only to the sets its steps
+reach, and the flow's residual graph lives in flat integer lists, so no
+search state forms a reference cycle.
 
 When ``W`` is empty one more alternative is reachable: every candidate
-eliminated and nobody viable.  That outcome is enumerated as an extra
-tree (empty viable set) so a complete specification excludes it too.
+eliminated and nobody viable.  That outcome roots an edge too (empty
+viable set) so a complete specification excludes it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heappop, heappush
-from itertools import combinations, count
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .assertions import (
@@ -248,85 +240,6 @@ def enumerate_alt_sets(
     return out
 
 
-@dataclass(eq=False, slots=True)
-class AltOutcomeNode:
-    """A class of alternative outcomes: ``eliminated_suffix`` is the pinned
-    tail of the elimination sequence in chronological order (its last entry
-    is the final elimination) and ``viable`` the resulting viable set; every
-    candidate in ``unmentioned`` (roster order) is assumed eliminated, in
-    some order, beforehand.  ``order`` holds the roster indices of the
-    suffix and ``viable_order`` the sorted roster indices of the viable
-    set: the frontier's tie keys.  ``build`` derives the bookkeeping from
-    the roster; ``expand_node`` passes it down to each child.  A node links
-    only to its ``parent``; ``pruned`` marks a node that its own assertion
-    or an emitted ``Viable`` closes, and ``closed`` looks for that mark on
-    the node and its ancestors.
-    """
-
-    eliminated_suffix: tuple[str, ...]
-    viable: frozenset[str]
-    unmentioned: tuple[str, ...]
-    order: tuple[int, ...]
-    viable_order: tuple[int, ...]
-    assertion: Assertion | None = None
-    eae: float = math.inf
-    parent: "AltOutcomeNode | None" = None
-    pruned: bool = False
-
-    @classmethod
-    def build(
-        cls,
-        eliminated_suffix: tuple[str, ...],
-        viable: frozenset[str],
-        ctx: AuditContext,
-        assertion: Assertion | None = None,
-        eae: float = math.inf,
-    ) -> "AltOutcomeNode":
-        """A node with no parent, its bookkeeping read off the roster."""
-        pinned = set(eliminated_suffix) | viable
-        return cls(
-            eliminated_suffix,
-            viable,
-            tuple(c for c in ctx.labels if c not in pinned),
-            tuple(ctx.index[c] for c in eliminated_suffix),
-            tuple(sorted(ctx.index[c] for c in viable)),
-            assertion,
-            eae,
-        )
-
-    @property
-    def depth(self) -> int:
-        return len(self.eliminated_suffix)
-
-    def is_leaf(self) -> bool:
-        return not self.unmentioned
-
-    def closed(self) -> bool:
-        """Whether an emitted assertion covers this node: it or an ancestor is pruned."""
-        node: AltOutcomeNode | None = self
-        while node is not None:
-            if node.pruned:
-                return True
-            node = node.parent
-        return False
-
-    def cheapest(self) -> "AltOutcomeNode":
-        """The node of least ``eae`` among this one and its ancestors, the
-        shallower of equal ones: where a leaf closes its branch."""
-        best, node = self, self.parent
-        while node is not None:
-            if node.eae <= best.eae:
-                best = node
-            node = node.parent
-        return best
-
-    def describe(self, viable_text: str | None = None) -> str:
-        """The node as a proof log names it; ``viable_text`` is the viable
-        set's ``{…}`` text when the caller keeps it."""
-        tail = " -> ".join(self.eliminated_suffix) if self.eliminated_suffix else "(any order)"
-        return f"[... {tail} | viable {viable_text or _set_repr(self.viable)}]"
-
-
 def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[Assertion | None, float]:
     """The option of largest margin (the first of equal margins) and its
     ``eae``; ``(None, inf)`` when it does not hold or there is no option.
@@ -362,34 +275,6 @@ def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assert
     return _cheapest(options, ctx)
 
 
-def expand_node(node: AltOutcomeNode, ctx: AuditContext) -> list[AltOutcomeNode]:
-    """One child per unmentioned candidate, pinning it as the next elimination.
-
-    The child's assertion must show that elimination impossible with
-    exactly the remaining unmentioned candidates gone: either the
-    candidate still clears the threshold there, or it out-tallies someone
-    who is still standing (a pinned or viable candidate); ``AuditContext.move``
-    picks it.  Those remaining candidates are the child's ``unmentioned``,
-    and its order key is the candidate's roster index before the node's.
-    """
-    unmentioned = node.unmentioned
-    children: list[AltOutcomeNode] = []
-    for i, cand in enumerate(unmentioned):
-        rest = unmentioned[:i] + unmentioned[i + 1:]
-        assertion, eae = ctx.move(cand, rest)
-        children.append(AltOutcomeNode(
-            (cand,) + node.eliminated_suffix,
-            node.viable,
-            rest,
-            (ctx.index[cand],) + node.order,
-            node.viable_order,
-            assertion,
-            eae,
-            node,
-        ))
-    return children
-
-
 @dataclass
 class GenerationResult:
     """A search's entries and proof log; ``closed`` says whether every
@@ -406,100 +291,215 @@ def _line(prefix: str, entry: SpecEntry) -> str:
     return f"{prefix}{describe(entry.assertion)} margin {float(entry.margin):.4f} eae {entry.eae}"
 
 
-def _rank(node: AltOutcomeNode) -> tuple:
-    """Frontier order: highest finite estimated effort first, unresolved
-    (infinite) nodes last; ties toward deeper nodes, then roster order of
-    the suffix and of the viable set.  No two nodes share a rank."""
-    return (math.isinf(node.eae), -node.eae, -node.depth, node.order, node.viable_order)
+@dataclass(eq=False, slots=True)
+class AltOutcomeNode:
+    """The alternative outcomes that still have ``unmentioned`` (roster
+    order) to eliminate, whatever their viable set and however their order
+    ends.  ``steps`` holds one step per candidate in ``unmentioned``, the
+    one eliminating it last of them: the candidate, the assertion ruling
+    that out and its ``eae`` (``None`` and inf when none holds), and the
+    set left before it.  ``best`` is the least cost at which every path
+    from here to the empty set can be cut (inf at the empty set), ``via``
+    the index of the step that attains it, and ``id`` the set's node in
+    the flow graph.
+    """
+
+    unmentioned: tuple[str, ...]
+    id: int
+    steps: list[tuple[str, Assertion | None, float, "AltOutcomeNode"]]
+    best: float
+    via: int
 
 
-def branch_and_bound(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationResult:
+def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], AltOutcomeNode]:
+    """A state for each set that the sets ``tops`` reach by eliminating
+    candidates, smallest sets first: each step is scored by
+    ``AuditContext.move`` and each ``best`` solved from the smaller sets'."""
+    layers: list[dict[tuple[str, ...], None]] = [{} for _ in range(len(ctx.labels) + 1)]
+    for top in tops:
+        layers[len(top)][top] = None
+    for size in range(len(layers) - 1, 0, -1):
+        below = layers[size - 1]
+        for unmentioned in layers[size]:
+            for i in range(size):
+                below[unmentioned[:i] + unmentioned[i + 1:]] = None
+    states: dict[tuple[str, ...], AltOutcomeNode] = {}
+    for layer in layers:
+        for unmentioned in layer:
+            steps: list[tuple[str, Assertion | None, float, AltOutcomeNode]] = []
+            best, via = (-math.inf if unmentioned else math.inf), -1
+            for i, cand in enumerate(unmentioned):
+                rest = unmentioned[:i] + unmentioned[i + 1:]
+                assertion, eae = ctx.move(cand, rest)
+                child = states[rest]
+                if min(eae, child.best) > best:
+                    best, via = min(eae, child.best), i
+                steps.append((cand, assertion, eae, child))
+            states[unmentioned] = AltOutcomeNode(unmentioned, len(states), steps, best, via)
+    return states
+
+
+def source_side(node_count: int, arcs: Sequence[tuple[int, int, bool]], source: int, sink: int) -> list[bool]:
+    """Which nodes a maximum flow from ``source`` to ``sink`` leaves
+    reachable from ``source`` in its residual graph.  Each arc is ``(tail,
+    head, cuttable)``: a cuttable arc carries one unit, any other is
+    unbounded.  The arcs leaving the reachable nodes form a minimum cut,
+    and every maximum flow leaves the same nodes reachable, so the answer
+    does not depend on the order of ``arcs``.
+
+    Dinic's method: each phase numbers the nodes by their distance from
+    ``source`` over arcs with capacity left, then saturates every shortest
+    path, walking each node's arcs once from where its last walk stopped.
+    Arc ``e`` and its reverse ``e ^ 1`` sit side by side in flat lists.
+    """
+    unbounded = len(arcs) + 1  # more than any cut of cuttable arcs
+    head: list[int] = []
+    capacity: list[int] = []
+    out: list[list[int]] = [[] for _ in range(node_count)]
+    for tail, to, cuttable in arcs:
+        out[tail].append(len(head))
+        head.append(to)
+        capacity.append(1 if cuttable else unbounded)
+        out[to].append(len(head))
+        head.append(tail)
+        capacity.append(0)
+    while True:
+        level = [-1] * node_count
+        level[source] = 0
+        queue = [source]
+        for node in queue:
+            for arc in out[node]:
+                if capacity[arc] and level[head[arc]] < 0:
+                    level[head[arc]] = level[node] + 1
+                    queue.append(head[arc])
+        if level[sink] < 0:
+            return [distance >= 0 for distance in level]
+        walked = [0] * node_count
+        path: list[int] = []
+        node = source
+        while True:
+            if node == sink:
+                pushed = min(capacity[arc] for arc in path)
+                for arc in path:
+                    capacity[arc] -= pushed
+                    capacity[arc ^ 1] += pushed
+                path.clear()
+                node = source
+            arcs_out, i = out[node], walked[node]
+            while i < len(arcs_out) and not (capacity[arcs_out[i]] and level[head[arcs_out[i]]] == level[node] + 1):
+                i += 1
+            walked[node] = i
+            if i < len(arcs_out):
+                path.append(arcs_out[i])
+                node = head[arcs_out[i]]
+            elif path:  # a dead end: retreat and pass over the arc that led here
+                node = head[path.pop() ^ 1]
+                walked[node] += 1
+            else:
+                break
+
+
+def _outcome(vset: frozenset[str], order: Sequence[str]) -> str:
+    """An outcome as a proof log names it: its elimination order and viable set."""
+    return f"[{' -> '.join(order) or '(nobody eliminated)'} | viable {_set_repr(vset)}]"
+
+
+def _uncut_order(ctx: AuditContext, unmentioned: tuple[str, ...], dead: set[tuple[str, ...]]) -> tuple[str, ...] | None:
+    """An order eliminating ``unmentioned`` whose every step has infinite
+    ``eae``; None if there is none, and then ``unmentioned`` joins ``dead``,
+    the sets known to have none."""
+    if not unmentioned:
+        return ()
+    if unmentioned not in dead:
+        for i, cand in enumerate(unmentioned):
+            rest = unmentioned[:i] + unmentioned[i + 1:]
+            if math.isinf(ctx.move(cand, rest)[1]):
+                order = _uncut_order(ctx, rest, dead)
+                if order is not None:
+                    return order + (cand,)
+        dead.add(unmentioned)
+    return None
+
+
+def _uncut_outcome(ctx: AuditContext, roots: Sequence[tuple]) -> tuple[frozenset[str], tuple[str, ...]] | None:
+    """An alternative outcome that no affordable assertion rules out, as
+    its viable set and elimination order: a root edge and a path of steps
+    to the empty set, each with infinite ``eae``.  None if there is none,
+    and then every path can be cut at a finite cost."""
+    dead: set[tuple[str, ...]] = set()
+    for vset, top, _, eae in roots:
+        order = _uncut_order(ctx, top, dead) if math.isinf(eae) else None
+        if order is not None:
+            return vset, order
+    return None
+
+
+def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationResult:
     """Viability assertion set for an instant-runoff contest.
 
-    Returns the reduction assertions plus one invalidating assertion per
-    pruned branch of the alternative-outcome forest; the result is not
-    ``closed`` when some branch admits no assertion.
+    Returns the reduction assertions plus a minimum cut of the edges
+    between the alternative viable sets and the empty set, at the least
+    cost any cut can have; the result is not ``closed``, with the
+    reductions alone, when some alternative outcome has no affordable
+    assertion anywhere on its path.
     """
     if ctx.profile.style != IRV:
-        raise ValueError("branch and bound applies to instant-runoff contests")
+        raise ValueError("IRV viability applies to instant-runoff contests")
     winners, losers, reductions = compute_W_L(ctx)
     log = [f"definite viable W = {sorted(winners)}; never viable L = {sorted(losers)}"]
-    entries = {assertion_key(entry.assertion): entry for entry in reductions}
     log += [_line("reduction: ", entry) for entry in reductions]
-
-    cap = max_viable(ctx.threshold)
-    alt_sets = enumerate_alt_sets(ctx.labels, winners, losers, cap, outcome.viable)
+    alt_sets = enumerate_alt_sets(ctx.labels, winners, losers, max_viable(ctx.threshold), outcome.viable)
     if not winners:
         # with no first-preference lock, total collapse (nobody viable) is
         # also a reachable outcome and needs ruling out
         alt_sets.append(frozenset())
+    # (viable set, the set it leaves to eliminate, its assertion, eae)
+    roots = [(vset, tuple(c for c in ctx.labels if c not in vset), *best_root_assertion(vset, ctx)) for vset in alt_sets]
+    uncut = _uncut_outcome(ctx, roots)
+    if uncut is not None:
+        log.append(f"FAIL: no assertion rules out {_outcome(*uncut)}")
+        return GenerationResult(reductions, False, tuple(log))
+    if not roots:
+        log.append("no alternative outcome to rule out")
+        return GenerationResult(reductions, True, tuple(log))
 
-    lower_bound = 0.0
-    # (rank, arrival, node); closed nodes stay until they reach the top
-    frontier: list[tuple[tuple, int, AltOutcomeNode]] = []
-    arrivals = count()
-    viable_texts = {vset: _set_repr(vset) for vset in alt_sets}
-    # candidate -> the emitted Viable assertions for that candidate
-    viables: dict[str, list[Viable]] = {}
+    states = set_states(ctx, (top for _, top, _, _ in roots))
+    t_star, witness = -math.inf, roots[0]
+    for root in roots:
+        if min(root[3], states[root[1]].best) > t_star:
+            t_star, witness = min(root[3], states[root[1]].best), root
+    # the maximin path, from the end of the count back to its start
+    vset, top, _, eae = witness
+    path, state = [], states[top]
+    while state.unmentioned:
+        cand, _, step_eae, state = state.steps[state.via]
+        path.append((cand, step_eae))
+    path.reverse()
+    costs = ", ".join(f"{cand} {step_eae}" for cand, step_eae in path)
+    log.append(
+        f"T* = {t_star}: no cut is cheaper, as every edge of {_outcome(vset, [cand for cand, _ in path])} "
+        f"costs at least that ({costs}{', ' if path else ''}viable {eae})"
+    )
 
-    def add_assertion(node: AltOutcomeNode, why: str) -> None:
-        assert node.assertion is not None
-        key = assertion_key(node.assertion)
+    bound = max([t_star] + [entry.eae for entry in reductions])
+    source = len(states)
+    arcs = [(source, states[top].id, eae <= bound) for _, top, _, eae in roots]
+    arcs += [(state.id, child.id, eae <= bound) for state in states.values() for _, _, eae, child in state.steps]
+    side = source_side(source + 1, arcs, source, states[()].id)
+    cut = [(f"viable {_set_repr(vset)}", assertion, eae) for vset, top, assertion, eae in roots if not side[states[top].id]]
+    cut += [
+        (f"{cand} after {_set_repr(frozenset(child.unmentioned))}", assertion, eae)
+        for state in reversed(states.values()) if side[state.id]
+        for cand, assertion, eae, child in state.steps if not side[child.id]
+    ]
+    log.append(f"cut at T = {bound}: {len(cut)} edges")
+    entries = {assertion_key(entry.assertion): entry for entry in reductions}
+    for edge, assertion, eae in cut:
+        log.append(f"cut: {edge} with {describe(assertion)} (eae {eae})")
+        key = assertion_key(assertion)
         if key not in entries:
-            entries[key] = ctx.entry(node.assertion)
-            if isinstance(node.assertion, Viable):
-                viables.setdefault(node.assertion.candidate, []).append(node.assertion)
-        node.pruned = True
-        described = node.describe(viable_texts[node.viable])
-        log.append(f"{why}: prune {described} with {describe(node.assertion)} (eae {node.eae})")
-
-    def close_implied(node: AltOutcomeNode) -> bool:
-        """Close a node whose next elimination an emitted ``Viable(c, E)``
-        already rules out: ``c`` is next with ``E`` among those gone, and
-        ``c``'s pile only grows as more go.  No entry is added."""
-        if not node.eliminated_suffix:
-            return False
-        gone = frozenset(node.unmentioned)
-        for viable in viables.get(node.eliminated_suffix[0], ()):
-            if viable.eliminated <= gone:
-                node.pruned = True
-                log.append(f"implied: close {node.describe(viable_texts[node.viable])} by {describe(viable)}")
-                return True
-        return False
-
-    def visit(node: AltOutcomeNode) -> bool:
-        """Queue an inner node.  A leaf closes its branch at the branch's
-        cheapest node unless an emitted ``Viable`` implies that node, raises
-        the bound and prunes every waiting node the bound covers, in arrival
-        order; False if no assertion closes it."""
-        nonlocal lower_bound
-        if not node.is_leaf():
-            heappush(frontier, (_rank(node), next(arrivals), node))
-            return True
-        best = node.cheapest()
-        if close_implied(best):
-            return True
-        if math.isinf(best.eae):
-            log.append(f"FAIL: no assertion invalidates branch {node.describe()}")
-            return False
-        add_assertion(best, "branch")
-        lower_bound = max(lower_bound, best.eae)
-        covered = [(arrival, n) for _, arrival, n in frontier if n.eae <= lower_bound and not n.closed()]
-        for _, waiting in sorted(covered):
-            if not close_implied(waiting):
-                add_assertion(waiting, f"bound {lower_bound}")
-        return True
-
-    closed = all(visit(AltOutcomeNode.build((), vset, ctx, *best_root_assertion(vset, ctx))) for vset in alt_sets)
-    while closed and frontier:
-        node = heappop(frontier)[2]
-        if node.closed() or close_implied(node):
-            continue
-        if node.eae <= lower_bound:  # costs no more draws than the audit already needs
-            add_assertion(node, f"pop {lower_bound}")
-        else:
-            closed = all(visit(child) for child in expand_node(node, ctx))
-    return GenerationResult(tuple(entries.values()), closed, tuple(log))
+            entries[key] = ctx.entry(assertion)
+    return GenerationResult(tuple(entries.values()), True, tuple(log))
 
 
 def gen_plurality_viability(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationResult:
@@ -554,7 +554,7 @@ def build_audit_specs(
     if any(level not in (1, 2, 3) for level in levels):
         raise ValueError("audit level must be 1, 2 or 3")
     ctx = AuditContext(profile, params)
-    search = gen_plurality_viability if profile.style == PLURALITY else branch_and_bound
+    search = gen_plurality_viability if profile.style == PLURALITY else gen_irv_viability
     result = search(ctx, outcome)
 
     specs: dict[int, tuple[AuditSpec, tuple[str, ...]]] = {}

@@ -26,7 +26,7 @@ from hamilton_rla.cli import main as cli_main
 from hamilton_rla.model import STATUS_COMPLETE, load_election
 from hamilton_rla.risk import estimate_asn, estimate_audit_asn
 from hamilton_rla.tabulation import count_piles, irv_viability
-from hamilton_rla.viability import AuditContext, branch_and_bound, build_audit_spec
+from hamilton_rla.viability import AuditContext, build_audit_spec, gen_irv_viability
 
 TAU = Fraction(3, 20)
 PARAMS = RiskParams(seed=42)
@@ -146,7 +146,7 @@ def test_criterion_5_viability_soundness_fuzz():
             outcome = tabulate(profile)
         except UnsupportedOutcomeError:
             continue
-        result = branch_and_bound(AuditContext(profile, fuzz_params), outcome)
+        result = gen_irv_viability(AuditContext(profile, fuzz_params), outcome)
         if not result.closed:
             continue
         elections += 1
@@ -278,11 +278,12 @@ def test_criterion_8_scale_timing():
     irv_profile = build_profile(irv_labels, irv_ballots, TAU, 14, "irv")
     started = time.perf_counter()
     irv_outcome = tabulate(irv_profile)
-    irv_spec, _ = build_audit_spec(irv_profile, irv_outcome, 3, PARAMS)
+    irv_spec, irv_log = build_audit_spec(irv_profile, irv_outcome, 3, PARAMS)
     irv_elapsed = time.perf_counter() - started
     assert irv_elapsed < 10.0, irv_elapsed
     assert irv_spec.status == STATUS_COMPLETE
-    assert len(irv_spec.entries) > 50  # a real outcome search, not just reductions
+    # a real outcome search, not just reductions: the cut takes 25 edges
+    assert sum(line.startswith("cut: ") for line in irv_log) > 20
     _report(
         8,
         f"scale timing (34-candidate {plurality_elapsed:.2f}s, 9-candidate IRV {irv_elapsed:.2f}s)",

@@ -476,7 +476,8 @@ def test_generate_irv_writes_proof_log(capsys, tmp_path):
     )
     assert code == 0
     text = log.read_text()
-    assert "prune" in text
+    assert "\nT* = " in text
+    assert "\ncut: " in text
     assert "status: complete" in text
 
 
@@ -520,9 +521,10 @@ def test_generate_full_count_exit_4_spec_still_written(capsys, tmp_path):
 
 
 def test_generate_full_count_shows_no_overall_draws(capsys, tmp_path):
-    """A search that fails on one branch needs a full count, even when every
-    assertion it did emit has a finite estimate (40 draws at most here), so
-    the table's overall line shows the dash, as ``estimate`` does."""
+    """A search that leaves an outcome open needs a full count, even when
+    every assertion it did emit has a finite estimate (its one reduction,
+    1 draw, here), so the table's overall line shows the dash, as
+    ``estimate`` does."""
     profile = random_irv_profile(random.Random(52))
     election = tmp_path / "seed52.json"
     election.write_text(json.dumps({
@@ -536,7 +538,7 @@ def test_generate_full_count_shows_no_overall_draws(capsys, tmp_path):
                        "--out", str(tmp_path / "spec.json"))
     assert code == 4
     assert "status requires-full-count" in out
-    assert "  eae     40  " in out
+    assert "  eae      1  " in out
     assert "overall expected draws: --\n" in out
 
 
@@ -636,7 +638,7 @@ def test_margin_below_float_resolution_requires_full_count(capsys, tmp_path, com
     if command == "generate":
         assert "full manual count required" in err
     else:
-        assert "level 2: ASN -- (11 assertions, requires-full-count)" in out
+        assert "level 2: ASN -- (9 assertions, requires-full-count)" in out
 
 
 def test_audit_round_with_margin_below_float_resolution_requires_full_count(capsys, tmp_path):
@@ -1278,6 +1280,24 @@ def test_spec_depends_on_seed_only_through_its_metadata(capsys, tmp_path):
     assert docs[0] == docs[1]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_estimate_uses_no_seed(capsys, fmt):
+    """``estimate`` draws nothing: without ``--seed`` it neither draws nor
+    prints one, and its stdout is the same byte for byte whatever seed it
+    is given.  ``--seed`` stays accepted, and its help says it does
+    nothing here."""
+    outs = []
+    for seed in ([], ["--seed", "1"], ["--seed", "987654321"]):
+        code, out, err = run(capsys, "--format", fmt, "estimate", "--election", IRV, *seed)
+        assert code == 0
+        assert "seed" not in err
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    with pytest.raises(SystemExit):
+        main(["estimate", "--help"])
+    assert "no effect" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("case", ["no-ballot-id-column", "missing-file"])
 def test_audit_round_unreadable_manifest_exit_2(capsys, tmp_path, case):
     audit, manifest = _audit_after_init(capsys, tmp_path)
@@ -1434,7 +1454,7 @@ def test_estimate_matches_generate(capsys, tmp_path, election):
 
 @pytest.mark.parametrize(
     "election, search",
-    [(PLURALITY, "gen_plurality_viability"), (IRV, "branch_and_bound")],
+    [(PLURALITY, "gen_plurality_viability"), (IRV, "gen_irv_viability")],
     ids=["plurality", "irv"],
 )
 def test_estimate_runs_one_search(capsys, monkeypatch, election, search):
@@ -1451,7 +1471,7 @@ def test_estimate_runs_one_search(capsys, monkeypatch, election, search):
 
         return wrapper
 
-    for name in ("gen_plurality_viability", "branch_and_bound"):
+    for name in ("gen_plurality_viability", "gen_irv_viability"):
         monkeypatch.setattr(viability, name, counting(name))
     code, _, _ = run(capsys, "estimate", "--election", election, "--seed", "7")
     assert code == 0
@@ -1490,7 +1510,7 @@ def test_paused_collector_leaves_the_same_garbage_whatever_the_search(capsys, tm
     """A command's data holds no reference cycles, so with the collector
     paused the cyclic garbage a command leaves is a fixed few hundred
     objects (its argument parser), the same for a three-candidate contest
-    as for the ten-candidate search's 20k nodes."""
+    as for the ten-candidate search's 512 set states."""
     ten = tmp_path / "ten.json"
     save_election(cyclic_contest(TEN_STRENGTHS), ten)
     left = []

@@ -237,3 +237,21 @@ def test_cyclic_level_one_specs_rule_out_every_alternative(size):
     assertions = [entry.assertion for entry in spec.entries]
     assert open_outcome(assertions, profile.labels, alternative_viable_sets(profile, outcome.viable)) is None
     assert not steps_rule_out(assertions, profile.labels, outcome.elimination_order, outcome.viable)
+
+
+def test_every_cut_entry_of_the_twelve_candidate_spec_is_needed():
+    """The set check is sharp enough to see a single missing entry: with
+    any one of the 12-candidate cyclic level-1 spec's 65 entries after its
+    reductions dropped, some alternative outcome is left open."""
+    profile = cyclic_contest(CYCLIC[12])
+    outcome = tabulate(profile)
+    spec, log = build_audit_spec(profile, outcome, 1, RiskParams(seed=1))
+    assertions = [entry.assertion for entry in spec.entries]
+    reductions = sum(line.startswith("reduction: ") for line in log)
+    vsets = alternative_viable_sets(profile, outcome.viable)
+    assert len(assertions) - reductions == 65
+    for i in range(reductions, len(assertions)):
+        rest = assertions[:i] + assertions[i + 1:]
+        found = open_outcome(rest, profile.labels, vsets)
+        assert found is not None, assertions[i]
+        assert not any(rules_out(a, found[1], found[0]) for a in rest), found

@@ -51,52 +51,52 @@ CASES = [
 # "election/level/seed/error rate": (SHA-256 of the spec, SHA-256 of the proof log)
 GOLDEN = {
     "election_irv/1/1/0.002": (
-        "ae70f073f7c56d471e0c749cdf3fbac731a5b721d37e6a359223c926fba0b54e",
-        "d883a7d9eeebb77158bf220f40282a36bf69e7d8c3f4e881a58935a401734168",
+        "33bd7cf4abdc719e7203e479204a4383d5b8355805fe9161a08599d968632e20",
+        "3329cc8f3ebf224387477f456df5c7e4d32ccd4480dafdb8cf5e621e3b867fa5",
     ),
     "election_irv/1/1/0.02": (
-        "f550529b7826ef2d39ad1c0d9af3581a9d9755af9ee7b4804752c9be8b60a58c",
-        "5fa21e382b3a0ec7fa3c1f3afb73937892338df1d35df760fde7114f43a720eb",
+        "cb3154f6bae5cabd2911a4c9e441163783ca480dea35c55b030529bdebb58491",
+        "bb73ab8b542ea664aecb833485e41641080a4d3cd3d49d8e55d23006bb2591fa",
     ),
     "election_irv/1/7/0.002": (
-        "7cc94bc15e760463fe6b42e23a92c62675a975a1293840929bd51c5cb9e37e27",
-        "d883a7d9eeebb77158bf220f40282a36bf69e7d8c3f4e881a58935a401734168",
+        "9a7c16801d3f1109728e9157bed7a57a6bd8ede1b2827ef30ea0e22ecf69810d",
+        "3329cc8f3ebf224387477f456df5c7e4d32ccd4480dafdb8cf5e621e3b867fa5",
     ),
     "election_irv/1/7/0.02": (
-        "7e7f6928bac92a7b3b3389aefc76aa9b28ad8a05e8947b16b932e7b3e57a505c",
-        "5fa21e382b3a0ec7fa3c1f3afb73937892338df1d35df760fde7114f43a720eb",
+        "f004d9b3b22f621a04fa1896a0a88be4254bae6eeb3d3d22ac09673747555a74",
+        "bb73ab8b542ea664aecb833485e41641080a4d3cd3d49d8e55d23006bb2591fa",
     ),
     "election_irv/2/1/0.002": (
-        "ad2e1f415ec866693870a8ce5df73aa2afc3a3854382994365f101209a8c2bfa",
-        "542676df3eb1ddc6141c8ecb65cd3f3a25912b6297df7b0457bc57712925611d",
+        "6a4f59d1e637e171d940d968533345cbc4e283b22ed1a8ec03a9032e37f93858",
+        "bcd14a6ca8478ac61f3f04f4ee9de8ead73176bd7aedafdf49f66f3670876a1e",
     ),
     "election_irv/2/1/0.02": (
-        "2ec674b37d7b415212f220c589ac84838437cf6643d7f2851276196074b7138f",
-        "1395353a382da199e086a4ed4244e0694fd65308cfcbb98ef10c8f7bde06d53a",
+        "fbe671a2cb575198098b662b223d1b51b17044fff5855c7850582db05ece0ceb",
+        "7eb04d43613e1deeb5b714c41d932578058f29cf4133a7681abef814b9a3b663",
     ),
     "election_irv/2/7/0.002": (
-        "095f862e949b89cf727a287bb56f837dd6e4373ef8e5d8be4d68d20ee0ab2960",
-        "542676df3eb1ddc6141c8ecb65cd3f3a25912b6297df7b0457bc57712925611d",
+        "5c6e8fac51d53699efa3a2ecbd0f03640b93f1d9e9cbc04bf617089d671a47fe",
+        "bcd14a6ca8478ac61f3f04f4ee9de8ead73176bd7aedafdf49f66f3670876a1e",
     ),
     "election_irv/2/7/0.02": (
-        "851f831f910ae1726c66f79d08387e0e5b627e06c17537bda4cc068adabb466e",
-        "1395353a382da199e086a4ed4244e0694fd65308cfcbb98ef10c8f7bde06d53a",
+        "6f450cde6d74fbea684d956ca2b1ec2e2ede60ab1bbece396c2d3ed166113c2f",
+        "7eb04d43613e1deeb5b714c41d932578058f29cf4133a7681abef814b9a3b663",
     ),
     "election_irv/3/1/0.002": (
-        "53827748b0d5aa8888375fc9956e65de09ae96646eaefbfadb69e44300e2033a",
-        "b28a2caf841009b9c6d84caadb0688fab65058db34e4648f78189542aa426d05",
+        "9f061e65452fdfeb3237c4f3036331255fadb49dc8259c33a9bb3601e08a0e93",
+        "1158b81b22e42a093d5afa0162f846832cfa16c5ea3e09a93bfdbe49605f9245",
     ),
     "election_irv/3/1/0.02": (
-        "0d62f84a7ecf4ee19e524f2d723d53a939355aaa418bde3924bcd168b7f44609",
-        "79c1fe24efa3953a7552352ea9a0acd37cc41664ba5994302096da581dd654db",
+        "4740088cbbe72b7774c1d47e19180e713855285fcff9d0a2d5772eaa4cdd4993",
+        "c641acffe4050aba4b8cd7e114fe3beed37739537b8e5d7806931ed2905dc907",
     ),
     "election_irv/3/7/0.002": (
-        "93cb99327e28362dcc34541464eb8dbb2681831ca548499cbcdf94246c8d97cb",
-        "b28a2caf841009b9c6d84caadb0688fab65058db34e4648f78189542aa426d05",
+        "7d3d87b92150f752c36bbae6dd721fcc71ebfd5734c907997a2c91a02ece3d8e",
+        "1158b81b22e42a093d5afa0162f846832cfa16c5ea3e09a93bfdbe49605f9245",
     ),
     "election_irv/3/7/0.02": (
-        "9bfccdbe0e908c2bbf33a3b460ffa88729e02bc67bce73a290bf7ddaf6c778ae",
-        "79c1fe24efa3953a7552352ea9a0acd37cc41664ba5994302096da581dd654db",
+        "5db76dcf8ab0967d6dd9de788ce082be40ba4b734e04c9b07bcde3a3ee66d6aa",
+        "c641acffe4050aba4b8cd7e114fe3beed37739537b8e5d7806931ed2905dc907",
     ),
     "election_plurality/1/1/0.002": (
         "0ab6813080e7cbd11c7fe069d7bb713c5796159df10c53d918d64f51a1782290",
@@ -195,12 +195,12 @@ GOLDEN = {
         "6b4d07a0ac49e539ce5a303f61ed5523c4d76c77831b8d91d2deee79ff88cdde",
     ),
     "ten_cyclic/1/1/0.002": (
-        "fbf950e67f799a191698b75a826f0456373ecde040571e9e8b0dabad13edc5fa",
-        "202d6cdcbf0275f74a86574f3a070c0e4101b85f4f3d160f281b849e85eab1d0",
+        "9558113aa57cfea8f873bf7d7609e9bbd7edb89fbb61f411b3f59bcbff430daf",
+        "ae5bab628010494b7939e79d2db6ea1dcb292af79d34ab790b659f9d49c87b08",
     ),
     "ten_cyclic/3/1/0.002": (
-        "cae8d308e9c0488d40f59caa44d02feb08a693632094df8ba569b28b7991198c",
-        "4e76ded00479564d07ee3aa90102c8120af059725abcddf9173a195e2d5ee974",
+        "cd3d8dfb7abfdf4b0ba68d327e1898f3d584f0c16147678d2d181d2705d60cad",
+        "3109b17b684f96678ab8b33c355490e6718e26cac3e54f5da006381e3239cc8d",
     ),
 }
 
@@ -245,7 +245,7 @@ AUDIT_GOLDEN = {
 # the JSON reports: "election/command/output" -> SHA-256
 REPORT_GOLDEN = {
     "election_irv/tabulate/stdout": "6cee65049f1ee0b11027bee2c77e20da3e955fa25dcc926c308306203af64ce7",
-    "election_irv/estimate/stdout": "c4c501ec1a602be2bfc254052289a7b51c682e2acf4c7cc227a69d17504425d1",
+    "election_irv/estimate/stdout": "4e8a4b964bb5a704ad6a7cd7d66c22625ac20b7a6c8cca97eddd01dad3219537",
     "election_irv/tabulate/out": "6cee65049f1ee0b11027bee2c77e20da3e955fa25dcc926c308306203af64ce7",
     "election_plurality/tabulate/stdout": "61d1964de0abd8b5f0cc07b23011834ace7c11a0ece09ba5362223c7174f9543",
     "election_plurality/estimate/stdout": "12ef2d84c2aa3dddb58650357645e8d6292abece84c5cd50b01040222d4c1c1e",

@@ -4,7 +4,7 @@ import random
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -27,13 +27,14 @@ from hamilton_rla.viability import (
     AuditContext,
     _cheapest,
     best_root_assertion,
-    branch_and_bound,
     build_audit_specs,
     compute_W_L,
     enumerate_alt_sets,
-    expand_node,
+    gen_irv_viability,
     gen_plurality_viability,
     max_viable,
+    set_states,
+    source_side,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -272,73 +273,69 @@ def test_best_root_assertion_missing_strong_candidate():
     assert not math.isinf(eae)
 
 
-def test_expand_node_children_and_assertions(irv_profile):
+def test_set_steps_and_their_assertions(irv_profile):
+    """A set's steps eliminate each of its candidates last among them, in
+    roster order, and lead to the state of the set left before it."""
     ctx = AuditContext(irv_profile, PARAMS)
-    root = AltOutcomeNode.build((), frozenset({"Ann"}), ctx)
-    children = expand_node(root, ctx)
-    assert [c.eliminated_suffix for c in children] == [("Bob",), ("Cal",), ("Dee",)]
-    by_last = {c.eliminated_suffix[0]: c for c in children}
+    states = set_states(ctx, [("Bob", "Cal", "Dee")])
+    top = states["Bob", "Cal", "Dee"]
+    assert [(cand, child) for cand, _, _, child in top.steps] == [
+        ("Bob", states["Cal", "Dee"]), ("Cal", states["Bob", "Dee"]), ("Dee", states["Bob", "Cal"])]
+    by_cand = {cand: (assertion, eae) for cand, assertion, eae, _ in top.steps}
     # Bob eliminated last (Cal, Dee already gone) contradicted by his 15,630
-    a_bob = by_last["Bob"].assertion
+    a_bob = by_cand["Bob"][0]
     assert isinstance(a_bob, Viable) and a_bob.eliminated == frozenset({"Cal", "Dee"})
     # Dee eliminated last: 8,378 pile, beats nobody, no assertion exists
-    assert by_last["Dee"].assertion is None
-    assert math.isinf(by_last["Dee"].eae)
+    assert by_cand["Dee"] == (None, math.inf)
 
 
-def test_expand_node_leaf_has_no_children():
+def test_empty_set_has_no_steps():
     profile = build_profile(
         ["A", "B"], [(["A"], 60), (["B"], 40)], TAU, 2, "irv"
     )
     ctx = AuditContext(profile, PARAMS)
-    leaf = AltOutcomeNode.build(("B",), frozenset({"A"}), ctx)
-    assert leaf.is_leaf()
-    assert expand_node(leaf, ctx) == []
+    states = set_states(ctx, [("B",)])
+    assert list(states) == [(), ("B",)]
+    empty = states[()]
+    assert (empty.steps, empty.best, empty.via, empty.id) == ([], math.inf, -1, 0)
+    assert [(cand, child) for cand, _, _, child in states["B",].steps] == [("B", empty)]
 
 
-def test_children_inherit_the_bookkeeping_build_reads_off_the_roster():
-    """``expand_node`` passes each child its unmentioned candidates and
-    order keys; they equal what ``AltOutcomeNode.build`` reads off the
-    roster, here one whose roster order is not the labels' sort order."""
+def test_set_states_name_each_set_once_in_roster_order():
+    """Every set below the tops gets one state, smallest sets first and
+    numbered in that order; each names its set in roster order, here a
+    roster whose order is not the labels' sort order, and each step leads
+    to the state of the set left."""
     cyclic = cyclic_contest(TEN_STRENGTHS[:7])
     ballots = [(list(r), n) for r, n in cyclic.rankings.items()]
     profile = build_profile(list(reversed(cyclic.labels)), ballots, TAU, 14, "irv")
     ctx = AuditContext(profile, PARAMS)
-    layer = [AltOutcomeNode.build((), frozenset({"c1", "c5"}), ctx)]
-    for _ in range(3):
-        layer = [child for node in layer for child in expand_node(node, ctx)]
-        for child in layer:
-            built = AltOutcomeNode.build(child.eliminated_suffix, child.viable, ctx)
-            assert (child.unmentioned, child.order, child.viable_order) == (
-                built.unmentioned, built.order, built.viable_order)
-    assert len(layer) == 5 * 4 * 3
+    tops = [tuple(c for c in ctx.labels if c not in {"c1", "c5"}), tuple(c for c in ctx.labels if c != "c6")]
+    states = set_states(ctx, tops)
+    assert len(states) == len({frozenset(s) for top in tops for r in range(len(top) + 1) for s in combinations(top, r)})
+    assert [state.id for state in states.values()] == list(range(len(states)))
+    assert [len(u) for u in states] == sorted(len(u) for u in states)
+    roster = ctx.index.__getitem__
+    for unmentioned, state in states.items():
+        assert state.unmentioned == unmentioned == tuple(sorted(unmentioned, key=roster))
+        assert [(cand, child.unmentioned) for cand, _, _, child in state.steps] == [
+            (c, tuple(x for x in unmentioned if x != c)) for c in unmentioned]
 
 
-def _chain(ctx, eaes):
-    """A root and its descendants, one per ``eaes`` value, each linked to
-    the one before it."""
-    nodes, suffix = [], ()
-    for cand, eae in zip(("Dee", "Cal", "Bob"), eaes):
-        node = AltOutcomeNode.build(suffix, frozenset({"Ann"}), ctx, eae=eae)
-        node.parent = nodes[-1] if nodes else None
-        nodes.append(node)
-        suffix = (cand,) + suffix
-    return nodes
-
-
-def test_closed_reads_the_prune_mark_off_the_ancestors(irv_profile):
-    """A node is closed when it or an ancestor is pruned, never by a pruned
-    descendant, and a closed mark ends the walk up the branch."""
-    ctx = AuditContext(irv_profile, PARAMS)
-    chain = root, child, grandchild = _chain(ctx, (1.0, 2.0, 3.0))
-    assert (root.parent, child.parent, grandchild.parent) == (None, root, child)
-    assert [n.closed() for n in chain] == [False, False, False]
-    grandchild.pruned = True
-    assert [n.closed() for n in chain] == [False, False, True]
-    grandchild.pruned, child.pruned = False, True
-    assert [n.closed() for n in chain] == [False, True, True]
-    root.pruned = True
-    assert [n.closed() for n in chain] == [True, True, True]
+def test_best_is_the_maximin_over_each_sets_steps():
+    """``best`` is the largest, over a set's steps, of the step's ``eae``
+    and its target's ``best``, whichever is smaller; ``via`` is the first
+    step attaining it, and the empty set's ``best`` is infinite."""
+    profile = cyclic_contest(TEN_STRENGTHS[:8])
+    ctx = AuditContext(profile, RiskParams(seed=1))
+    states = set_states(ctx, [tuple(c for c in ctx.labels if c != "c0")])
+    finite = 0
+    for state in states.values():
+        reach = [min(eae, child.best) for _, _, eae, child in state.steps]
+        assert state.best == max(reach, default=math.inf)
+        assert state.via == (reach.index(state.best) if reach else -1)
+        finite += not math.isinf(state.best)
+    assert 0 < finite < len(states)
 
 
 @pytest.mark.parametrize("eaes, want", [
@@ -349,37 +346,50 @@ def test_closed_reads_the_prune_mark_off_the_ancestors(irv_profile):
     ((math.inf, math.inf, math.inf), 0),  # nothing holds: the root, whose inf fails the branch
     ((4.0, math.inf, math.inf), 0),
 ])
-def test_leaf_closes_its_branch_at_the_cheapest_node(irv_profile, eaes, want):
-    """A leaf closes its branch at the node of least ``eae`` among it and its
-    ancestors, the shallower of equal ones: the pick ``min`` makes over the
-    branch by ``(eae, depth)``.  A lone root picks itself."""
-    ctx = AuditContext(irv_profile, PARAMS)
-    chain = _chain(ctx, eaes)
-    assert chain[-1].cheapest() is chain[want]
-    assert chain[want] is min(chain, key=lambda n: (n.eae, n.depth))
-    assert chain[0].cheapest() is chain[0]
+def test_leaf_closes_its_branch_at_the_cheapest_node(eaes, want):
+    """A lone branch from a root to the empty set (the leaf), its edges
+    costing ``eaes`` from the root down, has ``T*`` equal to its least
+    ``eae``, and the minimum cut at ``T*`` takes the edge of least ``eae``
+    nearest the root, whatever order the arcs come in.  With no finite
+    ``eae`` nothing can be cut: the flow saturates every unbounded arc,
+    and the root's arc is left as a cut no cuttable arc makes."""
+    t_star = min(eaes)
+    arcs = [(i, i + 1, eae <= t_star < math.inf) for i, eae in enumerate(eaes)]
+    for inserted in (arcs, arcs[::-1]):
+        side = source_side(len(eaes) + 1, inserted, 0, len(eaes))
+        assert [i for i in range(len(eaes)) if side[i] and not side[i + 1]] == [want]
+    assert want == min(range(len(eaes)), key=lambda i: (eaes[i], i))
+    assert arcs[want][2] == (t_star < math.inf)
 
 
 def test_search_nodes_are_freed_without_the_cycle_collector():
-    """Nodes link only to their parents, so reference counting frees every
-    node once the search returns: with the cyclic collector off, none of the
-    ten-candidate search's nodes is left alive."""
+    """Set states link only to the sets their steps reach, and the flow
+    graph is flat integer lists, so reference counting frees every state
+    once the search returns: with the cyclic collector off, none of the
+    ten-candidate search's 512 set states is left alive."""
     profile = cyclic_contest(TEN_STRENGTHS)
     ctx, outcome = AuditContext(profile, RiskParams(seed=1)), tabulate(profile)
 
     def alive():
         return sum(isinstance(o, AltOutcomeNode) for o in gc.get_objects())
 
+    created = []
+    init = AltOutcomeNode.__init__
     gc.collect()
     before = alive()
     gc.disable()
     try:
-        result = branch_and_bound(ctx, outcome)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AltOutcomeNode, "__init__", lambda node, *args: created.append(1) or init(node, *args))
+            result = gen_irv_viability(ctx, outcome)
         after = alive()
+        garbage = gc.collect()
     finally:
         gc.enable()
     assert result.closed
+    assert len(created) == 512
     assert after == before
+    assert garbage == 0
 
 
 def test_move_cache_keys_each_move_once():
@@ -389,7 +399,7 @@ def test_move_cache_keys_each_move_once():
     of tied options a child gets."""
     profile = cyclic_contest(TEN_STRENGTHS)
     ctx = AuditContext(profile, RiskParams(seed=1))
-    assert branch_and_bound(ctx, tabulate(profile)).closed
+    assert gen_irv_viability(ctx, tabulate(profile)).closed
     keys = list(ctx._moves)
     assert len(keys) > 1000
     assert len({(cand, frozenset(rest)) for cand, rest in keys}) == len(keys)
@@ -402,15 +412,13 @@ def test_irv_beats_option_used_when_viability_fails(irv_profile):
     # last two eliminations pinned as Bob then Dee, with Cal gone first:
     # Bob's 15,630 > Dee's 8,378 gives a pairwise assertion even though no
     # candidate assertion is needed here
-    node = AltOutcomeNode.build(("Dee",), frozenset({"Ann"}), ctx)
-    children = expand_node(node, ctx)
-    bob_child = next(c for c in children if c.eliminated_suffix[0] == "Bob")
-    assert bob_child.assertion is not None
+    assertion, eae = ctx.move("Bob", ("Cal",))
+    assert assertion is not None and not math.isinf(eae)
 
 
 def test_branch_and_bound_example_complete(irv_profile):
     outcome = tabulate(irv_profile)
-    result = branch_and_bound(AuditContext(irv_profile, PARAMS), outcome)
+    result = gen_irv_viability(AuditContext(irv_profile, PARAMS), outcome)
     assert result.closed
     assert result.entries  # reductions plus branch assertions
     ctx = AuditContext(irv_profile, PARAMS)
@@ -438,7 +446,7 @@ def test_branch_and_bound_tied_threshold_requires_full_count():
         "irv",
     )
     outcome = tabulate(profile)
-    result = branch_and_bound(AuditContext(profile, PARAMS), outcome)
+    result = gen_irv_viability(AuditContext(profile, PARAMS), outcome)
     assert not result.closed
     assert build_audit_spec(profile, outcome, 1, PARAMS)[0].status == STATUS_FULL_COUNT
 
@@ -453,122 +461,126 @@ def test_branch_and_bound_level_assembly(irv_profile):
 
 def test_branch_and_bound_deterministic(irv_profile):
     outcome = tabulate(irv_profile)
-    first = branch_and_bound(AuditContext(irv_profile, PARAMS), outcome)
-    second = branch_and_bound(AuditContext(irv_profile, PARAMS), outcome)
+    first = gen_irv_viability(AuditContext(irv_profile, PARAMS), outcome)
+    second = gen_irv_viability(AuditContext(irv_profile, PARAMS), outcome)
     assert [assertion_key(e.assertion) for e in first.entries] == [
         assertion_key(e.assertion) for e in second.entries
     ]
     assert first.proof_log == second.proof_log
 
 
-def test_bound_sweep_prunes_in_arrival_order():
-    """One leaf's bound prunes ten waiting roots, all at eae 40.  The sweep
-    visits waiting nodes in the order they were queued, not in frontier
-    order (which would put {A,B,C,D} first), and that order decides the
-    order of the proof-log lines and of the spec's assertions."""
+def test_an_open_outcome_is_named_and_only_the_reductions_kept():
+    """An alternative outcome with no affordable assertion on its root edge
+    or any of its steps leaves the search open: its ``FAIL`` line names
+    that outcome, before any graph is built, and the spec keeps only the
+    reductions."""
     profile = random_irv_profile(random.Random(52))
     spec, log = build_audit_spec(profile, tabulate(profile), 1, RiskParams(seed=52))
-    bound = [
-        ("{A,B,D}", "NonViable(A | out {C,E} | t=3/20)"),
-        ("{A,C,D}", "NonViable(A | out {B,E} | t=3/20)"),
-        ("{A,D,E}", "NonViable(A | out {B,C} | t=3/20)"),
-        ("{B,C,D}", "NonViable(C | out {A,E} | t=3/20)"),
-        ("{B,D,E}", "NonViable(E | out {A,C} | t=3/20)"),
-        ("{C,D,E}", "NonViable(E | out {A,B} | t=3/20)"),
-        ("{A,B,C,D}", "NonViable(A | out {E} | t=3/20)"),
-        ("{A,B,D,E}", "NonViable(A | out {C} | t=3/20)"),
-        ("{A,C,D,E}", "NonViable(A | out {B} | t=3/20)"),
-        ("{B,C,D,E}", "NonViable(C | out {A} | t=3/20)"),
-    ]
     assert log == (
         "definite viable W = ['D']; never viable L = []",
         "reduction: Viable(D | out {} | t=3/20) margin 4.5686 eae 1",
-        "branch: prune [... (any order) | viable {A,B,C,D,E}] with NonViable(A | out {} | t=3/20) (eae 40)",
-        *(f"bound 40: prune [... (any order) | viable {v}] with {a} (eae 40)" for v, a in bound),
-        "FAIL: no assertion invalidates branch [... E -> C -> B | viable {A,D}]",
-        "status: requires-full-count; assertions: 12",
+        "FAIL: no assertion rules out [E -> C -> B | viable {A,D}]",
+        "status: requires-full-count; assertions: 1",
     )
-    assert [assertion_key(e.assertion) for e in spec.entries] == [
-        "viable:D:E=:t=3/20",
-        "nonviable:A:E=:t=3/20",
-        "nonviable:A:E=C,E:t=3/20",
-        "nonviable:A:E=B,E:t=3/20",
-        "nonviable:A:E=B,C:t=3/20",
-        "nonviable:C:E=A,E:t=3/20",
-        "nonviable:E:E=A,C:t=3/20",
-        "nonviable:E:E=A,B:t=3/20",
-        "nonviable:A:E=E:t=3/20",
-        "nonviable:A:E=C:t=3/20",
-        "nonviable:A:E=B:t=3/20",
-        "nonviable:C:E=A:t=3/20",
-    ]
+    assert [assertion_key(e.assertion) for e in spec.entries] == ["viable:D:E=:t=3/20"]
+    ctx = AuditContext(profile, RiskParams(seed=52))
+    assert math.isinf(best_root_assertion(frozenset("AD"), ctx)[1])
+    assert all(math.isinf(ctx.move(c, gone)[1]) for c, gone in [("E", ()), ("C", ("E",)), ("B", ("C", "E"))])
 
 
-def test_pop_prunes_and_implied_closes_are_logged():
-    """A node that comes off the frontier with ``eae`` at or under the
-    bound is pruned there with its own assertion (``pop``).  A node whose
-    next elimination an emitted ``Viable(c, E)`` rules out, ``E`` being
-    among those already gone, is closed with no new entry (``implied``)."""
+def test_cut_proof_log_example():
+    """The proof log states ``T*`` with the maximin path as its witness,
+    the bound ``T`` the cut runs at, and one line per cut edge: the roots'
+    in the order of the alternative sets, then the steps' from the largest
+    sets down.  The spec is the reductions, then the cut's assertions."""
     profile = random_irv_profile(random.Random(395))
     spec, log = build_audit_spec(profile, tabulate(profile), 1, RiskParams(seed=395))
     assert log == (
         "definite viable W = ['A', 'D']; never viable L = []",
         "reduction: Viable(A | out {} | t=3/20) margin 0.7699 eae 7",
         "reduction: Viable(D | out {} | t=3/20) margin 2.1268 eae 1",
-        "branch: prune [... (any order) | viable {A,B,C,D,E}] with NonViable(E | out {} | t=3/20) (eae 63)",
-        "bound 63: prune [... (any order) | viable {A,C,D,E}] with NonViable(E | out {B} | t=3/20) (eae 63)",
-        "branch: prune [... (any order) | viable {A,B,C,D}] with NonViable(B | out {E} | t=3/20) (eae 70)",
-        "bound 70: prune [... (any order) | viable {A,B,D,E}] with NonViable(B | out {C} | t=3/20) (eae 70)",
-        "pop 70: prune [... C | viable {A,B,D}] with Viable(C | out {E} | t=3/20) (eae 21)",
-        "pop 70: prune [... E | viable {A,B,D}] with Viable(E | out {C} | t=3/20) (eae 21)",
-        "implied: close [... C | viable {A,D}] by Viable(C | out {E} | t=3/20)",
-        "implied: close [... E | viable {A,D}] by Viable(E | out {C} | t=3/20)",
-        "implied: close [... C -> B | viable {A,D}] by Viable(C | out {E} | t=3/20)",
-        "implied: close [... E -> B | viable {A,D}] by Viable(E | out {C} | t=3/20)",
-        "branch: prune [... C | viable {A,D,E}] with IrvWins(C > E | out {B}) (eae 92)",
-        "branch: prune [... C -> B | viable {A,D,E}] with IrvWins(C > E | out {}) (eae 92)",
-        "status: complete; assertions: 10",
+        "T* = 92: no cut is cheaper, as every edge of [C -> B | viable {A,D,E}] costs at least that "
+        "(C 92, B inf, viable inf)",
+        "cut at T = 92: 7 edges",
+        "cut: viable {A,B,C,D} with NonViable(B | out {E} | t=3/20) (eae 70)",
+        "cut: viable {A,C,D,E} with NonViable(E | out {B} | t=3/20) (eae 63)",
+        "cut: viable {A,B,C,D,E} with NonViable(E | out {} | t=3/20) (eae 63)",
+        "cut: C after {B,E} with Viable(C | out {B,E} | t=3/20) (eae 21)",
+        "cut: C after {B} with IrvWins(C > E | out {B}) (eae 92)",
+        "cut: C after {E} with Viable(C | out {E} | t=3/20) (eae 21)",
+        "cut: C after {} with IrvWins(C > E | out {}) (eae 92)",
+        "status: complete; assertions: 9",
     )
     assert spec.status == STATUS_COMPLETE
-    assert [assertion_key(e.assertion) for e in spec.entries][-4:] == [
-        "viable:C:E=E:t=3/20",
-        "viable:E:E=C:t=3/20",
+    assert [assertion_key(e.assertion) for e in spec.entries] == [
+        "viable:A:E=:t=3/20",
+        "viable:D:E=:t=3/20",
+        "nonviable:B:E=E:t=3/20",
+        "nonviable:E:E=B:t=3/20",
+        "nonviable:E:E=:t=3/20",
+        "viable:C:E=B,E:t=3/20",
         "irv_wins:C>E:E=B",
+        "viable:C:E=E:t=3/20",
         "irv_wins:C>E:E=",
     ]
 
 
-IMPLIED = re.compile(r"implied: close \[\.\.\. (.+) \| viable \{(.*)\}\] by (Viable\((\w+) \| out \{(.*)\} \| t=.+\))")
+T_STAR = re.compile(r"T\* = (\S+): no cut is cheaper, as every edge of \[(.*) \| viable \{(.*)\}\] costs at least that \((.*)\)")
+CUT_AT = re.compile(r"cut at T = (\S+): (\d+) edges")
+CUT = re.compile(r"cut: (?:viable \{(.*)\}|(\w+) after \{(.*)\}) with (.+) \(eae (\S+)\)")
 
 
-def _implied_lines(profile, spec, log) -> int:
-    """Check each ``implied`` line of a proof log and count them: it names a
-    ``Viable`` among the spec's entries, for the candidate the closed node
-    eliminates next, out of a set that those already gone contain."""
-    emitted = {str(entry.assertion) for entry in spec.entries}
-    lines = [line for line in log if line.startswith("implied:")]
+def _labels(text):
+    return frozenset(filter(None, text.split(",")))
+
+
+def _check_cut_log(profile, spec, log) -> int:
+    """Check a closed search's proof log against the context's own picks
+    and count its cut lines: the witness path's edges all cost at least
+    ``T*`` and one costs exactly that, ``T`` is ``T*`` or the reductions'
+    largest ``eae``, and each cut line names the assertion that rules out
+    its edge, at an ``eae`` of at most ``T``, among the spec's entries.
+    A contest with no alternative outcome has nothing to cut."""
+    if "no alternative outcome to rule out" in log:
+        return 0
+    ctx = AuditContext(profile, spec.params)
+    reductions = compute_W_L(ctx)[2]
+    t_star, order, vset, costs = T_STAR.fullmatch(next(line for line in log if line.startswith("T* = "))).groups()
+    order = order.split(" -> ") if order != "(nobody eliminated)" else []
+    edges = [ctx.move(c, tuple(x for x in ctx.labels if x in order[:i])) for i, c in enumerate(order)]
+    edges.append(best_root_assertion(_labels(vset), ctx))
+    assert costs == ", ".join(f"{name} {eae}" for name, (_, eae) in zip(order + ["viable"], edges))
+    assert min(eae for _, eae in edges) == float(t_star)
+    bound, count = CUT_AT.fullmatch(next(line for line in log if line.startswith("cut at T = "))).groups()
+    assert float(bound) == max([float(t_star)] + [e.eae for e in reductions])
+    keys = {assertion_key(e.assertion) for e in spec.entries}
+    lines = [line for line in log if line.startswith("cut: ")]
+    assert len(lines) == int(count)
     for line in lines:
-        suffix, viable, assertion, cand, out = IMPLIED.fullmatch(line).groups()
-        order = suffix.split(" -> ")
-        assert assertion in emitted, line
-        assert order[0] == cand, line
-        gone = set(profile.labels) - set(order) - set(viable.split(","))
-        assert set(filter(None, out.split(","))) <= gone, line
+        root, cand, gone, described, eae = CUT.fullmatch(line).groups()
+        if root is not None:
+            assertion, want = best_root_assertion(_labels(root), ctx)
+        else:
+            assertion, want = ctx.move(cand, tuple(c for c in ctx.labels if c in _labels(gone)))
+        assert (described, float(eae)) == (str(assertion), want), line
+        assert want <= float(bound) and assertion_key(assertion) in keys, line
     return len(lines)
 
 
-def test_implied_closes_name_an_emitted_viable_that_rules_the_node_out():
+def test_cut_lines_name_the_edges_their_assertions_rule_out():
     profile = cyclic_contest(TEN_STRENGTHS)
-    assert _implied_lines(profile, *build_audit_spec(profile, tabulate(profile), 1, RiskParams(seed=1))) > 100
-    rng, implied = random.Random(24), 0
-    for _ in range(60):
+    assert _check_cut_log(profile, *build_audit_spec(profile, tabulate(profile), 1, RiskParams(seed=1))) == 37
+    rng, checked = random.Random(24), 0
+    for _ in range(300):
         profile = random_irv_profile(rng, max_candidates=7, max_ballots=3000)
         try:
             outcome = tabulate(profile)
         except UnsupportedOutcomeError:
             continue
-        implied += _implied_lines(profile, *build_audit_spec(profile, outcome, 1, RiskParams(seed=1)))
-    assert implied > 0
+        spec, log = build_audit_spec(profile, outcome, 1, RiskParams(seed=1))
+        if not any(line.startswith("FAIL:") for line in log):
+            checked += _check_cut_log(profile, spec, log) > 0
+    assert checked >= 20
 
 
 FUZZ_PARAMS = RiskParams(seed=7)
@@ -589,7 +601,7 @@ def test_soundness_mini_fuzz():
             outcome = tabulate(profile)
         except UnsupportedOutcomeError:
             continue
-        result = branch_and_bound(AuditContext(profile, FUZZ_PARAMS), outcome)
+        result = gen_irv_viability(AuditContext(profile, FUZZ_PARAMS), outcome)
         if not result.closed:
             continue
         elections += 1
@@ -614,6 +626,10 @@ def _nine_candidate_cyclic():
 
 
 def test_nine_candidate_search_under_budget():
+    """The nine-candidate cyclic contest's level-3 spec costs what the
+    least cut costs (the tree search reached the same 924 draws with 285
+    entries) and stays a small cut: 2 reductions, 25 cut edges and 6
+    delegate assertions."""
     import time
 
     profile = _nine_candidate_cyclic()
@@ -623,15 +639,16 @@ def test_nine_candidate_search_under_budget():
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     assert spec.status == STATUS_COMPLETE
-    assert len(spec.entries) > 50
+    assert max(entry.eae for entry in spec.entries) == 924
+    assert len(spec.entries) <= 33
     ctx = AuditContext(profile, PARAMS)
     for entry in spec.entries:
         assert ctx.exact_margin(entry.assertion) > 0
 
 
 def test_thirteen_candidate_search_under_budget():
-    """Pruning at pop and closing what an emitted ``Viable`` implies keep the
-    13-candidate cyclic contest's level-3 search within seconds."""
+    """The cut keeps the 13-candidate cyclic contest's level-3 search
+    within seconds, at the least cost any cut can have."""
     import time
 
     profile = cyclic_contest(TEN_STRENGTHS + (1500, 1250, 1150))
@@ -811,40 +828,33 @@ def _root_options(vset, ctx):
     return options
 
 
-def _expand_with(pick, standing_order):
-    """``expand_node`` with each child's own option list (the ``Viable``,
-    then an ``IrvWins`` per standing candidate in ``standing_order(node,
-    ctx)``) handed to ``pick``; each child is built by
-    ``AltOutcomeNode.build``, its bookkeeping read off the roster rather
-    than inherited."""
+def _move_with(pick, standing_order):
+    """``AuditContext.move`` with each step's own option list (the
+    ``Viable``, then an ``IrvWins`` per standing candidate in
+    ``standing_order(standing)``) handed to ``pick``, scored afresh on every
+    call."""
 
-    def expand(node, ctx):
-        standing = standing_order(node, ctx)
-        children = []
-        for cand in node.unmentioned:
-            rest = frozenset(node.unmentioned) - {cand}
-            options = [Viable(cand, rest, ctx.threshold)] + [IrvWins(cand, other, rest) for other in standing]
-            assertion, eae = pick(options, ctx)
-            child = AltOutcomeNode.build((cand,) + node.eliminated_suffix, node.viable, ctx, assertion, eae)
-            child.parent = node
-            children.append(child)
-        return children
+    def move(ctx, cand, rest):
+        standing = standing_order([c for c in ctx.labels if c != cand and c not in rest])
+        removed = frozenset(rest)
+        options = [Viable(cand, removed, ctx.threshold)] + [IrvWins(cand, other, removed) for other in standing]
+        return pick(options, ctx)
 
-    return expand
+    return move
 
 
-def _roster_order(node, ctx):
-    return [c for c in ctx.labels if c in node.eliminated_suffix or c in node.viable]
+def _roster_order(standing):
+    return standing
 
 
-def _child_order(node, ctx):
-    """The child's pinned eliminations, then the viable set in roster order."""
-    return list(node.eliminated_suffix) + [c for c in ctx.labels if c in node.viable]
+def _reversed_order(standing):
+    """The standing candidates in reverse roster order."""
+    return standing[::-1]
 
 
 def _build_equivalence_specs(pick=None, standing_order=None):
     """Level 1 and 3 specs and logs of every tabulable equivalence contest,
-    with roots and children picked by ``pick`` when given, and the number of
+    with roots and steps picked by ``pick`` when given, and the number of
     simulations the builds ran."""
     calls = [0]
 
@@ -856,7 +866,7 @@ def _build_equivalence_specs(pick=None, standing_order=None):
         patch.setattr(viability, "estimate_asn", counted)
         if pick is not None:
             patch.setattr(viability, "best_root_assertion", lambda vset, ctx: pick(_root_options(vset, ctx), ctx))
-            patch.setattr(viability, "expand_node", _expand_with(pick, standing_order))
+            patch.setattr(viability.AuditContext, "move", _move_with(pick, standing_order))
         built = []
         for profile, params in _equivalence_contests():
             try:
@@ -890,24 +900,32 @@ def test_largest_margin_builds_the_specs_eager_min_builds(equivalence_builds):
 
 
 def test_largest_margin_costs_no_more_than_the_full_scan(equivalence_builds):
-    """Against the full scan that takes ``min`` by ``eae`` over each child's
-    own option order, every spec has the same status and the same largest
-    ``eae`` (each node's estimate is the same least one, so the search
-    prunes the same nodes), and never more entries."""
+    """Against the full scan that takes ``min`` by ``eae`` over each step's
+    own option order (the standing candidates in reverse roster order),
+    every spec has the same status and the same largest ``eae``: each
+    edge's estimate is the same least one, so the flow cuts the same edges
+    at the same costs, and the specs differ at most in which of equally
+    cheap assertions an edge names."""
     built, _ = equivalence_builds
-    reference, _ = _build_equivalence_specs(_full_scan_min, _child_order)
+    reference, _ = _build_equivalence_specs(_full_scan_min, _reversed_order)
     assert len(built) == len(reference) > 110
-    fewer = 0
+
+    def cut_edges(log):
+        return [re.sub(r" with .* \(eae", " (eae", line) for line in log if line.startswith("cut: ")]
+
+    cut = named_differently = 0
     for specs, ref_specs in zip(built, reference):
-        for level, (spec, _) in specs.items():
-            ref_spec = ref_specs[level][0]
+        for level, (spec, log) in specs.items():
+            ref_spec, ref_log = ref_specs[level]
             assert spec.status == ref_spec.status
             # the stored estimates: the overall one of a full-count spec is inf
             largest, ref_largest = (max((e.eae for e in s.entries), default=0) for s in (spec, ref_spec))
             assert largest == ref_largest
-            assert len(spec.entries) <= len(ref_spec.entries)
-            fewer += len(spec.entries) < len(ref_spec.entries)
-    assert fewer > 0
+            assert cut_edges(log) == cut_edges(ref_log)
+            assert len(spec.entries) == len(ref_spec.entries)
+            cut += bool(cut_edges(log))
+            named_differently += log != ref_log
+    assert cut > 10 and named_differently > 0
 
 
 @pytest.mark.parametrize("contest", ["election_irv", "ten_cyclic"])
@@ -936,3 +954,71 @@ def test_one_simulation_per_distinct_margin(contest, monkeypatch):
             assert eae_by_margin.setdefault(entry.margin, entry.eae) == entry.eae
         # some distinct assertions share a margin
         assert len(eae_by_margin) < len(spec.entries)
+
+
+def _brute_force_t_star(profile, params):
+    """The largest, over every alternative viable set and every order of
+    the candidates outside it, of the least ``eae`` on that outcome's root
+    edge and steps."""
+    ctx = AuditContext(profile, params)
+    winners, losers, _ = compute_W_L(ctx)
+    vsets = enumerate_alt_sets(ctx.labels, winners, losers, max_viable(ctx.threshold), tabulate(profile).viable)
+    if not winners:
+        vsets.append(frozenset())
+    best = -math.inf
+    for vset in vsets:
+        root = best_root_assertion(vset, ctx)[1]
+        for order in permutations([c for c in ctx.labels if c not in vset]):
+            steps = [ctx.move(c, tuple(x for x in ctx.labels if x in order[:i]))[1] for i, c in enumerate(order)]
+            best = max(best, min([root] + steps))
+    return best
+
+
+def test_t_star_is_the_brute_force_maximin():
+    """The maximin pass's ``T*`` equals the brute-force maximum over every
+    outcome of its least ``eae``, and a search is open exactly when that
+    maximum is infinite."""
+    rng = random.Random(61)
+    seen = Counter()
+    while seen["closed"] < 40 or seen["open"] < 3:
+        profile = random_irv_profile(rng, max_candidates=6, max_ballots=rng.choice([300, 3000]))
+        params = RiskParams(error_rate=rng.choice([0.002, 0.02]), seed=1)
+        try:
+            outcome = tabulate(profile)
+        except UnsupportedOutcomeError:
+            continue
+        log = gen_irv_viability(AuditContext(profile, params), outcome).proof_log
+        want = _brute_force_t_star(profile, params)
+        if "no alternative outcome to rule out" in log:
+            assert want == -math.inf
+            continue
+        t_star = [float(T_STAR.fullmatch(line).group(1)) for line in log if line.startswith("T* = ")]
+        assert t_star == ([] if math.isinf(want) else [want]), dict(profile.rankings)
+        assert any(line.startswith("FAIL:") for line in log) == math.isinf(want)
+        seen["open" if math.isinf(want) else "closed"] += 1
+
+
+def test_cut_does_not_depend_on_the_flow_graphs_arc_order(monkeypatch):
+    """Every maximum flow leaves the same nodes reachable from the source,
+    so inserting the flow graph's arcs in reverse gives the same spec and
+    proof-log bytes."""
+    contests = [(cyclic_contest(TEN_STRENGTHS), RiskParams(seed=1)), (load_election(DATA / "election_irv.json"), PARAMS)]
+    rng = random.Random(24)
+    while len(contests) < 40:
+        profile = random_irv_profile(rng, max_candidates=7, max_ballots=3000)
+        contests.append((profile, RiskParams(seed=1)))
+
+    def build_all():
+        built = []
+        for profile, params in contests:
+            try:
+                outcome = tabulate(profile)
+            except UnsupportedOutcomeError:
+                continue
+            built.append(build_audit_specs(profile, outcome, (1, 3), params))
+        return _as_bytes(built)
+
+    forward = build_all()
+    monkeypatch.setattr(viability, "source_side", lambda n, arcs, s, t, side=source_side: side(n, arcs[::-1], s, t))
+    assert build_all() == forward
+    assert sum("\ncut: " in "\n".join(log) for specs in forward for _, log in specs.values()) > 5
