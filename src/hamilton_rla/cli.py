@@ -3,10 +3,10 @@
 Exit codes: 0 success/confirmed, 2 input error, 3 unsupported outcome
 (no viable candidate), 4 full manual count required, 5 audit escalation
 needed.  All randomness flows from one seed; when ``generate`` is given
-none, a fresh seed is generated and printed.  ``estimate`` draws nothing,
-so it uses no seed and ignores ``--seed``.  With ``--format json`` every command
-writes deterministic JSON (same inputs and seed give byte-identical
-output); timing goes to stderr.
+none, a fresh seed is generated and printed.  ``estimate`` draws
+nothing, so it uses no seed and ignores ``--seed``.  With ``--format
+json`` every command writes deterministic JSON (same inputs and seed give
+byte-identical output); timing goes to stderr.
 
 ``audit init`` recomputes every assertion's margin from the CVR tallies
 before drawing and refuses a spec that states another, or a nonpositive
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--election", required=True)
     p_gen.add_argument("--level", type=int, choices=(1, 2, 3), default=1)
     p_gen.add_argument("--out", help="audit spec path (default: <election>.levelN.spec.json)")
-    p_gen.add_argument("--proof-log", help="write the pruning log here")
+    p_gen.add_argument("--proof-log", help="write the proof log here")
     _risk_args(p_gen)
     p_gen.set_defaults(run=cmd_generate)
 

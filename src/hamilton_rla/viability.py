@@ -454,7 +454,9 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
         # also a reachable outcome and needs ruling out
         alt_sets.append(frozenset())
     # (viable set, the set it leaves to eliminate, its assertion, eae)
-    roots = [(vset, tuple(c for c in ctx.labels if c not in vset), *best_root_assertion(vset, ctx)) for vset in alt_sets]
+    roots = [
+        (vset, tuple(c for c in ctx.labels if c not in vset), *best_root_assertion(vset, ctx)) for vset in alt_sets
+    ]
     uncut = _uncut_outcome(ctx, roots)
     if uncut is not None:
         log.append(f"FAIL: no assertion rules out {_outcome(*uncut)}")
@@ -466,19 +468,20 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
     states = set_states(ctx, (top for _, top, _, _ in roots))
     t_star, witness = -math.inf, roots[0]
     for root in roots:
-        if min(root[3], states[root[1]].best) > t_star:
-            t_star, witness = min(root[3], states[root[1]].best), root
-    # the maximin path, from the end of the count back to its start
+        reach = min(root[3], states[root[1]].best)
+        if reach > t_star:
+            t_star, witness = reach, root
+    # the maximin path: the root edge, then the steps back to the start of the count
     vset, top, _, eae = witness
-    path, state = [], states[top]
+    path, state = [("viable", eae)], states[top]
     while state.unmentioned:
         cand, _, step_eae, state = state.steps[state.via]
         path.append((cand, step_eae))
     path.reverse()
-    costs = ", ".join(f"{cand} {step_eae}" for cand, step_eae in path)
+    costs = ", ".join(f"{name} {cost}" for name, cost in path)
+    order = [cand for cand, _ in path[:-1]]
     log.append(
-        f"T* = {t_star}: no cut is cheaper, as every edge of {_outcome(vset, [cand for cand, _ in path])} "
-        f"costs at least that ({costs}{', ' if path else ''}viable {eae})"
+        f"T* = {t_star}: no cut is cheaper, as every edge of {_outcome(vset, order)} costs at least that ({costs})"
     )
 
     bound = max([t_star] + [entry.eae for entry in reductions])
@@ -486,7 +489,9 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
     arcs = [(source, states[top].id, eae <= bound) for _, top, _, eae in roots]
     arcs += [(state.id, child.id, eae <= bound) for state in states.values() for _, _, eae, child in state.steps]
     side = source_side(source + 1, arcs, source, states[()].id)
-    cut = [(f"viable {_set_repr(vset)}", assertion, eae) for vset, top, assertion, eae in roots if not side[states[top].id]]
+    cut = [
+        (f"viable {_set_repr(vset)}", assertion, eae) for vset, top, assertion, eae in roots if not side[states[top].id]
+    ]
     cut += [
         (f"{cand} after {_set_repr(frozenset(child.unmentioned))}", assertion, eae)
         for state in reversed(states.values()) if side[state.id]

@@ -525,7 +525,9 @@ def test_cut_proof_log_example():
     ]
 
 
-T_STAR = re.compile(r"T\* = (\S+): no cut is cheaper, as every edge of \[(.*) \| viable \{(.*)\}\] costs at least that \((.*)\)")
+T_STAR = re.compile(
+    r"T\* = (\S+): no cut is cheaper, as every edge of \[(.*) \| viable \{(.*)\}\] costs at least that \((.*)\)"
+)
 CUT_AT = re.compile(r"cut at T = (\S+): (\d+) edges")
 CUT = re.compile(r"cut: (?:viable \{(.*)\}|(\w+) after \{(.*)\}) with (.+) \(eae (\S+)\)")
 
@@ -767,7 +769,7 @@ def test_move_picks_what_max_over_every_option_picks(monkeypatch):
 def _tie_heavy_contest(rng):
     """A small ring contest at threshold 1/4 whose candidates hold a few
     equal first-preference piles, some passing part of their votes on.
-    Few candidates clear the threshold, so children choose among
+    Few candidates clear the threshold, so steps choose among
     ``IrvWins`` over losers with equal piles, and with no errors their
     estimates tie exactly; at the larger scales a ``Viable`` often ties
     with them too."""
@@ -1002,7 +1004,10 @@ def test_cut_does_not_depend_on_the_flow_graphs_arc_order(monkeypatch):
     """Every maximum flow leaves the same nodes reachable from the source,
     so inserting the flow graph's arcs in reverse gives the same spec and
     proof-log bytes."""
-    contests = [(cyclic_contest(TEN_STRENGTHS), RiskParams(seed=1)), (load_election(DATA / "election_irv.json"), PARAMS)]
+    contests = [
+        (cyclic_contest(TEN_STRENGTHS), RiskParams(seed=1)),
+        (load_election(DATA / "election_irv.json"), PARAMS),
+    ]
     rng = random.Random(24)
     while len(contests) < 40:
         profile = random_irv_profile(rng, max_candidates=7, max_ballots=3000)
