@@ -53,19 +53,20 @@ also rules a full count when an entry or the delegate allocation cannot
 be audited.
 
 Each edge gets the assertion of largest margin among its options, and
-only that one is estimated: an estimate depends only on the margin and
-never rises with it (``risk.estimate_asn``), so the largest margin is a
-least estimate.  Among equal margins the first option wins.
+only that one is estimated and built: an estimate depends only on the
+margin and never rises with it (``risk.estimate_asn``), so the largest
+margin is a least estimate.  Among equal margins the first option wins.
+A margin never reads the eliminated set, so one assertion per form and
+candidates over the empty set scores every option, on the option's piles.
 
 A step's options depend only on the candidate it eliminates and the set
 ``rest`` gone before it: the ``Viable`` for the candidate, then an
 ``IrvWins`` over each standing candidate in roster order.  So the pick
 is made once per ``(candidate, rest)`` (``AuditContext.move``), with
-``rest`` as the roster-ordered tuple that names each set in one way only;
-the set itself is built only when the pick is made.  Every ``IrvWins``
-there is scored on the same piles, so only the first over a least
-standing pile can have the largest margin, and ``move`` weighs just that
-one against the ``Viable``.
+``rest`` as the roster-ordered tuple that names each set in one way only.
+Each set's piles and standing candidates stably sorted by pile are cached;
+the ``IrvWins`` over the first of those other than the candidate is the
+only one that can win, and ``move`` weighs it against the ``Viable``.
 
 Each set is one ``AltOutcomeNode``, linked only to the sets its steps
 reach, and the flow's residual graph lives in flat integer lists, so no
@@ -115,8 +116,8 @@ def max_viable(threshold: Fraction) -> int:
 
 
 class AuditContext:
-    """Per-profile caches: piles by elimination set, effort by margin,
-    and the assertion picked for each elimination move ``(candidate, rest)``.
+    """Per-profile caches: piles and standing order by elimination set,
+    effort by margin, and the assertion picked per move ``(candidate, rest)``.
 
     Every tally-based answer starts from ``piles``: an assertion's classes
     are the piles of the candidates left standing once its ``removed`` set
@@ -124,6 +125,10 @@ class AuditContext:
     ``scaled_margin`` gives by its sign whether the assertion holds, and
     the float margin of the estimates by one division, rounded as ``float``
     of the exact margin is; only ``exact_margin`` builds a fraction.
+
+    The search's options are scored by one ``Viable`` and ``NonViable`` per
+    candidate and one ``IrvWins`` per pair, all over the empty set, on each
+    option's own piles; only the option picked becomes an assertion.
     """
 
     def __init__(self, profile: ElectionProfile, params: RiskParams | None = None):
@@ -131,11 +136,14 @@ class AuditContext:
         self.params = params or RiskParams()
         self.total = profile.total_ballots
         self.valid = profile.valid_ballots
-        self.threshold = profile.threshold
-        self.labels = profile.labels
-        self.index = {c: i for i, c in enumerate(self.labels)}
+        self.threshold = tau = profile.threshold
+        self.labels = labels = profile.labels
+        self._viable = {c: Viable(c, frozenset(), tau) for c in labels}
+        self._nonviable = {c: NonViable(c, frozenset(), tau) for c in labels} if tau < 1 else {}
+        self._wins: dict[tuple[str, str], Assertion] = {}  # built on first use: an audit's context needs none
         self._piles: dict[frozenset[str], dict[str, int]] = {}
         self._eae: dict[float, float] = {}
+        self._sets: dict[tuple[str, ...], tuple[frozenset[str], dict[str, int], list[str]]] = {}
         self._moves: dict[tuple[str, tuple[str, ...]], tuple[Assertion | None, float]] = {}
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
@@ -145,9 +153,10 @@ class AuditContext:
             self._piles[eliminated] = cached
         return cached
 
-    def _margins(self, assertion: Assertion) -> tuple[int, float]:
-        """The integer margin and the float margin it gives."""
-        scaled = assertion.scaled_margin(self.piles(assertion.removed(self.labels)), self.valid)
+    def _margins(self, assertion: Assertion, piles: dict[str, int] | None = None) -> tuple[int, float]:
+        """The integer margin and the float margin it gives, on ``piles`` if given."""
+        piles = self.piles(assertion.removed(self.labels)) if piles is None else piles
+        scaled = assertion.scaled_margin(piles, self.valid)
         return scaled, scaled / (self.total * assertion.scale)
 
     def exact_margin(self, assertion: Assertion) -> Fraction:
@@ -168,26 +177,33 @@ class AuditContext:
         holds.
 
         ``rest`` comes in roster order, as the child's ``unmentioned``, so
-        the tuple names its set in one way only and keys the cache as it
-        is; the set is built only on a miss, for the options and ``piles``.
+        the tuple names its set in one way only and keys both this cache and
+        the set's: the set, its piles and its standing candidates stably
+        sorted by pile.
 
         Everyone outside ``rest`` and ``cand`` is standing, so the options
         are ``Viable(cand, rest)``, then ``IrvWins(cand, other, rest)`` for
         each standing ``other`` in roster order.  Every ``IrvWins`` shares
         the piles after ``rest`` and its margin falls as ``pile[other]``
-        grows, so only the first over the least standing pile can be
-        picked: ``_cheapest`` weighs it against the ``Viable``.
+        grows, so only the first sorted one can be picked: ``_cheapest``
+        weighs it against the ``Viable``.
         """
         key = (cand, rest)
         cached = self._moves.get(key)
         if cached is None:
-            removed = frozenset(rest)
-            options: list[Assertion] = [Viable(cand, removed, self.threshold)]
-            piles = self.piles(removed)  # the standing candidates, in roster order
-            loser = min((c for c in piles if c != cand), key=piles.__getitem__, default=None)
-            if loser is not None:
-                options.append(IrvWins(cand, loser, removed))
-            cached = self._moves[key] = _cheapest(options, self)
+            if rest not in self._sets:
+                piles = self.piles(removed := frozenset(rest))
+                self._sets[rest] = removed, piles, sorted(piles, key=piles.__getitem__)
+            removed, piles, by_pile = self._sets[rest]
+            options = [self._viable[cand]]
+            if len(by_pile) > 1:  # cand stands, so someone else does too
+                pair = cand, by_pile[by_pile[0] == cand]
+                options.append(self._wins.get(pair) or self._wins.setdefault(pair, IrvWins(*pair, frozenset())))
+            pick, eae = _cheapest(options, self, [self._margins(form, piles) for form in options])
+            if pick is not None:
+                pick = Viable(cand, removed, self.threshold) if pick is options[0] else IrvWins(
+                    cand, pick.loser, removed)
+            cached = self._moves[key] = pick, eae
         return cached
 
     def entry(self, assertion: Assertion) -> SpecEntry:
@@ -240,18 +256,19 @@ def enumerate_alt_sets(
     return out
 
 
-def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[Assertion | None, float]:
+def _cheapest(
+    options: Sequence[Assertion], ctx: AuditContext, scored: Sequence[tuple[int, float]] | None = None
+) -> tuple[Assertion | None, float]:
     """The option of largest margin (the first of equal margins) and its
     ``eae``; ``(None, inf)`` when it does not hold or there is no option.
 
     ``eae`` never rises with the margin, so no other option is cheaper,
     and only the pick is estimated.  Each option's margins are computed
-    once: the pick's integer margin says whether it holds, and its float
-    margin gives the estimate.
+    once, unless ``scored`` gives them: the pick's integer margin says
+    whether it holds, and its float margin gives the estimate.
     """
     best, scaled, margin = None, 0, -math.inf
-    for option in options:
-        option_scaled, option_margin = ctx._margins(option)
+    for option, (option_scaled, option_margin) in zip(options, scored or map(ctx._margins, options)):
         if option_margin > margin:
             best, scaled, margin = option, option_scaled, option_margin
     if best is None or scaled <= 0:
@@ -265,14 +282,17 @@ def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assert
     Either an outsider is viable on first preferences alone (so belongs in
     every viable set), or a member's pile stays below the threshold even
     with every non-member eliminated.  Both contradict the final state no
-    matter how the eliminations were ordered.
+    matter how the eliminations were ordered.  Only the pick is built.
     """
-    tau = ctx.threshold
-    options: list[Assertion] = [Viable(c, frozenset(), tau) for c in ctx.labels if c not in vset]
-    if tau < 1:
-        others = frozenset(ctx.labels) - vset
-        options += [NonViable(c, others, tau) for c in ctx.labels if c in vset]
-    return _cheapest(options, ctx)
+    options = [ctx._viable[c] for c in ctx.labels if c not in vset]
+    others = frozenset(ctx.labels) - vset
+    scored = [ctx._margins(form, ctx.piles(frozenset())) for form in options]
+    members = [ctx._nonviable[c] for c in ctx.labels if c in vset and c in ctx._nonviable]
+    scored += [ctx._margins(form, ctx.piles(others)) for form in members]
+    pick, eae = _cheapest(options + members, ctx, scored)
+    if isinstance(pick, NonViable):  # a Viable over the empty set is its own option
+        pick = NonViable(pick.candidate, others, ctx.threshold)
+    return pick, eae
 
 
 @dataclass
@@ -296,12 +316,12 @@ class AltOutcomeNode:
     """The alternative outcomes that still have ``unmentioned`` (roster
     order) to eliminate, whatever their viable set and however their order
     ends.  ``steps`` holds one step per candidate in ``unmentioned``, the
-    one eliminating it last of them: the candidate, the assertion ruling
-    that out and its ``eae`` (``None`` and inf when none holds), and the
-    set left before it.  ``best`` is the least cost at which every path
-    from here to the empty set can be cut (inf at the empty set), ``via``
-    the index of the step that attains it, and ``id`` the set's node in
-    the flow graph.
+    one eliminating it last of them: the candidate, the assertion ``move``
+    built to rule that out and its ``eae`` (``None`` and inf when none
+    holds), and the set left before it.  ``best`` is the least cost at
+    which every path from here to the empty set can be cut (inf at the
+    empty set), ``via`` the index of the step that attains it, and ``id``
+    the set's node in the flow graph.
     """
 
     unmentioned: tuple[str, ...]

@@ -275,6 +275,31 @@ def test_fast_holds_matches_exact_margin_random():
             assert ctx.exact_margin(a) == margin(a, profile).margin
 
 
+def test_scaled_margin_reads_no_eliminated_or_viable_set():
+    """The IRV search scores each option with one assertion of its form
+    over the empty set, on the option's own piles.  That is exact because
+    ``scaled_margin`` reads only points, scale and ``other_points``: two
+    assertions of one form that differ only in their eliminated set (the
+    viable set for ``PairwiseDiff``) give the same integer margin on the
+    same piles."""
+    rng = random.Random(43)
+    labels = list("ABCDEF")
+    for _ in range(300):
+        piles = {c: rng.randint(0, 50) for c in labels}
+        valid = sum(piles.values()) + rng.randint(0, 20)  # some ballots exhaust
+        winner, loser = rng.sample(labels, 2)
+        t, d = Fraction(rng.randint(1, 9), 10), Fraction(rng.randint(-9, 9), 10)
+        others = [c for c in labels if c not in (winner, loser)]
+        e1, e2 = (frozenset(rng.sample(others, rng.randint(0, len(others)))) for _ in range(2))
+        for form in (
+            lambda e: Viable(winner, e, t),
+            lambda e: NonViable(winner, e, t),
+            lambda e: IrvWins(winner, loser, e),
+            lambda e: PairwiseDiff(winner, loser, d, e | {winner, loser}),
+        ):
+            assert len({form(e).scaled_margin(piles, valid) for e in (e1, e2, frozenset())}) == 1
+
+
 def test_zero_offset_reduces_to_pairwise_majority():
     """With d = 0 the difference assorter equals the majority assorter pointwise."""
     rng = random.Random(37)

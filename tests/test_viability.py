@@ -315,7 +315,7 @@ def test_set_states_name_each_set_once_in_roster_order():
     assert len(states) == len({frozenset(s) for top in tops for r in range(len(top) + 1) for s in combinations(top, r)})
     assert [state.id for state in states.values()] == list(range(len(states)))
     assert [len(u) for u in states] == sorted(len(u) for u in states)
-    roster = ctx.index.__getitem__
+    roster = ctx.labels.index
     for unmentioned, state in states.items():
         assert state.unmentioned == unmentioned == tuple(sorted(unmentioned, key=roster))
         assert [(cand, child.unmentioned) for cand, _, _, child in state.steps] == [
@@ -393,18 +393,27 @@ def test_search_nodes_are_freed_without_the_cycle_collector():
 
 
 def test_move_cache_keys_each_move_once():
-    """The move cache is keyed by the roster-ordered ``rest`` tuple, so after
-    the ten-candidate search no two keys name the same candidate and set: a
-    second spelling of a set would split the cache and could change which
-    of tied options a child gets."""
+    """The move cache and the per-set cache are keyed by the roster-ordered
+    ``rest`` tuple, so after the ten-candidate search no two keys name the
+    same candidate and set, or the same set: a second spelling of a set
+    would split the caches and could change which of tied options a child
+    gets.  Each set's entry holds that set, its piles and its standing
+    candidates stably sorted by pile."""
     profile = cyclic_contest(TEN_STRENGTHS)
     ctx = AuditContext(profile, RiskParams(seed=1))
     assert gen_irv_viability(ctx, tabulate(profile)).closed
     keys = list(ctx._moves)
     assert len(keys) > 1000
     assert len({(cand, frozenset(rest)) for cand, rest in keys}) == len(keys)
-    roster = ctx.index.__getitem__
+    roster = ctx.labels.index
     assert all(list(rest) == sorted(rest, key=roster) and cand not in rest for cand, rest in keys)
+    sets = list(ctx._sets)
+    assert sorted(sets) == sorted({rest for _, rest in keys})
+    assert len({frozenset(rest) for rest in sets}) == len(sets) > 500
+    for rest, (removed, piles, by_pile) in ctx._sets.items():
+        assert list(rest) == sorted(rest, key=roster) and removed == frozenset(rest)
+        assert piles == ctx.piles(removed)
+        assert by_pile == sorted((c for c in ctx.labels if c not in removed), key=lambda c: (piles[c], roster(c)))
 
 
 def test_irv_beats_option_used_when_viability_fails(irv_profile):
@@ -733,14 +742,12 @@ def test_cheapest_matches_min_on_random_costs():
         assert len(costs.simulated) == (pick is not None)
 
 
-def test_move_picks_what_max_over_every_option_picks(monkeypatch):
-    """``move`` hands ``_cheapest`` only the ``Viable`` and one ``IrvWins``.
-    The larger margin of the two must be the option ``max`` picks from the
-    full list (the ``Viable``, then an ``IrvWins`` per standing candidate in
-    roster order), ties included, and the move must be what ``_cheapest``
-    makes of the full list.  Small piles make ties common."""
-    handed = []
-    monkeypatch.setattr(viability, "_cheapest", lambda options, ctx: handed.append(options) or _cheapest(options, ctx))
+def test_move_picks_what_max_over_every_option_picks():
+    """``move`` scores only the ``Viable`` and one ``IrvWins``, and builds
+    only its pick.  The move must be what ``_cheapest`` makes of the full
+    list (the ``Viable``, then an ``IrvWins`` per standing candidate in
+    roster order), and when it holds, its pick must be the option ``max``
+    picks from that list, ties included.  Small piles make ties common."""
     rng = random.Random(15)
     least_ties = viable_ties = 0
     for _ in range(2000):
@@ -756,14 +763,45 @@ def test_move_picks_what_max_over_every_option_picks(monkeypatch):
         removed = frozenset(rest)
         full = [Viable(cand, removed, tau)] + [IrvWins(cand, c, removed) for c in labels if c != cand and c not in rest]
         want = max(full, key=ctx_margin(ctx))
-        handed.clear()
-        assert ctx.move(cand, rest) == _cheapest(full, ctx)
-        assert max(handed[0], key=ctx_margin(ctx)) == want
+        pick, eae = ctx.move(cand, rest)
+        assert (pick, eae) == _cheapest(full, ctx)
+        assert pick is None or pick == want
         best, irv_margins = ctx_margin(ctx)(want), list(map(ctx_margin(ctx), full[1:]))
         least_ties += want is not full[0] and irv_margins.count(best) > 1
         viable_ties += want is full[0] and best in irv_margins
     # both tie kinds are exercised, so their rules are tested
     assert least_ties > 50 and viable_ties > 50
+
+
+def test_root_picks_what_cheapest_picks_from_every_option():
+    """``best_root_assertion`` scores each outsider's ``Viable`` on the
+    first-preference piles and each member's ``NonViable`` on the piles
+    with every outsider gone, and builds only its pick: the result must be
+    what ``_cheapest`` makes of the full option list (``_root_options``),
+    ties included.  Small piles, some passed on to the next candidate,
+    make both kinds of tie common: outsiders' ``Viable`` tying each other,
+    and a member's ``NonViable`` tying the best ``Viable``."""
+    rng = random.Random(16)
+    viable_ties = nonviable_ties = 0
+    for _ in range(2000):
+        labels = rng.sample("ABCDEF", rng.randint(2, 6))
+        tau = rng.choice([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), TAU, Fraction(1)])
+        ballots = [([c], rng.randint(0, 4)) for c in labels] + [([], rng.randint(0, 2))]
+        ballots += [([c, d], rng.randint(0, 2)) for c, d in zip(labels, labels[1:]) if rng.random() < 0.3]
+        if not any(n for ranking, n in ballots if ranking):
+            ballots.append(([labels[0]], 1))
+        ctx = AuditContext(build_profile(labels, ballots, tau, 1, "irv"), RiskParams(error_rate=0.0))
+        vset = frozenset(c for c in labels if rng.random() < 0.4)
+        options = _root_options(vset, ctx)
+        assert best_root_assertion(vset, ctx) == _cheapest(options, ctx)
+        margins = list(map(ctx_margin(ctx), options))
+        viable = [m for a, m in zip(options, margins) if isinstance(a, Viable)]
+        if not viable or max(viable) != max(margins):
+            continue
+        viable_ties += viable.count(max(viable)) > 1
+        nonviable_ties += len(viable) < len(margins) and max(viable) in margins[len(viable):]
+    # both tie kinds are exercised, so their rules are tested
+    assert viable_ties > 50 and nonviable_ties > 50
 
 
 def _tie_heavy_contest(rng):
