@@ -113,6 +113,77 @@ def test_tabulate_names_the_ranking_offender(capsys, tmp_path, ranking, message)
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
+# Two faults of each kind: the entry that carries it (replacing a good
+# ``{"ranking": ["Bob"], "count": 3}``) and the message naming it at index i.
+SHAPE_FAULTS = {
+    "not-a-dict": (["Bob"], lambda i: f"ballot entry {i} must have 'ranking' and 'count'"),
+    "missing-count": ({"ranking": ["Bob"]}, lambda i: f"ballot entry {i} must have 'ranking' and 'count'"),
+    "ranking-not-a-list": ({"ranking": "Bob", "count": 3},
+                           lambda i: f"ballot entry {i}: 'ranking' must be a list of strings"),
+}
+ENTRY_FAULTS = {
+    "non-integer": ({"ranking": ["Bob"], "count": 2.5}, "non-integer ballot count 2.5"),
+    "negative": ({"ranking": ["Bob"], "count": -4}, "negative ballot count -4"),
+    "unknown": ({"ranking": ["Ann", "Zed"], "count": 3}, "unknown candidate 'Zed' in ranking ['Ann', 'Zed']"),
+    "repeated": ({"ranking": ["Cal", "Cal"], "count": 3}, "candidate 'Cal' repeated in ranking ['Cal', 'Cal']"),
+}
+
+
+def _election_error(tmp_path, ballots, style="irv") -> str:
+    election = tmp_path / "election.json"
+    election.write_text(json.dumps({
+        "candidates": ["Ann", "Bob", "Cal"], "threshold": "1/4", "delegates": 3, "style": style,
+        "ballots": ballots,
+    }))
+    with pytest.raises(ElectionDataError) as excinfo:
+        load_election(election)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPE_FAULTS))
+@pytest.mark.parametrize("fault", sorted(ENTRY_FAULTS))
+@pytest.mark.parametrize("shape_first", [True, False], ids=["shape-first", "shape-last"])
+def test_first_faulty_entry_named(tmp_path, shape, fault, shape_first):
+    """Of two faulty entries, the earlier one is named, whichever kind of
+    fault each has: entries are checked in file order."""
+    shape_entry, shape_message = SHAPE_FAULTS[shape]
+    fault_entry, fault_message = ENTRY_FAULTS[fault]
+    ballots = [{"ranking": ["Bob"], "count": 3} for _ in range(6)]
+    first, second = (1, 4)
+    ballots[first if shape_first else second] = shape_entry
+    ballots[second if shape_first else first] = fault_entry
+    expected = shape_message(first) if shape_first else fault_message
+    assert _election_error(tmp_path, ballots) == expected
+
+
+@pytest.mark.parametrize("earlier, later", [("repeated", "unknown"), ("negative", "non-integer"),
+                                            ("unknown", "negative"), ("non-integer", "repeated")])
+def test_first_of_two_entry_faults_named(tmp_path, earlier, later):
+    ballots = [{"ranking": ["Bob"], "count": 3}, ENTRY_FAULTS[earlier][0], ENTRY_FAULTS[later][0]]
+    assert _election_error(tmp_path, ballots) == ENTRY_FAULTS[earlier][1]
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        # the shape before the count
+        ({"ranking": "Zed", "count": -1}, "ballot entry 1: 'ranking' must be a list of strings"),
+        ({"ranking": ["Zed"]}, "ballot entry 1 must have 'ranking' and 'count'"),
+        # the count before the labels
+        ({"ranking": ["Zed"], "count": 1.5}, "non-integer ballot count 1.5"),
+        ({"ranking": ["Ann", "Ann"], "count": -2}, "negative ballot count -2"),
+        ({"ranking": ["Ann", "Ann"], "count": True}, "non-integer ballot count True"),
+        # the labels before the plurality length
+        ({"ranking": ["Ann", "Zed"], "count": 1}, "unknown candidate 'Zed' in ranking ['Ann', 'Zed']"),
+    ],
+    ids=["shape-then-count", "missing-count-then-label", "non-integer-then-label",
+         "negative-then-repeated", "bool-then-repeated", "label-then-plurality"],
+)
+def test_faults_within_one_entry_named_in_order(tmp_path, entry, message):
+    ballots = [{"ranking": ["Bob"], "count": 3}, entry, {"ranking": ["Ann", "Ann"], "count": 1}]
+    assert _election_error(tmp_path, ballots, style="plurality") == message
+
+
 def test_plurality_rejects_long_rankings():
     with pytest.raises(ElectionDataError, match="plurality"):
         build_profile(["A", "B"], [(["A", "B"], 1)], "0.15", 2, "plurality")
