@@ -8,8 +8,9 @@ Formats:
   ("3/20"), a plain decimal string ("0.15") or a JSON number.
 * Cast-vote-record CSV: header ``ballot_id,ranking``; the ranking cell is
   ``|``-separated candidate labels, empty cell = blank ballot.
-* Audit-spec JSON (schema 2): the schema version, level, status and
-  ballot count at top level, ``metadata`` (risk parameters and seed), and
+* Audit-spec JSON (schema 3, ``SPEC_SCHEMA_VERSION``): the schema
+  version, level, status and ballot count at top level, ``metadata``
+  (``alpha``, ``gamma``, ``error_rate`` and the sampling seed), and
   one object per assertion holding the assertion, its exact margin and its
   ``eae``; exact rationals are serialized as ``p/q`` strings so a
   save/load round trip is the identity.  The assorter's upper bound
@@ -33,7 +34,9 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -86,8 +89,9 @@ class ElectionProfile:
 
     @cached_property
     def valid_ballots(self) -> int:
-        """Ballots with at least one choice in the contest."""
-        return sum(n for r, n in self.rankings.items() if r)
+        """Ballots with at least one choice in the contest: all but the
+        blank ones, whose ranking ``()`` is at most one key."""
+        return self.total_ballots - self.rankings.get((), 0)
 
     @cached_property
     def ranking_tree(self) -> list:
@@ -100,9 +104,13 @@ class ElectionProfile:
         a tally first walks down it (``tabulation.count_piles``): until
         then ``ended`` is 0 and ``children`` None; afterwards ``pending``
         is None.  The root is the empty prefix; blank rankings are left
-        out of the tree.
+        out of the tree: the root's pairs are the rankings' items, copied
+        in one C-level pass, less the one blank pair if there is one.
         """
-        return [self.valid_ballots, 0, None, [(r, n) for r, n in self.rankings.items() if r]]
+        pending = list(self.rankings.items())
+        if () in self.rankings:
+            pending.remove(((), self.rankings[()]))
+        return [self.valid_ballots, 0, None, pending]
 
 
 @dataclass(frozen=True)
@@ -198,12 +206,19 @@ def build_profile(
     Duplicate rankings are merged; validation is total — any malformed
     entry raises ElectionDataError naming the offender.  The roster,
     style, threshold and delegate count are checked before the first
-    ballot is read.  A ranking passes when its choices are distinct roster
-    labels, which two set checks decide; only a ranking that fails them
-    (or holds an unhashable choice) is walked choice by choice to name its
-    first unknown or repeated one.
+    ballot is read (``_check_header``); then the entries are checked and
+    merged one at a time, in order (``_merge_entries``).
     """
-    labels = list(candidates)
+    labels, tau = _check_header(candidates, threshold, delegates, style)
+    return ElectionProfile(labels, _merge_entries(frozenset(labels), ballots, style), tau, delegates, style)
+
+
+def _check_header(
+    candidates: Sequence[str], threshold: Fraction | str | float, delegates: int, style: str
+) -> tuple[tuple[str, ...], Fraction]:
+    """The roster and the threshold as a profile holds them, after the
+    roster, style, threshold and delegate count pass their checks."""
+    labels = tuple(candidates)
     if not labels:
         raise ElectionDataError("candidate roster is empty")
     if len(set(labels)) != len(labels):
@@ -224,8 +239,19 @@ def build_profile(
         raise ElectionDataError(f"delegate count {delegates!r} must be a positive integer")
     if delegates > sys.float_info.max:  # a quota is reported as a float too
         raise ElectionDataError(f"delegate count exceeds {sys.float_info.max:.4g}, the largest quota a float holds")
+    return labels, tau
 
-    roster = frozenset(labels)
+
+def _merge_entries(
+    roster: frozenset[str], ballots: Iterable[tuple[Sequence[str], int]], style: str
+) -> dict[Ranking, int]:
+    """Check each ``(ranking, count)`` entry in order and sum the counts
+    of equal rankings, raising at the first fault: the count's type, then
+    its sign, then the labels, then a plurality ranking's length.  A
+    ranking passes when its choices are distinct roster labels, which two
+    set checks decide; only a ranking that fails them (or holds an
+    unhashable choice) is walked choice by choice to name its first
+    unknown or repeated one."""
     merged: dict[Ranking, int] = {}
     for ranking, count in ballots:
         if isinstance(count, bool) or not isinstance(count, int):
@@ -252,8 +278,48 @@ def build_profile(
         if count == 0:
             continue
         merged[prefs] = merged.get(prefs, 0) + count
+    return merged
 
-    return ElectionProfile(tuple(labels), merged, tau, delegates, style)
+
+def _merge_in_bulk(roster: frozenset[str], entries: list, style: str) -> dict[Ranking, int] | None:
+    """``_merge_entries`` of a file's ballot entries, checked by whole-list
+    operations that run in C instead of entry by entry; None when any check
+    fails, so that the entries are walked one at a time to name the first
+    fault.  Every entry must be a dict with a list ``ranking`` and a
+    ``count`` of exactly type int (bool is not a count), no count may be
+    negative, every choice must be a roster label (an unhashable choice
+    fails too), no ranking may repeat a label, and a plurality ranking
+    holds at most one."""
+    if not set(map(type, entries)) <= {dict}:
+        return None
+    try:
+        rankings = list(map(itemgetter("ranking"), entries))
+        counts = list(map(itemgetter("count"), entries))
+    except KeyError:
+        return None
+    if not (set(map(type, rankings)) <= {list} and set(map(type, counts)) <= {int}):
+        return None
+    least = min(counts, default=1)
+    if least < 0:
+        return None
+    keys = list(map(tuple, rankings))
+    try:
+        if not roster.issuperset(chain.from_iterable(keys)):
+            return None
+    except TypeError:  # an unhashable choice
+        return None
+    lengths = list(map(len, keys))
+    if lengths != list(map(len, map(set, keys))):
+        return None
+    if style == PLURALITY and max(lengths, default=0) > 1:
+        return None
+    merged = dict(zip(keys, counts))
+    if least == 0 or len(merged) < len(keys):  # drop zero counts and sum repeated rankings
+        merged = {}
+        for key, count in zip(keys, counts):
+            if count:
+                merged[key] = merged.get(key, 0) + count
+    return merged
 
 
 @contextmanager
@@ -283,10 +349,13 @@ def load_json(path: str | Path, what: str) -> object:
 def load_election(path: str | Path) -> ElectionProfile:
     """Load and validate an election JSON file.
 
-    The ballot entries go to ``build_profile`` one at a time as they are
-    checked, so the first fault reported is the first that validation
-    meets: the roster, style, threshold and delegate count, then the
-    entries in file order, each entry's shape before its count and labels.
+    The first fault reported is the first that validation meets: the
+    roster, style, threshold and delegate count, then the ballot entries
+    in file order, each entry's shape before its count and labels.  The
+    entries are first checked and merged in bulk (``_merge_in_bulk``);
+    only when that finds a fault are they walked one at a time
+    (``_merge_entries``), which stops at the first faulty entry and names
+    it.
     """
     raw = load_json(path, "election file")
     if not isinstance(raw, dict):
@@ -297,19 +366,26 @@ def load_election(path: str | Path) -> ElectionProfile:
     candidates = raw["candidates"]
     if not isinstance(candidates, list) or not all(isinstance(label, str) for label in candidates):
         raise ElectionDataError("'candidates' must be a list of strings")
-    if not isinstance(raw["ballots"], list):
+    entries = raw["ballots"]
+    if not isinstance(entries, list):
         raise ElectionDataError("'ballots' must be a list of objects")
+    delegates, style = raw["delegates"], raw["style"]
+    labels, tau = _check_header(candidates, raw["threshold"], delegates, style)
+    roster = frozenset(labels)
 
     def ballots() -> Iterator[tuple[list, object]]:
-        for i, entry in enumerate(raw["ballots"]):
+        for i, entry in enumerate(entries):
             if not isinstance(entry, dict) or "ranking" not in entry or "count" not in entry:
                 raise ElectionDataError(f"ballot entry {i} must have 'ranking' and 'count'")
             ranking = entry["ranking"]
-            if not isinstance(ranking, list):  # build_profile checks the labels
+            if not isinstance(ranking, list):  # _merge_entries checks the labels
                 raise ElectionDataError(f"ballot entry {i}: 'ranking' must be a list of strings")
             yield ranking, entry["count"]
 
-    return build_profile(candidates, ballots(), raw["threshold"], raw["delegates"], raw["style"])
+    merged = _merge_in_bulk(roster, entries, style)
+    if merged is None:
+        merged = _merge_entries(roster, ballots(), style)
+    return ElectionProfile(labels, merged, tau, delegates, style)
 
 
 def load_cvrs(path: str | Path) -> dict[str, Ranking]:
