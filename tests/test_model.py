@@ -113,8 +113,9 @@ def test_tabulate_names_the_ranking_offender(capsys, tmp_path, ranking, message)
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
-# Two faults of each kind: the entry that carries it (replacing a good
-# ``{"ranking": ["Bob"], "count": 3}``) and the message naming it at index i.
+# Entry faults of two kinds, each as the entry that carries it (in place of
+# a good ``{"ranking": ["Bob"], "count": 3}``) and the message naming it; a
+# shape fault's message gives the entry's index i.
 SHAPE_FAULTS = {
     "not-a-dict": (["Bob"], lambda i: f"ballot entry {i} must have 'ranking' and 'count'"),
     "missing-count": ({"ranking": ["Bob"]}, lambda i: f"ballot entry {i} must have 'ranking' and 'count'"),
@@ -149,7 +150,7 @@ def test_first_faulty_entry_named(tmp_path, shape, fault, shape_first):
     shape_entry, shape_message = SHAPE_FAULTS[shape]
     fault_entry, fault_message = ENTRY_FAULTS[fault]
     ballots = [{"ranking": ["Bob"], "count": 3} for _ in range(6)]
-    first, second = (1, 4)
+    first, second = 1, 4
     ballots[first if shape_first else second] = shape_entry
     ballots[second if shape_first else first] = fault_entry
     expected = shape_message(first) if shape_first else fault_message
