@@ -221,15 +221,15 @@ def _check_header(
     labels = tuple(candidates)
     if not labels:
         raise ElectionDataError("candidate roster is empty")
-    if len(set(labels)) != len(labels):
-        raise ElectionDataError("duplicate candidate label in roster")
-    for label in labels:
+    for label in labels:  # first, so that the duplicate check hashes only strings
         # a CVR ranking cell splits on "|" and strips each label (parse_ranking_cell)
         if not isinstance(label, str) or not label or label != label.strip() or "|" in label:
             raise ElectionDataError(
                 f"candidate label {label!r} cannot be written in a CVR ranking cell: a label must be "
                 "a non-empty string without '|' and without leading or trailing whitespace"
             )
+    if len(set(labels)) != len(labels):
+        raise ElectionDataError("duplicate candidate label in roster")
     if style not in STYLES:
         raise ElectionDataError(f"unknown style {style!r} (expected one of {STYLES})")
     tau = threshold if isinstance(threshold, Fraction) else parse_proportion(threshold)

@@ -45,12 +45,13 @@ the order of the alternative sets and then the steps' from the largest
 sets down.  That set is the same for every maximum flow, so the bytes
 depend only on the graph.
 
-Before any of this, a search through edges that no assertion rules out
-looks for a root that reaches the empty set.  If one does, no audit short
-of a full manual count certifies the outcome, the result is not
-``closed``, and the proof log names that outcome.  ``build_audit_specs``
-also rules a full count when an entry or the delegate allocation cannot
-be audited.
+An alternative outcome escapes every affordable assertion exactly when
+``T*`` is infinite: the maximin path is then a root edge and steps to the
+empty set, each with infinite ``eae``.  No audit short of a full manual
+count certifies the outcome, so no flow runs, the result is not
+``closed`` and keeps only the reductions, and the proof log's ``FAIL``
+line names that path.  ``build_audit_specs`` also rules a full count when
+an entry or the delegate allocation cannot be audited.
 
 Each edge gets the assertion of largest margin among its options, and
 only that one is estimated and built: an estimate depends only on the
@@ -224,7 +225,7 @@ def compute_W_L(ctx: AuditContext) -> tuple[frozenset[str], frozenset[str], tupl
         """The assertions that hold at a finite estimate, in order."""
         return [a for a in assertions if not math.isinf(_cheapest([a], ctx)[1])]
 
-    reductions = affordable(Viable(c, frozenset(), tau) for c in ctx.labels)
+    reductions = affordable(ctx._viable.values())
     winners = frozenset(a.candidate for a in reductions)
     if tau < 1:
         others = frozenset(ctx.labels) - winners
@@ -320,8 +321,9 @@ class AltOutcomeNode:
     built to rule that out and its ``eae`` (``None`` and inf when none
     holds), and the set left before it.  ``best`` is the least cost at
     which every path from here to the empty set can be cut (inf at the
-    empty set), ``via`` the index of the step that attains it, and ``id``
-    the set's node in the flow graph.
+    empty set; inf at any other set means a path from it that no
+    affordable assertion cuts), ``via`` the index of the first step that
+    attains it, and ``id`` the set's node in the flow graph.
     """
 
     unmentioned: tuple[str, ...]
@@ -424,44 +426,15 @@ def _outcome(vset: frozenset[str], order: Sequence[str]) -> str:
     return f"[{' -> '.join(order) or '(nobody eliminated)'} | viable {_set_repr(vset)}]"
 
 
-def _uncut_order(ctx: AuditContext, unmentioned: tuple[str, ...], dead: set[tuple[str, ...]]) -> tuple[str, ...] | None:
-    """An order eliminating ``unmentioned`` whose every step has infinite
-    ``eae``; None if there is none, and then ``unmentioned`` joins ``dead``,
-    the sets known to have none."""
-    if not unmentioned:
-        return ()
-    if unmentioned not in dead:
-        for i, cand in enumerate(unmentioned):
-            rest = unmentioned[:i] + unmentioned[i + 1:]
-            if math.isinf(ctx.move(cand, rest)[1]):
-                order = _uncut_order(ctx, rest, dead)
-                if order is not None:
-                    return order + (cand,)
-        dead.add(unmentioned)
-    return None
-
-
-def _uncut_outcome(ctx: AuditContext, roots: Sequence[tuple]) -> tuple[frozenset[str], tuple[str, ...]] | None:
-    """An alternative outcome that no affordable assertion rules out, as
-    its viable set and elimination order: a root edge and a path of steps
-    to the empty set, each with infinite ``eae``.  None if there is none,
-    and then every path can be cut at a finite cost."""
-    dead: set[tuple[str, ...]] = set()
-    for vset, top, _, eae in roots:
-        order = _uncut_order(ctx, top, dead) if math.isinf(eae) else None
-        if order is not None:
-            return vset, order
-    return None
-
-
 def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> GenerationResult:
     """Viability assertion set for an instant-runoff contest.
 
     Returns the reduction assertions plus a minimum cut of the edges
     between the alternative viable sets and the empty set, at the least
-    cost any cut can have; the result is not ``closed``, with the
-    reductions alone, when some alternative outcome has no affordable
-    assertion anywhere on its path.
+    cost any cut can have.  When that least cost ``T*`` is infinite, some
+    alternative outcome has no affordable assertion anywhere on its path:
+    the result is not ``closed``, keeps the reductions alone, and its
+    ``FAIL`` line names the maximin path.
     """
     if ctx.profile.style != IRV:
         raise ValueError("IRV viability applies to instant-runoff contests")
@@ -477,10 +450,6 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
     roots = [
         (vset, tuple(c for c in ctx.labels if c not in vset), *best_root_assertion(vset, ctx)) for vset in alt_sets
     ]
-    uncut = _uncut_outcome(ctx, roots)
-    if uncut is not None:
-        log.append(f"FAIL: no assertion rules out {_outcome(*uncut)}")
-        return GenerationResult(reductions, False, tuple(log))
     if not roots:
         log.append("no alternative outcome to rule out")
         return GenerationResult(reductions, True, tuple(log))
@@ -498,11 +467,12 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
         cand, _, step_eae, state = state.steps[state.via]
         path.append((cand, step_eae))
     path.reverse()
+    named = _outcome(vset, [cand for cand, _ in path[:-1]])
+    if math.isinf(t_star):  # the path is an outcome that no affordable assertion rules out
+        log.append(f"FAIL: no assertion rules out {named}")
+        return GenerationResult(reductions, False, tuple(log))
     costs = ", ".join(f"{name} {cost}" for name, cost in path)
-    order = [cand for cand, _ in path[:-1]]
-    log.append(
-        f"T* = {t_star}: no cut is cheaper, as every edge of {_outcome(vset, order)} costs at least that ({costs})"
-    )
+    log.append(f"T* = {t_star}: no cut is cheaper, as every edge of {named} costs at least that ({costs})")
 
     bound = max([t_star] + [entry.eae for entry in reductions])
     source = len(states)

@@ -203,6 +203,17 @@ def test_roster_label_a_cvr_cell_cannot_hold_rejected(label):
         build_profile(["Ann", label], [(["Ann"], 1)], "0.15", 2, "irv")
 
 
+@pytest.mark.parametrize("label", [["A"], {"A": 1}], ids=["list", "dict"])
+def test_unhashable_roster_label_rejected(label):
+    """A label that is no string is named before the duplicate check hashes it."""
+    with pytest.raises(ElectionDataError) as raised:
+        build_profile([label, "B"], [], "1/4", 1, "irv")
+    assert str(raised.value) == (
+        f"candidate label {label!r} cannot be written in a CVR ranking cell: a label must be "
+        "a non-empty string without '|' and without leading or trailing whitespace"
+    )
+
+
 def test_aggregation_split_lines_equivalent(tmp_path):
     """A ranking split across several entries equals one summed entry."""
     split = build_profile(

@@ -481,8 +481,7 @@ def test_branch_and_bound_deterministic(irv_profile):
 def test_an_open_outcome_is_named_and_only_the_reductions_kept():
     """An alternative outcome with no affordable assertion on its root edge
     or any of its steps leaves the search open: its ``FAIL`` line names
-    that outcome, before any graph is built, and the spec keeps only the
-    reductions."""
+    that outcome, and the spec keeps only the reductions."""
     profile = random_irv_profile(random.Random(52))
     spec, log = build_audit_spec(profile, tabulate(profile), 1, RiskParams(seed=52))
     assert log == (
@@ -538,6 +537,7 @@ T_STAR = re.compile(
     r"T\* = (\S+): no cut is cheaper, as every edge of \[(.*) \| viable \{(.*)\}\] costs at least that \((.*)\)"
 )
 CUT_AT = re.compile(r"cut at T = (\S+): (\d+) edges")
+FAIL = re.compile(r"FAIL: no assertion rules out \[(.*) \| viable \{(.*)\}\]")
 CUT = re.compile(r"cut: (?:viable \{(.*)\}|(\w+) after \{(.*)\}) with (.+) \(eae (\S+)\)")
 
 
@@ -1017,7 +1017,10 @@ def _brute_force_t_star(profile, params):
 def test_t_star_is_the_brute_force_maximin():
     """The maximin pass's ``T*`` equals the brute-force maximum over every
     outcome of its least ``eae``, and a search is open exactly when that
-    maximum is infinite."""
+    maximum is infinite.  An open search's ``FAIL`` line names an outcome
+    that really is open: its order eliminates exactly the candidates
+    outside its viable set, and its root edge and every step have an
+    infinite ``eae``."""
     rng = random.Random(61)
     seen = Counter()
     while seen["closed"] < 40 or seen["open"] < 3:
@@ -1034,7 +1037,16 @@ def test_t_star_is_the_brute_force_maximin():
             continue
         t_star = [float(T_STAR.fullmatch(line).group(1)) for line in log if line.startswith("T* = ")]
         assert t_star == ([] if math.isinf(want) else [want]), dict(profile.rankings)
-        assert any(line.startswith("FAIL:") for line in log) == math.isinf(want)
+        fails = [FAIL.fullmatch(line) for line in log if line.startswith("FAIL:")]
+        assert len(fails) == math.isinf(want)
+        for fail in fails:
+            order = fail.group(1).split(" -> ") if fail.group(1) != "(nobody eliminated)" else []
+            vset = _labels(fail.group(2))
+            assert sorted(order) == sorted(set(profile.labels) - vset)
+            ctx = AuditContext(profile, params)
+            assert math.isinf(best_root_assertion(vset, ctx)[1])
+            for i, c in enumerate(order):
+                assert math.isinf(ctx.move(c, tuple(x for x in ctx.labels if x in order[:i]))[1])
         seen["open" if math.isinf(want) else "closed"] += 1
 
 
