@@ -17,8 +17,9 @@ interpretations.  Each ``audit round`` replays the evidence in one pass
 over the seeded sample: every recorded round's slice, then this round's
 manifest, each draw checked against its own round's interpretations and
 counted per (CVR ranking, paper ranking) pair; a round whose draws its
-interpretations do not cover is refused at the first such draw.  The
-same stream then yields the next manifest.  The draw total and the
+interpretations do not cover is refused at the first such draw, and
+draws beyond the contest's ballots before any.  The same stream then
+yields the next manifest.  The draw total and the
 round's ``assertions`` report the state also holds are a summary for
 readers and are never read back.  A round that leaves an assertion
 unconfirmed and whose suggested draws would take the audit past the
@@ -367,6 +368,9 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
         raise ElectionDataError(f"manifest {args.manifest} lists no draws")
     recorded = state["rounds"]
     drawn = sum(rnd["draws"] for rnd in recorded)
+    if drawn + len(manifest) > spec.total_ballots:  # init and escalation stop at a full count first
+        raise ElectionDataError(f"audit state {args.state} records {drawn} draws and manifest {args.manifest} "
+                                f"lists {len(manifest)} more, beyond the contest's {spec.total_ballots} ballots")
 
     # The audit's evidence, replayed in one pass over the seeded sample: each
     # recorded round's slice with its paper interpretations, then this round's

@@ -25,8 +25,7 @@ the end of the count:
   first preferences alone make them viable);
 - a step ``U -> U - {c}`` says that ``c`` goes right after exactly
   ``U - {c}`` is gone; it is ruled out by an assertion that ``c`` still
-  cleared the threshold there or out-tallied someone standing
-  (``AuditContext.move``);
+  cleared the threshold there or out-tallied someone standing;
 - reaching the empty set means a complete order that nothing ruled out.
 
 A complete spec is a set of edges cutting every root from the empty set,
@@ -53,21 +52,17 @@ count certifies the outcome, so no flow runs, the result is not
 line names that path.  ``build_audit_specs`` also rules a full count when
 an entry or the delegate allocation cannot be audited.
 
-Each edge gets the assertion of largest margin among its options, and
-only that one is estimated and built: an estimate depends only on the
-margin and never rises with it (``risk.estimate_asn``), so the largest
-margin is a least estimate.  Among equal margins the first option wins.
-A margin never reads the eliminated set, so one assertion per form and
-candidates over the empty set scores every option, on the option's piles.
-
-A step's options depend only on the candidate it eliminates and the set
-``rest`` gone before it: the ``Viable`` for the candidate, then an
-``IrvWins`` over each standing candidate in roster order.  So the pick
-is made once per ``(candidate, rest)`` (``AuditContext.move``), with
-``rest`` as the roster-ordered tuple that names each set in one way only.
-Each set's piles and standing candidates stably sorted by pile are cached;
-the ``IrvWins`` over the first of those other than the candidate is the
-only one that can win, and ``move`` weighs it against the ``Viable``.
+Each edge gets the option of largest margin, the first of equal ones,
+and only that one is estimated: an estimate depends only on the margin
+and never rises with it (``risk.estimate_asn``).  A margin never reads the
+eliminated set, so one assertion per form and candidates over the empty
+set scores every option, on the option's piles.  A step's options are
+``Viable(c, rest)``, then ``IrvWins(c, o, rest)`` for each standing ``o``
+in roster order, where ``rest = U - {c}`` is its target's set.  Each
+state keeps its set, piles and standing candidates stably sorted by pile;
+only the first sorted ``IrvWins`` can beat the others, so the step weighs
+it against the ``Viable`` and keeps the loser it picked, if any.  An
+edge's assertion is built only when the cut takes it.
 
 Each set is one ``AltOutcomeNode``, linked only to the sets its steps
 reach, and the flow's residual graph lives in flat integer lists, so no
@@ -82,6 +77,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -117,8 +113,9 @@ def max_viable(threshold: Fraction) -> int:
 
 
 class AuditContext:
-    """Per-profile caches: piles and standing order by elimination set,
-    effort by margin, and the assertion picked per move ``(candidate, rest)``.
+    """Per-profile caches: piles by elimination set, effort by margin, and
+    each candidate's ``Viable`` over the empty set scored on the first
+    preferences.
 
     Every tally-based answer starts from ``piles``: an assertion's classes
     are the piles of the candidates left standing once its ``removed`` set
@@ -129,7 +126,8 @@ class AuditContext:
 
     The search's options are scored by one ``Viable`` and ``NonViable`` per
     candidate and one ``IrvWins`` per pair, all over the empty set, on each
-    option's own piles; only the option picked becomes an assertion.
+    option's own piles; only the options that reach the spec become
+    assertions.
     """
 
     def __init__(self, profile: ElectionProfile, params: RiskParams | None = None):
@@ -144,8 +142,6 @@ class AuditContext:
         self._wins: dict[tuple[str, str], Assertion] = {}  # built on first use: an audit's context needs none
         self._piles: dict[frozenset[str], dict[str, int]] = {}
         self._eae: dict[float, float] = {}
-        self._sets: dict[tuple[str, ...], tuple[frozenset[str], dict[str, int], list[str]]] = {}
-        self._moves: dict[tuple[str, tuple[str, ...]], tuple[Assertion | None, float]] = {}
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
         cached = self._piles.get(eliminated)
@@ -164,47 +160,18 @@ class AuditContext:
         """The exact assorter margin over every cast ballot."""
         return Fraction(self._margins(assertion)[0], self.total * assertion.scale)
 
+    @cached_property
+    def _first_scores(self) -> dict[str, tuple[int, float]]:
+        """Each candidate's ``Viable`` over the empty set, scored on the first preferences."""
+        piles = self.piles(frozenset())
+        return {c: self._margins(form, piles) for c, form in self._viable.items()}
+
     def _effort(self, margin: float) -> float:
         """The estimated sample size, computed once per distinct margin."""
         cached = self._eae.get(margin)
         if cached is None:
             cached = estimate_asn(margin, self.params, self.total)
             self._eae[margin] = cached
-        return cached
-
-    def move(self, cand: str, rest: tuple[str, ...]) -> tuple[Assertion | None, float]:
-        """The assertion showing that ``cand`` is not eliminated while
-        exactly ``rest`` is gone, and its ``eae``; ``(None, inf)`` if none
-        holds.
-
-        ``rest`` comes in roster order, as the child's ``unmentioned``, so
-        the tuple names its set in one way only and keys both this cache and
-        the set's: the set, its piles and its standing candidates stably
-        sorted by pile.
-
-        Everyone outside ``rest`` and ``cand`` is standing, so the options
-        are ``Viable(cand, rest)``, then ``IrvWins(cand, other, rest)`` for
-        each standing ``other`` in roster order.  Every ``IrvWins`` shares
-        the piles after ``rest`` and its margin falls as ``pile[other]``
-        grows, so only the first sorted one can be picked: ``_cheapest``
-        weighs it against the ``Viable``.
-        """
-        key = (cand, rest)
-        cached = self._moves.get(key)
-        if cached is None:
-            if rest not in self._sets:
-                piles = self.piles(removed := frozenset(rest))
-                self._sets[rest] = removed, piles, sorted(piles, key=piles.__getitem__)
-            removed, piles, by_pile = self._sets[rest]
-            options = [self._viable[cand]]
-            if len(by_pile) > 1:  # cand stands, so someone else does too
-                pair = cand, by_pile[by_pile[0] == cand]
-                options.append(self._wins.get(pair) or self._wins.setdefault(pair, IrvWins(*pair, frozenset())))
-            pick, eae = _cheapest(options, self, [self._margins(form, piles) for form in options])
-            if pick is not None:
-                pick = Viable(cand, removed, self.threshold) if pick is options[0] else IrvWins(
-                    cand, pick.loser, removed)
-            cached = self._moves[key] = pick, eae
         return cached
 
     def entry(self, assertion: Assertion) -> SpecEntry:
@@ -257,24 +224,32 @@ def enumerate_alt_sets(
     return out
 
 
+def _larger(scored: tuple[int, float], rival: tuple[int, float]) -> tuple[int, float]:
+    """Of two options scored ``(integer margin, float margin)``, the one
+    picked: ``rival`` iff its float margin is larger."""
+    return rival if rival[1] > scored[1] else scored
+
+
+def _eae(scored: tuple[int, float], ctx: AuditContext) -> float:
+    """A pick's ``eae``: estimated if it holds (its integer margin is positive), else inf."""
+    return ctx._effort(scored[1]) if scored[0] > 0 else math.inf
+
+
 def _cheapest(
     options: Sequence[Assertion], ctx: AuditContext, scored: Sequence[tuple[int, float]] | None = None
 ) -> tuple[Assertion | None, float]:
-    """The option of largest margin (the first of equal margins) and its
-    ``eae``; ``(None, inf)`` when it does not hold or there is no option.
+    """The option of largest margin (the first of equal margins, as
+    ``_larger`` rules) and its ``eae``; ``(None, inf)`` when it does not
+    hold or there is no option.
 
     ``eae`` never rises with the margin, so no other option is cheaper,
     and only the pick is estimated.  Each option's margins are computed
     once, unless ``scored`` gives them: the pick's integer margin says
     whether it holds, and its float margin gives the estimate.
     """
-    best, scaled, margin = None, 0, -math.inf
-    for option, (option_scaled, option_margin) in zip(options, scored or map(ctx._margins, options)):
-        if option_margin > margin:
-            best, scaled, margin = option, option_scaled, option_margin
-    if best is None or scaled <= 0:
-        return None, math.inf
-    return best, ctx._effort(margin)
+    scored = scored or [ctx._margins(option) for option in options]
+    best = reduce(_larger, scored, (0, -math.inf))  # with no option, a pick that does not hold
+    return (options[scored.index(best)] if best[0] > 0 else None), _eae(best, ctx)
 
 
 def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assertion | None, float]:
@@ -285,9 +260,10 @@ def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assert
     with every non-member eliminated.  Both contradict the final state no
     matter how the eliminations were ordered.  Only the pick is built.
     """
-    options = [ctx._viable[c] for c in ctx.labels if c not in vset]
-    others = frozenset(ctx.labels) - vset
-    scored = [ctx._margins(form, ctx.piles(frozenset())) for form in options]
+    outsiders = [c for c in ctx.labels if c not in vset]
+    options = [ctx._viable[c] for c in outsiders]
+    scored = [ctx._first_scores[c] for c in outsiders]
+    others = frozenset(outsiders)
     members = [ctx._nonviable[c] for c in ctx.labels if c in vset and c in ctx._nonviable]
     scored += [ctx._margins(form, ctx.piles(others)) for form in members]
     pick, eae = _cheapest(options + members, ctx, scored)
@@ -316,27 +292,38 @@ def _line(prefix: str, entry: SpecEntry) -> str:
 class AltOutcomeNode:
     """The alternative outcomes that still have ``unmentioned`` (roster
     order) to eliminate, whatever their viable set and however their order
-    ends.  ``steps`` holds one step per candidate in ``unmentioned``, the
-    one eliminating it last of them: the candidate, the assertion ``move``
-    built to rule that out and its ``eae`` (``None`` and inf when none
-    holds), and the set left before it.  ``best`` is the least cost at
-    which every path from here to the empty set can be cut (inf at the
-    empty set; inf at any other set means a path from it that no
+    ends.  ``removed`` is that set, ``piles`` the piles once it is gone and
+    ``by_pile`` the candidates then standing, stably sorted by pile.
+    ``steps`` holds one step per candidate in ``unmentioned``, the one
+    eliminating it last of them: the candidate, the loser of the
+    ``IrvWins`` that rules it out (``None`` for its ``Viable``), its
+    ``eae`` (inf when no option holds) and the state of the set left
+    before it, on whose piles the step is scored.  ``best`` is the least
+    cost at which every path from here to the empty set can be cut (inf at
+    the empty set; inf at any other set means a path from it that no
     affordable assertion cuts), ``via`` the index of the first step that
     attains it, and ``id`` the set's node in the flow graph.
     """
 
     unmentioned: tuple[str, ...]
     id: int
-    steps: list[tuple[str, Assertion | None, float, "AltOutcomeNode"]]
+    removed: frozenset[str]
+    piles: dict[str, int]
+    by_pile: list[str]
+    steps: list[tuple[str, str | None, float, "AltOutcomeNode"]]
     best: float
     via: int
+
+    def assertion(self, step: int, threshold: Fraction) -> Assertion:
+        """The assertion the cut builds for step ``step``, over its target's set."""
+        cand, loser, _, child = self.steps[step]
+        return Viable(cand, child.removed, threshold) if loser is None else IrvWins(cand, loser, child.removed)
 
 
 def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], AltOutcomeNode]:
     """A state for each set that the sets ``tops`` reach by eliminating
-    candidates, smallest sets first: each step is scored by
-    ``AuditContext.move`` and each ``best`` solved from the smaller sets'."""
+    candidates, smallest sets first: each step is scored on its target's
+    piles and each ``best`` solved from the smaller sets'."""
     layers: list[dict[tuple[str, ...], None]] = [{} for _ in range(len(ctx.labels) + 1)]
     for top in tops:
         layers[len(top)][top] = None
@@ -345,19 +332,27 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
         for unmentioned in layers[size]:
             for i in range(size):
                 below[unmentioned[:i] + unmentioned[i + 1:]] = None
+    viable, wins, margins = ctx._viable, ctx._wins, ctx._margins
     states: dict[tuple[str, ...], AltOutcomeNode] = {}
     for layer in layers:
         for unmentioned in layer:
-            steps: list[tuple[str, Assertion | None, float, AltOutcomeNode]] = []
+            steps: list[tuple[str, str | None, float, AltOutcomeNode]] = []
             best, via = (-math.inf if unmentioned else math.inf), -1
             for i, cand in enumerate(unmentioned):
-                rest = unmentioned[:i] + unmentioned[i + 1:]
-                assertion, eae = ctx.move(cand, rest)
-                child = states[rest]
+                child = states[unmentioned[:i] + unmentioned[i + 1:]]
+                scored, loser, by_pile = margins(viable[cand], child.piles), None, child.by_pile
+                if len(by_pile) > 1:  # cand stands, so someone else does too
+                    pair = cand, by_pile[by_pile[0] == cand]
+                    rival = margins(wins.get(pair) or wins.setdefault(pair, IrvWins(*pair, frozenset())), child.piles)
+                    if _larger(scored, rival) is rival:
+                        scored, loser = rival, pair[1]
+                eae = _eae(scored, ctx)
                 if min(eae, child.best) > best:
                     best, via = min(eae, child.best), i
-                steps.append((cand, assertion, eae, child))
-            states[unmentioned] = AltOutcomeNode(unmentioned, len(states), steps, best, via)
+                steps.append((cand, loser, eae, child))
+            piles = ctx.piles(removed := frozenset(unmentioned))
+            states[unmentioned] = AltOutcomeNode(
+                unmentioned, len(states), removed, piles, sorted(piles, key=piles.__getitem__), steps, best, via)
     return states
 
 
@@ -483,9 +478,9 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
         (f"viable {_set_repr(vset)}", assertion, eae) for vset, top, assertion, eae in roots if not side[states[top].id]
     ]
     cut += [
-        (f"{cand} after {_set_repr(frozenset(child.unmentioned))}", assertion, eae)
+        (f"{cand} after {_set_repr(child.removed)}", state.assertion(i, ctx.threshold), eae)
         for state in reversed(states.values()) if side[state.id]
-        for cand, assertion, eae, child in state.steps if not side[child.id]
+        for i, (cand, _, eae, child) in enumerate(state.steps) if not side[child.id]
     ]
     log.append(f"cut at T = {bound}: {len(cut)} edges")
     entries = {assertion_key(entry.assertion): entry for entry in reductions}

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA, TEN_STRENGTHS, count_pairs, cyclic_contest, km_step, random_irv_profile, save_election
-from hamilton_rla import cli, load_audit_spec, load_cvrs, read_manifest, viability
+from hamilton_rla import build_profile, cli, load_audit_spec, load_cvrs, read_manifest, risk, viability
 from hamilton_rla.assertions import describe
 from hamilton_rla.cli import _state_checksum, main
 from hamilton_rla.risk import RiskState, discrepancy, sample_stream, write_manifest
@@ -880,7 +880,8 @@ def test_audit_round_refuses_manifest_off_the_sample(capsys, tmp_path, case):
     audit = ["--spec", str(spec), "--cvrs", SMALL_CVRS, "--state", str(state), "--interpretations", SMALL_CVRS]
     assert run(capsys, "audit", "init", *audit[:-2], "--manifest", str(manifest))[0] == 0
     if case == "fabricated":
-        manifest.write_text("draw_index,ballot_id\n" + "".join(f"{i},b001\n" for i in range(1, 201)))
+        # within the 120 ballots, so the refusal is the sample check, not the draw bound
+        manifest.write_text("draw_index,ballot_id\n" + "".join(f"{i},b001\n" for i in range(1, 101)))
     else:
         assert run(capsys, "audit", "round", *audit, "--manifest", str(manifest))[0] == 0
     before = state.read_bytes()
@@ -1143,32 +1144,88 @@ def test_audit_round_refuses_interpretations_missing_a_drawn_ballot(capsys, tmp_
     assert state.read_bytes() == saved
 
 
-def test_audit_round_replay_memory_does_not_grow_with_claimed_draws(capsys, tmp_path):
-    """A re-signed state whose round 1 interprets every ballot and claims
-    200,000 draws is replayed as a stream: the round's peak traced memory
-    stays far below the 1.6 MB that holding those draws in a list takes."""
-    audit, manifest = _audit_after_init(capsys, tmp_path)
-    assert run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
-               "--interpretations", SMALL_CVRS)[0] == 0
-    state = Path(audit[-1])
+def _claim_draws(state: Path, claimed: int, interpretations: dict[str, str]) -> None:
+    """Re-sign the audit state with one recorded round that claims
+    ``claimed`` draws and reads ``interpretations`` off the papers."""
     doc = json.loads(state.read_text())
-    claimed = 200_000
-    lines = Path(SMALL_CVRS).read_text().splitlines()[1:]
-    doc["state"]["rounds"] = [{"draws": claimed, "interpretations": dict(line.split(",", 1) for line in lines)}]
+    doc["state"]["rounds"] = [{"draws": claimed, "interpretations": interpretations}]
     doc["checksum"] = _state_checksum(doc["state"])
     state.write_text(json.dumps(doc))
-    ballots = [line.split(",", 1)[0] for line in lines]
-    write_manifest(list(islice(sample_stream(doc["state"]["seed"], ballots), claimed, claimed + 5)), manifest)
-    tracemalloc.start()
+
+
+def test_audit_round_replay_memory_does_not_grow_with_claimed_draws(capsys, tmp_path, monkeypatch):
+    """A re-signed state whose round 1 interprets every ballot of a
+    200,010-ballot contest and claims 200,000 draws is replayed as a
+    stream: from the first draw to the scoring of the round, traced memory
+    peaks far below the 1.6 MB that holding those draws in a list takes."""
+    counts = {"Pat": 116_672, "Quinn": 66_669, "Remy": 16_669}
+    election, spec, cvrs = tmp_path / "election.json", tmp_path / "spec.json", tmp_path / "cvrs.csv"
+    save_election(build_profile(list(counts), [([c], n) for c, n in counts.items()], "1/4", 3, "plurality"), election)
+    ballots = [f"b{i:06d}" for i in range(sum(counts.values()))]
+    cells = [c for c, n in counts.items() for _ in range(n)]
+    cvrs.write_text("ballot_id,ranking\n" + "".join(f"{b},{c}\n" for b, c in zip(ballots, cells)))
+    assert run(capsys, "generate", "--election", str(election), "--level", "1", "--seed", "11",
+               "--out", str(spec))[0] == 0
+    manifest, state = tmp_path / "round.csv", tmp_path / "state.json"
+    audit = ["--spec", str(spec), "--cvrs", str(cvrs), "--state", str(state)]
+    assert run(capsys, "audit", "init", *audit, "--manifest", str(manifest))[0] == 0
+    claimed = 200_000
+    _claim_draws(state, claimed, dict(zip(ballots, cells)))
+    stream, score = risk.sample_stream, risk.run_audit_round
+    seed = json.loads(state.read_text())["state"]["seed"]
+    write_manifest(list(islice(stream(seed, ballots), claimed, claimed + 5)), manifest)
+    peak = []
+
+    def traced_stream(*args):
+        tracemalloc.start()  # at the first draw, once the round's papers are read
+        yield from stream(*args)
+
+    def traced_score(*args):
+        peak.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        return score(*args)
+
+    monkeypatch.setattr(risk, "sample_stream", traced_stream)
+    monkeypatch.setattr(risk, "run_audit_round", traced_score)
     try:
         code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
-                             "--interpretations", SMALL_CVRS)
-        peak = tracemalloc.get_traced_memory()[1]
+                             "--interpretations", str(cvrs))
     finally:
         tracemalloc.stop()
     assert code == 0, err
     assert out.startswith(f"status: confirmed  cumulative draws: {claimed + 5}")
-    assert peak < 0.5 * 2**20
+    assert peak[0] < 0.5 * 2**20
+
+
+@pytest.mark.parametrize("claimed, refused", [(115, False), (116, True), (10**12, True)])
+def test_audit_round_refuses_more_draws_than_ballots_at_once(capsys, tmp_path, claimed, refused):
+    """Recorded draws and the manifest together may not exceed the
+    contest's ballots, since ``audit init`` and escalation both stop at a
+    full count first: a re-signed state claiming more is refused with exit
+    2 naming the state and the counts, before any draw is replayed, so a
+    claim of 10**12 draws is refused in well under a second.  A claim that
+    reaches exactly the 120 ballots is replayed."""
+    audit, manifest = _audit_after_init(capsys, tmp_path)
+    state = Path(audit[-1])
+    lines = Path(SMALL_CVRS).read_text().splitlines()[1:]
+    _claim_draws(state, claimed, dict(line.split(",", 1) for line in lines))
+    ballots = [line.split(",", 1)[0] for line in lines]
+    write_manifest(list(islice(sample_stream(json.loads(state.read_text())["state"]["seed"], ballots), 115, 120)),
+                   manifest)
+    saved = state.read_bytes()
+    started = time.perf_counter()
+    code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
+                         "--interpretations", SMALL_CVRS)
+    elapsed = time.perf_counter() - started
+    if not refused:
+        assert code == 0, err
+        assert out.startswith("status: confirmed  cumulative draws: 120")
+        return
+    assert code == 2 and out == ""
+    assert (f"audit state {state} records {claimed} draws and manifest {manifest} lists 5 more, "
+            "beyond the contest's 120 ballots") in err
+    assert elapsed < 1.0
+    assert state.read_bytes() == saved
 
 
 @pytest.mark.parametrize("margin", ["0", "-1/2"])

@@ -273,20 +273,34 @@ def test_best_root_assertion_missing_strong_candidate():
     assert not math.isinf(eae)
 
 
+def _step_table(ctx):
+    """Every step of the states below the whole roster, keyed by its
+    candidate and the set gone before it: the assertion the cut builds for
+    the step, and the step's ``eae``."""
+    states = set_states(ctx, [tuple(ctx.labels)])
+    return {
+        (cand, child.removed): (state.assertion(i, ctx.threshold), eae)
+        for state in states.values() for i, (cand, _, eae, child) in enumerate(state.steps)
+    }
+
+
 def test_set_steps_and_their_assertions(irv_profile):
     """A set's steps eliminate each of its candidates last among them, in
-    roster order, and lead to the state of the set left before it."""
+    roster order, and lead to the state of the set left before it; the
+    assertion built for a step is scored over that set."""
     ctx = AuditContext(irv_profile, PARAMS)
     states = set_states(ctx, [("Bob", "Cal", "Dee")])
     top = states["Bob", "Cal", "Dee"]
     assert [(cand, child) for cand, _, _, child in top.steps] == [
         ("Bob", states["Cal", "Dee"]), ("Cal", states["Bob", "Dee"]), ("Dee", states["Bob", "Cal"])]
-    by_cand = {cand: (assertion, eae) for cand, assertion, eae, _ in top.steps}
+    by_cand = {cand: (top.assertion(i, ctx.threshold), eae) for i, (cand, _, eae, _) in enumerate(top.steps)}
     # Bob eliminated last (Cal, Dee already gone) contradicted by his 15,630
-    a_bob = by_cand["Bob"][0]
+    a_bob, eae = by_cand["Bob"]
     assert isinstance(a_bob, Viable) and a_bob.eliminated == frozenset({"Cal", "Dee"})
-    # Dee eliminated last: 8,378 pile, beats nobody, no assertion exists
-    assert by_cand["Dee"] == (None, math.inf)
+    assert ctx.entry(a_bob).eae == eae < math.inf
+    # Dee eliminated last: 8,378 pile, beats nobody, no assertion holds
+    assert by_cand["Dee"][1] == math.inf
+    assert ctx.exact_margin(by_cand["Dee"][0]) <= 0
 
 
 def test_empty_set_has_no_steps():
@@ -393,27 +407,27 @@ def test_search_nodes_are_freed_without_the_cycle_collector():
 
 
 def test_move_cache_keys_each_move_once():
-    """The move cache and the per-set cache are keyed by the roster-ordered
-    ``rest`` tuple, so after the ten-candidate search no two keys name the
-    same candidate and set, or the same set: a second spelling of a set
-    would split the caches and could change which of tied options a child
-    gets.  Each set's entry holds that set, its piles and its standing
-    candidates stably sorted by pile."""
+    """The set states are keyed by the roster-ordered tuple, so in the
+    ten-candidate search no two states hold the same set and no two steps
+    the same candidate and set: a second spelling of a set would split its
+    state and could change which of tied options a step gets.  Each state
+    holds its set, its piles and its standing candidates stably sorted by
+    pile, which its incoming steps are scored on."""
     profile = cyclic_contest(TEN_STRENGTHS)
     ctx = AuditContext(profile, RiskParams(seed=1))
     assert gen_irv_viability(ctx, tabulate(profile)).closed
-    keys = list(ctx._moves)
-    assert len(keys) > 1000
-    assert len({(cand, frozenset(rest)) for cand, rest in keys}) == len(keys)
+    states = set_states(ctx, [tuple(c for c in ctx.labels if c != "c0")])
+    moves = [(cand, child.removed) for state in states.values() for cand, _, _, child in state.steps]
+    assert len(moves) > 1000
+    assert len(set(moves)) == len(moves)
+    assert all(cand not in gone for cand, gone in moves)
     roster = ctx.labels.index
-    assert all(list(rest) == sorted(rest, key=roster) and cand not in rest for cand, rest in keys)
-    sets = list(ctx._sets)
-    assert sorted(sets) == sorted({rest for _, rest in keys})
-    assert len({frozenset(rest) for rest in sets}) == len(sets) > 500
-    for rest, (removed, piles, by_pile) in ctx._sets.items():
-        assert list(rest) == sorted(rest, key=roster) and removed == frozenset(rest)
-        assert piles == ctx.piles(removed)
-        assert by_pile == sorted((c for c in ctx.labels if c not in removed), key=lambda c: (piles[c], roster(c)))
+    assert len({state.removed for state in states.values()}) == len(states) > 500
+    for unmentioned, state in states.items():
+        assert list(unmentioned) == sorted(unmentioned, key=roster) and state.removed == frozenset(unmentioned)
+        assert state.piles == ctx.piles(state.removed)
+        assert state.by_pile == sorted(
+            (c for c in ctx.labels if c not in state.removed), key=lambda c: (state.piles[c], roster(c)))
 
 
 def test_irv_beats_option_used_when_viability_fails(irv_profile):
@@ -421,8 +435,8 @@ def test_irv_beats_option_used_when_viability_fails(irv_profile):
     # last two eliminations pinned as Bob then Dee, with Cal gone first:
     # Bob's 15,630 > Dee's 8,378 gives a pairwise assertion even though no
     # candidate assertion is needed here
-    assertion, eae = ctx.move("Bob", ("Cal",))
-    assert assertion is not None and not math.isinf(eae)
+    assertion, eae = _step_table(ctx)["Bob", frozenset({"Cal"})]
+    assert ctx.exact_margin(assertion) > 0 and not math.isinf(eae)
 
 
 def test_branch_and_bound_example_complete(irv_profile):
@@ -493,7 +507,8 @@ def test_an_open_outcome_is_named_and_only_the_reductions_kept():
     assert [assertion_key(e.assertion) for e in spec.entries] == ["viable:D:E=:t=3/20"]
     ctx = AuditContext(profile, RiskParams(seed=52))
     assert math.isinf(best_root_assertion(frozenset("AD"), ctx)[1])
-    assert all(math.isinf(ctx.move(c, gone)[1]) for c, gone in [("E", ()), ("C", ("E",)), ("B", ("C", "E"))])
+    steps = _step_table(ctx)
+    assert all(math.isinf(steps[c, frozenset(gone)][1]) for c, gone in [("E", ""), ("C", "E"), ("B", "CE")])
 
 
 def test_cut_proof_log_example():
@@ -558,7 +573,8 @@ def _check_cut_log(profile, spec, log) -> int:
     reductions = compute_W_L(ctx)[2]
     t_star, order, vset, costs = T_STAR.fullmatch(next(line for line in log if line.startswith("T* = "))).groups()
     order = order.split(" -> ") if order != "(nobody eliminated)" else []
-    edges = [ctx.move(c, tuple(x for x in ctx.labels if x in order[:i])) for i, c in enumerate(order)]
+    steps = _step_table(ctx)
+    edges = [steps[c, frozenset(order[:i])] for i, c in enumerate(order)]
     edges.append(best_root_assertion(_labels(vset), ctx))
     assert costs == ", ".join(f"{name} {eae}" for name, (_, eae) in zip(order + ["viable"], edges))
     assert min(eae for _, eae in edges) == float(t_star)
@@ -572,7 +588,7 @@ def _check_cut_log(profile, spec, log) -> int:
         if root is not None:
             assertion, want = best_root_assertion(_labels(root), ctx)
         else:
-            assertion, want = ctx.move(cand, tuple(c for c in ctx.labels if c in _labels(gone)))
+            assertion, want = steps[cand, _labels(gone)]
         assert (described, float(eae)) == (str(assertion), want), line
         assert want <= float(bound) and assertion_key(assertion) in keys, line
     return len(lines)
@@ -743,11 +759,12 @@ def test_cheapest_matches_min_on_random_costs():
 
 
 def test_move_picks_what_max_over_every_option_picks():
-    """``move`` scores only the ``Viable`` and one ``IrvWins``, and builds
-    only its pick.  The move must be what ``_cheapest`` makes of the full
-    list (the ``Viable``, then an ``IrvWins`` per standing candidate in
-    roster order), and when it holds, its pick must be the option ``max``
-    picks from that list, ties included.  Small piles make ties common."""
+    """A step scores only the ``Viable`` and one ``IrvWins``, and builds
+    nothing.  Its ``eae`` and the assertion built for it must be what
+    ``_cheapest`` makes of the full list (the ``Viable``, then an
+    ``IrvWins`` per standing candidate in roster order), and that
+    assertion must be the option ``max`` picks from that list, ties
+    included.  Small piles make ties common."""
     rng = random.Random(15)
     least_ties = viable_ties = 0
     for _ in range(2000):
@@ -763,14 +780,57 @@ def test_move_picks_what_max_over_every_option_picks():
         removed = frozenset(rest)
         full = [Viable(cand, removed, tau)] + [IrvWins(cand, c, removed) for c in labels if c != cand and c not in rest]
         want = max(full, key=ctx_margin(ctx))
-        pick, eae = ctx.move(cand, rest)
-        assert (pick, eae) == _cheapest(full, ctx)
-        assert pick is None or pick == want
+        key = tuple(c for c in ctx.labels if c == cand or c in removed)
+        top = set_states(ctx, [key])[key]
+        i = key.index(cand)
+        pick, eae = top.assertion(i, tau), top.steps[i][2]
+        cheapest, least = _cheapest(full, ctx)
+        assert eae == least and cheapest in (None, pick)
+        assert pick == want
         best, irv_margins = ctx_margin(ctx)(want), list(map(ctx_margin(ctx), full[1:]))
         least_ties += want is not full[0] and irv_margins.count(best) > 1
         viable_ties += want is full[0] and best in irv_margins
     # both tie kinds are exercised, so their rules are tested
     assert least_ties > 50 and viable_ties > 50
+
+
+def _full_step_options(ctx, cand, rest):
+    """A step's full option list: ``Viable(cand, rest)``, then
+    ``IrvWins(cand, o, rest)`` for each standing ``o`` in roster order."""
+    others = [IrvWins(cand, o, rest) for o in ctx.labels if o != cand and o not in rest]
+    return [Viable(cand, rest, ctx.threshold)] + others
+
+
+def test_each_step_is_what_cheapest_makes_of_its_full_option_list():
+    """Over a few hundred seeded contests, every state's step has the
+    ``eae`` that ``_cheapest`` gives its full option list, each option
+    built over its real eliminated set and scored on its own piles, and
+    when that pick holds, it is the assertion the step builds.  Every cut
+    line of the search names that pick at that ``eae``."""
+    rng = random.Random(31)
+    steps = cut = 0
+    for _ in range(300):
+        profile = random_irv_profile(rng, max_candidates=7, max_ballots=rng.choice([300, 3000]))
+        params = RiskParams(error_rate=rng.choice([0.0, 0.002, 0.02]), seed=1)
+        ctx = AuditContext(profile, params)
+        for state in set_states(ctx, [ctx.labels]).values():
+            for i, (cand, _, eae, child) in enumerate(state.steps):
+                pick, least = _cheapest(_full_step_options(ctx, cand, child.removed), ctx)
+                assert eae == least
+                assert pick is None or state.assertion(i, ctx.threshold) == pick
+                steps += 1
+        try:
+            outcome = tabulate(profile)
+        except UnsupportedOutcomeError:
+            continue
+        for line in gen_irv_viability(AuditContext(profile, params), outcome).proof_log:
+            match = CUT.fullmatch(line)
+            if match and match.group(2):
+                _, cand, gone, described, eae = match.groups()
+                pick, least = _cheapest(_full_step_options(ctx, cand, _labels(gone)), ctx)
+                assert (described, float(eae)) == (str(pick), least), line
+                cut += 1
+    assert steps > 20000 and cut > 50
 
 
 def test_root_picks_what_cheapest_picks_from_every_option():
@@ -868,19 +928,28 @@ def _root_options(vset, ctx):
     return options
 
 
-def _move_with(pick, standing_order):
-    """``AuditContext.move`` with each step's own option list (the
-    ``Viable``, then an ``IrvWins`` per standing candidate in
-    ``standing_order(standing)``) handed to ``pick``, scored afresh on every
-    call."""
+def _states_with(pick, standing_order):
+    """``set_states`` with each step scored afresh from its own option list
+    (the ``Viable``, then an ``IrvWins`` per standing candidate in
+    ``standing_order(standing)``, each over the set gone before it) handed
+    to ``pick``, and each ``best`` and ``via`` solved again from those
+    steps, smallest sets first."""
 
-    def move(ctx, cand, rest):
-        standing = standing_order([c for c in ctx.labels if c != cand and c not in rest])
-        removed = frozenset(rest)
-        options = [Viable(cand, removed, ctx.threshold)] + [IrvWins(cand, other, removed) for other in standing]
-        return pick(options, ctx)
+    def states_with(ctx, tops):
+        states = set_states(ctx, tops)
+        for state in states.values():
+            state.best, state.via = (-math.inf if state.unmentioned else math.inf), -1
+            for i, (cand, _, _, child) in enumerate(state.steps):
+                gone = child.removed
+                standing = standing_order([c for c in ctx.labels if c != cand and c not in gone])
+                options = [Viable(cand, gone, ctx.threshold)] + [IrvWins(cand, other, gone) for other in standing]
+                assertion, eae = pick(options, ctx)
+                state.steps[i] = cand, getattr(assertion, "loser", None), eae, child
+                if min(eae, child.best) > state.best:
+                    state.best, state.via = min(eae, child.best), i
+        return states
 
-    return move
+    return states_with
 
 
 def _roster_order(standing):
@@ -906,7 +975,7 @@ def _build_equivalence_specs(pick=None, standing_order=None):
         patch.setattr(viability, "estimate_asn", counted)
         if pick is not None:
             patch.setattr(viability, "best_root_assertion", lambda vset, ctx: pick(_root_options(vset, ctx), ctx))
-            patch.setattr(viability.AuditContext, "move", _move_with(pick, standing_order))
+            patch.setattr(viability, "set_states", _states_with(pick, standing_order))
         built = []
         for profile, params in _equivalence_contests():
             try:
@@ -1005,11 +1074,11 @@ def _brute_force_t_star(profile, params):
     vsets = enumerate_alt_sets(ctx.labels, winners, losers, max_viable(ctx.threshold), tabulate(profile).viable)
     if not winners:
         vsets.append(frozenset())
-    best = -math.inf
+    best, table = -math.inf, _step_table(ctx)
     for vset in vsets:
         root = best_root_assertion(vset, ctx)[1]
         for order in permutations([c for c in ctx.labels if c not in vset]):
-            steps = [ctx.move(c, tuple(x for x in ctx.labels if x in order[:i]))[1] for i, c in enumerate(order)]
+            steps = [table[c, frozenset(order[:i])][1] for i, c in enumerate(order)]
             best = max(best, min([root] + steps))
     return best
 
@@ -1045,8 +1114,9 @@ def test_t_star_is_the_brute_force_maximin():
             assert sorted(order) == sorted(set(profile.labels) - vset)
             ctx = AuditContext(profile, params)
             assert math.isinf(best_root_assertion(vset, ctx)[1])
+            steps = _step_table(ctx)
             for i, c in enumerate(order):
-                assert math.isinf(ctx.move(c, tuple(x for x in ctx.labels if x in order[:i]))[1])
+                assert math.isinf(steps[c, frozenset(order[:i])][1])
         seen["open" if math.isinf(want) else "closed"] += 1
 
 
