@@ -42,14 +42,14 @@ tally path is tested against.
 
 An assertion's derived values (``scale``, ``points``, ``other_points``,
 ``max_points``, ``upper_bound``, ``key`` and its ``description``) are
-computed at most once per object, on first read, and without a lock.  That
-is safe because each is a pure function of the frozen fields: a race
-between two first reads can only compute the same value twice.
+``functools.cached_property`` attributes, computed on first read from the
+frozen fields and stored on the object.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Collection, Mapping
 
@@ -59,37 +59,15 @@ if TYPE_CHECKING:  # pragma: no cover
     from .model import ElectionProfile, Ranking
 
 
-class _cached:
-    """A derived value computed on its first read and stored on the
-    instance, where every later read finds it without calling back here.
-
-    Unlike ``functools.cached_property`` before Python 3.12 it takes no
-    lock: every value cached this way is a pure function of an assertion's
-    frozen fields, so threads racing on a first read would only compute the
-    same value twice, and one of the equal results stays.
-    """
-
-    def __init__(self, func):
-        self.func = func
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class Assertion:
     """The protocol shared by the four assertion forms.
 
     Subclasses define ``tag`` (the spec JSON type), the assorter as
     integer ``points`` per class with ``other_points`` for every class not
-    named there over an even ``scale``, and ``key``, ``description`` (the
-    ``str`` form) and the dict form.  The bound and the margin derive from
-    the points.
+    named there over an even ``scale``, and ``key`` (the canonical identity
+    string, which deduplicates spec entries and keys per-assertion audit
+    state), ``description`` (the ``str`` form) and the dict form.  The bound
+    and the margin derive from the points.
     """
 
     tag: ClassVar[str]
@@ -108,11 +86,11 @@ class Assertion:
         only candidates in ``labels``."""
         return self.eliminated
 
-    @_cached
+    @cached_property
     def max_points(self) -> int:
         return max(self.other_points, *self.points.values())
 
-    @_cached
+    @cached_property
     def upper_bound(self) -> Fraction:
         return Fraction(self.max_points, self.scale)
 
@@ -182,11 +160,11 @@ class _ThresholdAssertion(Assertion):
         if self.candidate in self.eliminated:
             raise ValueError(f"candidate {self.candidate!r} cannot be in its own elimination set")
 
-    @_cached
+    @cached_property
     def key(self) -> str:
         return f"{self.tag}:{self.candidate}:E={','.join(sorted(self.eliminated))}:t={self.threshold}"
 
-    @_cached
+    @cached_property
     def description(self) -> str:
         return f"{type(self).__name__}({self.candidate} | out {_set_repr(self.eliminated)} | t={self.threshold})"
 
@@ -213,11 +191,11 @@ class Viable(_ThresholdAssertion):
 
     other_points = 0
 
-    @_cached
+    @cached_property
     def scale(self) -> int:
         return 2 * self.threshold.numerator
 
-    @_cached
+    @cached_property
     def points(self) -> Mapping[str | None, int]:
         return {self.candidate: self.threshold.denominator}
 
@@ -230,15 +208,15 @@ class NonViable(_ThresholdAssertion):
         if not 0 < self.threshold.numerator < self.threshold.denominator:
             raise ValueError(f"non-viability threshold {self.threshold} outside (0, 1)")
 
-    @_cached
+    @cached_property
     def scale(self) -> int:
         return 2 * (self.threshold.denominator - self.threshold.numerator)
 
-    @_cached
+    @cached_property
     def points(self) -> Mapping[str | None, int]:
         return {self.candidate: 0}
 
-    @_cached
+    @cached_property
     def other_points(self) -> int:
         return self.threshold.denominator
 
@@ -259,15 +237,15 @@ class IrvWins(Assertion):
         if self.winner in self.eliminated or self.loser in self.eliminated:
             raise ValueError("winner/loser cannot be in the elimination set")
 
-    @_cached
+    @cached_property
     def points(self) -> Mapping[str | None, int]:
         return {self.winner: 2, self.loser: 0}
 
-    @_cached
+    @cached_property
     def key(self) -> str:
         return f"{self.tag}:{self.winner}>{self.loser}:E={','.join(sorted(self.eliminated))}"
 
-    @_cached
+    @cached_property
     def description(self) -> str:
         return f"IrvWins({self.winner} > {self.loser} | out {_set_repr(self.eliminated)})"
 
@@ -304,23 +282,23 @@ class PairwiseDiff(Assertion):
     def removed(self, labels: Collection[str]) -> frozenset[str]:
         return frozenset(labels) - self.viable
 
-    @_cached
+    @cached_property
     def scale(self) -> int:
         return 2 * (self.offset.denominator + self.offset.numerator)
 
-    @_cached
+    @cached_property
     def points(self) -> Mapping[str | None, int]:
         return {self.winner: 2 * self.other_points, self.loser: 0, None: self.scale // 2}
 
-    @_cached
+    @cached_property
     def other_points(self) -> int:
         return self.offset.denominator
 
-    @_cached
+    @cached_property
     def key(self) -> str:
         return f"{self.tag}:{self.winner}>{self.loser}:d={self.offset}:V={','.join(sorted(self.viable))}"
 
-    @_cached
+    @cached_property
     def description(self) -> str:
         return f"PairwiseDiff({self.winner} > {self.loser} + {self.offset} | viable {_set_repr(self.viable)})"
 
@@ -366,11 +344,6 @@ def margin(assertion: Assertion, profile: "ElectionProfile") -> AssorterSummary:
         acc += count * assorter_value(assertion, ranking)
     mean = acc / total
     return AssorterSummary(assertion.upper_bound, mean, 2 * mean - 1)
-
-
-def assertion_key(assertion: Assertion) -> str:
-    """Canonical identity string: it deduplicates spec entries and keys per-assertion audit state."""
-    return assertion.key
 
 
 def describe(assertion: Assertion) -> str:

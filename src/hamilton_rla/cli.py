@@ -19,14 +19,15 @@ manifest, each draw checked against its own round's interpretations and
 counted per (CVR ranking, paper ranking) pair; a round whose draws its
 interpretations do not cover is refused at the first such draw, and
 draws beyond the contest's ballots before any.  The same stream then
-yields the next manifest.  The draw total and the
-round's ``assertions`` report the state also holds are a summary for
-readers and are never read back.  A round that leaves an assertion
-unconfirmed and whose suggested draws would take the audit past the
-contest's ballots (always, when an unconfirmed margin is too small to move
-a float p-value) ends with status ``requires-full-count``, exit 4 and no
-next manifest, as ``audit init`` does; it is still recorded, since its
-paper interpretations are evidence too.
+yields the next manifest, which an escalating round always writes: to
+``--next-manifest``, or else beside ``--manifest`` as ``<stem>.next.csv``.
+The draw total and the round's ``assertions`` report the state also holds
+are a summary for readers and are never read back.  A round that leaves
+an assertion unconfirmed and whose suggested draws would take the audit
+past the contest's ballots (always, when an unconfirmed margin is too
+small to move a float p-value) ends with status ``requires-full-count``,
+exit 4 and no next manifest, as ``audit init`` does; it is still
+recorded, since its paper interpretations are evidence too.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import model, risk, tabulation, viability
-from .assertions import assertion_key, describe
+from .assertions import describe
 from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, UnsupportedOutcomeError
 from .risk import RiskParams
 
@@ -110,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_round.add_argument("--manifest", required=True, help="this round's manifest CSV")
     p_round.add_argument("--interpretations", required=True, help="manual interpretations CSV")
     p_round.add_argument("--state", required=True)
-    p_round.add_argument("--next-manifest", help="where to write the next manifest when escalating")
+    p_round.add_argument(
+        "--next-manifest", help="where to write the next manifest when escalating (default: <manifest>.next.csv)"
+    )
     p_round.set_defaults(run=cmd_audit_round)
     return parser
 
@@ -284,10 +287,13 @@ def _load_state(path: str) -> dict:
     return state
 
 
-def _load_contest_cvrs(path: str, spec: AuditSpec) -> dict[str, model.Ranking]:
+def _load_contest_cvrs(
+    path: str, spec: AuditSpec, cells: dict[str, model.Ranking] | None = None
+) -> dict[str, model.Ranking]:
     """The CVR file, which must hold one record per ballot of the contest:
-    ballots missing from it could never be drawn."""
-    cvrs = model.load_cvrs(path)
+    ballots missing from it could never be drawn.  ``cells`` is
+    ``load_cvrs``'s cache of parsed ranking cells."""
+    cvrs = model.load_cvrs(path, cells)
     if not cvrs:
         raise ElectionDataError(f"CVR file {path} holds no records, so there is nothing to audit")
     if len(cvrs) != spec.total_ballots:
@@ -350,9 +356,10 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     for e in spec.entries:  # rounds score with the stated margins, which must be positive
         if e.margin <= 0:
             raise ElectionDataError(f"audit spec {args.spec} states {describe(e.assertion)} margin {e.margin}, not positive")
-    cvrs = _load_contest_cvrs(args.cvrs, spec)
+    cells: dict[str, model.Ranking] = {}  # every ranking cell the round reads, each parsed once
+    cvrs = _load_contest_cvrs(args.cvrs, spec, cells)
     manifest = risk.read_manifest(args.manifest)
-    interpretations = model.load_cvrs(args.interpretations)
+    interpretations = model.load_cvrs(args.interpretations, cells)
     state = _load_state(args.state)
     for field, option in _BOUND_INPUTS:
         path = getattr(args, option)
@@ -389,7 +396,7 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
 
     for number, rnd in enumerate(recorded, start=1):
         where = f"audit state {args.state}, round {number}"
-        papers = {b: model.parse_ranking_cell(cell, where) for b, cell in rnd["interpretations"].items()}
+        papers = {b: model.parse_ranking_cell(cell, where, cells) for b, cell in rnd["interpretations"].items()}
         count(islice(sample, rnd["draws"]), papers, where)
     # Only the next segment of the seeded sample may be scored: a chosen or
     # replayed manifest would let the ballots that get audited be picked.
@@ -400,13 +407,13 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
         )
     count(manifest, interpretations, f"round {len(recorded) + 1}")
     assertions = [(e.assertion, float(e.margin)) for e in spec.entries]
-    states, status, suggestion = risk.run_audit_round(assertions, pairs, spec.params.alpha, spec.params.gamma)
+    states, status, suggestion = risk.run_audit_round(
+        assertions, pairs, spec.params.alpha, spec.params.gamma, spec.total_ballots
+    )
     recorded.append(
         {"draws": len(manifest), "interpretations": {b: "|".join(interpretations[b]) for b in manifest}}
     )
     total = drawn + len(manifest)
-    if status == "escalate" and total + suggestion > spec.total_ballots:  # more draws than a full count
-        status = STATUS_FULL_COUNT
 
     per_assertion = {
         key: {"margin": s.margin, "p_value": s.p_value, "draws": s.draws, "discrepancies": s.discrepancies}
@@ -418,21 +425,21 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
         "suggested_additional_draws": int(suggestion) if status == "escalate" else None,
         "assertions": per_assertion,
     }
-    if status == "escalate" and args.next_manifest:
-        risk.write_manifest(list(islice(sample, int(suggestion))), args.next_manifest)
-        payload["next_manifest"] = args.next_manifest
+    if status == "escalate":  # without the next manifest, no command could draw the suggested ballots
+        following = args.next_manifest or f"{Path(args.manifest).with_suffix('')}.next.csv"
+        risk.write_manifest(list(islice(sample, int(suggestion))), following)
+        payload["next_manifest"] = following
     # saved last, so a failed write above leaves the audit where it was
     _save_state(state, args.state, per_assertion)
 
     def lines() -> Iterable[str]:
         yield f"status: {status}  cumulative draws: {total}"
         for e in spec.entries:
-            s = per_assertion[assertion_key(e.assertion)]
+            s = per_assertion[e.assertion.key]
             yield f"  p={s['p_value']:.6f} draws={s['draws']}  {describe(e.assertion)}"
         if status == "escalate":
             yield f"suggested additional draws: {int(suggestion)}"
-        if "next_manifest" in payload:
-            yield f"next manifest -> {args.next_manifest}"
+            yield f"next manifest -> {payload['next_manifest']}"
 
     _emit(payload, args, lines)
     if status == STATUS_FULL_COUNT:
@@ -447,10 +454,10 @@ def main(argv: list[str] | None = None) -> int:
 
     The cyclic garbage collector is paused while the command runs and
     left as the caller had it on every way out.  A command's data (the
-    parsed input, the profile, the search's nodes, which link only to
-    their parents) holds no reference cycles, so reference counting frees
-    it without the collector; its passes, set off by the many objects a
-    load allocates, would only rescan live data.
+    parsed input, the profile, the search's set states, which link only to
+    the states their steps reach) holds no reference cycles, so reference
+    counting frees it without the collector; its passes, set off by the
+    many objects a load allocates, would only rescan live data.
     """
     enabled = gc.isenabled()
     gc.disable()

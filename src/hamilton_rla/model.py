@@ -246,14 +246,20 @@ def _merge_entries(
     roster: frozenset[str], ballots: Iterable[tuple[Sequence[str], int]], style: str
 ) -> dict[Ranking, int]:
     """Check each ``(ranking, count)`` entry in order and sum the counts
-    of equal rankings, raising at the first fault: the count's type, then
-    its sign, then the labels, then a plurality ranking's length.  A
-    ranking passes when its choices are distinct roster labels, which two
-    set checks decide; only a ranking that fails them (or holds an
-    unhashable choice) is walked choice by choice to name its first
-    unknown or repeated one."""
+    of equal rankings, raising at the first fault: the entry's shape (a
+    pair whose ranking is a list or tuple), the count's type, then its
+    sign, then the labels, then a plurality ranking's length.  A ranking
+    passes when its choices are distinct roster labels, which two set
+    checks decide; only a ranking that fails them (or holds an unhashable
+    choice) is walked choice by choice to name its first unknown or
+    repeated one."""
     merged: dict[Ranking, int] = {}
-    for ranking, count in ballots:
+    for entry in ballots:
+        if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+            raise ElectionDataError(f"ballot entry {entry!r} must be a (ranking, count) pair")
+        ranking, count = entry
+        if not isinstance(ranking, (tuple, list)):
+            raise ElectionDataError(f"ranking {ranking!r} must be a list or tuple of candidate labels")
         if isinstance(count, bool) or not isinstance(count, int):
             raise ElectionDataError(f"non-integer ballot count {count!r}")
         if count < 0:
@@ -388,16 +394,18 @@ def load_election(path: str | Path) -> ElectionProfile:
     return ElectionProfile(labels, merged, tau, delegates, style)
 
 
-def load_cvrs(path: str | Path) -> dict[str, Ranking]:
+def load_cvrs(path: str | Path, cells: dict[str, Ranking] | None = None) -> dict[str, Ranking]:
     """Load a cast-vote-record CSV (header ``ballot_id,ranking``) as each
     ballot's ranking keyed by its id, in file order.
 
     Each distinct ranking cell is parsed once and its tuple shared by every
-    ballot that repeats it; a malformed cell is reported at the line of its
-    first occurrence.
+    ballot that repeats it, in every file read with the same ``cells``
+    (``parse_ranking_cell``); a malformed cell is reported at the line of
+    its first occurrence.
     """
     cvrs: dict[str, Ranking] = {}
-    rankings: dict[str, Ranking] = {}
+    if cells is None:
+        cells = {}
     with open_input(path, "CVR file") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -412,24 +420,29 @@ def load_cvrs(path: str | Path) -> dict[str, Ranking]:
             if ballot_id in cvrs:
                 raise ElectionDataError(f"{path}:{reader.line_num}: duplicate ballot_id {ballot_id!r}")
             cell = row[1] if len(row) > 1 else ""
-            ranking = rankings.get(cell)
+            ranking = cells.get(cell)  # most rows repeat a parsed cell: found without a call
             if ranking is None:
-                ranking = rankings[cell] = parse_ranking_cell(cell, f"{path}:{reader.line_num}")
+                ranking = parse_ranking_cell(cell, f"{path}:{reader.line_num}", cells)
             cvrs[ballot_id] = ranking
     return cvrs
 
 
-def parse_ranking_cell(cell: str, where: str = "ranking") -> Ranking:
-    """Parse a ``|``-separated ranking cell; empty cell means a blank ballot."""
-    cell = cell.strip()
-    if not cell:
-        return ()
-    parts = [p.strip() for p in cell.split("|")]
-    if any(not p for p in parts):
-        raise ElectionDataError(f"{where}: malformed ranking cell {cell!r}")
-    if len(set(parts)) != len(parts):
-        raise ElectionDataError(f"{where}: candidate repeated in ranking cell {cell!r}")
-    return tuple(parts)
+def parse_ranking_cell(cell: str, where: str = "ranking", cells: dict[str, Ranking] | None = None) -> Ranking:
+    """Parse a ``|``-separated ranking cell; empty cell means a blank ballot.
+
+    ``cells`` caches the cells parsed so far: one found there is not parsed
+    again, and a new one that parses is stored there."""
+    if cells is not None and cell in cells:
+        return cells[cell]
+    text = cell.strip()
+    ranking = tuple(p.strip() for p in text.split("|")) if text else ()
+    if not all(ranking):
+        raise ElectionDataError(f"{where}: malformed ranking cell {text!r}")
+    if len(set(ranking)) != len(ranking):
+        raise ElectionDataError(f"{where}: candidate repeated in ranking cell {text!r}")
+    if cells is not None:
+        cells[cell] = ranking
+    return ranking
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ Audit rounds are scored from the evidence alone: the caller replays
 every round so far along ``sample_stream`` and counts its draws per
 (CVR ranking, paper ranking) pair, and ``run_audit_round`` builds each
 assertion's ``RiskState`` from those counts, so no state is carried
-between calls.
+between calls.  It also decides the one full-count rule of a round: a
+full count once the draws so far plus the suggested ones exceed the
+contest's ballots.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from .assertions import Assertion, assertion_key
+from .assertions import Assertion
 from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, Ranking, open_input
 
 FULL_COUNT = math.inf
@@ -250,6 +252,7 @@ def run_audit_round(
     pairs: Mapping[tuple["Ranking", "Ranking"], int],
     alpha: float,
     gamma: float,
+    total_ballots: int,
 ) -> tuple[dict[str, RiskState], str, float]:
     """Score the audit's draws so far against every assertion.
 
@@ -262,10 +265,13 @@ def run_audit_round(
     counts, this equals scoring the ballots one at a time in draw order.
     Returns the per-assertion states (keyed by assertion identity), the
     audit status and the suggested number of additional draws: 0 when
-    ``confirmed``; when escalating, the fewest that confirm every
-    assertion if they are all clean; infinite, with status
-    ``requires-full-count``, when an unconfirmed margin is too small for
-    any number of draws to move its p-value.
+    ``confirmed``; otherwise the fewest that confirm every assertion if
+    they are all clean, with status ``escalate`` while the draws so far
+    plus that suggestion stay within the contest's ``total_ballots``, and
+    ``requires-full-count`` once they exceed it, since a full count is
+    then cheaper.  The suggestion is infinite, a full count, when an
+    unconfirmed margin is too small for any number of draws to move its
+    p-value.
     """
     clean = sum(n for (cvr, paper), n in pairs.items() if cvr == paper)
     differing = [(cvr, paper, n) for (cvr, paper), n in pairs.items() if cvr != paper]
@@ -274,7 +280,7 @@ def run_audit_round(
         counts: Counter[str] = Counter({CLEAN: clean})
         for cvr, paper, n in differing:
             counts[discrepancy(assertion, cvr, paper)] += n
-        states[assertion_key(assertion)] = RiskState(margin=float(m), gamma=gamma, **counts)
+        states[assertion.key] = RiskState(margin=float(m), gamma=gamma, **counts)
 
     # p_value raises CannotAuditError for a nonpositive margin
     unconfirmed = {k: s for k, s in states.items() if s.p_value > alpha}
@@ -282,4 +288,5 @@ def run_audit_round(
         return states, "confirmed", 0
     # later draws add to the uncapped log, so the excess above 0 counts
     suggestion = max(clean_draws(s.margin, alpha, s.gamma, s.log_product) for s in unconfirmed.values())
-    return states, STATUS_FULL_COUNT if math.isinf(suggestion) else "escalate", suggestion
+    sampling_on = sum(pairs.values()) + suggestion <= total_ballots  # else a full count is cheaper
+    return states, "escalate" if sampling_on else STATUS_FULL_COUNT, suggestion

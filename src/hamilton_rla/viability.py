@@ -87,7 +87,6 @@ from .assertions import (
     NonViable,
     Viable,
     _set_repr,
-    assertion_key,
     describe,
 )
 from .delegates import gen_delegate_assertions
@@ -483,12 +482,11 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
         for i, (cand, _, eae, child) in enumerate(state.steps) if not side[child.id]
     ]
     log.append(f"cut at T = {bound}: {len(cut)} edges")
-    entries = {assertion_key(entry.assertion): entry for entry in reductions}
+    entries = {entry.assertion.key: entry for entry in reductions}
     for edge, assertion, eae in cut:
         log.append(f"cut: {edge} with {describe(assertion)} (eae {eae})")
-        key = assertion_key(assertion)
-        if key not in entries:
-            entries[key] = ctx.entry(assertion)
+        if assertion.key not in entries:
+            entries[assertion.key] = ctx.entry(assertion)
     return GenerationResult(tuple(entries.values()), True, tuple(log))
 
 

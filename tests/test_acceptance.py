@@ -18,7 +18,6 @@ from hamilton_rla.assertions import (
     NonViable,
     PairwiseDiff,
     Viable,
-    assertion_key,
     assorter_value,
     margin,
 )
@@ -80,20 +79,16 @@ def test_criterion_3_asn_reproduction(plurality_profile):
     outcome = tabulate(plurality_profile)
     spec, _ = build_audit_spec(plurality_profile, outcome, 3, PARAMS)
     reported = {
-        assertion_key(Viable("Ann", frozenset(), TAU)): 1,
-        assertion_key(Viable("Bob", frozenset(), TAU)): 17,
-        assertion_key(NonViable("Cal", frozenset(), TAU)): 46,
-        assertion_key(NonViable("Dee", frozenset(), TAU)): 42,
-        assertion_key(
-            PairwiseDiff("Bob", "Ann", Fraction(-4, 5), frozenset({"Ann", "Bob"}))
-        ): 5,
-        assertion_key(
-            PairwiseDiff("Ann", "Bob", Fraction(2, 5), frozenset({"Ann", "Bob"}))
-        ): 59,
+        Viable("Ann", frozenset(), TAU).key: 1,
+        Viable("Bob", frozenset(), TAU).key: 17,
+        NonViable("Cal", frozenset(), TAU).key: 46,
+        NonViable("Dee", frozenset(), TAU).key: 42,
+        PairwiseDiff("Bob", "Ann", Fraction(-4, 5), frozenset({"Ann", "Bob"})).key: 5,
+        PairwiseDiff("Ann", "Bob", Fraction(2, 5), frozenset({"Ann", "Bob"})).key: 59,
     }
     assert len(spec.entries) == 6
     for entry in spec.entries:
-        expected = reported[assertion_key(entry.assertion)]
+        expected = reported[entry.assertion.key]
         assert abs(entry.eae - expected) <= 0.3 * expected, (entry.assertion, entry.eae)
     level1, _ = build_audit_spec(plurality_profile, outcome, 1, PARAMS)
     overall = estimate_audit_asn(level1)

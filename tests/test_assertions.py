@@ -10,7 +10,6 @@ from hamilton_rla.assertions import (
     NonViable,
     PairwiseDiff,
     Viable,
-    assertion_key,
     assorter_value,
     describe,
     margin,
@@ -330,6 +329,6 @@ def test_pairwise_diff_margin_positive_iff_tabulated_outcome(plurality_profile):
 def test_assertion_keys_unique_and_stable():
     a1 = Viable("A", frozenset({"B", "C"}), TAU)
     a2 = Viable("A", frozenset({"C", "B"}), TAU)
-    assert assertion_key(a1) == assertion_key(a2)
+    assert a1.key == a2.key
     b = NonViable("A", frozenset({"B", "C"}), TAU)
-    assert assertion_key(a1) != assertion_key(b)
+    assert a1.key != b.key

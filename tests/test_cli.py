@@ -983,7 +983,7 @@ def test_audit_rounds_replayable(capsys, tmp_path):
         rounds.append((sample[start : start + rnd["draws"]], interp))
         start += rnd["draws"]
     pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    states, _, _ = run_audit_round(pairs, count_pairs(cvrs, rounds), saved["alpha"], saved["gamma"])
+    states, _, _ = run_audit_round(pairs, count_pairs(cvrs, rounds), saved["alpha"], saved["gamma"], len(cvrs))
     for key, persisted in saved["assertions"].items():
         assert states[key].p_value == persisted["p_value"]
 
@@ -1121,6 +1121,30 @@ def test_audit_state_replays_every_draw(capsys, tmp_path):
                 replayed = km_step(replayed, discrepancy(e.assertion, cvrs[ballot], paper_of[ballot]))
         assert reported[e.assertion.key]["p_value"] == replayed.p_value
         assert state["assertions"][e.assertion.key]["p_value"] == replayed.p_value
+
+
+def test_escalating_round_without_next_manifest_writes_it_beside_the_manifest(capsys, tmp_path):
+    """An escalating round given no ``--next-manifest`` still writes the
+    next draws, to ``<manifest stem>.next.csv``, and names it: the audit
+    can only go on from them, since a manifest already scored is refused.
+    Round 1 reads the first three distinct drawn ballots as blank; round 2,
+    from the written manifest with clean papers, confirms."""
+    spec, first, paper = tmp_path / "spec.json", tmp_path / "round1.csv", tmp_path / "paper.csv"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "3", "--out", str(spec))
+    audit = ["--spec", str(spec), "--cvrs", SMALL_CVRS, "--state", str(tmp_path / "state.json")]
+    assert run(capsys, "audit", "init", *audit, "--manifest", str(first))[0] == 0
+    blank = list(dict.fromkeys(read_manifest(first)))[:3]
+    paper.write_text("ballot_id,ranking\n" + "".join(
+        f"{b},{'' if b in blank else '|'.join(ranking)}\n" for b, ranking in load_cvrs(SMALL_CVRS).items()
+    ))
+    code, out, _ = run(capsys, "audit", "round", *audit, "--manifest", str(first), "--interpretations", str(paper))
+    following = tmp_path / "round1.next.csv"
+    assert code == 5
+    assert out.splitlines()[-2:] == ["suggested additional draws: 17", f"next manifest -> {following}"]
+    assert len(read_manifest(following)) == 17
+    code, out, _ = run(capsys, "audit", "round", *audit, "--manifest", str(following), "--interpretations", SMALL_CVRS)
+    assert code == 0
+    assert out.startswith("status: confirmed  cumulative draws: 46")
 
 
 def test_audit_round_refuses_interpretations_missing_a_drawn_ballot(capsys, tmp_path):

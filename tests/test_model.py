@@ -73,6 +73,28 @@ def test_profile_validation_errors(ballots, message):
         build_profile(["A", "B"], ballots, "0.15", 2, "irv")
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (("AB", 3), "ranking 'AB' must be a list or tuple of candidate labels"),
+        ((None, 3), "ranking None must be a list or tuple of candidate labels"),
+        ((5, 1), "ranking 5 must be a list or tuple of candidate labels"),
+        (None, "ballot entry None must be a (ranking, count) pair"),
+        ((["A"],), "ballot entry (['A'],) must be a (ranking, count) pair"),
+        ((["A"], 1, 2), "ballot entry (['A'], 1, 2) must be a (ranking, count) pair"),
+        ("AB", "ballot entry 'AB' must be a (ranking, count) pair"),
+    ],
+    ids=["str-ranking", "none-ranking", "int-ranking", "none-entry", "single", "triple", "str-entry"],
+)
+def test_malformed_entry_named(entry, message):
+    """An entry that is not a (ranking, count) pair, or whose ranking is not
+    a list or tuple, is named after the good entries before it; a string is
+    never split into a ranking of its characters."""
+    with pytest.raises(ElectionDataError) as raised:
+        build_profile(["A", "B"], [(["B"], 2), entry], "1/4", 2, "irv")
+    assert str(raised.value) == message
+
+
 # A ranking with a choice that is not a roster label, or that repeats one,
 # and the message naming its first offender: the set checks that pass a
 # good ranking send every other one through the per-choice walk, whose

@@ -275,7 +275,7 @@ def test_clean_replay_confirms_at_estimated_size(plurality_profile):
             i += 1
     manifest = list(islice(sample_stream(42, list(cvrs)), int(size)))
     pairs = [(e.assertion, float(e.margin)) for e in spec.entries]
-    states, status, _ = run_audit_round(pairs, count_pairs(cvrs, [(manifest, cvrs)]), alpha=0.05, gamma=1.1)
+    states, status, _ = run_audit_round(pairs, count_pairs(cvrs, [(manifest, cvrs)]), 0.05, 1.1, BIG)
     assert status == "confirmed"
     assert all(s.draws == int(size) for s in states.values())
 
@@ -318,7 +318,7 @@ def _toy_audit():
 def test_run_audit_round_clean_confirms():
     a, cvrs = _toy_audit()
     manifest = [f"b{i}" for i in range(1, 50) if i % 3]
-    states, status, extra = run_audit_round([(a, 0.5)], count_pairs(cvrs, [(manifest, cvrs)]), alpha=0.05, gamma=1.1)
+    states, status, extra = run_audit_round([(a, 0.5)], count_pairs(cvrs, [(manifest, cvrs)]), 0.05, 1.1, BIG)
     assert status == "confirmed"
     assert extra == 0
     (state,) = states.values()
@@ -330,7 +330,7 @@ def test_run_audit_round_overstatements_escalate():
     a, cvrs = _toy_audit()
     manifest = ["b1", "b2", "b4"]
     paper = {b: ("L",) for b in cvrs}  # every drawn CVR overstates maximally
-    states, status, extra = run_audit_round([(a, 0.5)], count_pairs(cvrs, [(manifest, paper)]), alpha=0.05, gamma=1.1)
+    states, status, extra = run_audit_round([(a, 0.5)], count_pairs(cvrs, [(manifest, paper)]), 0.05, 1.1, BIG)
     assert status == "escalate"
     assert extra > 0
     (state,) = states.values()
@@ -345,10 +345,21 @@ def test_suggestion_counts_the_overstatement_above_one():
     that start from the capped value."""
     a, cvrs = _toy_audit()
     first = (["b1"] * 47 + ["b2"] * 11, {"b1": ("W",), "b2": ()})
-    states, status, suggestion = run_audit_round([(a, 0.2)], count_pairs(cvrs, [first]), alpha=0.05, gamma=1.1)
+    states, status, suggestion = run_audit_round([(a, 0.2)], count_pairs(cvrs, [first]), 0.05, 1.1, BIG)
     (state,) = states.values()
     assert (status, state.clean, state.one_vote, state.p_value) == ("escalate", 47, 11, 1.0)
     assert suggestion == 44
+
+
+@pytest.mark.parametrize("total_ballots, expected", [(102, "escalate"), (101, "requires-full-count")])
+def test_round_past_the_ballot_count_requires_a_full_count(total_ballots, expected):
+    """The 58 draws above plus their suggestion of 44 come to 102: a round
+    escalates while that total is within the contest's ballots, and asks
+    for a full count once it exceeds them, suggesting the same draws."""
+    a, cvrs = _toy_audit()
+    first = (["b1"] * 47 + ["b2"] * 11, {"b1": ("W",), "b2": ()})
+    _, status, suggestion = run_audit_round([(a, 0.2)], count_pairs(cvrs, [first]), 0.05, 1.1, total_ballots)
+    assert (status, suggestion) == (expected, 44)
 
 
 @pytest.mark.parametrize("margin", [0.05, 0.2, 0.6, 1.5])
@@ -356,13 +367,13 @@ def test_suggestion_counts_the_overstatement_above_one():
 def test_suggested_clean_draws_are_the_fewest_that_confirm(margin, one_vote):
     a, cvrs = _toy_audit()
     first = (["b1"] * 20 + ["b2"] * one_vote, {"b1": ("W",), "b2": ()})
-    _, status, suggestion = run_audit_round([(a, margin)], count_pairs(cvrs, [first]), alpha=0.05, gamma=1.1)
+    _, status, suggestion = run_audit_round([(a, margin)], count_pairs(cvrs, [first]), 0.05, 1.1, BIG)
     if status == "confirmed":
         return
 
     def after(extra):
         pairs = count_pairs(cvrs, [first, (["b1"] * extra, cvrs)])
-        return run_audit_round([(a, margin)], pairs, alpha=0.05, gamma=1.1)[1]
+        return run_audit_round([(a, margin)], pairs, 0.05, 1.1, BIG)[1]
 
     assert after(suggestion) == "confirmed"
     assert after(suggestion - 1) == "escalate"
@@ -372,7 +383,7 @@ def test_run_audit_round_margin_below_float_resolution_requires_full_count():
     """No number of draws moves the p-value of a margin the clean factor
     rounds away, so the round reports a full count, not an escalation."""
     a, cvrs = _toy_audit()
-    _, status, suggestion = run_audit_round([(a, 1e-17)], count_pairs(cvrs, [(["b1"], cvrs)]), 0.05, 1.1)
+    _, status, suggestion = run_audit_round([(a, 1e-17)], count_pairs(cvrs, [(["b1"], cvrs)]), 0.05, 1.1, BIG)
     assert (status, suggestion) == ("requires-full-count", FULL_COUNT)
 
 
@@ -422,7 +433,7 @@ def test_grouped_round_matches_per_ballot_scoring():
             }
             rounds.append((manifest, papers))
             expected = _per_ballot_round(assertions, cvrs, manifest, papers, expected, 1.1)
-        states, _, _ = run_audit_round(assertions, count_pairs(cvrs, rounds), 0.05, 1.1)
+        states, _, _ = run_audit_round(assertions, count_pairs(cvrs, rounds), 0.05, 1.1, BIG)
         assert states == expected
         (first, first_papers), (second, second_papers) = rounds
         rereads += sum(first_papers[b] != second_papers[b] for b in set(first) & set(second))
@@ -439,7 +450,7 @@ def test_run_audit_round_nonpositive_margin_cannot_be_audited(margin):
     a, cvrs = _toy_audit()
     b = IrvWins("L", "W", frozenset())
     with pytest.raises(CannotAuditError):
-        run_audit_round([(a, 0.5), (b, margin)], count_pairs(cvrs, [(["b1", "b1"], cvrs)]), alpha=0.05, gamma=1.1)
+        run_audit_round([(a, 0.5), (b, margin)], count_pairs(cvrs, [(["b1", "b1"], cvrs)]), 0.05, 1.1, BIG)
 
 
 def test_risk_params_validation():

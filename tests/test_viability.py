@@ -18,7 +18,7 @@ from hamilton_rla import (
     tabulate,
     viability,
 )
-from hamilton_rla.assertions import IrvWins, NonViable, Viable, assertion_key
+from hamilton_rla.assertions import IrvWins, NonViable, Viable
 from hamilton_rla.model import IRV, PLURALITY, STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
 from hamilton_rla.risk import estimate_asn, estimate_audit_asn
 from hamilton_rla.tabulation import irv_viability
@@ -155,9 +155,9 @@ def test_compute_W_L_example(irv_profile):
     # Dee tops out at 8,378 (11.1%) with Bob and Cal eliminated; Cal reaches
     # 18,076 (23.9%) with Bob and Dee eliminated so Cal is not in L
     assert losers == {"Dee"}
-    keys = {assertion_key(e.assertion) for e in entries}
-    assert assertion_key(Viable("Ann", frozenset(), TAU)) in keys
-    assert assertion_key(NonViable("Dee", frozenset({"Bob", "Cal"}), TAU)) in keys
+    keys = {e.assertion.key for e in entries}
+    assert Viable("Ann", frozenset(), TAU).key in keys
+    assert NonViable("Dee", frozenset({"Bob", "Cal"}), TAU).key in keys
     ctx = AuditContext(irv_profile, PARAMS)
     assert ctx.piles(frozenset({"Bob", "Dee"}))["Cal"] == 18076
 
@@ -486,9 +486,7 @@ def test_branch_and_bound_deterministic(irv_profile):
     outcome = tabulate(irv_profile)
     first = gen_irv_viability(AuditContext(irv_profile, PARAMS), outcome)
     second = gen_irv_viability(AuditContext(irv_profile, PARAMS), outcome)
-    assert [assertion_key(e.assertion) for e in first.entries] == [
-        assertion_key(e.assertion) for e in second.entries
-    ]
+    assert [e.assertion.key for e in first.entries] == [e.assertion.key for e in second.entries]
     assert first.proof_log == second.proof_log
 
 
@@ -504,7 +502,7 @@ def test_an_open_outcome_is_named_and_only_the_reductions_kept():
         "FAIL: no assertion rules out [E -> C -> B | viable {A,D}]",
         "status: requires-full-count; assertions: 1",
     )
-    assert [assertion_key(e.assertion) for e in spec.entries] == ["viable:D:E=:t=3/20"]
+    assert [e.assertion.key for e in spec.entries] == ["viable:D:E=:t=3/20"]
     ctx = AuditContext(profile, RiskParams(seed=52))
     assert math.isinf(best_root_assertion(frozenset("AD"), ctx)[1])
     steps = _step_table(ctx)
@@ -535,7 +533,7 @@ def test_cut_proof_log_example():
         "status: complete; assertions: 9",
     )
     assert spec.status == STATUS_COMPLETE
-    assert [assertion_key(e.assertion) for e in spec.entries] == [
+    assert [e.assertion.key for e in spec.entries] == [
         "viable:A:E=:t=3/20",
         "viable:D:E=:t=3/20",
         "nonviable:B:E=E:t=3/20",
@@ -580,7 +578,7 @@ def _check_cut_log(profile, spec, log) -> int:
     assert min(eae for _, eae in edges) == float(t_star)
     bound, count = CUT_AT.fullmatch(next(line for line in log if line.startswith("cut at T = "))).groups()
     assert float(bound) == max([float(t_star)] + [e.eae for e in reductions])
-    keys = {assertion_key(e.assertion) for e in spec.entries}
+    keys = {e.assertion.key for e in spec.entries}
     lines = [line for line in log if line.startswith("cut: ")]
     assert len(lines) == int(count)
     for line in lines:
@@ -590,7 +588,7 @@ def _check_cut_log(profile, spec, log) -> int:
         else:
             assertion, want = steps[cand, _labels(gone)]
         assert (described, float(eae)) == (str(assertion), want), line
-        assert want <= float(bound) and assertion_key(assertion) in keys, line
+        assert want <= float(bound) and assertion.key in keys, line
     return len(lines)
 
 
