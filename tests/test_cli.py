@@ -61,6 +61,33 @@ def test_tabulate_missing_file_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "style, threshold, ballots, message",
+    [
+        ("plurality", "1/2", [([], 5)], "no valid votes were cast in the contest"),
+        ("irv", "1/2", [([], 5)], "no valid votes were cast in the contest"),
+        (
+            "plurality",
+            "1/2",
+            [(["A"], 34), (["B"], 33), (["C"], 33)],
+            "no candidate reaches the viability threshold; alternate rules apply",
+        ),
+        (
+            "irv",
+            "2/5",
+            [(["A"], 34), (["B"], 33), (["C"], 33)],
+            "every candidate was eliminated before reaching the viability threshold",
+        ),
+    ],
+    ids=["plurality-blank", "irv-blank", "plurality-none-viable", "irv-all-eliminated"],
+)
+def test_tabulate_unsupported_outcome_exit_3(capsys, tmp_path, style, threshold, ballots, message):
+    election = tmp_path / "election.json"
+    save_election(build_profile(["A", "B", "C"], ballots, threshold, 3, style), election)
+    code, out, err = run(capsys, "tabulate", "--election", str(election))
+    assert (code, out, err) == (3, "", f"unsupported outcome: {message}\n")
+
+
 WELL_TYPED = {
     "candidates": ["A", "B", "C"],
     "threshold": "1/4",
