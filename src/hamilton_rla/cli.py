@@ -1,12 +1,17 @@
 """Command-line interface: tabulate, generate, estimate, audit init/round.
 
 Exit codes: 0 success/confirmed, 2 input error, 3 unsupported outcome
-(no viable candidate), 4 full manual count required, 5 audit escalation
-needed.  All randomness flows from one seed; when ``generate`` is given
-none, a fresh seed is generated and printed.  ``estimate`` draws
-nothing, so it uses no seed and ignores ``--seed``.  With ``--format
-json`` every command writes deterministic JSON (same inputs and seed give
-byte-identical output); timing goes to stderr.
+(no valid votes were cast, no plurality candidate reaches the threshold,
+or instant runoff eliminates every candidate before one reaches it), 4
+full manual count required, 5 audit escalation needed.  The audit sample
+is the only randomness.  ``generate --seed`` sets only the spec's seed,
+``audit init``'s default sampling seed; given none, ``generate`` draws
+one and prints it.  That seed is known before the CVR file is fixed, so
+a sound audit passes ``audit init --seed`` a seed drawn in public once
+the spec and CVR file are published (README gives the order).
+``estimate`` draws nothing, so it uses no seed and ignores ``--seed``.
+With ``--format json`` every command writes deterministic JSON (same
+inputs and seed give byte-identical output); timing goes to stderr.
 
 ``audit init`` recomputes every assertion's margin from the CVR tallies
 before drawing and refuses a spec that states another, or a nonpositive

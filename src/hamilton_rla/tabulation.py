@@ -29,9 +29,7 @@ corresponding allocation assertion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .model import (
     IRV,
@@ -42,18 +40,6 @@ from .model import (
     Round,
     UnsupportedOutcomeError,
 )
-
-
-@dataclass(frozen=True)
-class ViabilityResult:
-    viable: frozenset[str]
-    elimination_order: tuple[str, ...]
-    rounds: tuple[Round, ...]
-    tie_warning: bool
-
-    @property
-    def final_piles(self) -> Mapping[str, int]:
-        return self.rounds[-1].piles
 
 
 def top_remaining(ranking: Ranking, eliminated: frozenset[str] | set[str]) -> str | None:
@@ -123,79 +109,56 @@ def _meets_threshold(tally: int, threshold: Fraction, valid: int) -> bool:
     return tally * threshold.denominator >= threshold.numerator * valid
 
 
-def plurality_viability(profile: ElectionProfile) -> ViabilityResult:
-    """Single-round viability: everyone at or above the cutoff is viable."""
-    if profile.style != PLURALITY:
-        raise ValueError("profile is not a plurality contest")
-    valid = profile.valid_ballots
-    if valid == 0:
-        raise UnsupportedOutcomeError("no valid votes were cast in the contest")
-    piles, exhausted = count_piles(profile, frozenset())
-    viable = frozenset(
-        c for c, tally in piles.items() if _meets_threshold(tally, profile.threshold, valid)
-    )
-    if not viable:
-        raise UnsupportedOutcomeError(
-            "no candidate reaches the viability threshold; alternate rules apply"
-        )
-    return ViabilityResult(viable, (), (Round(piles, exhausted, None),), tie_warning=False)
+def tabulate(profile: ElectionProfile) -> ReportedOutcome:
+    """Full pipeline: viability rounds, then the largest-remainder
+    allocation of the profile's delegates over the viable set.
 
-
-def irv_viability(profile: ElectionProfile) -> ViabilityResult:
-    """Eliminate the lowest pile until all standing candidates clear the cutoff.
-
-    Exactly one candidate leaves per round.  A lowest-tally tie is broken
-    toward the candidate earliest in the roster and flagged, since an
-    exact tie leaves the elimination unauditable (some assertion margin
-    is zero).
+    Each round counts the piles left by the eliminations so far.  A
+    plurality contest stops after its one count: everyone at or above the
+    cutoff is viable.  An instant-runoff contest eliminates the lowest
+    pile, one candidate per round, until every standing candidate clears
+    the cutoff.  A lowest-tally tie is broken toward the candidate
+    earliest in the roster and flagged, since an exact tie leaves the
+    elimination unauditable (some assertion margin is zero).  Each
+    candidate's final tally is their pile when they leave, or in the last
+    round.
     """
-    if profile.style != IRV:
+    if profile.style not in (PLURALITY, IRV):
         raise ValueError("profile is not an instant-runoff contest")
     valid = profile.valid_ballots
     if valid == 0:
         raise UnsupportedOutcomeError("no valid votes were cast in the contest")
-
     eliminated: set[str] = set()
-    order: list[str] = []
     rounds: list[Round] = []
+    final_tally: dict[str, int] = {}
     tie_warning = False
     while True:
-        standing = [c for c in profile.labels if c not in eliminated]
-        if not standing:
+        piles, exhausted = count_piles(profile, eliminated)
+        viable = [c for c, tally in piles.items() if _meets_threshold(tally, profile.threshold, valid)]
+        if profile.style == PLURALITY or len(viable) == len(piles):
+            break
+        lowest = min(piles.values())
+        tied = [c for c, tally in piles.items() if tally == lowest]
+        tie_warning = tie_warning or len(tied) > 1
+        rounds.append(Round(piles, exhausted, tied[0]))
+        final_tally[tied[0]] = lowest
+        eliminated.add(tied[0])
+        if len(piles) == 1:
             raise UnsupportedOutcomeError(
                 "every candidate was eliminated before reaching the viability threshold"
             )
-        piles, exhausted = count_piles(profile, eliminated)
-        if all(_meets_threshold(piles[c], profile.threshold, valid) for c in standing):
-            rounds.append(Round(piles, exhausted, None))
-            return ViabilityResult(frozenset(standing), tuple(order), tuple(rounds), tie_warning)
-        lowest = min(piles[c] for c in standing)
-        tied = [c for c in standing if piles[c] == lowest]
-        if len(tied) > 1:
-            tie_warning = True
-        victim = tied[0]
-        rounds.append(Round(piles, exhausted, victim))
-        eliminated.add(victim)
-        order.append(victim)
+    if not viable:
+        raise UnsupportedOutcomeError(
+            "no candidate reaches the viability threshold; alternate rules apply"
+        )
+    elimination_order = tuple(rnd.eliminated for rnd in rounds)
+    rounds.append(Round(piles, exhausted, None))
+    final_tally.update(piles)
 
-
-def tabulate(profile: ElectionProfile) -> ReportedOutcome:
-    """Full pipeline: viability rounds, then the largest-remainder
-    allocation of the profile's delegates over the viable set."""
-    viability = plurality_viability(profile) if profile.style == PLURALITY else irv_viability(profile)
     delegates = profile.delegates
     if delegates < 1:
         raise ValueError("delegate count must be positive")
-    final_tally: dict[str, int] = {}
-    for rnd in viability.rounds:
-        if rnd.eliminated is not None:
-            final_tally[rnd.eliminated] = rnd.piles[rnd.eliminated]
-    final_tally.update(viability.final_piles)
-
-    viable = [c for c in profile.labels if c in viability.viable]
     qualified = sum(final_tally[c] for c in viable)
-    if qualified == 0:
-        raise UnsupportedOutcomeError("viable candidates hold no ballots")
     proportions = {c: Fraction(final_tally[c], qualified) for c in viable}
     quotas = {c: delegates * proportions[c] for c in viable}
     floors = {c: math.floor(quotas[c]) for c in viable}
@@ -212,9 +175,9 @@ def tabulate(profile: ElectionProfile) -> ReportedOutcome:
         delegates=delegates,
         total_ballots=profile.total_ballots,
         valid_ballots=profile.valid_ballots,
-        viable=viability.viable,
-        elimination_order=viability.elimination_order,
-        rounds=viability.rounds,
+        viable=frozenset(viable),
+        elimination_order=elimination_order,
+        rounds=tuple(rounds),
         final_tally=final_tally,
         qualified_total=qualified,
         proportions=proportions,
@@ -224,5 +187,5 @@ def tabulate(profile: ElectionProfile) -> ReportedOutcome:
         allocation={c: floors[c] + (1 if c in awarded else 0) for c in viable},
         remainder_rank=tuple(ranked),
         tie_flag=tie_flag,
-        viability_tie_warning=viability.tie_warning,
+        viability_tie_warning=tie_warning,
     )

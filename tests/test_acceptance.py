@@ -24,7 +24,7 @@ from hamilton_rla.assertions import (
 from hamilton_rla.cli import main as cli_main
 from hamilton_rla.model import STATUS_COMPLETE, load_election
 from hamilton_rla.risk import estimate_asn, estimate_audit_asn
-from hamilton_rla.tabulation import count_piles, irv_viability
+from hamilton_rla.tabulation import count_piles
 from hamilton_rla.viability import AuditContext, build_audit_spec, gen_irv_viability
 
 TAU = Fraction(3, 20)
@@ -152,7 +152,7 @@ def test_criterion_5_viability_soundness_fuzz():
                 continue
             perturbations_checked += 1
             try:
-                new_viable = irv_viability(perturbed).viable
+                new_viable = tabulate(perturbed).viable
             except UnsupportedOutcomeError:
                 raise AssertionError(
                     f"assertions hold but no candidate viable: {dict(perturbed.rankings)}"

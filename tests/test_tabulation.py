@@ -1,12 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
-from conftest import random_irv_profile, random_plurality_profile
+from conftest import random_irv_profile, random_plurality_profile, scan_piles
 from hamilton_rla import ElectionProfile, UnsupportedOutcomeError, build_profile, tabulate
-from hamilton_rla.tabulation import count_piles, irv_viability, plurality_viability, top_remaining
+from hamilton_rla.tabulation import count_piles, top_remaining
 
 
 def test_top_remaining_transfers():
@@ -17,15 +18,15 @@ def test_top_remaining_transfers():
 
 
 def test_plurality_example(plurality_profile):
-    result = plurality_viability(plurality_profile)
+    result = tabulate(plurality_profile)
     assert result.viable == {"Ann", "Bob"}
     assert result.elimination_order == ()
-    assert result.final_piles == {"Ann": 57532, "Bob": 15630, "Cal": 1600, "Dee": 846}
+    assert result.rounds[-1].piles == {"Ann": 57532, "Bob": 15630, "Cal": 1600, "Dee": 846}
 
 
 def test_plurality_single_candidate_all_votes():
     profile = build_profile(["Solo"], [(["Solo"], 10)], "0.15", 3, "plurality")
-    assert plurality_viability(profile).viable == {"Solo"}
+    assert tabulate(profile).viable == {"Solo"}
 
 
 def test_plurality_candidate_just_below_threshold():
@@ -37,7 +38,7 @@ def test_plurality_candidate_just_below_threshold():
         5,
         "plurality",
     )
-    assert plurality_viability(profile).viable == {"Front"}
+    assert tabulate(profile).viable == {"Front"}
 
 
 def test_plurality_no_viable_candidate_unsupported():
@@ -49,17 +50,17 @@ def test_plurality_no_viable_candidate_unsupported():
         "plurality",
     )
     with pytest.raises(UnsupportedOutcomeError):
-        plurality_viability(profile)
+        tabulate(profile)
 
 
 def test_blank_only_profile_unsupported():
     profile = build_profile(["A"], [([], 5)], "0.15", 1, "plurality")
     with pytest.raises(UnsupportedOutcomeError):
-        plurality_viability(profile)
+        tabulate(profile)
 
 
 def test_irv_example_rounds(irv_profile):
-    result = irv_viability(irv_profile)
+    result = tabulate(irv_profile)
     assert result.elimination_order == ("Cal", "Dee")
     assert result.viable == {"Ann", "Bob"}
     r1, r2, r3 = result.rounds
@@ -85,7 +86,7 @@ def test_irv_immediate_stop_when_all_clear():
         2,
         "irv",
     )
-    result = irv_viability(profile)
+    result = tabulate(profile)
     assert result.elimination_order == ()
     assert result.viable == {"A", "B"}
 
@@ -100,7 +101,7 @@ def test_irv_all_eliminated_unsupported():
         "irv",
     )
     with pytest.raises(UnsupportedOutcomeError):
-        irv_viability(profile)
+        tabulate(profile)
 
 
 def test_irv_lowest_tie_roster_order_and_warning():
@@ -111,30 +112,61 @@ def test_irv_lowest_tie_roster_order_and_warning():
         2,
         "irv",
     )
-    result = irv_viability(profile)
+    result = tabulate(profile)
     assert result.elimination_order[0] == "B"  # tie with C broken toward roster order
-    assert result.tie_warning
+    assert result.viability_tie_warning
+
+
+def _recount(profile):
+    """The viability rounds by hand: each round's piles from ``scan_piles``,
+    or the unsupported outcome's message."""
+    if profile.valid_ballots == 0:
+        return "no valid votes were cast in the contest"
+    rounds, order, tie = [], [], False
+    while True:
+        piles, exhausted = scan_piles(profile, order)
+        if not piles:
+            return "every candidate was eliminated before reaching the viability threshold"
+        viable = {c for c, n in piles.items() if Fraction(n, profile.valid_ballots) >= profile.threshold}
+        if profile.style == "plurality" or len(viable) == len(piles):
+            break
+        victim = min(piles, key=lambda c: (piles[c], profile.labels.index(c)))
+        tie = tie or list(piles.values()).count(piles[victim]) > 1
+        rounds.append((piles, exhausted, victim))
+        order.append(victim)
+    if not viable:
+        return "no candidate reaches the viability threshold; alternate rules apply"
+    return rounds + [(piles, exhausted, None)], tuple(order), viable, tie
 
 
 def test_irv_ballot_conservation_and_monotone_piles():
+    """``tabulate``'s viability rounds, elimination order, viable set and tie
+    warning equal a recount by ``scan_piles``, or both give the same
+    unsupported outcome, on plurality and instant-runoff contests at
+    thresholds from 3/20 to 1.  Piles conserve the valid ballots and only
+    grow from round to round."""
     rng = random.Random(7)
-    for _ in range(60):
-        profile = random_irv_profile(rng)
-        try:
-            result = irv_viability(profile)
-        except UnsupportedOutcomeError:
-            continue
-        valid = profile.valid_ballots
-        previous: dict[str, int] = {}
-        for rnd in result.rounds:
-            assert sum(rnd.piles.values()) + rnd.exhausted == valid
-            for cand, pile in rnd.piles.items():
-                assert pile >= previous.get(cand, 0)
-            previous = dict(rnd.piles)
-            if rnd.eliminated is not None:
-                assert rnd.eliminated == min(
-                    rnd.piles, key=lambda c: (rnd.piles[c], profile.labels.index(c))
-                )
+    seen = Counter()
+    for threshold in (Fraction(3, 20), Fraction(1, 4), Fraction(2, 5), Fraction(1, 2), Fraction(1)):
+        for make in [random_plurality_profile, random_irv_profile] * 64:
+            profile = make(rng, threshold=threshold)
+            expected = _recount(profile)
+            try:
+                outcome = tabulate(profile)
+            except UnsupportedOutcomeError as exc:
+                assert str(exc) == expected
+                seen[expected] += 1
+                continue
+            rounds = [(rnd.piles, rnd.exhausted, rnd.eliminated) for rnd in outcome.rounds]
+            assert (rounds, outcome.elimination_order, outcome.viable, outcome.viability_tie_warning) == expected
+            seen[profile.style, outcome.viability_tie_warning] += 1
+            previous: dict[str, int] = {}
+            for rnd in outcome.rounds:
+                assert sum(rnd.piles.values()) + rnd.exhausted == profile.valid_ballots
+                assert all(pile >= previous.get(cand, 0) for cand, pile in rnd.piles.items())
+                previous = dict(rnd.piles)
+    # plurality, instant runoff with and without a flagged tie, and both unsupported outcomes
+    assert len(seen) == 5 and min(seen.values()) >= 50, seen
 
 
 def test_irv_line_order_does_not_matter():

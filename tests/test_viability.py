@@ -21,7 +21,6 @@ from hamilton_rla import (
 from hamilton_rla.assertions import IrvWins, NonViable, Viable
 from hamilton_rla.model import IRV, PLURALITY, STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
 from hamilton_rla.risk import estimate_asn, estimate_audit_asn
-from hamilton_rla.tabulation import irv_viability
 from hamilton_rla.viability import (
     AltOutcomeNode,
     AuditContext,
@@ -635,7 +634,7 @@ def test_soundness_mini_fuzz():
             if not _spec_holds_on(result.entries, perturbed):
                 continue
             try:
-                new_viable = irv_viability(perturbed).viable
+                new_viable = tabulate(perturbed).viable
             except UnsupportedOutcomeError:
                 raise AssertionError(
                     f"assertions hold but tabulation collapsed: {perturbed.rankings}"
