@@ -163,6 +163,29 @@ def test_integer_literal_too_long_to_parse_exit_2(capsys, tmp_path, command):
     assert "cannot read" in err and "4300 digits" in err
 
 
+@pytest.mark.parametrize("command, what", [
+    ("tabulate", "election file"), ("audit init", "audit spec"), ("audit round", "audit state"),
+])
+def test_deeply_nested_json_exit_2(capsys, tmp_path, command, what):
+    """JSON nested deeper than the parser's recursion limit is a read error
+    (exit 2 and a ``cannot read`` message), not a RecursionError."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000 + "]" * 200000)
+    spec = tmp_path / "spec.json"
+    run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "11", "--out", str(spec))
+    argv = {
+        "tabulate": ["tabulate", "--election", str(deep)],
+        "audit init": ["audit", "init", "--spec", str(deep), "--cvrs", SMALL_CVRS,
+                       "--manifest", str(tmp_path / "round1.csv"), "--state", str(tmp_path / "state.json")],
+        "audit round": ["audit", "round", "--spec", str(spec), "--cvrs", SMALL_CVRS, "--manifest", SMALL_CVRS,
+                        "--interpretations", SMALL_CVRS, "--state", str(deep)],
+    }[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {what} {deep}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("phase", ["init", "round"])
 def test_audit_refuses_partial_cvr_file(capsys, tmp_path, phase):
     spec = tmp_path / "spec.json"
