@@ -11,6 +11,7 @@ from .model import (
     ElectionDataError,
     ElectionProfile,
     ReportedOutcome,
+    RiskParams,
     SpecEntry,
     UnsupportedOutcomeError,
     build_profile,
@@ -19,7 +20,7 @@ from .model import (
     load_election,
     save_audit_spec,
 )
-from .risk import RiskParams, estimate_audit_asn, read_manifest, write_manifest
+from .risk import estimate_audit_asn, read_manifest, write_manifest
 from .tabulation import tabulate
 from .viability import build_audit_spec, build_audit_specs
 

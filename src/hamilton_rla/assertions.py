@@ -44,16 +44,18 @@ An assertion's derived values (``scale``, ``points``, ``other_points``,
 ``max_points``, ``upper_bound``, ``key`` and its ``description``) are
 ``functools.cached_property`` attributes, computed on first read from the
 frozen fields and stored on the object.
+
+This module defines the forms and their scoring, not their JSON: an
+assertion's spec object is written and read by ``model``
+(``assertion_to_dict`` and ``assertion_from_dict``).  The module imports
+nothing from the package at run time, so ``model`` imports it.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import TYPE_CHECKING, ClassVar, Collection, Mapping
-
-from .tabulation import top_remaining
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ElectionProfile, Ranking
@@ -66,8 +68,8 @@ class Assertion:
     integer ``points`` per class with ``other_points`` for every class not
     named there over an even ``scale``, and ``key`` (the canonical identity
     string, which deduplicates spec entries and keys per-assertion audit
-    state), ``description`` (the ``str`` form) and the dict form.  The bound
-    and the margin derive from the points.
+    state) and ``description`` (the ``str`` form).  The bound and the
+    margin derive from the points.
     """
 
     tag: ClassVar[str]
@@ -95,10 +97,15 @@ class Assertion:
         return Fraction(self.max_points, self.scale)
 
     def ballot_points(self, ranking: "Ranking") -> int:
-        """One ballot's assorter value times ``scale``."""
+        """One ballot's assorter value times ``scale``: the points of its first
+        choice not in ``removed``, or of ``None`` when it has none left."""
         if not ranking:  # blank for the contest
             return self.scale // 2
-        return self.points.get(top_remaining(ranking, self.removed(ranking)), self.other_points)
+        removed = self.removed(ranking)
+        for choice in ranking:
+            if choice not in removed:
+                return self.points.get(choice, self.other_points)
+        return self.points.get(None, self.other_points)
 
     def scaled_margin(self, piles: Mapping[str, int], valid: int) -> int:
         """The margin times ``scale`` and the cast-ballot count, from the class
@@ -114,37 +121,6 @@ class Assertion:
 
 def _set_repr(labels: frozenset[str]) -> str:
     return "{" + ",".join(sorted(labels)) + "}"
-
-
-def _label(data: Mapping, field: str) -> str:
-    """A candidate label read from a spec object."""
-    value = data[field]
-    if not isinstance(value, str):
-        raise TypeError(f"{field!r} must be a string, not {value!r}")
-    return value
-
-
-# The forms str(Fraction) writes: "p/q", or "p" for an integer.
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
-def _rational(data: Mapping, field: str) -> Fraction:
-    """An exact rational read from a spec object's string, such as "3/20"."""
-    value = data[field]
-    if isinstance(value, str) and _RATIONAL.fullmatch(value):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise ValueError(f"{field!r} must be a string holding a finite rational p/q, not {value!r}")
-
-
-def _label_set(data: Mapping, field: str) -> frozenset[str]:
-    """A set of candidate labels read from a spec object's list."""
-    value = data[field]
-    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
-        raise TypeError(f"{field!r} must be a list of strings, not {value!r}")
-    return frozenset(value)
 
 
 @dataclass(frozen=True)
@@ -167,18 +143,6 @@ class _ThresholdAssertion(Assertion):
     @cached_property
     def description(self) -> str:
         return f"{type(self).__name__}({self.candidate} | out {_set_repr(self.eliminated)} | t={self.threshold})"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.tag,
-            "winner": self.candidate,
-            "eliminated": sorted(self.eliminated),
-            "t": str(self.threshold),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> Assertion:
-        return cls(_label(data, "winner"), _label_set(data, "eliminated"), _rational(data, "t"))
 
 
 class Viable(_ThresholdAssertion):
@@ -249,18 +213,6 @@ class IrvWins(Assertion):
     def description(self) -> str:
         return f"IrvWins({self.winner} > {self.loser} | out {_set_repr(self.eliminated)})"
 
-    def to_dict(self) -> dict:
-        return {
-            "type": self.tag,
-            "winner": self.winner,
-            "loser": self.loser,
-            "eliminated": sorted(self.eliminated),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> Assertion:
-        return cls(_label(data, "winner"), _label(data, "loser"), _label_set(data, "eliminated"))
-
 
 @dataclass(frozen=True)
 class PairwiseDiff(Assertion):
@@ -301,22 +253,6 @@ class PairwiseDiff(Assertion):
     @cached_property
     def description(self) -> str:
         return f"PairwiseDiff({self.winner} > {self.loser} + {self.offset} | viable {_set_repr(self.viable)})"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": self.tag,
-            "winner": self.winner,
-            "loser": self.loser,
-            "d": str(self.offset),
-            "viable": sorted(self.viable),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> Assertion:
-        return cls(_label(data, "winner"), _label(data, "loser"), _rational(data, "d"), _label_set(data, "viable"))
-
-
-ASSERTION_TYPES: dict[str, type] = {cls.tag: cls for cls in (Viable, NonViable, IrvWins, PairwiseDiff)}
 
 
 @dataclass(frozen=True)

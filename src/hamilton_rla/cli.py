@@ -51,8 +51,7 @@ from typing import Callable, Iterable
 
 from . import model, risk, tabulation, viability
 from .assertions import describe
-from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, UnsupportedOutcomeError
-from .risk import RiskParams
+from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, RiskParams, UnsupportedOutcomeError
 
 EXIT_OK = 0
 EXIT_INPUT = 2

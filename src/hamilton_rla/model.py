@@ -1,5 +1,10 @@
 """Domain types plus file ingestion and serialization.
 
+This module alone writes and reads the audit spec's JSON: its layout,
+each assertion form's spec object (one field table, ``_FIELDS``, that
+``assertion_to_dict`` writes and ``assertion_from_dict`` reads) and the
+risk parameters the spec records (``RiskParams``).
+
 Formats:
 
 * Election JSON: ``{"candidates": [...], "threshold": "15/100",
@@ -11,11 +16,11 @@ Formats:
 * Audit-spec JSON (schema 3, ``SPEC_SCHEMA_VERSION``): the schema
   version, level, status and ballot count at top level, ``metadata``
   (``alpha``, ``gamma``, ``error_rate`` and the sampling seed), and
-  one object per assertion holding the assertion, its exact margin and its
-  ``eae``; exact rationals are serialized as ``p/q`` strings so a
-  save/load round trip is the identity.  The assorter's upper bound
-  follows from the assertion and its mean from the margin, so neither is
-  stored.
+  one object per assertion holding the assertion's ``type`` tag and
+  fields, its exact margin and its ``eae``; exact rationals are
+  serialized as ``p/q`` strings so a save/load round trip is the
+  identity.  The assorter's upper bound follows from the assertion and
+  its mean from the margin, so neither is stored.
 
 Every JSON document written (specs, outcomes, audit states, reports) has
 one canonical layout: sorted keys, two-space indent, non-ASCII escaped and
@@ -38,11 +43,9 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .assertions import Assertion
-    from .risk import RiskParams
+from .assertions import Assertion, IrvWins, NonViable, PairwiseDiff, Viable
 
 PLURALITY = "plurality"
 IRV = "irv"
@@ -162,6 +165,22 @@ class SpecEntry:
 
 
 @dataclass(frozen=True)
+class RiskParams:
+    alpha: float = 0.05
+    gamma: float = 1.1
+    error_rate: float = 0.002
+    seed: int = 1
+
+    def __post_init__(self) -> None:
+        if not 0 < self.alpha < 1:
+            raise ValueError(f"alpha {self.alpha} outside (0, 1)")
+        if not 1 < self.gamma < math.inf:  # NaN too: every comparison with it fails
+            raise ValueError(f"gamma {self.gamma} must be a finite number above 1")
+        if not 0 <= self.error_rate < 1:
+            raise ValueError(f"error rate {self.error_rate} outside [0, 1)")
+
+
+@dataclass(frozen=True)
 class AuditSpec:
     entries: tuple[SpecEntry, ...]
     level: int
@@ -230,8 +249,7 @@ def _check_header(
             )
     if len(set(labels)) != len(labels):
         raise ElectionDataError("duplicate candidate label in roster")
-    if style not in STYLES:
-        raise ElectionDataError(f"unknown style {style!r} (expected one of {STYLES})")
+    _check_style(style)
     tau = threshold if isinstance(threshold, Fraction) else parse_proportion(threshold)
     if not 0 < tau <= 1:
         raise ElectionDataError(f"threshold {tau} outside (0, 1]")
@@ -240,6 +258,12 @@ def _check_header(
     if delegates > sys.float_info.max:  # a quota is reported as a float too
         raise ElectionDataError(f"delegate count exceeds {sys.float_info.max:.4g}, the largest quota a float holds")
     return labels, tau
+
+
+def _check_style(style: str) -> None:
+    """Refuse a style other than plurality or instant runoff."""
+    if style not in STYLES:
+        raise ElectionDataError(f"unknown style {style!r} (expected one of {STYLES})")
 
 
 def _merge_entries(
@@ -342,13 +366,13 @@ def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
 
 
 def load_json(path: str | Path, what: str) -> object:
-    """A JSON document read through ``open_input``.  Malformed JSON and an
-    integer literal longer than ``int`` parses (4,300 digits) are read
-    errors too."""
+    """A JSON document read through ``open_input``.  Malformed JSON, an
+    integer literal longer than ``int`` parses (4,300 digits) and nesting
+    deeper than the parser's recursion limit are read errors too."""
     with open_input(path, what) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ElectionDataError(f"cannot read {what} {path}: {exc}") from None
 
 
@@ -448,14 +472,71 @@ def parse_ranking_cell(cell: str, where: str = "ranking", cells: dict[str, Ranki
 # ---------------------------------------------------------------------------
 # Audit-spec serialization
 
-def assertion_from_dict(data: dict) -> Assertion:
-    # imported here: assertions imports tabulation, which imports this module
-    from .assertions import ASSERTION_TYPES
+def _label(data: Mapping, field: str) -> str:
+    """A candidate label read from a spec object."""
+    value = data[field]
+    if not isinstance(value, str):
+        raise TypeError(f"{field!r} must be a string, not {value!r}")
+    return value
 
+
+# The forms str(Fraction) writes: "p/q", or "p" for an integer.
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
+def _rational(data: Mapping, field: str) -> Fraction:
+    """An exact rational read from a spec object's string, such as "3/20"."""
+    value = data[field]
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{field!r} must be a string holding a finite rational p/q, not {value!r}")
+
+
+def _label_set(data: Mapping, field: str) -> frozenset[str]:
+    """A set of candidate labels read from a spec object's list."""
+    value = data[field]
+    if not isinstance(value, list) or not all(isinstance(label, str) for label in value):
+        raise TypeError(f"{field!r} must be a list of strings, not {value!r}")
+    return frozenset(value)
+
+
+# How each reader's value is written: a label as itself, a label set as a
+# sorted list and a rational as its "p/q" string.
+_WRITERS: dict[Callable, Callable] = {_label: str, _label_set: sorted, _rational: str}
+
+# Each assertion form's JSON fields besides "type", in constructor order:
+# the field, the attribute it holds and its reader.
+_FIELDS: dict[type, tuple[tuple[str, str, Callable], ...]] = {
+    Viable: (("winner", "candidate", _label), ("eliminated", "eliminated", _label_set), ("t", "threshold", _rational)),
+    IrvWins: (("winner", "winner", _label), ("loser", "loser", _label), ("eliminated", "eliminated", _label_set)),
+    PairwiseDiff: (
+        ("winner", "winner", _label), ("loser", "loser", _label), ("d", "offset", _rational),
+        ("viable", "viable", _label_set),
+    ),
+}
+_FIELDS[NonViable] = _FIELDS[Viable]
+
+_FORMS = {cls.tag: cls for cls in _FIELDS}
+
+
+def assertion_to_dict(assertion: Assertion) -> dict:
+    """An assertion's spec object: its form's ``type`` tag and its fields."""
+    data = {"type": assertion.tag}
+    for field, attr, read in _FIELDS[type(assertion)]:
+        data[field] = _WRITERS[read](getattr(assertion, attr))
+    return data
+
+
+def assertion_from_dict(data: dict) -> Assertion:
+    """The assertion a spec object holds, its fields read and checked in
+    order, so that the first faulty field is the one named."""
     try:
-        cls = ASSERTION_TYPES.get(data["type"])
+        cls = _FORMS.get(data["type"])
         if cls is not None:
-            return cls.from_dict(data)
+            return cls(*[read(data, field) for field, _, read in _FIELDS[cls]])
     except (KeyError, ValueError, TypeError) as exc:
         raise ElectionDataError(f"bad assertion object {data!r}: {exc}") from None
     raise ElectionDataError(f"unknown assertion type tag {data.get('type')!r}")
@@ -499,16 +580,13 @@ def audit_spec_to_dict(spec: AuditSpec) -> dict:
             "seed": spec.params.seed,
         },
         "assertions": [
-            dict(e.assertion.to_dict(), margin=str(e.margin), eae=_eae_to_json(e.eae))
+            dict(assertion_to_dict(e.assertion), margin=str(e.margin), eae=_eae_to_json(e.eae))
             for e in spec.entries
         ],
     }
 
 
 def audit_spec_from_dict(data: dict) -> AuditSpec:
-    from .assertions import _rational  # see assertion_from_dict
-    from .risk import RiskParams
-
     if not isinstance(data, dict):
         raise ElectionDataError("audit spec must be a JSON object")
     version = data.get("schema_version")

@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .assertions import Assertion
-from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, Ranking, open_input
+from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, Ranking, RiskParams, open_input
 
 FULL_COUNT = math.inf
 
@@ -60,22 +60,6 @@ UNDERSTATEMENT = "understatement"
 
 class CannotAuditError(ValueError):
     """Raised when asked to measure risk for a nonpositive margin."""
-
-
-@dataclass(frozen=True)
-class RiskParams:
-    alpha: float = 0.05
-    gamma: float = 1.1
-    error_rate: float = 0.002
-    seed: int = 1
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha {self.alpha} outside (0, 1)")
-        if not 1 < self.gamma < math.inf:  # NaN too: every comparison with it fails
-            raise ValueError(f"gamma {self.gamma} must be a finite number above 1")
-        if not 0 <= self.error_rate < 1:
-            raise ValueError(f"error rate {self.error_rate} outside [0, 1)")
 
 
 @dataclass(frozen=True)

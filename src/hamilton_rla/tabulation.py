@@ -31,23 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .model import (
-    IRV,
-    PLURALITY,
-    ElectionProfile,
-    Ranking,
-    ReportedOutcome,
-    Round,
-    UnsupportedOutcomeError,
-)
-
-
-def top_remaining(ranking: Ranking, eliminated: frozenset[str] | set[str]) -> str | None:
-    """First choice on the ballot not yet eliminated; None when exhausted or blank."""
-    for choice in ranking:
-        if choice not in eliminated:
-            return choice
-    return None
+from .model import PLURALITY, ElectionProfile, ReportedOutcome, Round, UnsupportedOutcomeError, _check_style
 
 
 def _grow(node: list, depth: int, pending: list) -> None:
@@ -121,10 +105,9 @@ def tabulate(profile: ElectionProfile) -> ReportedOutcome:
     earliest in the roster and flagged, since an exact tie leaves the
     elimination unauditable (some assertion margin is zero).  Each
     candidate's final tally is their pile when they leave, or in the last
-    round.
+    round.  Any other style is refused as ``build_profile`` refuses it.
     """
-    if profile.style not in (PLURALITY, IRV):
-        raise ValueError("profile is not an instant-runoff contest")
+    _check_style(profile.style)
     valid = profile.valid_ballots
     if valid == 0:
         raise UnsupportedOutcomeError("no valid votes were cast in the contest")

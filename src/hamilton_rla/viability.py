@@ -91,16 +91,17 @@ from .assertions import (
 )
 from .delegates import gen_delegate_assertions
 from .model import (
-    IRV,
     PLURALITY,
     STATUS_COMPLETE,
     STATUS_FULL_COUNT,
     AuditSpec,
     ElectionProfile,
     ReportedOutcome,
+    RiskParams,
     SpecEntry,
+    _check_style,
 )
-from .risk import RiskParams, estimate_asn
+from .risk import estimate_asn
 from .tabulation import count_piles
 
 
@@ -430,8 +431,6 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
     the result is not ``closed``, keeps the reductions alone, and its
     ``FAIL`` line names the maximin path.
     """
-    if ctx.profile.style != IRV:
-        raise ValueError("IRV viability applies to instant-runoff contests")
     winners, losers, reductions = compute_W_L(ctx)
     log = [f"definite viable W = {sorted(winners)}; never viable L = {sorted(losers)}"]
     log += [_line("reduction: ", entry) for entry in reductions]
@@ -497,8 +496,6 @@ def gen_plurality_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Gene
     needed.  At threshold 1 no non-viability assertion exists, so the
     result is not ``closed`` when some candidate was not reported viable.
     """
-    if ctx.profile.style != PLURALITY:
-        raise ValueError("plurality generation applies to plurality contests")
     tau = ctx.threshold
     entries: list[SpecEntry] = []
     log: list[str] = []
@@ -539,6 +536,7 @@ def build_audit_specs(
     count.  Each level's log ends with its own ``status: …; assertions:
     N`` line, giving that level's status and entry count.
     """
+    _check_style(profile.style)
     if any(level not in (1, 2, 3) for level in levels):
         raise ValueError("audit level must be 1, 2 or 3")
     ctx = AuditContext(profile, params)

@@ -12,7 +12,7 @@ from hamilton_rla import ElectionProfile, PairwiseDiff, ReportedOutcome, build_p
 from hamilton_rla.delegates import LEVEL_SLACK
 from hamilton_rla.model import write_json
 from hamilton_rla.risk import RiskState, _log_factors
-from hamilton_rla.tabulation import count_piles, top_remaining
+from hamilton_rla.tabulation import count_piles
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,6 +126,11 @@ def random_irv_profile(
     return build_profile(labels, ballots, threshold, delegates or rng.randint(1, 8), "irv")
 
 
+def top_choice(ranking, eliminated):
+    """The ballot's first choice not in ``eliminated``; None when it has none."""
+    return next((choice for choice in ranking if choice not in eliminated), None)
+
+
 def scan_piles(profile: ElectionProfile, eliminated) -> tuple[dict[str, int], int]:
     """The reference tally: each non-blank ranking's top standing choice."""
     piles = {c: 0 for c in profile.labels if c not in eliminated}
@@ -133,7 +138,7 @@ def scan_piles(profile: ElectionProfile, eliminated) -> tuple[dict[str, int], in
     for ranking, count in profile.rankings.items():
         if not ranking:
             continue
-        top = top_remaining(ranking, eliminated)
+        top = top_choice(ranking, eliminated)
         if top is None:
             exhausted += count
         else:

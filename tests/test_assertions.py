@@ -14,7 +14,7 @@ from hamilton_rla.assertions import (
     describe,
     margin,
 )
-from hamilton_rla.model import assertion_from_dict
+from hamilton_rla.model import assertion_from_dict, assertion_to_dict
 from hamilton_rla.tabulation import count_piles
 from hamilton_rla.viability import AuditContext
 
@@ -126,7 +126,7 @@ DESCRIPTIONS = [
 def test_descriptions_are_pinned(assertion, text):
     """Built directly or read back from its dict form, an assertion reads the
     same through ``str``, ``describe`` and ``description``."""
-    for a in (assertion, assertion_from_dict(assertion.to_dict())):
+    for a in (assertion, assertion_from_dict(assertion_to_dict(assertion))):
         assert str(a) == describe(a) == a.description == text
 
 
@@ -134,8 +134,8 @@ def test_descriptions_are_pinned(assertion, text):
 def test_derived_values_are_computed_once(assertion, text):
     """A second read of a derived value returns the object the first read
     cached, equal to what a fresh instance computes."""
-    a = assertion_from_dict(assertion.to_dict())
-    fresh = assertion_from_dict(assertion.to_dict())
+    a = assertion_from_dict(assertion_to_dict(assertion))
+    fresh = assertion_from_dict(assertion_to_dict(assertion))
     for name in ("description", "key", "scale", "points", "other_points", "max_points", "upper_bound"):
         first = getattr(a, name)
         assert getattr(a, name) is first, name

@@ -1,5 +1,5 @@
 """Pile counts walked through the ranking tree, which grows as tallies walk
-down it, equal a scan of every distinct ranking with ``top_remaining``.
+down it, equal a scan of every distinct ranking with ``conftest.top_choice``.
 The hypothesis-drawn profiles are in ``test_ranking_tree_fuzz.py``."""
 import copy
 import random

@@ -1,5 +1,5 @@
 """Property tests: the ranking tree's tallies equal a scan of every distinct
-ranking with ``top_remaining`` on hypothesis-drawn profiles, whatever order
+ranking with ``conftest.top_choice`` on hypothesis-drawn profiles, whatever order
 the elimination sets are tallied in."""
 from fractions import Fraction
 

@@ -1,20 +1,34 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from conftest import random_irv_profile, random_plurality_profile, scan_piles
-from hamilton_rla import ElectionProfile, UnsupportedOutcomeError, build_profile, tabulate
-from hamilton_rla.tabulation import count_piles, top_remaining
+from hamilton_rla import (
+    ElectionDataError,
+    ElectionProfile,
+    PairwiseDiff,
+    UnsupportedOutcomeError,
+    build_audit_specs,
+    build_profile,
+    tabulate,
+)
+from hamilton_rla.tabulation import count_piles
 
 
 def test_top_remaining_transfers():
-    assert top_remaining(("Cal", "Bob"), {"Cal"}) == "Bob"
-    assert top_remaining(("Cal",), {"Cal"}) is None
-    assert top_remaining(("Ann", "Dee"), set()) == "Ann"
-    assert top_remaining((), set()) is None
+    """A ballot is scored by its first choice left standing.  With ``Cal``
+    outside the viable set, ``PairwiseDiff`` gives ``Bob`` 6 points, ``Ann`` 0,
+    another viable candidate 3, and a ballot with no choice left 4 (1/2),
+    as it does a blank."""
+    assertion = PairwiseDiff("Bob", "Ann", Fraction(1, 3), frozenset({"Ann", "Bob", "Dee"}))
+    assert assertion.ballot_points(("Cal", "Bob")) == 6  # a transfer past an eliminated choice
+    assert assertion.ballot_points(("Cal",)) == 4  # exhausted
+    assert assertion.ballot_points(("Ann", "Dee")) == 0  # nothing eliminated ahead of the first choice
+    assert assertion.ballot_points(()) == 4  # blank
 
 
 def test_plurality_example(plurality_profile):
@@ -57,6 +71,24 @@ def test_blank_only_profile_unsupported():
     profile = build_profile(["A"], [([], 5)], "0.15", 1, "plurality")
     with pytest.raises(UnsupportedOutcomeError):
         tabulate(profile)
+
+
+BORDA = ElectionProfile(("A", "B"), {("A",): 3}, Fraction(1, 10), 2, "borda")
+
+
+@pytest.mark.parametrize("entry_point", ["build_profile", "tabulate", "build_audit_specs"])
+def test_unknown_style_one_message(entry_point):
+    """A style other than plurality or instant runoff is refused in the same
+    words by the loader and, for a directly built profile, by both exported
+    entry points that take one."""
+    refuse = {
+        "build_profile": lambda: build_profile(BORDA.labels, [(["A"], 3)], BORDA.threshold, 2, BORDA.style),
+        "tabulate": lambda: tabulate(BORDA),
+        "build_audit_specs": lambda: build_audit_specs(BORDA, tabulate(replace(BORDA, style="plurality")), (1,)),
+    }[entry_point]
+    with pytest.raises(ElectionDataError) as info:
+        refuse()
+    assert str(info.value) == "unknown style 'borda' (expected one of ('plurality', 'irv'))"
 
 
 def test_irv_example_rounds(irv_profile):
