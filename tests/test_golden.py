@@ -2,7 +2,11 @@
 log for every ``tests/data`` election at levels 1-3, seeds 1 and 7 and
 error rates 0.002 and 0.02, and for the ten-candidate cyclic contest
 (``ten_cyclic``, the benchmark's large search) at levels 1 and 3, seed 1
-and error rate 0.002.
+and error rate 0.002.  The benchmark shuffles that contest's roster, and
+roster order decides ties and the order of the search's steps, so
+``ten_cyclic_shuffled`` pins it at level 3 under one seeded shuffle of the
+roster.  ``test_bytes_do_not_depend_on_the_hash_seed`` runs that case in
+fresh interpreters under two hash seeds and requires the same bytes.
 
 A refactor must leave every byte of these outputs unchanged.  A change that
 moves numbers on purpose (normalising margins by the upper bound, or the
@@ -34,6 +38,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,7 +54,7 @@ ELECTIONS = ("election_irv", "election_plurality", "election_small")
 CASES = [
     (election, level, seed, rate)
     for election in ELECTIONS for level in (1, 2, 3) for seed in (1, 7) for rate in ("0.002", "0.02")
-] + [("ten_cyclic", level, 1, "0.002") for level in (1, 3)]
+] + [("ten_cyclic", level, 1, "0.002") for level in (1, 3)] + [("ten_cyclic_shuffled", 3, 1, "0.002")]
 
 # "election/level/seed/error rate": (SHA-256 of the spec, SHA-256 of the proof log)
 GOLDEN = {
@@ -202,17 +210,25 @@ GOLDEN = {
         "cd3d8dfb7abfdf4b0ba68d327e1898f3d584f0c16147678d2d181d2705d60cad",
         "3109b17b684f96678ab8b33c355490e6718e26cac3e54f5da006381e3239cc8d",
     ),
+    "ten_cyclic_shuffled/3/1/0.002": (
+        "faa9a0a176a72789ce9038a694c04e698670ee16fd7307f6d9867fbdc31a859b",
+        "292b9482c0eb60daba85b2c78a5059f8c6967cf1a3edf0a84ffea1b3747339d4",
+    ),
 }
 
 
 def _election_file(election: str, directory: Path) -> Path:
-    """A ``tests/data`` election, or ``ten_cyclic`` written to ``directory``."""
-    if election != "ten_cyclic":
+    """A ``tests/data`` election, or ``ten_cyclic`` (its roster shuffled
+    with seed 5 for ``ten_cyclic_shuffled``) written to ``directory``."""
+    if not election.startswith("ten_cyclic"):
         return DATA / f"{election}.json"
     profile = cyclic_contest(TEN_STRENGTHS)
-    path = directory / "ten_cyclic.json"
+    roster = list(profile.labels)
+    if election == "ten_cyclic_shuffled":
+        random.Random(5).shuffle(roster)
+    path = directory / f"{election}.json"
     path.write_text(json.dumps({
-        "candidates": list(profile.labels),
+        "candidates": roster,
         "threshold": str(profile.threshold),
         "delegates": profile.delegates,
         "style": profile.style,
@@ -315,6 +331,28 @@ def _reports(election: str, directory: Path) -> dict[str, str]:
 @pytest.mark.parametrize("case", CASES, ids=lambda case: "/".join(map(str, case)))
 def test_generate_bytes_are_pinned(case, tmp_path):
     assert _generate(*case, tmp_path) == GOLDEN["/".join(map(str, case))]
+
+
+def test_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """``python -m hamilton_rla generate --level 3 --proof-log`` on the
+    shuffled ``ten_cyclic`` writes the same spec and proof log under
+    ``PYTHONHASHSEED`` 0 and 1: no set or dict iteration order reaches
+    the bytes."""
+    election = _election_file("ten_cyclic_shuffled", tmp_path)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        spec, log = tmp_path / f"spec{hash_seed}.json", tmp_path / f"proof{hash_seed}.log"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-m", "hamilton_rla", "generate", "--election", str(election), "--level", "3",
+             "--seed", "1", "--out", str(spec), "--proof-log", str(log)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.append((spec.read_bytes(), log.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_audit_bytes_are_pinned(tmp_path):

@@ -861,6 +861,39 @@ def test_root_picks_what_cheapest_picks_from_every_option():
     assert viable_ties > 50 and nonviable_ties > 50
 
 
+def test_each_real_root_is_what_cheapest_makes_of_its_full_option_list():
+    """Over a few hundred seeded contests and ``ten_cyclic``, every root the
+    search makes (each alternative viable set, and the empty set when no
+    candidate is definitely viable) gets from ``best_root_assertion`` the
+    pick and ``eae`` that ``_cheapest`` gives its full option list
+    (``_root_options``): every outsider's ``Viable`` over the empty set and
+    every member's ``NonViable`` over the real set of outsiders, each
+    scored on its own piles.  Some roots' largest margins tie, so the tie
+    rule is tested on real roots too."""
+    rng = random.Random(47)
+    profiles = [cyclic_contest(TEN_STRENGTHS)] + [
+        random_irv_profile(rng, max_candidates=7, max_ballots=rng.choice([60, 300]),
+                           threshold=rng.choice([TAU, Fraction(1, 4), Fraction(1, 3)]))
+        for _ in range(300)
+    ]
+    roots = ties = 0
+    for profile in profiles:
+        try:
+            outcome = tabulate(profile)
+        except UnsupportedOutcomeError:
+            continue
+        ctx = AuditContext(profile, RiskParams(error_rate=rng.choice([0.0, 0.002]), seed=1))
+        winners, losers, _ = compute_W_L(ctx)
+        vsets = enumerate_alt_sets(ctx.labels, winners, losers, max_viable(ctx.threshold), outcome.viable)
+        for vset in vsets + ([] if winners else [frozenset()]):
+            options = _root_options(vset, ctx)
+            assert best_root_assertion(vset, ctx) == _cheapest(options, ctx), (profile, vset)
+            margins = list(map(ctx_margin(ctx), options))
+            ties += margins.count(max(margins)) > 1
+            roots += 1
+    assert roots > 2000 and ties > 200, (roots, ties)
+
+
 def _tie_heavy_contest(rng):
     """A small ring contest at threshold 1/4 whose candidates hold a few
     equal first-preference piles, some passing part of their votes on.
