@@ -36,14 +36,18 @@ under every assertion.  The four forms, with ``t = p/q`` and ``d = r/s``:
 The rest derives from the points: ``upper_bound`` is the most points over
 the scale, and ``scaled_margin`` (the margin times the scale and the
 number of cast ballots) sums ``2*points - scale`` over the class tallies,
-so the assertion holds exactly when it is positive.  The functions at the
-end of the module score one ballot at a time: the exact reference the
-tally path is tested against.
+so the assertion holds exactly when it is positive.  That sum is a linear
+form, derived once per assertion as ``margin_terms``: a constant
+``2*other_points - scale`` per valid ballot plus ``2*(points -
+other_points)`` per ballot of each named class.  ``scaled_margin``
+evaluates it on the tallies, and the IRV search evaluates the same terms
+on each option's piles.  The functions at the end of the module score one
+ballot at a time: the exact reference the tally path is tested against.
 
 An assertion's derived values (``scale``, ``points``, ``other_points``,
-``max_points``, ``upper_bound``, ``key`` and its ``description``) are
-``functools.cached_property`` attributes, computed on first read from the
-frozen fields and stored on the object.
+``max_points``, ``upper_bound``, ``margin_terms``, ``key`` and its
+``description``) are ``functools.cached_property`` attributes, computed on
+first read from the frozen fields and stored on the object.
 
 This module defines the forms and their scoring, not their JSON: an
 assertion's spec object is written and read by ``model``
@@ -107,15 +111,22 @@ class Assertion:
                 return self.points.get(choice, self.other_points)
         return self.points.get(None, self.other_points)
 
+    @cached_property
+    def margin_terms(self) -> tuple[int, Mapping[str | None, int]]:
+        """``scaled_margin`` as a linear form: the coefficient of the
+        valid-ballot count, ``2*other_points - scale``, and each named
+        class's coefficient of its tally, ``2*(points - other_points)``."""
+        other = self.other_points
+        return 2 * other - self.scale, {cls: 2 * (points - other) for cls, points in self.points.items()}
+
     def scaled_margin(self, piles: Mapping[str, int], valid: int) -> int:
         """The margin times ``scale`` and the cast-ballot count, from the class
         tallies (the piles of the standing candidates after ``removed``) and
         the valid-ballot count; blanks add nothing."""
-        other = self.other_points
-        margin = (2 * other - self.scale) * valid
-        for cls, points in self.points.items():
-            tally = valid - sum(piles.values()) if cls is None else piles[cls]
-            margin += 2 * (points - other) * tally
+        constant, coefficients = self.margin_terms
+        margin = constant * valid
+        for cls, coefficient in coefficients.items():
+            margin += coefficient * (valid - sum(piles.values()) if cls is None else piles[cls])
         return margin
 
 

@@ -54,15 +54,15 @@ an entry or the delegate allocation cannot be audited.
 
 Each edge gets the option of largest margin, the first of equal ones,
 and only that one is estimated: an estimate depends only on the margin
-and never rises with it (``risk.estimate_asn``).  A margin never reads the
-eliminated set, so one assertion per form and candidates over the empty
-set scores every option, on the option's piles.  A step's options are
-``Viable(c, rest)``, then ``IrvWins(c, o, rest)`` for each standing ``o``
-in roster order, where ``rest = U - {c}`` is its target's set.  Each
-state keeps its set, piles and standing candidates stably sorted by pile;
-only the first sorted ``IrvWins`` can beat the others, so the step weighs
-it against the ``Viable`` and keeps the loser it picked, if any.  An
-edge's assertion is built only when the cut takes it.
+and never rises with it (``risk.estimate_asn``).  Margins are linear
+forms, derived once from each form's points, that read no eliminated set
+and are evaluated on each step's and root's piles (``AuditContext``).
+A step's options are ``Viable(c, rest)``, then ``IrvWins(c, o, rest)``
+for each standing ``o`` in roster order, where ``rest = U - {c}`` is its
+target's set.  Each state keeps its set, piles and standing candidates
+stably sorted by pile; only the first sorted ``IrvWins`` can beat the
+others, so the step weighs it against the ``Viable`` and keeps the loser
+it picked, if any.  An edge's assertion is built only when the cut takes it.
 
 Each set is one ``AltOutcomeNode``, linked only to the sets its steps
 reach, and the flow's residual graph lives in flat integer lists, so no
@@ -77,8 +77,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .assertions import (
@@ -114,20 +114,22 @@ def max_viable(threshold: Fraction) -> int:
 
 class AuditContext:
     """Per-profile caches: piles by elimination set, effort by margin, and
-    each candidate's ``Viable`` over the empty set scored on the first
-    preferences.
+    the margin terms of the search's options.
 
     Every tally-based answer starts from ``piles``: an assertion's classes
     are the piles of the candidates left standing once its ``removed`` set
     is eliminated, plus the ballots that exhaust.  Their integer
     ``scaled_margin`` gives by its sign whether the assertion holds, and
-    the float margin of the estimates by one division, rounded as ``float``
-    of the exact margin is; only ``exact_margin`` builds a fraction.
+    the float margin of the estimates by one division by ``_denominator``,
+    rounded as ``float`` of the exact margin is; only ``exact_margin``
+    builds a fraction.
 
-    The search's options are scored by one ``Viable`` and ``NonViable`` per
-    candidate and one ``IrvWins`` per pair, all over the empty set, on each
-    option's own piles; only the options that reach the spec become
-    assertions.
+    A margin is a linear form of the piles, derived once from the points
+    (``Assertion.margin_terms``), that never reads the eliminated set.  So
+    the terms of one ``Viable`` and ``NonViable`` per candidate and of one
+    ``IrvWins`` by role (the same for every pair) are read once, and the
+    search evaluates them on each option's own piles; only the options
+    that reach the spec become assertions.
     """
 
     def __init__(self, profile: ElectionProfile, params: RiskParams | None = None):
@@ -137,11 +139,11 @@ class AuditContext:
         self.valid = profile.valid_ballots
         self.threshold = tau = profile.threshold
         self.labels = labels = profile.labels
-        self._viable = {c: Viable(c, frozenset(), tau) for c in labels}
-        self._nonviable = {c: NonViable(c, frozenset(), tau) for c in labels} if tau < 1 else {}
-        self._wins: dict[tuple[str, str], Assertion] = {}  # built on first use: an audit's context needs none
         self._piles: dict[frozenset[str], dict[str, int]] = {}
         self._eae: dict[float, float] = {}
+        self._viable = {c: self._terms(Viable(c, frozenset(), tau), c) for c in labels}
+        self._nonviable = {c: self._terms(NonViable(c, frozenset(), tau), c) for c in labels} if tau < 1 else {}
+        self._wins = self._terms(IrvWins("winner", "loser", frozenset()), "winner", "loser")
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
         cached = self._piles.get(eliminated)
@@ -150,21 +152,23 @@ class AuditContext:
             self._piles[eliminated] = cached
         return cached
 
-    def _margins(self, assertion: Assertion, piles: dict[str, int] | None = None) -> tuple[int, float]:
-        """The integer margin and the float margin it gives, on ``piles`` if given."""
-        piles = self.piles(assertion.removed(self.labels)) if piles is None else piles
-        scaled = assertion.scaled_margin(piles, self.valid)
-        return scaled, scaled / (self.total * assertion.scale)
+    def _denominator(self, assertion: Assertion) -> int:
+        """What divides the integer margin to give the margin: the cast ballots times the scale."""
+        return self.total * assertion.scale
+
+    def _terms(self, form: Assertion, *named: str) -> tuple[int, ...]:
+        """``form``'s constant times the valid-ballot count, the ``named`` piles' coefficients, its denominator."""
+        constant, coefficients = form.margin_terms
+        return constant * self.valid, *map(coefficients.__getitem__, named), self._denominator(form)
+
+    def _margins(self, assertion: Assertion) -> tuple[int, float]:
+        """The integer margin and the float margin it gives."""
+        scaled = assertion.scaled_margin(self.piles(assertion.removed(self.labels)), self.valid)
+        return scaled, scaled / self._denominator(assertion)
 
     def exact_margin(self, assertion: Assertion) -> Fraction:
         """The exact assorter margin over every cast ballot."""
-        return Fraction(self._margins(assertion)[0], self.total * assertion.scale)
-
-    @cached_property
-    def _first_scores(self) -> dict[str, tuple[int, float]]:
-        """Each candidate's ``Viable`` over the empty set, scored on the first preferences."""
-        piles = self.piles(frozenset())
-        return {c: self._margins(form, piles) for c, form in self._viable.items()}
+        return Fraction(self._margins(assertion)[0], self._denominator(assertion))
 
     def _effort(self, margin: float) -> float:
         """The estimated sample size, computed once per distinct margin."""
@@ -176,7 +180,14 @@ class AuditContext:
 
     def entry(self, assertion: Assertion) -> SpecEntry:
         scaled, margin = self._margins(assertion)
-        return SpecEntry(assertion, Fraction(scaled, self.total * assertion.scale), self._effort(margin))
+        return SpecEntry(assertion, Fraction(scaled, self._denominator(assertion)), self._effort(margin))
+
+
+def _score(terms: tuple[int, int, int], pile: int) -> tuple[int, float]:
+    """A ``Viable`` or ``NonViable`` option's integer and float margins on its candidate's pile."""
+    constant, coefficient, denominator = terms
+    scaled = constant + coefficient * pile
+    return scaled, scaled / denominator
 
 
 def compute_W_L(ctx: AuditContext) -> tuple[frozenset[str], frozenset[str], tuple[SpecEntry, ...]]:
@@ -192,7 +203,7 @@ def compute_W_L(ctx: AuditContext) -> tuple[frozenset[str], frozenset[str], tupl
         """The assertions that hold at a finite estimate, in order."""
         return [a for a in assertions if not math.isinf(_cheapest([a], ctx)[1])]
 
-    reductions = affordable(ctx._viable.values())
+    reductions = affordable(Viable(c, frozenset(), tau) for c in ctx.labels)
     winners = frozenset(a.candidate for a in reductions)
     if tau < 1:
         others = frozenset(ctx.labels) - winners
@@ -224,32 +235,20 @@ def enumerate_alt_sets(
     return out
 
 
-def _larger(scored: tuple[int, float], rival: tuple[int, float]) -> tuple[int, float]:
-    """Of two options scored ``(integer margin, float margin)``, the one
-    picked: ``rival`` iff its float margin is larger."""
-    return rival if rival[1] > scored[1] else scored
-
-
-def _eae(scored: tuple[int, float], ctx: AuditContext) -> float:
-    """A pick's ``eae``: estimated if it holds (its integer margin is positive), else inf."""
-    return ctx._effort(scored[1]) if scored[0] > 0 else math.inf
-
-
 def _cheapest(
     options: Sequence[Assertion], ctx: AuditContext, scored: Sequence[tuple[int, float]] | None = None
 ) -> tuple[Assertion | None, float]:
-    """The option of largest margin (the first of equal margins, as
-    ``_larger`` rules) and its ``eae``; ``(None, inf)`` when it does not
-    hold or there is no option.
+    """The option of largest float margin (the first of equal margins) and
+    its ``eae``; ``(None, inf)`` when it does not hold (its integer margin
+    is not positive) or there is no option.
 
     ``eae`` never rises with the margin, so no other option is cheaper,
     and only the pick is estimated.  Each option's margins are computed
-    once, unless ``scored`` gives them: the pick's integer margin says
-    whether it holds, and its float margin gives the estimate.
+    once, unless ``scored`` gives them.
     """
     scored = scored or [ctx._margins(option) for option in options]
-    best = reduce(_larger, scored, (0, -math.inf))  # with no option, a pick that does not hold
-    return (options[scored.index(best)] if best[0] > 0 else None), _eae(best, ctx)
+    best = max(scored, key=itemgetter(1), default=(0, -math.inf))
+    return (options[scored.index(best)], ctx._effort(best[1])) if best[0] > 0 else (None, math.inf)
 
 
 def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assertion | None, float]:
@@ -261,14 +260,13 @@ def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assert
     matter how the eliminations were ordered.  Only the pick is built.
     """
     outsiders = [c for c in ctx.labels if c not in vset]
-    options = [ctx._viable[c] for c in outsiders]
-    scored = [ctx._first_scores[c] for c in outsiders]
-    others = frozenset(outsiders)
-    members = [ctx._nonviable[c] for c in ctx.labels if c in vset and c in ctx._nonviable]
-    scored += [ctx._margins(form, ctx.piles(others)) for form in members]
-    pick, eae = _cheapest(options + members, ctx, scored)
-    if isinstance(pick, NonViable):  # a Viable over the empty set is its own option
-        pick = NonViable(pick.candidate, others, ctx.threshold)
+    members = [c for c in ctx.labels if c in vset and c in ctx._nonviable]
+    first, piles = ctx.piles(frozenset()), ctx.piles(others := frozenset(outsiders))
+    scored = [_score(ctx._viable[c], first[c]) for c in outsiders]
+    scored += [_score(ctx._nonviable[c], piles[c]) for c in members]
+    pick, eae = _cheapest(outsiders + members, ctx, scored)
+    if pick is not None:
+        pick = NonViable(pick, others, ctx.threshold) if pick in vset else Viable(pick, frozenset(), ctx.threshold)
     return pick, eae
 
 
@@ -332,7 +330,8 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
         for unmentioned in layers[size]:
             for i in range(size):
                 below[unmentioned[:i] + unmentioned[i + 1:]] = None
-    viable, wins, margins = ctx._viable, ctx._wins, ctx._margins
+    viable, effort = ctx._viable, ctx._effort
+    wins_constant, winner_coefficient, loser_coefficient, wins_denominator = ctx._wins
     states: dict[tuple[str, ...], AltOutcomeNode] = {}
     for layer in layers:
         for unmentioned in layer:
@@ -340,13 +339,14 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
             best, via = (-math.inf if unmentioned else math.inf), -1
             for i, cand in enumerate(unmentioned):
                 child = states[unmentioned[:i] + unmentioned[i + 1:]]
-                scored, loser, by_pile = margins(viable[cand], child.piles), None, child.by_pile
+                piles, by_pile, loser = child.piles, child.by_pile, None
+                scaled, margin = _score(viable[cand], piles[cand])
                 if len(by_pile) > 1:  # cand stands, so someone else does too
-                    pair = cand, by_pile[by_pile[0] == cand]
-                    rival = margins(wins.get(pair) or wins.setdefault(pair, IrvWins(*pair, frozenset())), child.piles)
-                    if _larger(scored, rival) is rival:
-                        scored, loser = rival, pair[1]
-                eae = _eae(scored, ctx)
+                    other = by_pile[by_pile[0] == cand]
+                    rival = wins_constant + winner_coefficient * piles[cand] + loser_coefficient * piles[other]
+                    if rival / wins_denominator > margin:
+                        scaled, margin, loser = rival, rival / wins_denominator, other
+                eae = effort(margin) if scaled > 0 else math.inf
                 if min(eae, child.best) > best:
                     best, via = min(eae, child.best), i
                 steps.append((cand, loser, eae, child))

@@ -274,15 +274,30 @@ def test_fast_holds_matches_exact_margin_random():
             assert ctx.exact_margin(a) == margin(a, profile).margin
 
 
+def points_loop_margin(assertion, piles, valid):
+    """The integer margin summed class by class from the points: the oracle
+    for ``margin_terms``.  A class's tally is its pile, or for ``None``
+    the valid ballots on no standing pile."""
+    other = assertion.other_points
+    total = (2 * other - assertion.scale) * valid
+    for cls, points in assertion.points.items():
+        tally = valid - sum(piles.values()) if cls is None else piles[cls]
+        total += 2 * (points - other) * tally
+    return total
+
+
 def test_scaled_margin_reads_no_eliminated_or_viable_set():
-    """The IRV search scores each option with one assertion of its form
-    over the empty set, on the option's own piles.  That is exact because
-    ``scaled_margin`` reads only points, scale and ``other_points``: two
-    assertions of one form that differ only in their eliminated set (the
-    viable set for ``PairwiseDiff``) give the same integer margin on the
-    same piles."""
+    """The IRV search scores each option from the linear terms of one
+    assertion of its form over the empty set, on the option's own piles.
+    That is exact because the terms derive from the points, scale and
+    ``other_points`` alone: two assertions of one form that differ only in
+    their eliminated set (the viable set for ``PairwiseDiff``) give the
+    same terms, and those terms give the points loop's margin, the
+    exhausted ``None`` class of ``PairwiseDiff`` included.  ``IrvWins``
+    terms are read by role, so one pair's terms score every pair."""
     rng = random.Random(43)
     labels = list("ABCDEF")
+    wins_constant, wins = IrvWins("winner", "loser", frozenset()).margin_terms
     for _ in range(300):
         piles = {c: rng.randint(0, 50) for c in labels}
         valid = sum(piles.values()) + rng.randint(0, 20)  # some ballots exhaust
@@ -296,7 +311,12 @@ def test_scaled_margin_reads_no_eliminated_or_viable_set():
             lambda e: IrvWins(winner, loser, e),
             lambda e: PairwiseDiff(winner, loser, d, e | {winner, loser}),
         ):
-            assert len({form(e).scaled_margin(piles, valid) for e in (e1, e2, frozenset())}) == 1
+            assert form(e1).margin_terms == form(e2).margin_terms == form(frozenset()).margin_terms
+            for e in (e1, e2, frozenset()):
+                assert form(e).scaled_margin(piles, valid) == points_loop_margin(form(e), piles, valid)
+        by_role = wins_constant * valid + wins["winner"] * piles[winner] + wins["loser"] * piles[loser]
+        assert by_role == points_loop_margin(IrvWins(winner, loser, e1), piles, valid)
+    assert None in PairwiseDiff("A", "B", Fraction(1, 10), frozenset("AB")).margin_terms[1]
 
 
 def test_zero_offset_reduces_to_pairwise_majority():
