@@ -257,3 +257,5 @@ def cyclic_contest(strengths) -> ElectionProfile:
 
 # the benchmark's irv-search contest
 TEN_STRENGTHS = (4400, 3160, 2400, 2200, 2000, 1800, 1700, 1600, 1340, 1100)
+# four more ring candidates: the largest cyclic contest the tests search
+FOURTEEN_STRENGTHS = TEN_STRENGTHS + (1500, 1250, 1150, 1050)

@@ -28,7 +28,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import DATA, TEN_STRENGTHS, cyclic_contest, random_irv_profile
+from conftest import DATA, FOURTEEN_STRENGTHS, cyclic_contest, random_irv_profile
 from hamilton_rla import RiskParams, build_audit_spec, tabulate
 from hamilton_rla.assertions import Assertion, IrvWins, NonViable, Viable
 from hamilton_rla.model import STATUS_COMPLETE, UnsupportedOutcomeError, load_election
@@ -217,12 +217,7 @@ def test_set_check_agrees_with_brute_force_when_an_entry_is_dropped():
     assert closed >= 40
 
 
-CYCLIC = {
-    10: TEN_STRENGTHS,
-    12: TEN_STRENGTHS + (1500, 1250),
-    13: TEN_STRENGTHS + (1500, 1250, 1150),
-    14: TEN_STRENGTHS + (1500, 1250, 1150, 1050),
-}
+CYCLIC = {size: FOURTEEN_STRENGTHS[:size] for size in (10, 12, 13, 14)}
 
 
 @pytest.mark.parametrize("size", sorted(CYCLIC))

@@ -5,7 +5,9 @@ error rates 0.002 and 0.02, and for the ten-candidate cyclic contest
 and error rate 0.002.  The benchmark shuffles that contest's roster, and
 roster order decides ties and the order of the search's steps, so
 ``ten_cyclic_shuffled`` pins it at level 3 under one seeded shuffle of the
-roster.  ``test_bytes_do_not_depend_on_the_hash_seed`` runs that case in
+roster.  ``fourteen_cyclic``, the same ring with four more candidates,
+pins the largest search the tests run at level 1.
+``test_bytes_do_not_depend_on_the_hash_seed`` runs the shuffled case in
 fresh interpreters under two hash seeds and requires the same bytes.
 
 A refactor must leave every byte of these outputs unchanged.  A change that
@@ -47,14 +49,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, TEN_STRENGTHS, cyclic_contest
+from conftest import DATA, FOURTEEN_STRENGTHS, TEN_STRENGTHS, cyclic_contest
 from hamilton_rla.cli import main
 
 ELECTIONS = ("election_irv", "election_plurality", "election_small")
 CASES = [
     (election, level, seed, rate)
     for election in ELECTIONS for level in (1, 2, 3) for seed in (1, 7) for rate in ("0.002", "0.02")
-] + [("ten_cyclic", level, 1, "0.002") for level in (1, 3)] + [("ten_cyclic_shuffled", 3, 1, "0.002")]
+] + [("ten_cyclic", level, 1, "0.002") for level in (1, 3)] + [
+    ("ten_cyclic_shuffled", 3, 1, "0.002"), ("fourteen_cyclic", 1, 1, "0.002")]
 
 # "election/level/seed/error rate": (SHA-256 of the spec, SHA-256 of the proof log)
 GOLDEN = {
@@ -214,15 +217,20 @@ GOLDEN = {
         "faa9a0a176a72789ce9038a694c04e698670ee16fd7307f6d9867fbdc31a859b",
         "292b9482c0eb60daba85b2c78a5059f8c6967cf1a3edf0a84ffea1b3747339d4",
     ),
+    "fourteen_cyclic/1/1/0.002": (
+        "17646160ff7340ad6df753b0b3612b58b1f7e524b0be2fc4b4037edb698f2347",
+        "39ee6a64453e7eb6b95577b6de2c47729cf3d43111a223faf438ae998bd208f7",
+    ),
 }
 
 
 def _election_file(election: str, directory: Path) -> Path:
     """A ``tests/data`` election, or ``ten_cyclic`` (its roster shuffled
-    with seed 5 for ``ten_cyclic_shuffled``) written to ``directory``."""
-    if not election.startswith("ten_cyclic"):
+    with seed 5 for ``ten_cyclic_shuffled``) or ``fourteen_cyclic`` written
+    to ``directory``."""
+    if "cyclic" not in election:
         return DATA / f"{election}.json"
-    profile = cyclic_contest(TEN_STRENGTHS)
+    profile = cyclic_contest(FOURTEEN_STRENGTHS if election == "fourteen_cyclic" else TEN_STRENGTHS)
     roster = list(profile.labels)
     if election == "ten_cyclic_shuffled":
         random.Random(5).shuffle(roster)
