@@ -34,15 +34,20 @@ takes three steps.  A maximin pass over the sets, smallest first, gives
 ``T*``, the least cost any cut can have: ``best(empty) = inf`` and
 ``best(U)`` is the largest, over the steps out of ``U``, of the step's
 ``eae`` and its target's ``best``, whichever is smaller.  The path it
-maximises is the proof log's witness that no cheaper cut exists.  Then a
-unit-capacity maximum flow (Dinic's) runs at ``T``, the larger of ``T*``
-and the reductions' largest ``eae``: an edge whose ``eae`` is at most
-``T`` costs one, any other cannot be cut.  The spec is the reductions,
-then the assertions on the edges leaving the set the source still
-reaches in the final residual graph, deduplicated by key, the roots' in
-the order of the alternative sets and then the steps' from the largest
-sets down.  That set is the same for every maximum flow, so the bytes
-depend only on the graph.
+maximises is the proof log's witness that no cheaper cut exists.  Then
+the least minimum cut is found at ``T``, the larger of ``T*`` and the
+reductions' largest ``eae``: an edge whose ``eae`` is at most ``T``
+costs one, any other cannot be cut.  The sets the source reaches over
+edges that cannot be cut lie on the source side of every finite cut, so
+they are contracted into the source, and a maximum flow (Dinic's) runs
+only beyond them, on one arc into each set their cuttable edges reach,
+of as many units as it stands for edges (``cut_side``).  That leaves
+every finite cut, and so the cut taken, as it is on the full graph.  The
+spec is the reductions, then the assertions on the edges leaving the
+sets the source still reaches in the final residual graph, deduplicated
+by key, the roots' in the order of the alternative sets and then the
+steps' from the largest sets down.  Those sets are the same for every
+maximum flow, so the bytes depend only on the graph.
 
 An alternative outcome escapes every affordable assertion exactly when
 ``T*`` is infinite: the maximin path is then a root edge and steps to the
@@ -75,6 +80,7 @@ viable set) so a complete specification excludes it.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -356,41 +362,46 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
     return states
 
 
-def source_side(node_count: int, arcs: Sequence[tuple[int, int, bool]], source: int, sink: int) -> list[bool]:
+def source_side(node_count: int, arcs: Sequence[tuple[int, int, int | None]], source: int, sink: int) -> list[bool]:
     """Which nodes a maximum flow from ``source`` to ``sink`` leaves
     reachable from ``source`` in its residual graph.  Each arc is ``(tail,
-    head, cuttable)``: a cuttable arc carries one unit, any other is
-    unbounded.  The arcs leaving the reachable nodes form a minimum cut,
+    head, capacity)``: a positive integer, or ``None`` for an arc no finite
+    cut may cross.  The arcs leaving the reachable nodes form a minimum cut,
     and every maximum flow leaves the same nodes reachable, so the answer
     does not depend on the order of ``arcs``.
 
-    Dinic's method: each phase numbers the nodes by their distance from
-    ``source`` over arcs with capacity left, then saturates every shortest
-    path, walking each node's arcs once from where its last walk stopped.
-    Arc ``e`` and its reverse ``e ^ 1`` sit side by side in flat lists.
+    Dinic's method: each phase numbers the nodes by their distance to
+    ``sink`` over arcs with capacity left, outward until ``source`` is
+    numbered, then saturates every shortest path from ``source``, walking
+    each node's arcs once from where its last walk stopped.  Numbered from
+    the sink, a node no shortest path enters is never walked, however close
+    to the source it lies.  Arc ``e`` and its reverse ``e ^ 1`` sit side by
+    side in flat lists, so ``e ^ 1`` enters the node that ``e`` leaves.
     """
-    unbounded = len(arcs) + 1  # more than any cut of cuttable arcs
+    unbounded = sum(filter(None, map(itemgetter(2), arcs))) + 1  # more than any finite cut
     head: list[int] = []
     capacity: list[int] = []
     out: list[list[int]] = [[] for _ in range(node_count)]
-    for tail, to, cuttable in arcs:
+    for tail, to, limit in arcs:
         out[tail].append(len(head))
         head.append(to)
-        capacity.append(1 if cuttable else unbounded)
+        capacity.append(limit or unbounded)
         out[to].append(len(head))
         head.append(tail)
         capacity.append(0)
     while True:
-        level = [-1] * node_count
-        level[source] = 0
-        queue = [source]
+        distance = [-1] * node_count
+        distance[sink] = 0
+        queue = [sink]
         for node in queue:
+            if distance[node] == distance[source]:  # no node this far out lies on a shortest path
+                break
             for arc in out[node]:
-                if capacity[arc] and level[head[arc]] < 0:
-                    level[head[arc]] = level[node] + 1
+                if capacity[arc ^ 1] and distance[head[arc]] < 0:
+                    distance[head[arc]] = distance[node] + 1
                     queue.append(head[arc])
-        if level[sink] < 0:
-            return [distance >= 0 for distance in level]
+        if distance[source] < 0:
+            break
         walked = [0] * node_count
         path: list[int] = []
         node = source
@@ -402,8 +413,8 @@ def source_side(node_count: int, arcs: Sequence[tuple[int, int, bool]], source: 
                     capacity[arc ^ 1] += pushed
                 path.clear()
                 node = source
-            arcs_out, i = out[node], walked[node]
-            while i < len(arcs_out) and not (capacity[arcs_out[i]] and level[head[arcs_out[i]]] == level[node] + 1):
+            arcs_out, i, nearer = out[node], walked[node], distance[node] - 1
+            while i < len(arcs_out) and not (capacity[arcs_out[i]] and distance[head[arcs_out[i]]] == nearer):
                 i += 1
             walked[node] = i
             if i < len(arcs_out):
@@ -414,6 +425,57 @@ def source_side(node_count: int, arcs: Sequence[tuple[int, int, bool]], source: 
                 walked[node] += 1
             else:
                 break
+    # no path is left: the nodes the residual graph still leads to from the source
+    reached = [False] * node_count
+    reached[source] = True
+    queue = [source]
+    for node in queue:
+        for arc in out[node]:
+            if capacity[arc] and not reached[head[arc]]:
+                reached[head[arc]] = True
+                queue.append(head[arc])
+    return reached
+
+
+def cut_side(
+    states: dict[tuple[str, ...], AltOutcomeNode],
+    roots: Iterable[tuple[frozenset[str], tuple[str, ...], Assertion | None, float]],
+    bound: float,
+) -> list[bool]:
+    """Which sets, by ``id``, lie on the source side of the least minimum
+    cut at ``bound`` of the graph whose source roots an edge into each
+    root's set and whose other edges are the states' steps; an edge whose
+    ``eae`` exceeds ``bound`` cannot be cut.
+
+    The sets the source reaches over edges that cannot be cut lie on the
+    source side of every finite cut, so they are contracted into the
+    source: the flow runs on one arc from the source into each other set
+    that a cuttable edge from them or from the source reaches, of as many
+    units as the edges it stands for, and on the edges among the other
+    sets.  An edge into a contracted set would end at the source and is
+    dropped.  The finite cuts, and so the least source side, are those of
+    the full graph.
+    """
+    source = len(states)
+    side = [False] * source + [True]
+    stack: list[AltOutcomeNode] = []
+    heads: list[AltOutcomeNode] = []
+    for _, top, _, eae in roots:
+        (stack if eae > bound else heads).append(states[top])
+    while stack:
+        state = stack.pop()
+        if not side[state.id]:
+            side[state.id] = True
+            for _, _, eae, child in state.steps:
+                (stack if eae > bound else heads).append(child)
+    arcs = [(source, head, units) for head, units in Counter(c.id for c in heads if not side[c.id]).items()]
+    arcs += [
+        (state.id, child.id, None if eae > bound else 1)
+        for state in states.values() if not side[state.id]
+        for _, _, eae, child in state.steps if not side[child.id]
+    ]
+    flow = source_side(source + 1, arcs, source, states[()].id)
+    return [contracted or reached for contracted, reached in zip(side, flow)]
 
 
 def _outcome(vset: frozenset[str], order: Sequence[str]) -> str:
@@ -468,10 +530,7 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
     log.append(f"T* = {t_star}: no cut is cheaper, as every edge of {named} costs at least that ({costs})")
 
     bound = max([t_star] + [entry.eae for entry in reductions])
-    source = len(states)
-    arcs = [(source, states[top].id, eae <= bound) for _, top, _, eae in roots]
-    arcs += [(state.id, child.id, eae <= bound) for state in states.values() for _, _, eae, child in state.steps]
-    side = source_side(source + 1, arcs, source, states[()].id)
+    side = cut_side(states, roots, bound)
     cut = [
         (f"viable {_set_repr(vset)}", assertion, eae) for vset, top, assertion, eae in roots if not side[states[top].id]
     ]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import TEN_STRENGTHS, cyclic_contest, perturb_profile, random_irv_profile, random_plurality_profile
+from conftest import FOURTEEN_STRENGTHS, TEN_STRENGTHS, cyclic_contest, perturb_profile, random_irv_profile, random_plurality_profile
 from hamilton_rla import (
     RiskParams,
     UnsupportedOutcomeError,
@@ -28,6 +28,7 @@ from hamilton_rla.viability import (
     best_root_assertion,
     build_audit_specs,
     compute_W_L,
+    cut_side,
     enumerate_alt_sets,
     gen_irv_viability,
     gen_plurality_viability,
@@ -367,12 +368,12 @@ def test_leaf_closes_its_branch_at_the_cheapest_node(eaes, want):
     ``eae`` nothing can be cut: the flow saturates every unbounded arc,
     and the root's arc is left as a cut no cuttable arc makes."""
     t_star = min(eaes)
-    arcs = [(i, i + 1, eae <= t_star < math.inf) for i, eae in enumerate(eaes)]
+    arcs = [(i, i + 1, 1 if eae <= t_star < math.inf else None) for i, eae in enumerate(eaes)]
     for inserted in (arcs, arcs[::-1]):
         side = source_side(len(eaes) + 1, inserted, 0, len(eaes))
         assert [i for i in range(len(eaes)) if side[i] and not side[i + 1]] == [want]
     assert want == min(range(len(eaes)), key=lambda i: (eaes[i], i))
-    assert arcs[want][2] == (t_star < math.inf)
+    assert arcs[want][2] == (1 if t_star < math.inf else None)
 
 
 def test_search_nodes_are_freed_without_the_cycle_collector():
@@ -1177,3 +1178,108 @@ def test_cut_does_not_depend_on_the_flow_graphs_arc_order(monkeypatch):
     monkeypatch.setattr(viability, "source_side", lambda n, arcs, s, t, side=source_side: side(n, arcs[::-1], s, t))
     assert build_all() == forward
     assert sum("\ncut: " in "\n".join(log) for specs in forward for _, log in specs.values()) > 5
+
+
+def _least_minimum_source_set(node_count, arcs, source, sink):
+    """The intersection of every source set (holding ``source``, not
+    ``sink``) whose cut has the least capacity, an unbounded arc counting
+    as infinite; ``None`` when every cut crosses an unbounded arc."""
+    others = [node for node in range(node_count) if node not in (source, sink)]
+    least, meet = math.inf, None
+    for size in range(len(others) + 1):
+        for extra in combinations(others, size):
+            inside = {source, *extra}
+            cost = sum(math.inf if units is None else units
+                       for tail, head, units in arcs if tail in inside and head not in inside)
+            if cost < least:
+                least, meet = cost, inside
+            elif cost == least and meet is not None:
+                meet &= inside
+    return meet if least < math.inf else None
+
+
+def test_source_side_is_the_least_minimum_cut_by_brute_force():
+    """On random graphs of up to 8 nodes, with parallel and antiparallel
+    arcs, capacities 1 to 4 and unbounded arcs, in shuffled arc orders,
+    ``source_side`` returns the intersection of every source set of least
+    cut capacity: the least minimum cut.  Where every cut crosses an
+    unbounded arc, it still leaves the sink unreached."""
+    rng = random.Random(83)
+    seen = Counter()
+    while seen["finite"] < 300:
+        node_count = rng.randint(2, 8)
+        source, sink = rng.sample(range(node_count), 2)
+        arcs = []
+        for _ in range(rng.randint(1, 3 * node_count)):
+            tail, head = rng.sample(range(node_count), 2)
+            arcs += [(tail, head, None if rng.random() < 0.25 else rng.randint(1, 4))] * rng.choice((1, 1, 2, 3))
+        want = _least_minimum_source_set(node_count, arcs, source, sink)
+        for _ in range(3):
+            rng.shuffle(arcs)
+            side = source_side(node_count, arcs, source, sink)
+            assert side[source] and not side[sink]
+            if want is not None:
+                assert {node for node in range(node_count) if side[node]} == want, (node_count, arcs, source, sink)
+        seen["finite" if want is not None else "infinite"] += 1
+        seen["parallel"] += want is not None and len({arc[:2] for arc in arcs}) < len(arcs)
+        seen["unbounded"] += want is not None and None in {units for _, _, units in arcs}
+        seen["between"] += want is not None and 1 < len(want) < node_count - 1
+    assert seen["parallel"] > 150 and seen["unbounded"] > 100 and seen["between"] > 50 and seen["infinite"] > 20, seen
+
+
+def _full_graph_side(states, roots, bound):
+    """The source side ``source_side`` finds on the whole graph: one arc
+    from the source into each root's set and one per step, none
+    contracted; and the number of those arcs."""
+    source = len(states)
+    arcs = [(source, states[top].id, None if eae > bound else 1) for _, top, _, eae in roots]
+    arcs += [(state.id, child.id, None if eae > bound else 1)
+             for state in states.values() for _, _, eae, child in state.steps]
+    return source_side(source + 1, arcs, source, states[()].id), len(arcs)
+
+
+def test_contracted_cut_is_the_full_graphs(monkeypatch):
+    """Contracting the sets that the source reaches over edges that cannot
+    be cut leaves the least minimum cut as it is on the full graph: on 300
+    seeded contests of up to 7 candidates, ``ten_cyclic`` and its shuffled
+    roster, and the 12- to 14-candidate cyclic contests, built at levels 1
+    and 3, ``cut_side`` gives every set the side that ``source_side`` gives
+    it over an arc per root and per step.  More than 100 of the contests
+    reach the cut, and the contraction takes arcs away on more than 100,
+    every cyclic one among them."""
+    ten = cyclic_contest(TEN_STRENGTHS)
+    roster = list(ten.labels)
+    random.Random(5).shuffle(roster)
+    shuffled = build_profile(roster, [(list(r), n) for r, n in ten.rankings.items()], ten.threshold, ten.delegates, IRV)
+    cyclic = [ten, shuffled] + [cyclic_contest(FOURTEEN_STRENGTHS[:size]) for size in (12, 13, 14)]
+    rng = random.Random(36)
+    contests = [(profile, RiskParams(seed=1)) for profile in cyclic] + [
+        (random_irv_profile(rng, max_candidates=7, max_ballots=rng.choice([3000, 20000]),
+                            threshold=rng.choice([Fraction(1, 4), Fraction(1, 3)])),
+         RiskParams(error_rate=rng.choice([0.0, 0.002]), seed=1))
+        for _ in range(300)
+    ]
+    flow_arcs, arcs = [], []
+
+    def recorded(node_count, graph, source, sink):
+        flow_arcs.append(len(graph))
+        return source_side(node_count, graph, source, sink)
+
+    def checked(states, roots, bound):
+        side = cut_side(states, roots, bound)
+        full, count = _full_graph_side(states, roots, bound)
+        assert side == full
+        arcs.append((flow_arcs[-1], count))
+        return side
+
+    monkeypatch.setattr(viability, "source_side", recorded)
+    monkeypatch.setattr(viability, "cut_side", checked)
+    for profile, params in contests:
+        try:
+            outcome = tabulate(profile)
+        except UnsupportedOutcomeError:
+            continue
+        build_audit_specs(profile, outcome, (1, 3), params)
+    assert len(arcs) == len(flow_arcs) > 100
+    assert all(contracted < full for contracted, full in arcs[:len(cyclic)])
+    assert sum(contracted < full for contracted, full in arcs) > 100
