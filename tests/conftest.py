@@ -259,3 +259,22 @@ def cyclic_contest(strengths) -> ElectionProfile:
 TEN_STRENGTHS = (4400, 3160, 2400, 2200, 2000, 1800, 1700, 1600, 1340, 1100)
 # four more ring candidates: the largest cyclic contest the tests search
 FOURTEEN_STRENGTHS = TEN_STRENGTHS + (1500, 1250, 1150, 1050)
+
+
+# first-choice strengths of the deep-rankings contest's eight candidates
+DEEP_STRENGTHS = (40, 30, 22, 18, 14, 10, 8, 6)
+
+
+def deep_contest(rng: random.Random, distinct: int = 1500) -> ElectionProfile:
+    """Eight candidates and ``distinct`` distinct rankings of one to all
+    eight of them, each counted up to its first choice's strength in
+    ``DEEP_STRENGTHS``, plus blank ballots.  Only integer draws
+    (``randrange`` and ``sample``), whose values every supported Python
+    gives alike."""
+    rankings: dict[tuple[str, ...], int] = {}
+    while len(rankings) < distinct:
+        ranking = tuple(rng.sample(LABELS, rng.randrange(1, len(LABELS) + 1)))
+        strength = DEEP_STRENGTHS[LABELS.index(ranking[0])]
+        rankings[ranking] = rankings.get(ranking, 0) + rng.randrange(1, strength + 1)
+    rankings[()] = rng.randrange(1, 200)
+    return build_profile(LABELS, [(list(r), n) for r, n in rankings.items()], TAU, 14, "irv")

@@ -6,7 +6,10 @@ and error rate 0.002.  The benchmark shuffles that contest's roster, and
 roster order decides ties and the order of the search's steps, so
 ``ten_cyclic_shuffled`` pins it at level 3 under one seeded shuffle of the
 roster.  ``fourteen_cyclic``, the same ring with four more candidates,
-pins the largest search the tests run at level 1.
+pins the largest search the tests run at level 1.  ``deep_rankings``
+(``conftest.deep_contest`` drawn with seed 1: eight candidates, 1,500
+distinct rankings up to eight long and blank ballots) pins a search whose
+piles lie deep in the ranking tree at levels 1 and 3.
 ``test_bytes_do_not_depend_on_the_hash_seed`` runs the shuffled case in
 fresh interpreters under two hash seeds and requires the same bytes.
 
@@ -49,7 +52,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import DATA, FOURTEEN_STRENGTHS, TEN_STRENGTHS, cyclic_contest
+from conftest import DATA, FOURTEEN_STRENGTHS, TEN_STRENGTHS, cyclic_contest, deep_contest
 from hamilton_rla.cli import main
 
 ELECTIONS = ("election_irv", "election_plurality", "election_small")
@@ -57,7 +60,8 @@ CASES = [
     (election, level, seed, rate)
     for election in ELECTIONS for level in (1, 2, 3) for seed in (1, 7) for rate in ("0.002", "0.02")
 ] + [("ten_cyclic", level, 1, "0.002") for level in (1, 3)] + [
-    ("ten_cyclic_shuffled", 3, 1, "0.002"), ("fourteen_cyclic", 1, 1, "0.002")]
+    ("ten_cyclic_shuffled", 3, 1, "0.002"), ("fourteen_cyclic", 1, 1, "0.002")] + [
+    ("deep_rankings", level, 1, "0.002") for level in (1, 3)]
 
 # "election/level/seed/error rate": (SHA-256 of the spec, SHA-256 of the proof log)
 GOLDEN = {
@@ -221,16 +225,27 @@ GOLDEN = {
         "17646160ff7340ad6df753b0b3612b58b1f7e524b0be2fc4b4037edb698f2347",
         "39ee6a64453e7eb6b95577b6de2c47729cf3d43111a223faf438ae998bd208f7",
     ),
+    "deep_rankings/1/1/0.002": (
+        "c0bb0e8baa78771ede49b61de0b1d11a1859ff1895aabeb5e413c953dc4146ab",
+        "2b2909aee4354294270388a4d7460e2c6580b837e508009017d3ce53337c277e",
+    ),
+    "deep_rankings/3/1/0.002": (
+        "ed071528550488f6210449271d61c0acf7f631b30a65b9855e93d6b7cd7e294f",
+        "add8fcf8cc314ff18b654a1c2df9f377472a48ec7cddfad2b5b33bf49f3578a1",
+    ),
 }
 
 
 def _election_file(election: str, directory: Path) -> Path:
     """A ``tests/data`` election, or ``ten_cyclic`` (its roster shuffled
-    with seed 5 for ``ten_cyclic_shuffled``) or ``fourteen_cyclic`` written
-    to ``directory``."""
-    if "cyclic" not in election:
+    with seed 5 for ``ten_cyclic_shuffled``), ``fourteen_cyclic`` or
+    ``deep_rankings`` written to ``directory``."""
+    if election == "deep_rankings":
+        profile = deep_contest(random.Random(1))
+    elif "cyclic" in election:
+        profile = cyclic_contest(FOURTEEN_STRENGTHS if election == "fourteen_cyclic" else TEN_STRENGTHS)
+    else:
         return DATA / f"{election}.json"
-    profile = cyclic_contest(FOURTEEN_STRENGTHS if election == "fourteen_cyclic" else TEN_STRENGTHS)
     roster = list(profile.labels)
     if election == "ten_cyclic_shuffled":
         random.Random(5).shuffle(roster)
