@@ -13,6 +13,14 @@ down a node builds that node's children from the rankings through it.
 Tallying thus touches only the rankings below eliminated prefixes, and
 a grown node is kept for the profile's later counts.
 
+The instant-runoff search tallies thousands of sets, each one candidate
+larger than another, so it walks from the root only once (``_first_piles``)
+and derives every other set's piles from a one-smaller set's
+(``_transfer``): only the candidate eliminated last has ballots that move,
+and the walk starts at that candidate's *pile nodes*, the tree nodes whose
+ballots make up their pile.  ``count_piles`` and the transfer share one
+grow-and-descend loop, ``_descend``.
+
 Delegates are then awarded to viable candidates by the largest-remainder
 rule: each candidate ``c`` gets ``floor(q_c)`` delegates from quota
 ``q_c = D * tally_c / Q``, and the leftover delegates go to the largest
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Sequence
 
 from .model import PLURALITY, ElectionProfile, ReportedOutcome, Round, UnsupportedOutcomeError, _check_style
 
@@ -61,31 +70,77 @@ def _grow(node: list, depth: int, pending: list) -> None:
     node[3] = None
 
 
-def count_piles(
-    profile: ElectionProfile, eliminated: frozenset[str] | set[str]
-) -> tuple[dict[str, int], int]:
-    """Pile sizes for standing candidates plus the exhausted (non-blank) count.
+def _descend(stack: list[tuple[list, int]], eliminated: frozenset[str] | set[str], piles: dict[str, int],
+             found: dict[str, list]) -> int:
+    """Walk the ranking tree down from the ``(node, depth)`` pairs on
+    ``stack`` through eliminated labels only, growing each pending node it
+    walks down, and return the ballots whose ranking ends on the way.
 
-    Walks the profile's ranking tree through eliminated labels only,
-    growing each pending node it walks down: every ballot below a standing
-    child tops that child's pile, and a ballot whose ranking ends on an
-    eliminated prefix is exhausted.
+    Every ballot below a standing child is added to that child's pile in
+    ``piles``, and the child and its depth go to its label's list in
+    ``found`` if it has one.  ``stack`` is popped empty.
     """
-    piles = {label: 0 for label in profile.labels if label not in eliminated}
     exhausted = 0
-    stack = [(profile.ranking_tree, 0)]
     while stack:
         node, depth = stack.pop()
         pending = node[3]
         if pending is not None:
             _grow(node, depth, pending)
         exhausted += node[1]
+        depth += 1
         for label, child in node[2].items():
             if label in eliminated:
-                stack.append((child, depth + 1))
+                stack.append((child, depth))
             else:
                 piles[label] += child[0]
-    return piles, exhausted
+                if label in found:
+                    found[label].append((child, depth))
+    return exhausted
+
+
+def count_piles(
+    profile: ElectionProfile, eliminated: frozenset[str] | set[str]
+) -> tuple[dict[str, int], int]:
+    """Pile sizes for standing candidates plus the exhausted (non-blank) count.
+
+    Walks the profile's ranking tree from its root through eliminated
+    labels only: every ballot below a standing child tops that child's
+    pile, and a ballot whose ranking ends on an eliminated prefix is
+    exhausted.
+    """
+    piles = {label: 0 for label in profile.labels if label not in eliminated}
+    return piles, _descend([(profile.ranking_tree, 0)], eliminated, piles, {})
+
+
+# Some standing candidates' pile nodes: the ranking-tree nodes whose ballots
+# make up their piles, as ``(node, depth)`` pairs in a tuple of shared lists.
+PileNodes = dict[str, tuple[list[tuple[list, int]], ...]]
+
+
+def _first_piles(profile: ElectionProfile) -> tuple[dict[str, int], PileNodes]:
+    """The first-preference piles, and every candidate's pile nodes: the root's children."""
+    piles = {label: 0 for label in profile.labels}
+    found: dict[str, list] = {label: [] for label in piles}
+    _descend([(profile.ranking_tree, 0)], frozenset(), piles, found)
+    return piles, {label: (new,) for label, new in found.items()}
+
+
+def _transfer(
+    piles: dict[str, int], nodes: PileNodes, gone: str, eliminated: frozenset[str], keep: Sequence[str]
+) -> tuple[dict[str, int], PileNodes]:
+    """The piles once ``gone`` is eliminated too, and the pile nodes of the
+    candidates in ``keep``, from the ``piles`` and ``nodes`` of the set
+    without ``gone``; ``eliminated`` is the set with it.
+
+    Only ``gone``'s ballots move: the walk starts at its pile nodes, and
+    the nodes it finds for a kept candidate are chained onto theirs as one
+    more list, so neither argument, nor any list they share, is changed.
+    """
+    piles = dict(piles)
+    del piles[gone]
+    found: dict[str, list] = {label: [] for label in keep}
+    _descend([pair for chunk in nodes[gone] for pair in chunk], eliminated, piles, found)
+    return piles, {label: nodes[label] + (new,) if new else nodes[label] for label, new in found.items()}
 
 
 def _meets_threshold(tally: int, threshold: Fraction, valid: int) -> bool:

@@ -69,6 +69,13 @@ stably sorted by pile; only the first sorted ``IrvWins`` can beat the
 others, so the step weighs it against the ``Viable`` and keeps the loser
 it picked, if any.  An edge's assertion is built only when the cut takes it.
 
+Only the empty set's piles are counted from the root of the ranking
+tree.  Every other set's come from the set without its last candidate in
+roster order: only that candidate's ballots move, walked down from their
+pile nodes (``tabulation._transfer``).  The states are built before the
+roots are scored, and their piles fill the context's cache, so the roots,
+the cut's entries and ``exact_margin`` count nothing again.
+
 Each set is one ``AltOutcomeNode``, linked only to the sets its steps
 reach, and the flow's residual graph lives in flat integer lists, so no
 search state forms a reference cycle.
@@ -108,7 +115,7 @@ from .model import (
     _check_style,
 )
 from .risk import estimate_asn
-from .tabulation import count_piles
+from .tabulation import PileNodes, _first_piles, _transfer, count_piles
 
 
 def max_viable(threshold: Fraction) -> int:
@@ -136,6 +143,11 @@ class AuditContext:
     ``IrvWins`` by role (the same for every pair) are read once, and the
     search evaluates them on each option's own piles; only the options
     that reach the spec become assertions.
+
+    ``piles`` counts a set from the ranking tree's root only on a miss:
+    ``set_states`` stores every search state's piles, derived from a
+    one-smaller set's, so after the W/L reductions the search's roots and
+    cut entries find theirs stored.
     """
 
     def __init__(self, profile: ElectionProfile, params: RiskParams | None = None):
@@ -325,26 +337,42 @@ class AltOutcomeNode:
 
 
 def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], AltOutcomeNode]:
-    """A state for each set that the sets ``tops`` reach by eliminating
-    candidates, smallest sets first: each step is scored on its target's
-    piles and each ``best`` solved from the smaller sets'."""
-    layers: list[dict[tuple[str, ...], None]] = [{} for _ in range(len(ctx.labels) + 1)]
+    """A state for each set that the sets ``tops`` (each in roster order)
+    reach by eliminating candidates, smallest sets first: each step is
+    scored on its target's piles and each ``best`` solved from the smaller
+    sets'.
+
+    Only the empty set's piles are counted from the ranking tree's root.
+    Any other set's come from the set without its last candidate, whose
+    ballots alone move (``tabulation._transfer``).  A set one larger than
+    a state adds a candidate later in the roster, so each state keeps the
+    pile nodes of its later candidates only, and only until the sets one
+    larger are built.  Every state's piles go to ``ctx``'s cache.
+    """
+    # each set, by size, with the sets one smaller that its steps reach, in the order of its candidates
+    layers: list[dict[tuple[str, ...], list[tuple[str, ...]]]] = [{} for _ in range(len(ctx.labels) + 1)]
     for top in tops:
-        layers[len(top)][top] = None
+        layers[len(top)][top] = []
     for size in range(len(layers) - 1, 0, -1):
         below = layers[size - 1]
-        for unmentioned in layers[size]:
+        for unmentioned, keys in layers[size].items():
             for i in range(size):
-                below[unmentioned[:i] + unmentioned[i + 1:]] = None
-    viable, effort = ctx._viable, ctx._effort
+                keys.append(key := unmentioned[:i] + unmentioned[i + 1:])
+                if key not in below:
+                    below[key] = []
+    viable, effort, inf = ctx._viable, ctx._effort, math.inf
     wins_constant, winner_coefficient, loser_coefficient, wins_denominator = ctx._wins
+    # the candidates after each in the roster: the ones whose pile nodes a state with it last keeps
+    later = {c: ctx.labels[i + 1:] for i, c in enumerate(ctx.labels)}
     states: dict[tuple[str, ...], AltOutcomeNode] = {}
+    nodes_below: dict[tuple[str, ...], PileNodes] = {}
     for layer in layers:
-        for unmentioned in layer:
+        nodes: dict[tuple[str, ...], PileNodes] = {}
+        for unmentioned, keys in layer.items():
             steps: list[tuple[str, str | None, float, AltOutcomeNode]] = []
             best, via = (-math.inf if unmentioned else math.inf), -1
-            for i, cand in enumerate(unmentioned):
-                child = states[unmentioned[:i] + unmentioned[i + 1:]]
+            for cand, key in zip(unmentioned, keys):
+                child = states[key]
                 piles, by_pile, loser = child.piles, child.by_pile, None
                 scaled, margin = _score(viable[cand], piles[cand])
                 if len(by_pile) > 1:  # cand stands, so someone else does too
@@ -352,13 +380,22 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
                     rival = wins_constant + winner_coefficient * piles[cand] + loser_coefficient * piles[other]
                     if rival / wins_denominator > margin:
                         scaled, margin, loser = rival, rival / wins_denominator, other
-                eae = effort(margin) if scaled > 0 else math.inf
-                if min(eae, child.best) > best:
-                    best, via = min(eae, child.best), i
+                eae = effort(margin) if scaled > 0 else inf
+                reach = eae if eae < child.best else child.best
+                if reach > best:
+                    best, via = reach, len(steps)
                 steps.append((cand, loser, eae, child))
-            piles = ctx.piles(removed := frozenset(unmentioned))
+            removed = frozenset(unmentioned)
+            if unmentioned:  # the last candidate's ballots move on from the set without them
+                last, gone = keys[-1], unmentioned[-1]
+                piles, nodes[unmentioned] = _transfer(
+                    states[last].piles, nodes_below[last], gone, removed, later[gone])
+            else:
+                piles, nodes[unmentioned] = _first_piles(ctx.profile)
+            ctx._piles[removed] = piles
             states[unmentioned] = AltOutcomeNode(
                 unmentioned, len(states), removed, piles, sorted(piles, key=piles.__getitem__), steps, best, via)
+        nodes_below = nodes
     return states
 
 
@@ -501,15 +538,14 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
         # with no first-preference lock, total collapse (nobody viable) is
         # also a reachable outcome and needs ruling out
         alt_sets.append(frozenset())
-    # (viable set, the set it leaves to eliminate, its assertion, eae)
-    roots = [
-        (vset, tuple(c for c in ctx.labels if c not in vset), *best_root_assertion(vset, ctx)) for vset in alt_sets
-    ]
-    if not roots:
+    if not alt_sets:
         log.append("no alternative outcome to rule out")
         return GenerationResult(reductions, True, tuple(log))
 
-    states = set_states(ctx, (top for _, top, _, _ in roots))
+    tops = [tuple(c for c in ctx.labels if c not in vset) for vset in alt_sets]
+    states = set_states(ctx, tops)  # first, so the roots find their piles counted
+    # (viable set, the set it leaves to eliminate, its assertion, eae)
+    roots = [(vset, top, *best_root_assertion(vset, ctx)) for vset, top in zip(alt_sets, tops)]
     t_star, witness = -math.inf, roots[0]
     for root in roots:
         reach = min(root[3], states[root[1]].best)

@@ -3,13 +3,23 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
 
-from conftest import FOURTEEN_STRENGTHS, TEN_STRENGTHS, cyclic_contest, perturb_profile, random_irv_profile, random_plurality_profile
+from conftest import (
+    FOURTEEN_STRENGTHS,
+    TEN_STRENGTHS,
+    cyclic_contest,
+    deep_contest,
+    perturb_profile,
+    random_irv_profile,
+    random_plurality_profile,
+    scan_piles,
+)
 from hamilton_rla import (
     RiskParams,
     UnsupportedOutcomeError,
@@ -21,6 +31,7 @@ from hamilton_rla import (
 from hamilton_rla.assertions import IrvWins, NonViable, Viable
 from hamilton_rla.model import IRV, PLURALITY, STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
 from hamilton_rla.risk import estimate_asn, estimate_audit_asn
+from hamilton_rla.tabulation import _first_piles, _transfer, count_piles
 from hamilton_rla.viability import (
     AltOutcomeNode,
     AuditContext,
@@ -412,9 +423,10 @@ def test_move_cache_keys_each_move_once():
     the same candidate and set: a second spelling of a set would split its
     state and could change which of tied options a step gets.  Each state
     holds its set, its piles and its standing candidates stably sorted by
-    pile, which its incoming steps are scored on."""
+    pile, which its incoming steps are scored on: the piles that
+    ``count_piles`` gives on a copy of the contest no search has counted."""
     profile = cyclic_contest(TEN_STRENGTHS)
-    ctx = AuditContext(profile, RiskParams(seed=1))
+    ctx, fresh = AuditContext(profile, RiskParams(seed=1)), cyclic_contest(TEN_STRENGTHS)
     assert gen_irv_viability(ctx, tabulate(profile)).closed
     states = set_states(ctx, [tuple(c for c in ctx.labels if c != "c0")])
     moves = [(cand, child.removed) for state in states.values() for cand, _, _, child in state.steps]
@@ -425,9 +437,89 @@ def test_move_cache_keys_each_move_once():
     assert len({state.removed for state in states.values()}) == len(states) > 500
     for unmentioned, state in states.items():
         assert list(unmentioned) == sorted(unmentioned, key=roster) and state.removed == frozenset(unmentioned)
-        assert state.piles == ctx.piles(state.removed)
+        assert list(state.piles.items()) == list(count_piles(fresh, state.removed)[0].items())
         assert state.by_pile == sorted(
             (c for c in ctx.labels if c not in state.removed), key=lambda c: (state.piles[c], roster(c)))
+
+
+def _transfer_contests():
+    """Contests whose searches derive piles over trees of many shapes: 12
+    eight-candidate contests of 500 to 2,000 distinct rankings up to eight
+    long with blank and exhausting ballots, 300 seeded ``random_irv_profile``
+    contests of up to 7 candidates at thresholds 3/20, 1/4 and 1/3, and
+    ``ten_cyclic`` with its roster shuffled, and ``fourteen_cyclic``."""
+    rng = random.Random(61)
+    contests = [deep_contest(rng, rng.randrange(500, 2001)) for _ in range(12)]
+    thresholds = (Fraction(3, 20), Fraction(1, 4), Fraction(1, 3))
+    contests += [
+        random_irv_profile(rng, max_candidates=7, max_ballots=rng.choice([3000, 20000]), threshold=thresholds[i % 3])
+        for i in range(300)
+    ]
+    ten = cyclic_contest(TEN_STRENGTHS)
+    roster = list(ten.labels)
+    random.Random(5).shuffle(roster)
+    shuffled = build_profile(roster, [(list(r), n) for r, n in ten.rankings.items()], ten.threshold, ten.delegates, IRV)
+    return contests + [shuffled, cyclic_contest(FOURTEEN_STRENGTHS)]
+
+
+def test_each_states_piles_are_a_fresh_count(monkeypatch):
+    """Each set's piles are derived from the set without its last
+    candidate, by moving that candidate's ballots on from their pile
+    nodes, and the derived piles go to the context's cache.  On every
+    contest of ``_transfer_contests``, each state of the search holds, in
+    roster order, the piles that ``count_piles`` gives on a copy of the
+    contest whose ranking tree no search has grown, which a scan of every
+    ranking confirms, and the cache holds that state's piles.  The deep contests' trees are walked more than
+    three labels down."""
+    searched = []
+
+    def recorded(ctx, tops):
+        states = set_states(ctx, tops)
+        searched.append((ctx, states))
+        return states
+
+    monkeypatch.setattr(viability, "set_states", recorded)
+    checked = Counter()
+    for profile in _transfer_contests():
+        try:
+            outcome = tabulate(profile)
+        except UnsupportedOutcomeError:
+            continue
+        gen_irv_viability(AuditContext(profile, RiskParams(seed=1)), outcome)
+        if not searched:
+            continue
+        (ctx, states), = searched
+        searched.clear()
+        fresh = replace(profile)
+        for state in states.values():
+            counted = count_piles(fresh, state.removed)
+            assert list(state.piles.items()) == list(counted[0].items()), state.removed
+            assert counted == scan_piles(profile, state.removed)
+            assert ctx.piles(state.removed) is state.piles
+        kind = "deep" if len(profile.rankings) >= 500 else "cyclic" if "c0" in profile.labels else "random"
+        checked[kind] += 1
+        checked[f"{kind} states"] += len(states)
+        checked["deep sets"] += kind == "deep" and max(map(len, states)) > 3
+    assert checked["deep"] == checked["deep sets"] == 12 and checked["cyclic"] == 2, checked
+    assert checked["deep states"] > 500 and checked["cyclic states"] > 8000, checked
+    assert checked["random"] > 100 and checked["random states"] > 3000, checked
+
+
+def test_only_the_reductions_count_piles_from_the_root(monkeypatch):
+    """In a ten-candidate level-3 build, ``count_piles`` runs only for the
+    sets the W/L reductions are scored on, the empty set among them; every
+    set of the search takes its piles from the set without its last
+    candidate, and only the empty set's state walks from the root."""
+    profile = cyclic_contest(TEN_STRENGTHS)
+    outcome = tabulate(profile)
+    counted, first, moved = [], [], []
+    monkeypatch.setattr(viability, "count_piles", lambda p, gone: counted.append(gone) or count_piles(p, gone))
+    monkeypatch.setattr(viability, "_first_piles", lambda p: first.append(p) or _first_piles(p))
+    monkeypatch.setattr(viability, "_transfer", lambda *args: moved.append(args[2]) or _transfer(*args))
+    build_audit_specs(profile, outcome, (3,), RiskParams(seed=1))
+    others = frozenset(profile.labels) - {"c0"}
+    assert counted == [frozenset()] + [others - {c} for c in profile.labels if c in others]
+    assert len(first) == 1 and len(moved) == 511
 
 
 def test_irv_beats_option_used_when_viability_fails(irv_profile):
@@ -1154,14 +1246,17 @@ def test_t_star_is_the_brute_force_maximin():
 def test_cut_does_not_depend_on_the_flow_graphs_arc_order(monkeypatch):
     """Every maximum flow leaves the same nodes reachable from the source,
     so inserting the flow graph's arcs in reverse gives the same spec and
-    proof-log bytes."""
+    proof-log bytes.  The seeded contests are drawn at thresholds 1/4 and
+    1/3, where far more searches reach the cut than at 3/20: 34 of the
+    levels built here do."""
     contests = [
         (cyclic_contest(TEN_STRENGTHS), RiskParams(seed=1)),
         (load_election(DATA / "election_irv.json"), PARAMS),
     ]
     rng = random.Random(24)
     while len(contests) < 40:
-        profile = random_irv_profile(rng, max_candidates=7, max_ballots=3000)
+        profile = random_irv_profile(rng, max_candidates=7, max_ballots=3000,
+                                     threshold=rng.choice([Fraction(1, 4), Fraction(1, 3)]))
         contests.append((profile, RiskParams(seed=1)))
 
     def build_all():
@@ -1177,7 +1272,7 @@ def test_cut_does_not_depend_on_the_flow_graphs_arc_order(monkeypatch):
     forward = build_all()
     monkeypatch.setattr(viability, "source_side", lambda n, arcs, s, t, side=source_side: side(n, arcs[::-1], s, t))
     assert build_all() == forward
-    assert sum("\ncut: " in "\n".join(log) for specs in forward for _, log in specs.values()) > 5
+    assert sum("\ncut: " in "\n".join(log) for specs in forward for _, log in specs.values()) >= 34
 
 
 def _least_minimum_source_set(node_count, arcs, source, sink):
