@@ -104,9 +104,10 @@ class ElectionProfile:
         ballots whose ranking passes through the node, the ballots whose
         ranking ends at it, a dict from label to child node, and the
         ``(ranking, count)`` pairs through it.  A node is *pending* until
-        a tally first walks down it (``tabulation.count_piles``): until
-        then ``ended`` is 0 and ``children`` None; afterwards ``pending``
-        is None.  The root is the empty prefix; blank rankings are left
+        a tally first walks down it (``tabulation._descend``, the walk of
+        ``count_piles`` and of the search's transfers): until then
+        ``ended`` is 0 and ``children`` None; afterwards ``pending`` is
+        None.  The root is the empty prefix; blank rankings are left
         out of the tree: the root's pairs are the rankings' items, copied
         in one C-level pass, less the one blank pair if there is one.
         """

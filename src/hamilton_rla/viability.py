@@ -360,7 +360,7 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
                 keys.append(key := unmentioned[:i] + unmentioned[i + 1:])
                 if key not in below:
                     below[key] = []
-    viable, effort, inf = ctx._viable, ctx._effort, math.inf
+    viable, effort = ctx._viable, ctx._effort
     wins_constant, winner_coefficient, loser_coefficient, wins_denominator = ctx._wins
     # the candidates after each in the roster: the ones whose pile nodes a state with it last keeps
     later = {c: ctx.labels[i + 1:] for i, c in enumerate(ctx.labels)}
@@ -380,8 +380,8 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
                     rival = wins_constant + winner_coefficient * piles[cand] + loser_coefficient * piles[other]
                     if rival / wins_denominator > margin:
                         scaled, margin, loser = rival, rival / wins_denominator, other
-                eae = effort(margin) if scaled > 0 else inf
-                reach = eae if eae < child.best else child.best
+                eae = effort(margin) if scaled > 0 else math.inf
+                reach = min(eae, child.best)
                 if reach > best:
                     best, via = reach, len(steps)
                 steps.append((cand, loser, eae, child))

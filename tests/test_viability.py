@@ -469,8 +469,8 @@ def test_each_states_piles_are_a_fresh_count(monkeypatch):
     contest of ``_transfer_contests``, each state of the search holds, in
     roster order, the piles that ``count_piles`` gives on a copy of the
     contest whose ranking tree no search has grown, which a scan of every
-    ranking confirms, and the cache holds that state's piles.  The deep contests' trees are walked more than
-    three labels down."""
+    ranking confirms, and the cache holds that state's piles.  Each deep
+    contest's search eliminates more than three candidates."""
     searched = []
 
     def recorded(ctx, tops):
