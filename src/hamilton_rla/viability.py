@@ -20,7 +20,7 @@ the sets ``U`` of candidates still to be eliminated, read backwards from
 the end of the count:
 
 - ``V`` roots an edge into ``labels - V``, ruled out by an assertion
-  contradicting ``V`` as the final viable set (``best_root_assertion``: a
+  contradicting ``V`` as the final viable set (``AltOutcomeNode.root_pick``: a
   member below threshold with everyone else gone, or an outsider whose
   first preferences alone make them viable);
 - a step ``U -> U - {c}`` says that ``c`` goes right after exactly
@@ -57,24 +57,30 @@ count certifies the outcome, so no flow runs, the result is not
 line names that path.  ``build_audit_specs`` also rules a full count when
 an entry or the delegate allocation cannot be audited.
 
-Each edge gets the option of largest margin, the first of equal ones,
-and only that one is estimated: an estimate depends only on the margin
-and never rises with it (``risk.estimate_asn``).  Margins are linear
-forms, derived once from each form's points, that read no eliminated set
-and are evaluated on each step's and root's piles (``AuditContext``).
-A step's options are ``Viable(c, rest)``, then ``IrvWins(c, o, rest)``
-for each standing ``o`` in roster order, where ``rest = U - {c}`` is its
-target's set.  Each state keeps its set, piles and standing candidates
-stably sorted by pile; only the first sorted ``IrvWins`` can beat the
-others, so the step weighs it against the ``Viable`` and keeps the loser
-it picked, if any.  An edge's assertion is built only when the cut takes it.
+Each edge gets the option of largest exact margin, the first of exactly
+equal ones, and only that one is estimated: an estimate depends only on
+the margin's float and never rises with it (``risk.estimate_asn``).
+Margins are linear forms, derived once from each form's points, that
+read no eliminated set and are evaluated on each step's and root's piles
+(``AuditContext``), and two are compared by cross-multiplying their
+integer margins and denominators.  A step's options are ``Viable(c,
+rest)``, then ``IrvWins(c, o, rest)`` for each standing ``o`` in roster
+order, where ``rest = U - {c}`` is its target's set.  Each state keeps
+its set, piles and standing candidates stably sorted by pile; only the
+first sorted ``IrvWins`` can beat the others, so the step weighs it
+against the ``Viable`` and keeps the loser it picked, if any.  A root's
+options are each outsider's ``Viable`` on the first preferences, then
+each member's ``NonViable`` with every outsider gone; only the outsider
+of largest first pile and the first sorted member of its set's state can
+win, so the root weighs just those two.  An edge's assertion is built
+only when the cut takes it.
 
 Only the empty set's piles are counted from the root of the ranking
 tree.  Every other set's come from the set without its last candidate in
 roster order: only that candidate's ballots move, walked down from their
-pile nodes (``tabulation._transfer``).  The states are built before the
-roots are scored, and their piles fill the context's cache, so the roots,
-the cut's entries and ``exact_margin`` count nothing again.
+pile nodes (``tabulation._transfer``).  The states' piles fill the
+context's cache, so the cut's entries and ``exact_margin`` count nothing
+again.
 
 Each set is one ``AltOutcomeNode``, linked only to the sets its steps
 reach, and the flow's residual graph lives in flat integer lists, so no
@@ -90,6 +96,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -146,8 +153,8 @@ class AuditContext:
 
     ``piles`` counts a set from the ranking tree's root only on a miss:
     ``set_states`` stores every search state's piles, derived from a
-    one-smaller set's, so after the W/L reductions the search's roots and
-    cut entries find theirs stored.
+    one-smaller set's, so after the W/L reductions the search's cut entries
+    find theirs stored.
     """
 
     def __init__(self, profile: ElectionProfile, params: RiskParams | None = None):
@@ -188,6 +195,13 @@ class AuditContext:
         """The exact assorter margin over every cast ballot."""
         return Fraction(self._margins(assertion)[0], self._denominator(assertion))
 
+    @cached_property
+    def _ranked(self) -> list[tuple[str, tuple[int, int, int], int]]:
+        """Each candidate with its ``Viable`` terms and first-preference pile,
+        stably sorted by that pile, largest first: best ``Viable`` first."""
+        first = self.piles(frozenset())
+        return [(c, self._viable[c], first[c]) for c in sorted(self.labels, key=first.__getitem__, reverse=True)]
+
     def _effort(self, margin: float) -> float:
         """The estimated sample size, computed once per distinct margin."""
         cached = self._eae.get(margin)
@@ -199,13 +213,6 @@ class AuditContext:
     def entry(self, assertion: Assertion) -> SpecEntry:
         scaled, margin = self._margins(assertion)
         return SpecEntry(assertion, Fraction(scaled, self._denominator(assertion)), self._effort(margin))
-
-
-def _score(terms: tuple[int, int, int], pile: int) -> tuple[int, float]:
-    """A ``Viable`` or ``NonViable`` option's integer and float margins on its candidate's pile."""
-    constant, coefficient, denominator = terms
-    scaled = constant + coefficient * pile
-    return scaled, scaled / denominator
 
 
 def compute_W_L(ctx: AuditContext) -> tuple[frozenset[str], frozenset[str], tuple[SpecEntry, ...]]:
@@ -253,39 +260,17 @@ def enumerate_alt_sets(
     return out
 
 
-def _cheapest(
-    options: Sequence[Assertion], ctx: AuditContext, scored: Sequence[tuple[int, float]] | None = None
-) -> tuple[Assertion | None, float]:
-    """The option of largest float margin (the first of equal margins) and
-    its ``eae``; ``(None, inf)`` when it does not hold (its integer margin
-    is not positive) or there is no option.
+def _cheapest(options: Sequence[Assertion], ctx: AuditContext) -> tuple[Assertion | None, float]:
+    """The option of largest exact margin (the first of exactly equal ones)
+    and its ``eae``; ``(None, inf)`` when it does not hold (its margin is
+    not positive) or there is no option.
 
     ``eae`` never rises with the margin, so no other option is cheaper,
-    and only the pick is estimated.  Each option's margins are computed
-    once, unless ``scored`` gives them.
+    and only the pick is estimated.  Each option's margin is computed once.
     """
-    scored = scored or [ctx._margins(option) for option in options]
-    best = max(scored, key=itemgetter(1), default=(0, -math.inf))
-    return (options[scored.index(best)], ctx._effort(best[1])) if best[0] > 0 else (None, math.inf)
-
-
-def best_root_assertion(vset: frozenset[str], ctx: AuditContext) -> tuple[Assertion | None, float]:
-    """Cheapest assertion contradicting ``vset`` as the final viable set.
-
-    Either an outsider is viable on first preferences alone (so belongs in
-    every viable set), or a member's pile stays below the threshold even
-    with every non-member eliminated.  Both contradict the final state no
-    matter how the eliminations were ordered.  Only the pick is built.
-    """
-    outsiders = [c for c in ctx.labels if c not in vset]
-    members = [c for c in ctx.labels if c in vset and c in ctx._nonviable]
-    first, piles = ctx.piles(frozenset()), ctx.piles(others := frozenset(outsiders))
-    scored = [_score(ctx._viable[c], first[c]) for c in outsiders]
-    scored += [_score(ctx._nonviable[c], piles[c]) for c in members]
-    pick, eae = _cheapest(outsiders + members, ctx, scored)
-    if pick is not None:
-        pick = NonViable(pick, others, ctx.threshold) if pick in vset else Viable(pick, frozenset(), ctx.threshold)
-    return pick, eae
+    margins = [ctx.exact_margin(option) for option in options]
+    best = max(margins, default=0)
+    return (options[margins.index(best)], ctx._effort(float(best))) if best > 0 else (None, math.inf)
 
 
 @dataclass
@@ -335,6 +320,27 @@ class AltOutcomeNode:
         cand, loser, _, child = self.steps[step]
         return Viable(cand, child.removed, threshold) if loser is None else IrvWins(cand, loser, child.removed)
 
+    def root_pick(self, ctx: AuditContext) -> tuple[str | None, float]:
+        """The candidate of the cheapest assertion contradicting the standing
+        candidates as the final viable set, and its ``eae``; ``(None, inf)``
+        when none holds.  The first outsider in ``ctx._ranked`` has the best
+        ``Viable`` and ``by_pile[0]`` the best ``NonViable`` with this set
+        gone; the larger exact margin wins, the outsider's on a tie.
+        """
+        options = [next((o for o in ctx._ranked if o[0] in self.removed), None)]
+        if self.by_pile and ctx._nonviable:
+            options.append((member := self.by_pile[0], ctx._nonviable[member], self.piles[member]))
+        pick, scaled, denominator = None, 0, 1
+        for cand, (constant, coefficient, den), pile in filter(None, options):
+            if (cand_scaled := constant + coefficient * pile) * denominator > scaled * den:
+                pick, scaled, denominator = cand, cand_scaled, den
+        return pick, (math.inf if pick is None else ctx._effort(scaled / denominator))
+
+    def root_assertion(self, pick: str, threshold: Fraction) -> Assertion:
+        """The assertion the cut builds for a root edge into this set that picked ``pick``."""
+        outsider = pick in self.removed
+        return Viable(pick, frozenset(), threshold) if outsider else NonViable(pick, self.removed, threshold)
+
 
 def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple[str, ...], AltOutcomeNode]:
     """A state for each set that the sets ``tops`` (each in roster order)
@@ -360,7 +366,7 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
                 keys.append(key := unmentioned[:i] + unmentioned[i + 1:])
                 if key not in below:
                     below[key] = []
-    viable, effort = ctx._viable, ctx._effort
+    viable, eaes, effort = ctx._viable, ctx._eae, ctx._effort
     wins_constant, winner_coefficient, loser_coefficient, wins_denominator = ctx._wins
     # the candidates after each in the roster: the ones whose pile nodes a state with it last keeps
     later = {c: ctx.labels[i + 1:] for i, c in enumerate(ctx.labels)}
@@ -374,13 +380,14 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
             for cand, key in zip(unmentioned, keys):
                 child = states[key]
                 piles, by_pile, loser = child.piles, child.by_pile, None
-                scaled, margin = _score(viable[cand], piles[cand])
+                constant, coefficient, denominator = viable[cand]
+                scaled = constant + coefficient * piles[cand]
                 if len(by_pile) > 1:  # cand stands, so someone else does too
                     other = by_pile[by_pile[0] == cand]
                     rival = wins_constant + winner_coefficient * piles[cand] + loser_coefficient * piles[other]
-                    if rival / wins_denominator > margin:
-                        scaled, margin, loser = rival, rival / wins_denominator, other
-                eae = effort(margin) if scaled > 0 else math.inf
+                    if rival * denominator > scaled * wins_denominator:
+                        scaled, denominator, loser = rival, wins_denominator, other
+                eae = (eaes.get(margin := scaled / denominator) or effort(margin)) if scaled > 0 else math.inf
                 reach = min(eae, child.best)
                 if reach > best:
                     best, via = reach, len(steps)
@@ -543,9 +550,9 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
         return GenerationResult(reductions, True, tuple(log))
 
     tops = [tuple(c for c in ctx.labels if c not in vset) for vset in alt_sets]
-    states = set_states(ctx, tops)  # first, so the roots find their piles counted
-    # (viable set, the set it leaves to eliminate, its assertion, eae)
-    roots = [(vset, top, *best_root_assertion(vset, ctx)) for vset, top in zip(alt_sets, tops)]
+    states = set_states(ctx, tops)
+    # (viable set, the set it leaves to eliminate, the candidate its assertion names, eae)
+    roots = [(vset, top, *states[top].root_pick(ctx)) for vset, top in zip(alt_sets, tops)]
     t_star, witness = -math.inf, roots[0]
     for root in roots:
         reach = min(root[3], states[root[1]].best)
@@ -568,7 +575,8 @@ def gen_irv_viability(ctx: AuditContext, outcome: ReportedOutcome) -> Generation
     bound = max([t_star] + [entry.eae for entry in reductions])
     side = cut_side(states, roots, bound)
     cut = [
-        (f"viable {_set_repr(vset)}", assertion, eae) for vset, top, assertion, eae in roots if not side[states[top].id]
+        (f"viable {_set_repr(vset)}", states[top].root_assertion(pick, ctx.threshold), eae)
+        for vset, top, pick, eae in roots if not side[states[top].id]
     ]
     cut += [
         (f"{cand} after {_set_repr(child.removed)}", state.assertion(i, ctx.threshold), eae)

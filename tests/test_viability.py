@@ -28,7 +28,7 @@ from hamilton_rla import (
     tabulate,
     viability,
 )
-from hamilton_rla.assertions import IrvWins, NonViable, Viable
+from hamilton_rla.assertions import IrvWins, NonViable, Viable, _ThresholdAssertion
 from hamilton_rla.model import IRV, PLURALITY, STATUS_COMPLETE, STATUS_FULL_COUNT, audit_spec_to_dict, load_election
 from hamilton_rla.risk import estimate_asn, estimate_audit_asn
 from hamilton_rla.tabulation import _first_piles, _transfer, count_piles
@@ -36,7 +36,6 @@ from hamilton_rla.viability import (
     AltOutcomeNode,
     AuditContext,
     _cheapest,
-    best_root_assertion,
     build_audit_specs,
     compute_W_L,
     cut_side,
@@ -253,21 +252,31 @@ def test_singleton_enumeration_cap_one():
     assert got == [frozenset({"B"}), frozenset({"C"})]
 
 
-def test_best_root_assertion_example(irv_profile):
+def _root(vset, ctx):
+    """The assertion the cut would build for the root edge of viable set
+    ``vset`` (``None`` when no option holds) and the edge's ``eae``, scored
+    from the state ``set_states`` builds for the set of outsiders."""
+    top = tuple(c for c in ctx.labels if c not in vset)
+    state = set_states(ctx, [top])[top]
+    pick, eae = state.root_pick(ctx)
+    return (None if pick is None else state.root_assertion(pick, ctx.threshold)), eae
+
+
+def test_root_pick_example(irv_profile):
     ctx = AuditContext(irv_profile, PARAMS)
     # {Ann}: Ann cannot be shown non-viable (76.1% with everyone gone) and
     # Bob's pile after eliminating L={Dee} is 9,630 (12.7%), short of 15%
     assert ctx.piles(frozenset({"Dee"}))["Bob"] == 9630
-    assertion, eae = best_root_assertion(frozenset({"Ann"}), ctx)
+    assertion, eae = _root(frozenset({"Ann"}), ctx)
     assert math.isinf(eae)
     # {Ann,Bob,Cal}: Cal's pile with only Dee gone is 8,446 (11.2%), so a
     # non-viability assertion is available
-    assertion, eae = best_root_assertion(frozenset({"Ann", "Bob", "Cal"}), ctx)
+    assertion, eae = _root(frozenset({"Ann", "Bob", "Cal"}), ctx)
     assert isinstance(assertion, NonViable)
     assert not math.isinf(eae)
 
 
-def test_best_root_assertion_missing_strong_candidate():
+def test_root_pick_missing_strong_candidate():
     profile = build_profile(
         ["A", "B", "C"],
         [(["A"], 60), (["B", "A"], 25), (["C"], 15)],
@@ -276,7 +285,7 @@ def test_best_root_assertion_missing_strong_candidate():
         "irv",
     )
     ctx = AuditContext(profile, PARAMS)
-    assertion, eae = best_root_assertion(frozenset({"B", "C"}), ctx)
+    assertion, eae = _root(frozenset({"B", "C"}), ctx)
     # A holds 60% of first preferences: viable in any outcome
     assert isinstance(assertion, Viable)
     assert assertion.candidate == "A"
@@ -596,7 +605,7 @@ def test_an_open_outcome_is_named_and_only_the_reductions_kept():
     )
     assert [e.assertion.key for e in spec.entries] == ["viable:D:E=:t=3/20"]
     ctx = AuditContext(profile, RiskParams(seed=52))
-    assert math.isinf(best_root_assertion(frozenset("AD"), ctx)[1])
+    assert math.isinf(_root(frozenset("AD"), ctx)[1])
     steps = _step_table(ctx)
     assert all(math.isinf(steps[c, frozenset(gone)][1]) for c, gone in [("E", ""), ("C", "E"), ("B", "CE")])
 
@@ -665,7 +674,7 @@ def _check_cut_log(profile, spec, log) -> int:
     order = order.split(" -> ") if order != "(nobody eliminated)" else []
     steps = _step_table(ctx)
     edges = [steps[c, frozenset(order[:i])] for i, c in enumerate(order)]
-    edges.append(best_root_assertion(_labels(vset), ctx))
+    edges.append(_root(_labels(vset), ctx))
     assert costs == ", ".join(f"{name} {eae}" for name, (_, eae) in zip(order + ["viable"], edges))
     assert min(eae for _, eae in edges) == float(t_star)
     bound, count = CUT_AT.fullmatch(next(line for line in log if line.startswith("cut at T = "))).groups()
@@ -676,7 +685,7 @@ def _check_cut_log(profile, spec, log) -> int:
     for line in lines:
         root, cand, gone, described, eae = CUT.fullmatch(line).groups()
         if root is not None:
-            assertion, want = best_root_assertion(_labels(root), ctx)
+            assertion, want = _root(_labels(root), ctx)
         else:
             assertion, want = steps[cand, _labels(gone)]
         assert (described, float(eae)) == (str(assertion), want), line
@@ -785,16 +794,16 @@ def ctx_margin(ctx):
 
 class _Costs:
     """Stand-in for AuditContext in ``_cheapest``: fixed margins per option
-    (the integer margin, whose sign is ``holds``, is a thousand times the
-    margin) and estimates per margin (never rising with it), recording
-    which options were scored and which margins were simulated."""
+    (the exact margin is the float margin's thousandths) and estimates per
+    margin (never rising with it), recording which options were scored and
+    which margins were simulated."""
 
     def __init__(self, margins, eaes):
         self.margins, self.eaes, self.scored, self.simulated = margins, eaes, [], []
 
-    def _margins(self, option):
+    def exact_margin(self, option):
         self.scored.append(option)
-        return round(1000 * self.margins[option]), self.margins[option]
+        return Fraction(round(1000 * self.margins[option]), 1000)
 
     def _effort(self, margin):
         self.simulated.append(margin)
@@ -896,18 +905,25 @@ def test_each_step_is_what_cheapest_makes_of_its_full_option_list():
     ``eae`` that ``_cheapest`` gives its full option list, each option
     built over its real eliminated set and scored on its own piles, and
     when that pick holds, it is the assertion the step builds.  Every cut
-    line of the search names that pick at that ``eae``."""
-    rng = random.Random(31)
-    steps = cut = 0
-    for _ in range(300):
-        profile = random_irv_profile(rng, max_candidates=7, max_ballots=rng.choice([300, 3000]))
-        params = RiskParams(error_rate=rng.choice([0.0, 0.002, 0.02]), seed=1)
+    line of the search names that pick at that ``eae``.  On the contests of
+    about 10**18 ballots, many picks are not the first option of largest
+    float margin, so the exact rule is tested."""
+    rng, huge = random.Random(31), random.Random(38)
+    contests = [
+        (random_irv_profile(rng, max_candidates=7, max_ballots=rng.choice([300, 3000])),
+         RiskParams(error_rate=rng.choice([0.0, 0.002, 0.02]), seed=1))
+        for _ in range(300)
+    ] + [(_huge_contest(huge), RiskParams(error_rate=0.0, seed=1)) for _ in range(20)]
+    steps = cut = float_first = 0
+    for profile, params in contests:
         ctx = AuditContext(profile, params)
         for state in set_states(ctx, [ctx.labels]).values():
             for i, (cand, _, eae, child) in enumerate(state.steps):
-                pick, least = _cheapest(_full_step_options(ctx, cand, child.removed), ctx)
+                options = _full_step_options(ctx, cand, child.removed)
+                pick, least = _cheapest(options, ctx)
                 assert eae == least
                 assert pick is None or state.assertion(i, ctx.threshold) == pick
+                float_first += pick is not None and pick != max(options, key=ctx_margin(ctx))
                 steps += 1
         try:
             outcome = tabulate(profile)
@@ -920,13 +936,13 @@ def test_each_step_is_what_cheapest_makes_of_its_full_option_list():
                 pick, least = _cheapest(_full_step_options(ctx, cand, _labels(gone)), ctx)
                 assert (described, float(eae)) == (str(pick), least), line
                 cut += 1
-    assert steps > 20000 and cut > 50
+    assert steps > 20000 and cut > 50 and float_first > 200, (steps, cut, float_first)
 
 
 def test_root_picks_what_cheapest_picks_from_every_option():
-    """``best_root_assertion`` scores each outsider's ``Viable`` on the
-    first-preference piles and each member's ``NonViable`` on the piles
-    with every outsider gone, and builds only its pick: the result must be
+    """``AltOutcomeNode.root_pick`` weighs only the outsider of largest
+    first-preference pile and the member of least pile with every outsider
+    gone, and builds nothing: the assertion built for its pick must be
     what ``_cheapest`` makes of the full option list (``_root_options``),
     ties included.  Small piles, some passed on to the next candidate,
     make both kinds of tie common: outsiders' ``Viable`` tying each other,
@@ -943,7 +959,7 @@ def test_root_picks_what_cheapest_picks_from_every_option():
         ctx = AuditContext(build_profile(labels, ballots, tau, 1, "irv"), RiskParams(error_rate=0.0))
         vset = frozenset(c for c in labels if rng.random() < 0.4)
         options = _root_options(vset, ctx)
-        assert best_root_assertion(vset, ctx) == _cheapest(options, ctx)
+        assert _root(vset, ctx) == _cheapest(options, ctx)
         margins = list(map(ctx_margin(ctx), options))
         viable = [m for a, m in zip(options, margins) if isinstance(a, Viable)]
         if not viable or max(viable) != max(margins):
@@ -957,19 +973,20 @@ def test_root_picks_what_cheapest_picks_from_every_option():
 def test_each_real_root_is_what_cheapest_makes_of_its_full_option_list():
     """Over a few hundred seeded contests and ``ten_cyclic``, every root the
     search makes (each alternative viable set, and the empty set when no
-    candidate is definitely viable) gets from ``best_root_assertion`` the
-    pick and ``eae`` that ``_cheapest`` gives its full option list
+    candidate is definitely viable) gets from ``AltOutcomeNode.root_pick``
+    the pick and ``eae`` that ``_cheapest`` gives its full option list
     (``_root_options``): every outsider's ``Viable`` over the empty set and
     every member's ``NonViable`` over the real set of outsiders, each
     scored on its own piles.  Some roots' largest margins tie, so the tie
-    rule is tested on real roots too."""
-    rng = random.Random(47)
+    rule is tested on real roots too, and on the contests of about 10**18
+    ballots some picks are not the first option of largest float margin."""
+    rng, huge = random.Random(47), random.Random(37)
     profiles = [cyclic_contest(TEN_STRENGTHS)] + [
         random_irv_profile(rng, max_candidates=7, max_ballots=rng.choice([60, 300]),
                            threshold=rng.choice([TAU, Fraction(1, 4), Fraction(1, 3)]))
         for _ in range(300)
-    ]
-    roots = ties = 0
+    ] + [_huge_contest(huge) for _ in range(60)]
+    roots = ties = float_first = 0
     for profile in profiles:
         try:
             outcome = tabulate(profile)
@@ -980,11 +997,109 @@ def test_each_real_root_is_what_cheapest_makes_of_its_full_option_list():
         vsets = enumerate_alt_sets(ctx.labels, winners, losers, max_viable(ctx.threshold), outcome.viable)
         for vset in vsets + ([] if winners else [frozenset()]):
             options = _root_options(vset, ctx)
-            assert best_root_assertion(vset, ctx) == _cheapest(options, ctx), (profile, vset)
-            margins = list(map(ctx_margin(ctx), options))
+            assert _root(vset, ctx) == _cheapest(options, ctx), (profile, vset)
+            margins = list(map(ctx.exact_margin, options))
             ties += margins.count(max(margins)) > 1
+            pick = options[margins.index(max(margins))]
+            float_first += max(margins) > 0 and pick != max(options, key=ctx_margin(ctx))
             roots += 1
-    assert roots > 2000 and ties > 200, (roots, ties)
+    assert roots > 2000 and ties > 200 and float_first > 5, (roots, ties, float_first)
+
+
+def _float_tie_contest():
+    """Four candidates at threshold 1/2 and about 2.1 * 10**18 ballots, where
+    with D gone ``IrvWins(A > B)`` and ``IrvWins(A > C)`` have the same
+    float margin, but C's pile is two ballots smaller, so A > C's exact
+    margin is larger."""
+    ballots = [
+        (["A"], 900000000000000003), (["A", "D"], 128571428571428572), (["B"], 100000000000000003),
+        (["C"], 100000000000000001), (["D"], 800000000000000000), (["D", "A"], 114285714285714286),
+    ]
+    return build_profile(["A", "B", "C", "D"], ballots, Fraction(1, 2), 2, IRV)
+
+
+def _check_every_edge(ctx):
+    """Every step and every root (each subset of the roster as a viable set)
+    is what ``_cheapest`` makes of its full option list."""
+    for state in set_states(ctx, [ctx.labels]).values():
+        for i, (cand, _, eae, child) in enumerate(state.steps):
+            pick, least = _cheapest(_full_step_options(ctx, cand, child.removed), ctx)
+            assert eae == least and (pick is None or state.assertion(i, ctx.threshold) == pick)
+    for size in range(len(ctx.labels) + 1):
+        for vset in map(frozenset, combinations(ctx.labels, size)):
+            assert _root(vset, ctx) == _cheapest(_root_options(vset, ctx), ctx), vset
+
+
+def test_float_tied_options_go_to_the_larger_exact_margin():
+    """Each edge gets the option of largest exact margin, not the first of
+    equal float margins.  On ``_float_tie_contest`` every edge is what
+    ``_cheapest`` makes of its options, and the step of A after {D} is cut
+    with ``IrvWins(A > C)``, which the first of the float-tied options
+    would have named ``IrvWins(A > B)``.  With 10**18 ballots, a root of
+    viable set {B} weighs A's ``Viable`` against B's ``NonViable``, whose
+    exact margin is larger by twelve ballots but whose float is the same:
+    the ``NonViable`` is picked."""
+    profile = _float_tie_contest()
+    ctx = AuditContext(profile, RiskParams(seed=1))
+    by_b, by_c = IrvWins("A", "B", frozenset("D")), IrvWins("A", "C", frozenset("D"))
+    assert ctx_margin(ctx)(by_b) == ctx_margin(ctx)(by_c) and ctx.exact_margin(by_b) < ctx.exact_margin(by_c)
+    assert _cheapest(_full_step_options(ctx, "A", frozenset("D")), ctx) == (by_c, 12)
+    _check_every_edge(ctx)
+    _, log = build_audit_spec(profile, tabulate(profile), 1, RiskParams(seed=1))
+    assert "cut: A after {D} with IrvWins(A > C | out {D}) (eae 12)" in log
+    half = Fraction(1, 2)
+    ballots = [(["A"], 6 * 10**17), (["B"], 4 * 10**17 - 4), (["C"], 3)]
+    ctx = AuditContext(build_profile(["A", "B", "C"], ballots, half, 2, IRV), RiskParams(seed=1))
+    viable, nonviable = Viable("A", frozenset(), half), NonViable("B", frozenset("AC"), half)
+    assert ctx_margin(ctx)(viable) == ctx_margin(ctx)(nonviable)
+    assert ctx.exact_margin(viable) < ctx.exact_margin(nonviable)
+    assert _root(frozenset("B"), ctx)[0] == nonviable
+    _check_every_edge(ctx)
+
+
+def _threshold_assertions_built(monkeypatch):
+    """Record, from now on, every ``Viable`` and ``NonViable`` constructed,
+    and mark where each search's ``set_states`` starts: after the context's
+    margin terms and the W/L reductions."""
+    built, marks, post_init = [], [], _ThresholdAssertion.__post_init__
+
+    def recorded(assertion):
+        post_init(assertion)
+        built.append(str(assertion))
+
+    monkeypatch.setattr(_ThresholdAssertion, "__post_init__", recorded)
+    monkeypatch.setattr(viability, "set_states", lambda ctx, tops: marks.append(len(built)) or set_states(ctx, tops))
+    return built, marks
+
+
+def test_only_the_cut_builds_root_assertions(monkeypatch):
+    """A root carries its pick as a candidate, and its ``Viable`` or
+    ``NonViable`` is built only when the cut takes its edge: once the search
+    starts, a build constructs exactly the ``Viable`` and ``NonViable`` its
+    cut lines name, in their order.  None of ``ten_cyclic``'s 37 cut edges at
+    level 3 is a root, so it builds no root assertion; on seeded contests
+    the root assertions built are as many as the ``cut: viable`` lines."""
+    built, marks = _threshold_assertions_built(monkeypatch)
+    contests = [cyclic_contest(TEN_STRENGTHS)]
+    rng = random.Random(40)
+    contests += [random_irv_profile(rng, max_candidates=5, threshold=rng.choice([Fraction(1, 3), Fraction(1, 2)]))
+                 for _ in range(200)]
+    roots = 0
+    for profile in contests:
+        try:
+            outcome = tabulate(profile)
+        except UnsupportedOutcomeError:
+            continue
+        built.clear()
+        marks.clear()
+        _, log = build_audit_spec(profile, outcome, 3, RiskParams(seed=1))
+        lines = [CUT.fullmatch(line).groups() for line in log if line.startswith("cut: ")]
+        named = [described for *_, described, _ in lines if not described.startswith("IrvWins(")]
+        assert built[marks[0]:] == named if marks else not lines
+        roots += sum(root is not None for root, *_ in lines)
+        if profile is contests[0]:
+            assert len(lines) == 37 and not any(root is not None for root, *_ in lines)
+    assert roots > 30, roots
 
 
 def _tie_heavy_contest(rng):
@@ -1004,6 +1119,15 @@ def _tie_heavy_contest(rng):
         if passed:
             ballots.append(([label, labels[(i + 1) % len(labels)]], passed))
     return build_profile(labels, ballots, Fraction(1, 4), rng.randint(1, 6), "irv")
+
+
+def _huge_contest(rng):
+    """``_tie_heavy_contest`` with every count times 10**17, nudged by up to
+    three ballots: its equal piles become piles of different exact margins
+    whose float margins mostly tie."""
+    small = _tie_heavy_contest(rng)
+    ballots = [(list(ranking), n * 10**17 + rng.randrange(4)) for ranking, n in small.rankings.items()]
+    return build_profile(small.labels, ballots, small.threshold, small.delegates, IRV)
 
 
 def _equivalence_contests():
@@ -1049,6 +1173,17 @@ def _root_options(vset, ctx):
         others = frozenset(ctx.labels) - vset
         options += [NonViable(c, others, tau) for c in ctx.labels if c in vset]
     return options
+
+
+def _root_pick_with(pick):
+    """``AltOutcomeNode.root_pick`` with the root's full option list
+    (``_root_options``) handed to ``pick``."""
+
+    def root_pick(state, ctx):
+        assertion, eae = pick(_root_options(frozenset(ctx.labels) - state.removed, ctx), ctx)
+        return getattr(assertion, "candidate", None), eae
+
+    return root_pick
 
 
 def _states_with(pick, standing_order):
@@ -1097,7 +1232,7 @@ def _build_equivalence_specs(pick=None, standing_order=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(viability, "estimate_asn", counted)
         if pick is not None:
-            patch.setattr(viability, "best_root_assertion", lambda vset, ctx: pick(_root_options(vset, ctx), ctx))
+            patch.setattr(AltOutcomeNode, "root_pick", _root_pick_with(pick))
             patch.setattr(viability, "set_states", _states_with(pick, standing_order))
         built = []
         for profile, params in _equivalence_contests():
@@ -1199,7 +1334,7 @@ def _brute_force_t_star(profile, params):
         vsets.append(frozenset())
     best, table = -math.inf, _step_table(ctx)
     for vset in vsets:
-        root = best_root_assertion(vset, ctx)[1]
+        root = _root(vset, ctx)[1]
         for order in permutations([c for c in ctx.labels if c not in vset]):
             steps = [table[c, frozenset(order[:i])][1] for i, c in enumerate(order)]
             best = max(best, min([root] + steps))
@@ -1236,7 +1371,7 @@ def test_t_star_is_the_brute_force_maximin():
             vset = _labels(fail.group(2))
             assert sorted(order) == sorted(set(profile.labels) - vset)
             ctx = AuditContext(profile, params)
-            assert math.isinf(best_root_assertion(vset, ctx)[1])
+            assert math.isinf(_root(vset, ctx)[1])
             steps = _step_table(ctx)
             for i, c in enumerate(order):
                 assert math.isinf(steps[c, frozenset(order[:i])][1])
