@@ -165,30 +165,24 @@ def estimate_asn(margin: float | Fraction, params: RiskParams, population: int) 
     if params.error_rate == 0 or not -math.inf < log_clean < 0.0:  # no errors, one draw zeroes p, or none lowers it
         need = clean_draws(m, params.alpha, params.gamma)
         return need if need <= population else FULL_COUNT
-    log_alpha = math.log(params.alpha)
-
-    def overstatements(n: int) -> int:
-        return math.floor(params.error_rate * n + 0.5)
-
-    def confirms(n: int, k: int) -> bool:
-        return (n - k) * log_clean + k * log_over <= log_alpha
-
-    # Every draw before n fails.  With k = overstatements(n), the least draw
-    # c >= n that k overstatements would let confirm is estimated by division
-    # and settled by `confirms`, which is monotone in c for a fixed k.  A draw
+    log_alpha, error_rate, floor = math.log(params.alpha), params.error_rate, math.floor
+    # Every draw before n fails.  With k = floor(error_rate*n + 1/2)
+    # overstatements, the least draw c >= n that k would let confirm, as
+    # (c - k)*log_clean + k*log_over <= log_alpha says, is estimated by
+    # division and settled by that test, monotone in c for a fixed k.  A draw
     # in [n, c) has at least k overstatements, each only raising the p-value,
     # so it fails too; c confirms if it has exactly k.
     n = 1
     while True:
-        k = overstatements(n)
+        k = floor(error_rate * n + 0.5)
         c = min(max(n, math.ceil(k + (log_alpha - k * log_over) / log_clean)), population + 1)
-        while c > n and confirms(c - 1, k):
+        while c > n and (c - 1 - k) * log_clean + k * log_over <= log_alpha:
             c -= 1
-        while c <= population and not confirms(c, k):
+        while c <= population and not (c - k) * log_clean + k * log_over <= log_alpha:
             c += 1
         if c > population:
             return FULL_COUNT
-        if overstatements(c) == k:
+        if floor(error_rate * c + 0.5) == k:
             return c
         n = c
 

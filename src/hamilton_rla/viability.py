@@ -82,9 +82,11 @@ pile nodes (``tabulation._transfer``).  The states' piles fill the
 context's cache, so the cut's entries and ``exact_margin`` count nothing
 again.
 
-Each set is one ``AltOutcomeNode``, linked only to the sets its steps
-reach, and the flow's residual graph lives in flat integer lists, so no
-search state forms a reference cycle.
+The search indexes each set by its roster bitmask (position ``i`` is bit
+``i``), so a step's target is one bit cleared.  Each set is one
+``AltOutcomeNode``, linked only to the sets its steps reach, and the
+flow's residual graph lives in flat integer lists, so no search state
+forms a reference cycle.
 
 When ``W`` is empty one more alternative is reachable: every candidate
 eliminated and nobody viable.  That outcome roots an edge too (empty
@@ -145,11 +147,11 @@ class AuditContext:
     builds a fraction.
 
     A margin is a linear form of the piles, derived once from the points
-    (``Assertion.margin_terms``), that never reads the eliminated set.  So
-    the terms of one ``Viable`` and ``NonViable`` per candidate and of one
-    ``IrvWins`` by role (the same for every pair) are read once, and the
-    search evaluates them on each option's own piles; only the options
-    that reach the spec become assertions.
+    (``Assertion.margin_terms``), that reads no eliminated set and no
+    candidate's name, only roles.  So one terms tuple per form is read once
+    (``_viable``, ``_nonviable``, ``None`` at threshold 1, and ``_wins``),
+    and the search evaluates it on each option's own piles; only the
+    options that reach the spec become assertions.
 
     ``piles`` counts a set from the ranking tree's root only on a miss:
     ``set_states`` stores every search state's piles, derived from a
@@ -163,11 +165,11 @@ class AuditContext:
         self.total = profile.total_ballots
         self.valid = profile.valid_ballots
         self.threshold = tau = profile.threshold
-        self.labels = labels = profile.labels
+        self.labels = profile.labels
         self._piles: dict[frozenset[str], dict[str, int]] = {}
         self._eae: dict[float, float] = {}
-        self._viable = {c: self._terms(Viable(c, frozenset(), tau), c) for c in labels}
-        self._nonviable = {c: self._terms(NonViable(c, frozenset(), tau), c) for c in labels} if tau < 1 else {}
+        self._viable = self._terms(Viable("candidate", frozenset(), tau), "candidate")
+        self._nonviable = self._terms(NonViable("candidate", frozenset(), tau), "candidate") if tau < 1 else None
         self._wins = self._terms(IrvWins("winner", "loser", frozenset()), "winner", "loser")
 
     def piles(self, eliminated: frozenset[str]) -> dict[str, int]:
@@ -196,11 +198,11 @@ class AuditContext:
         return Fraction(self._margins(assertion)[0], self._denominator(assertion))
 
     @cached_property
-    def _ranked(self) -> list[tuple[str, tuple[int, int, int], int]]:
-        """Each candidate with its ``Viable`` terms and first-preference pile,
-        stably sorted by that pile, largest first: best ``Viable`` first."""
+    def _ranked(self) -> list[tuple[str, int]]:
+        """Each candidate with its first-preference pile, stably sorted by
+        that pile, largest first: best ``Viable`` first."""
         first = self.piles(frozenset())
-        return [(c, self._viable[c], first[c]) for c in sorted(self.labels, key=first.__getitem__, reverse=True)]
+        return [(c, first[c]) for c in sorted(self.labels, key=first.__getitem__, reverse=True)]
 
     def _effort(self, margin: float) -> float:
         """The estimated sample size, computed once per distinct margin."""
@@ -327,9 +329,9 @@ class AltOutcomeNode:
         ``Viable`` and ``by_pile[0]`` the best ``NonViable`` with this set
         gone; the larger exact margin wins, the outsider's on a tie.
         """
-        options = [next((o for o in ctx._ranked if o[0] in self.removed), None)]
+        options = [next(((c, ctx._viable, pile) for c, pile in ctx._ranked if c in self.removed), None)]
         if self.by_pile and ctx._nonviable:
-            options.append((member := self.by_pile[0], ctx._nonviable[member], self.piles[member]))
+            options.append((member := self.by_pile[0], ctx._nonviable, self.piles[member]))
         pick, scaled, denominator = None, 0, 1
         for cand, (constant, coefficient, den), pile in filter(None, options):
             if (cand_scaled := constant + coefficient * pile) * denominator > scaled * den:
@@ -348,6 +350,9 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
     scored on its target's piles and each ``best`` solved from the smaller
     sets'.
 
+    Sets are indexed by roster bitmask, and each set's tuple is sliced
+    once, when a larger set first reaches it; the states return by tuple.
+
     Only the empty set's piles are counted from the ranking tree's root.
     Any other set's come from the set without its last candidate, whose
     ballots alone move (``tabulation._transfer``).  A set one larger than
@@ -355,55 +360,54 @@ def set_states(ctx: AuditContext, tops: Iterable[tuple[str, ...]]) -> dict[tuple
     pile nodes of its later candidates only, and only until the sets one
     larger are built.  Every state's piles go to ``ctx``'s cache.
     """
-    # each set, by size, with the sets one smaller that its steps reach, in the order of its candidates
-    layers: list[dict[tuple[str, ...], list[tuple[str, ...]]]] = [{} for _ in range(len(ctx.labels) + 1)]
+    bit = {c: 1 << i for i, c in enumerate(ctx.labels)}
+    # each set's roster-ordered tuple by its mask, by size
+    layers: list[dict[int, tuple[str, ...]]] = [{} for _ in range(len(ctx.labels) + 1)]
     for top in tops:
-        layers[len(top)][top] = []
+        layers[len(top)][sum(map(bit.__getitem__, top))] = top
     for size in range(len(layers) - 1, 0, -1):
         below = layers[size - 1]
-        for unmentioned, keys in layers[size].items():
-            for i in range(size):
-                keys.append(key := unmentioned[:i] + unmentioned[i + 1:])
-                if key not in below:
-                    below[key] = []
-    viable, eaes, effort = ctx._viable, ctx._eae, ctx._effort
+        for mask, unmentioned in layers[size].items():
+            for i, cand in enumerate(unmentioned):
+                if (key := mask ^ bit[cand]) not in below:
+                    below[key] = unmentioned[:i] + unmentioned[i + 1:]
+    eaes, effort = ctx._eae, ctx._effort
+    viable_constant, viable_coefficient, viable_denominator = ctx._viable
     wins_constant, winner_coefficient, loser_coefficient, wins_denominator = ctx._wins
     # the candidates after each in the roster: the ones whose pile nodes a state with it last keeps
     later = {c: ctx.labels[i + 1:] for i, c in enumerate(ctx.labels)}
-    states: dict[tuple[str, ...], AltOutcomeNode] = {}
-    nodes_below: dict[tuple[str, ...], PileNodes] = {}
+    by_mask: dict[int, AltOutcomeNode] = {}
+    nodes_below: dict[int, PileNodes] = {}
     for layer in layers:
-        nodes: dict[tuple[str, ...], PileNodes] = {}
-        for unmentioned, keys in layer.items():
+        nodes: dict[int, PileNodes] = {}
+        for mask, unmentioned in layer.items():
             steps: list[tuple[str, str | None, float, AltOutcomeNode]] = []
             best, via = (-math.inf if unmentioned else math.inf), -1
-            for cand, key in zip(unmentioned, keys):
-                child = states[key]
+            for cand in unmentioned:
+                child = by_mask[mask ^ bit[cand]]
                 piles, by_pile, loser = child.piles, child.by_pile, None
-                constant, coefficient, denominator = viable[cand]
-                scaled = constant + coefficient * piles[cand]
+                scaled, denominator = viable_constant + viable_coefficient * piles[cand], viable_denominator
                 if len(by_pile) > 1:  # cand stands, so someone else does too
                     other = by_pile[by_pile[0] == cand]
                     rival = wins_constant + winner_coefficient * piles[cand] + loser_coefficient * piles[other]
-                    if rival * denominator > scaled * wins_denominator:
+                    if rival * viable_denominator > scaled * wins_denominator:
                         scaled, denominator, loser = rival, wins_denominator, other
                 eae = (eaes.get(margin := scaled / denominator) or effort(margin)) if scaled > 0 else math.inf
-                reach = min(eae, child.best)
+                reach = eae if eae < child.best else child.best
                 if reach > best:
                     best, via = reach, len(steps)
                 steps.append((cand, loser, eae, child))
             removed = frozenset(unmentioned)
             if unmentioned:  # the last candidate's ballots move on from the set without them
-                last, gone = keys[-1], unmentioned[-1]
-                piles, nodes[unmentioned] = _transfer(
-                    states[last].piles, nodes_below[last], gone, removed, later[gone])
+                last = mask ^ bit[gone := unmentioned[-1]]
+                piles, nodes[mask] = _transfer(by_mask[last].piles, nodes_below[last], gone, removed, later[gone])
             else:
-                piles, nodes[unmentioned] = _first_piles(ctx.profile)
+                piles, nodes[mask] = _first_piles(ctx.profile)
             ctx._piles[removed] = piles
-            states[unmentioned] = AltOutcomeNode(
-                unmentioned, len(states), removed, piles, sorted(piles, key=piles.__getitem__), steps, best, via)
+            by_mask[mask] = AltOutcomeNode(
+                unmentioned, len(by_mask), removed, piles, sorted(piles, key=piles.__getitem__), steps, best, via)
         nodes_below = nodes
-    return states
+    return {state.unmentioned: state for state in by_mask.values()}
 
 
 def source_side(node_count: int, arcs: Sequence[tuple[int, int, int | None]], source: int, sink: int) -> list[bool]:

@@ -46,6 +46,17 @@ def scanned_asn(margin, params, population):
 @example(margins=[0.378], error_rate=0.0, alpha=0.05, gamma=1.1, population=5000)
 @example(margins=[1e-20, 0.1], error_rate=0.002, alpha=0.05, gamma=1.1, population=5000)
 @example(margins=[0.05, 0.051, 0.052, 0.053], error_rate=0.02, alpha=0.05, gamma=1.1, population=5000)
+# alpha a power of the clean factor, where the divided estimate is one draw off and the adjustment
+# loops settle it: one draw high (down to 102; down to 126, then a full count of 127) and one draw
+# low (up to 81; up past a population of 167)
+@example(margins=[0.09865092867816708], error_rate=0.002, alpha=0.0603398574328295, gamma=1.816664448317344,
+         population=103)
+@example(margins=[0.12259398876096453], error_rate=0.022153869446087607, alpha=0.0695051641405931,
+         gamma=2.9273789603491003, population=127)
+@example(margins=[0.0817246203216583], error_rate=0.002, alpha=0.0743089772578995, gamma=1.2780741148101475,
+         population=81)
+@example(margins=[0.09505673706455206], error_rate=0.01112237839841617, alpha=0.028700165518185952,
+         gamma=1.937436065913432, population=167)
 def test_sample_sizes_match_a_scan_and_never_rise_with_the_margin(margins, error_rate, alpha, gamma, population):
     params = RiskParams(alpha=alpha, gamma=gamma, error_rate=error_rate)
     margins = sorted(margins)

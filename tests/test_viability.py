@@ -356,6 +356,72 @@ def test_set_states_name_each_set_once_in_roster_order():
             (c, tuple(x for x in unmentioned if x != c)) for c in unmentioned]
 
 
+def _sliced_layers(labels, tops):
+    """Each set below ``tops`` with the sets its steps reach, in the order
+    the states are numbered, found by slicing tuples: by size, largest
+    first, each set listed when a larger one first reaches it."""
+    layers = [{} for _ in range(len(labels) + 1)]
+    for top in tops:
+        layers[len(top)][top] = []
+    for size in range(len(layers) - 1, 0, -1):
+        below = layers[size - 1]
+        for unmentioned, keys in layers[size].items():
+            for i in range(size):
+                keys.append(key := unmentioned[:i] + unmentioned[i + 1:])
+                if key not in below:
+                    below[key] = []
+    return [(unmentioned, keys) for layer in layers for unmentioned, keys in layer.items()]
+
+
+def test_set_states_number_the_sets_as_tuple_slicing_finds_them():
+    """The order of the states fixes their ids and the order of the cut's
+    entries, so the spec and proof-log bytes.  On seeded contests of up to
+    eight candidates, with rosters shuffled and random subsets of their
+    alternative sets as tops, so that most lattices are not full powersets,
+    ``set_states`` lists the sets in ``_sliced_layers``' order, and each
+    state's steps reach the sets it gives, in the same order."""
+    rng = random.Random(39)
+    contests = partial = 0
+    for _ in range(300):
+        drawn = random_irv_profile(rng, max_candidates=8, threshold=rng.choice([TAU, Fraction(1, 4), Fraction(1, 3)]))
+        roster = rng.sample(drawn.labels, len(drawn.labels))
+        ballots = [(list(r), n) for r, n in drawn.rankings.items()]
+        profile = build_profile(roster, ballots, drawn.threshold, drawn.delegates, IRV)
+        try:
+            outcome = tabulate(profile)
+        except UnsupportedOutcomeError:
+            continue
+        ctx = AuditContext(profile, PARAMS)
+        winners, losers, _ = compute_W_L(ctx)
+        vsets = enumerate_alt_sets(ctx.labels, winners, losers, max_viable(ctx.threshold), outcome.viable)
+        if not vsets:
+            continue
+        chosen = rng.sample(vsets, rng.randint(min(2, len(vsets)), min(4, len(vsets))))
+        tops = [tuple(c for c in ctx.labels if c not in vset) for vset in chosen]
+        expected = _sliced_layers(ctx.labels, tops)
+        states = set_states(ctx, tops)
+        assert list(states) == [unmentioned for unmentioned, _ in expected], (profile, tops)
+        for unmentioned, keys in expected:
+            assert [child.unmentioned for *_, child in states[unmentioned].steps] == keys, (profile, unmentioned)
+        contests += 1
+        partial += len(states) < 2 ** len(set().union(*tops))
+    assert contests > 150 and partial > 60, (contests, partial)
+
+
+@pytest.mark.parametrize("tau", [Fraction(3, 20), Fraction(1, 4), Fraction(2, 7), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+def test_one_terms_triple_per_form(tau):
+    """A ``Viable``'s and a ``NonViable``'s margin terms depend on the
+    threshold only, not on the candidate, so the context reads one triple
+    per form: every candidate's own terms are ``_viable`` and
+    ``_nonviable``, which is ``None`` at threshold 1."""
+    ctx = AuditContext(random_irv_profile(random.Random(41), max_candidates=7, threshold=tau), PARAMS)
+    assert len(ctx.labels) >= 3 and (ctx._nonviable is None) == (tau == 1)
+    for c in ctx.labels:
+        assert ctx._terms(Viable(c, frozenset(), tau), c) == ctx._viable
+        if tau < 1:
+            assert ctx._terms(NonViable(c, frozenset(), tau), c) == ctx._nonviable
+
+
 def test_best_is_the_maximin_over_each_sets_steps():
     """``best`` is the largest, over a set's steps, of the step's ``eae``
     and its target's ``best``, whichever is smaller; ``via`` is the first
