@@ -15,31 +15,20 @@ inputs and seed give byte-identical output); timing goes to stderr.
 
 ``audit init`` recomputes every assertion's margin from the CVR tallies
 before drawing and refuses a spec that states another, or a nonpositive
-one; the spec stores no other assorter statistic.  The audit state file
-holds the audit's evidence: seed, the spec's ``alpha`` and ``gamma``, the
-SHA-256 of the spec and CVR file, and per round its draw count and paper
-interpretations.  Each ``audit round`` replays the evidence in one pass
-over the seeded sample: every recorded round's slice, then this round's
-manifest, each draw checked against its own round's interpretations and
-counted per (CVR ranking, paper ranking) pair; a round whose draws its
-interpretations do not cover is refused at the first such draw, and
-draws beyond the contest's ballots before any.  The same stream then
-yields the next manifest, which an escalating round always writes: to
-``--next-manifest``, or else beside ``--manifest`` as ``<stem>.next.csv``.
-The draw total and the round's ``assertions`` report the state also holds
-are a summary for readers and are never read back.  A round that leaves
-an assertion unconfirmed and whose suggested draws would take the audit
-past the contest's ballots (always, when an unconfirmed margin is too
-small to move a float p-value) ends with status ``requires-full-count``,
-exit 4 and no next manifest, as ``audit init`` does; it is still
-recorded, since its paper interpretations are evidence too.
+one; the spec stores no other assorter statistic.  ``model`` reads and
+writes the audit state, and ``risk.replay_rounds`` replays it.  An
+escalating round always writes the next manifest: to ``--next-manifest``,
+or else beside ``--manifest`` as ``<stem>.next.csv``.  A round whose
+suggested draws would take the audit past the contest's ballots (always,
+when an unconfirmed margin is too small to move a float p-value) ends
+with status ``requires-full-count``, exit 4 and no next manifest, as
+``audit init`` does; it is still recorded: its papers are evidence too.
 """
 from __future__ import annotations
 
 import argparse
 import gc
 import hashlib
-import json
 import math
 import secrets
 import sys
@@ -58,8 +47,6 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_FULL_COUNT = 4
 EXIT_ESCALATE = 5
-
-STATE_SCHEMA_VERSION = 3
 
 
 def _risk_args(parser: argparse.ArgumentParser, seed_help: str = "PRNG seed (generated and printed if absent)") -> None:
@@ -235,18 +222,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return EXIT_FULL_COUNT if any(spec.status == STATUS_FULL_COUNT for spec in specs) else EXIT_OK
 
 
-def _state_checksum(payload: dict) -> str:
-    body = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(body).hexdigest()
-
-
-def _save_state(state: dict, path: str, assertions: dict) -> None:
-    """Write the audit's evidence plus a summary derived from it and never
-    read back: the draw count and the round's per-assertion report."""
-    state = dict(state, total_draws=sum(rnd["draws"] for rnd in state["rounds"]), assertions=assertions)
-    model.write_json({"checksum": _state_checksum(state), "state": state}, path)
-
-
 # The input files an audit is bound to: the state field holding each one's
 # SHA-256 and the option that names it.
 _BOUND_INPUTS = (("spec_sha256", "spec"), ("cvrs_sha256", "cvrs"))
@@ -254,41 +229,6 @@ _BOUND_INPUTS = (("spec_sha256", "spec"), ("cvrs_sha256", "cvrs"))
 
 def _sha256(path: str) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-_DIGEST = ("a SHA-256 hex digest", lambda v: type(v) is str and len(v) == 64)
-
-
-def _is_round(rnd: object) -> bool:
-    if type(rnd) is not dict:
-        return False
-    draws, cells = rnd.get("draws"), rnd.get("interpretations")
-    return type(draws) is int and draws > 0 and type(cells) is dict and all(type(c) is str for c in cells.values())
-
-
-# The schema version and the state fields cmd_audit_round reads, with what each
-# must be; alpha and gamma must equal the spec's.
-_STATE_FIELDS = {
-    "schema_version": (str(STATE_SCHEMA_VERSION), lambda v: type(v) is int and v == STATE_SCHEMA_VERSION),
-    "seed": ("an integer", lambda v: type(v) is int),
-    "spec_sha256": _DIGEST,
-    "cvrs_sha256": _DIGEST,
-    "rounds": ("a list of {draws: n > 0, interpretations: {ballot: cell}}",
-               lambda v: type(v) is list and all(map(_is_round, v))),
-}
-
-
-def _load_state(path: str) -> dict:
-    document = model.load_json(path, "audit state")
-    if not isinstance(document, dict):
-        raise ElectionDataError(f"audit state {path} must hold a JSON object")
-    state = document.get("state")
-    if not isinstance(state, dict) or document.get("checksum") != _state_checksum(state):
-        raise ElectionDataError(f"audit state {path} is missing or tampered (checksum mismatch)")
-    for name, (kind, valid) in _STATE_FIELDS.items():
-        if not valid(state.get(name)):
-            raise ElectionDataError(f"audit state {path}: {name!r} must be {kind}")
-    return state
 
 
 def _load_contest_cvrs(
@@ -341,15 +281,8 @@ def cmd_audit_init(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else spec.params.seed
     draws = list(islice(risk.sample_stream(seed, list(cvrs)), int(size)))
     risk.write_manifest(draws, args.manifest)
-    state = {
-        "schema_version": STATE_SCHEMA_VERSION,
-        "seed": seed,
-        "alpha": spec.params.alpha,
-        "gamma": spec.params.gamma,
-        "rounds": [],
-        **{field: _sha256(getattr(args, option)) for field, option in _BOUND_INPUTS},
-    }
-    _save_state(state, args.state, assertions={})
+    digests = {field: _sha256(getattr(args, option)) for field, option in _BOUND_INPUTS}
+    model.save_audit_state(model.new_audit_state(seed, spec.params, **digests), args.state, assertions={})
     payload = {"manifest": args.manifest, "draws": len(draws), "seed": seed, "state": args.state}
     _emit(payload, args, lambda: [f"first-round manifest: {len(draws)} draws -> {args.manifest} (seed {seed})"])
     return EXIT_OK
@@ -364,7 +297,7 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
     cvrs = _load_contest_cvrs(args.cvrs, spec, cells)
     manifest = risk.read_manifest(args.manifest)
     interpretations = model.load_cvrs(args.interpretations, cells)
-    state = _load_state(args.state)
+    state = model.load_audit_state(args.state)
     for field, option in _BOUND_INPUTS:
         path = getattr(args, option)
         if _sha256(path) != state[field]:
@@ -377,47 +310,14 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
             raise ElectionDataError(f"audit state {args.state}: {name!r} is not the spec's {expected}")
     if not manifest:
         raise ElectionDataError(f"manifest {args.manifest} lists no draws")
-    recorded = state["rounds"]
-    drawn = sum(rnd["draws"] for rnd in recorded)
-    if drawn + len(manifest) > spec.total_ballots:  # init and escalation stop at a full count first
-        raise ElectionDataError(f"audit state {args.state} records {drawn} draws and manifest {args.manifest} "
-                                f"lists {len(manifest)} more, beyond the contest's {spec.total_ballots} ballots")
-
-    # The audit's evidence, replayed in one pass over the seeded sample: each
-    # recorded round's slice with its paper interpretations, then this round's
-    # manifest with its own, and the stream goes on to the next manifest.
-    # Each draw is checked against its own round's papers as it is drawn, so
-    # a recorded draw count that its interpretations do not back ends at its
-    # first unbacked draw; only the (CVR, paper) pair counts are kept.
-    sample = risk.sample_stream(state["seed"], list(cvrs))
-    pairs: Counter[tuple[model.Ranking, model.Ranking]] = Counter()
-
-    def count(ballots, papers, where):
-        for ballot in ballots:
-            if ballot not in papers:
-                raise ElectionDataError(f"{where}: no manual interpretation for drawn ballot {ballot!r}")
-            pairs[cvrs[ballot], papers[ballot]] += 1
-
-    for number, rnd in enumerate(recorded, start=1):
-        where = f"audit state {args.state}, round {number}"
-        papers = {b: model.parse_ranking_cell(cell, where, cells) for b, cell in rnd["interpretations"].items()}
-        count(islice(sample, rnd["draws"]), papers, where)
-    # Only the next segment of the seeded sample may be scored: a chosen or
-    # replayed manifest would let the ballots that get audited be picked.
-    if manifest != list(islice(sample, len(manifest))):
-        raise ElectionDataError(
-            f"manifest {args.manifest} is not the next {len(manifest)} draws of the audit's sample "
-            f"(seed {state['seed']}, {drawn} ballots drawn so far)"
-        )
-    count(manifest, interpretations, f"round {len(recorded) + 1}")
+    pairs, sample = risk.replay_rounds(state["seed"], cvrs, state["rounds"], cells, f"audit state {args.state}",
+                                       (f"manifest {args.manifest}", manifest, interpretations))
     assertions = [(e.assertion, float(e.margin)) for e in spec.entries]
     states, status, suggestion = risk.run_audit_round(
         assertions, pairs, spec.params.alpha, spec.params.gamma, spec.total_ballots
     )
-    recorded.append(
-        {"draws": len(manifest), "interpretations": {b: "|".join(interpretations[b]) for b in manifest}}
-    )
-    total = drawn + len(manifest)
+    state["rounds"].append(model.state_round(manifest, interpretations))
+    total = sum(pairs.values())
 
     per_assertion = {
         key: {"margin": s.margin, "p_value": s.p_value, "draws": s.draws, "discrepancies": s.discrepancies}
@@ -434,7 +334,7 @@ def cmd_audit_round(args: argparse.Namespace) -> int:
         risk.write_manifest(list(islice(sample, int(suggestion))), following)
         payload["next_manifest"] = following
     # saved last, so a failed write above leaves the audit where it was
-    _save_state(state, args.state, per_assertion)
+    model.save_audit_state(state, args.state, per_assertion)
 
     def lines() -> Iterable[str]:
         yield f"status: {status}  cumulative draws: {total}"

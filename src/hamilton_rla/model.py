@@ -3,7 +3,8 @@
 This module alone writes and reads the audit spec's JSON: its layout,
 each assertion form's spec object (one field table, ``_FIELDS``, that
 ``assertion_to_dict`` writes and ``assertion_from_dict`` reads) and the
-risk parameters the spec records (``RiskParams``).
+risk parameters the spec records (``RiskParams``).  So too the audit
+state's (one field table, ``_STATE_FIELDS``).
 
 Formats:
 
@@ -21,6 +22,11 @@ Formats:
   serialized as ``p/q`` strings so a save/load round trip is the
   identity.  The assorter's upper bound follows from the assertion and
   its mean from the margin, so neither is stored.
+* Audit-state JSON (schema 3, ``STATE_SCHEMA_VERSION``): the state and
+  its ``checksum``.  The state is the audit's evidence (seed, the spec's
+  ``alpha`` and ``gamma``, the SHA-256 of the spec and CVR file, and per
+  round its draw count and paper cells) plus a summary never read back:
+  ``total_draws`` and the last round's ``assertions`` report.
 
 Every JSON document written (specs, outcomes, audit states, reports) has
 one canonical layout: sorted keys, two-space indent, non-ASCII escaped and
@@ -30,6 +36,7 @@ sort_keys=True) + "\\n"`` (see ``canonical_json``).
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -52,6 +59,7 @@ IRV = "irv"
 STYLES = (PLURALITY, IRV)
 
 SPEC_SCHEMA_VERSION = 3
+STATE_SCHEMA_VERSION = 3
 
 STATUS_COMPLETE = "complete"
 STATUS_FULL_COUNT = "requires-full-count"
@@ -628,6 +636,64 @@ def save_audit_spec(spec: AuditSpec, path: str | Path) -> dict:
 
 def load_audit_spec(path: str | Path) -> AuditSpec:
     return audit_spec_from_dict(load_json(path, "audit spec"))
+
+
+# ---------------------------------------------------------------------------
+# Audit-state serialization
+
+def state_checksum(state: dict) -> str:
+    """The SHA-256 of the state's compact sorted-key JSON, stored beside it."""
+    return hashlib.sha256(json.dumps(state, sort_keys=True).encode()).hexdigest()
+
+
+def new_audit_state(seed: int, params: RiskParams, spec_sha256: str, cvrs_sha256: str) -> dict:
+    """The evidence of an audit that has drawn its first manifest and scored no round."""
+    return {"schema_version": STATE_SCHEMA_VERSION, "seed": seed, "alpha": params.alpha, "gamma": params.gamma,
+            "spec_sha256": spec_sha256, "cvrs_sha256": cvrs_sha256, "rounds": []}
+
+
+def state_round(draws: Sequence[str], papers: Mapping[str, Ranking]) -> dict:
+    """A round's record: its draw count and the paper cell of each ballot drawn."""
+    return {"draws": len(draws), "interpretations": {b: "|".join(papers[b]) for b in draws}}
+
+
+def save_audit_state(state: dict, path: str | Path, assertions: dict) -> None:
+    """Write the state with its checksum and its summary: the draw count and ``assertions``."""
+    state = dict(state, total_draws=sum(rnd["draws"] for rnd in state["rounds"]), assertions=assertions)
+    write_json({"checksum": state_checksum(state), "state": state}, path)
+
+
+def _is_round(rnd: object) -> bool:
+    if type(rnd) is not dict:
+        return False
+    draws, cells = rnd.get("draws"), rnd.get("interpretations")
+    return _is_int(draws) and draws > 0 and type(cells) is dict and all(type(c) is str for c in cells.values())
+
+
+_DIGEST = ("a SHA-256 hex digest", lambda v: type(v) is str and len(v) == 64)
+# What each state field an audit round reads must be (alpha and gamma: the spec's, which the caller checks).
+_STATE_FIELDS = {
+    "schema_version": (str(STATE_SCHEMA_VERSION), lambda v: _is_int(v) and v == STATE_SCHEMA_VERSION),
+    "seed": ("an integer", _is_int),
+    "spec_sha256": _DIGEST,
+    "cvrs_sha256": _DIGEST,
+    "rounds": ("a list of {draws: n > 0, interpretations: {ballot: cell}}",
+               lambda v: type(v) is list and all(map(_is_round, v))),
+}
+
+
+def load_audit_state(path: str | Path) -> dict:
+    """The state in ``path``, checksum and ``_STATE_FIELDS`` checked."""
+    document = load_json(path, "audit state")
+    if not isinstance(document, dict):
+        raise ElectionDataError(f"audit state {path} must hold a JSON object")
+    state = document.get("state")
+    if not isinstance(state, dict) or document.get("checksum") != state_checksum(state):
+        raise ElectionDataError(f"audit state {path} is missing or tampered (checksum mismatch)")
+    for name, (kind, valid) in _STATE_FIELDS.items():
+        if not valid(state.get(name)):
+            raise ElectionDataError(f"audit state {path}: {name!r} must be {kind}")
+    return state
 
 
 # ---------------------------------------------------------------------------

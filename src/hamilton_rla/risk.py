@@ -27,13 +27,13 @@ uncapped p-value reaches ``alpha``, or the full-count sentinel if none up
 to the ballot total does.  It depends on nothing but the margin and the
 risk parameters, and never rises with the margin.
 
-Audit rounds are scored from the evidence alone: the caller replays
-every round so far along ``sample_stream`` and counts its draws per
-(CVR ranking, paper ranking) pair, and ``run_audit_round`` builds each
-assertion's ``RiskState`` from those counts, so no state is carried
-between calls.  It also decides the one full-count rule of a round: a
-full count once the draws so far plus the suggested ones exceed the
-contest's ballots.
+Audit rounds are scored from the evidence alone: ``replay_rounds``
+replays every round so far along ``sample_stream`` (refusing draws beyond
+the contest's ballots before any, and a draw its round has no paper for)
+and counts the draws per (CVR ranking, paper ranking) pair, from which
+``run_audit_round`` builds each assertion's ``RiskState`` and decides the
+one full-count rule of a round: a full count once the draws so far plus
+the suggested ones exceed the contest's ballots.
 """
 from __future__ import annotations
 
@@ -43,11 +43,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .assertions import Assertion
-from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, Ranking, RiskParams, open_input
+from .model import STATUS_FULL_COUNT, AuditSpec, ElectionDataError, Ranking, RiskParams, open_input, parse_ranking_cell
 
 FULL_COUNT = math.inf
 
@@ -225,6 +226,40 @@ def read_manifest(path: str | Path) -> list[str]:
         return [row[column] if column < len(row) else "" for row in reader if row]
 
 
+def replay_rounds(
+    seed: int, cvrs: Mapping[str, Ranking], rounds: Sequence[Mapping], cells: dict[str, Ranking] | None = None,
+    where: str = "audit state", this_round: tuple[str, Sequence[str], Mapping[str, Ranking]] = ("", (), {}),
+) -> tuple[Counter[tuple[Ranking, Ranking]], Iterator[str]]:
+    """The draws of the state's ``rounds`` and then of ``this_round`` (its
+    manifest's name, draws and papers) per (CVR ranking, paper ranking) pair,
+    and the sample after them; paper cells are parsed through ``cells``, as
+    in ``model.load_cvrs``.  This round's manifest must be the sample's next
+    segment, or the audited ballots could be picked."""
+    label, manifest, papers = this_round
+    drawn = sum(rnd["draws"] for rnd in rounds)
+    if drawn + len(manifest) > len(cvrs):  # audit init and escalation stop at a full count first
+        more = f" and {label} lists {len(manifest)} more" if manifest else ""
+        raise ElectionDataError(f"{where} records {drawn} draws{more}, beyond the contest's {len(cvrs)} ballots")
+    sample = sample_stream(seed, list(cvrs))
+    pairs: Counter[tuple[Ranking, Ranking]] = Counter()
+
+    def count(ballots: Iterable[str], papers: Mapping[str, Ranking], at: str) -> None:
+        for ballot in ballots:
+            if ballot not in papers:
+                raise ElectionDataError(f"{at}: no manual interpretation for drawn ballot {ballot!r}")
+            pairs[cvrs[ballot], papers[ballot]] += 1
+
+    for number, rnd in enumerate(rounds, start=1):
+        at = f"{where}, round {number}"
+        recorded = {b: parse_ranking_cell(cell, at, cells) for b, cell in rnd["interpretations"].items()}
+        count(islice(sample, rnd["draws"]), recorded, at)
+    if list(manifest) != list(islice(sample, len(manifest))):
+        raise ElectionDataError(f"{label} is not the next {len(manifest)} draws of the audit's sample "
+                                f"(seed {seed}, {drawn} ballots drawn so far)")
+    count(manifest, papers, f"round {len(rounds) + 1}")
+    return pairs, sample
+
+
 def run_audit_round(
     assertions: Sequence[tuple[Assertion, float]],
     pairs: Mapping[tuple["Ranking", "Ranking"], int],
@@ -234,10 +269,9 @@ def run_audit_round(
 ) -> tuple[dict[str, RiskState], str, float]:
     """Score the audit's draws so far against every assertion.
 
-    ``assertions`` pairs each assertion with its margin; ``pairs`` counts
-    the draws of every round per distinct (CVR ranking, paper ranking),
-    each draw paired with its own round's paper.  A pair whose paper reads
-    as its CVR overstates nothing under any assertion, so those pairs are
+    ``assertions`` pairs each assertion with its margin; ``pairs`` is
+    ``replay_rounds``'s count of the draws.  A pair whose paper reads as
+    its CVR overstates nothing under any assertion, so those pairs are
     summed once as clean draws and only the differing pairs are classified,
     once per assertion; since the p-value depends only on the per-category
     counts, this equals scoring the ballots one at a time in draw order.

@@ -20,7 +20,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import DATA
-from hamilton_rla.cli import _state_checksum, main
+from hamilton_rla.cli import main
+from hamilton_rla.model import state_checksum
 
 ELECTION = str(DATA / "election_small.json")
 CVRS = DATA / "cvrs_small.csv"
@@ -189,7 +190,7 @@ def _edit_state(edit) -> bytes:
         record.pop(field, None)
     else:
         record[field] = value
-    doc["checksum"] = _state_checksum(state)
+    doc["checksum"] = state_checksum(state)
     return json.dumps(doc).encode("utf-8")
 
 

@@ -19,7 +19,8 @@ import pytest
 from conftest import DATA, TEN_STRENGTHS, count_pairs, cyclic_contest, km_step, random_irv_profile, save_election
 from hamilton_rla import build_profile, cli, load_audit_spec, load_cvrs, read_manifest, risk, viability
 from hamilton_rla.assertions import describe
-from hamilton_rla.cli import _state_checksum, main
+from hamilton_rla.cli import main
+from hamilton_rla.model import state_checksum
 from hamilton_rla.risk import RiskState, discrepancy, sample_stream, write_manifest
 
 PLURALITY = str(DATA / "election_plurality.json")
@@ -1079,13 +1080,13 @@ def test_audit_round_refuses_ill_formed_state(capsys, tmp_path, case):
     refused with exit 2, before any scoring."""
     after_round, edit, message = STATE_EDITS[case]
     if after_round:
-        audit, _, manifest, _ = _escalating_audit(capsys, tmp_path)
+        audit, _, manifest, _, _ = _escalating_audit(capsys, tmp_path)
     else:
         audit, manifest = _audit_after_init(capsys, tmp_path)
     state = Path(audit[-1])
     doc = json.loads(state.read_text())
     edit(doc["state"])
-    doc["checksum"] = _state_checksum(doc["state"])
+    doc["checksum"] = state_checksum(doc["state"])
     state.write_text(json.dumps(doc))
     code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
                          "--interpretations", SMALL_CVRS)
@@ -1126,8 +1127,8 @@ def test_audit_refuses_empty_input(capsys, tmp_path, empty):
 def _escalating_audit(capsys, tmp_path):
     """An initialised level-1 audit of the small election (seed 3, 29 draws)
     and its first round, which reads every fourth ballot's paper as blank
-    and escalates.  Returns the audit options, the two manifests and the
-    first round's interpretations file."""
+    and escalates.  Returns the audit options, the two manifests, the
+    first round's interpretations file and its ``--format json`` output."""
     spec = tmp_path / "spec.json"
     run(capsys, "generate", "--election", SMALL, "--level", "1", "--seed", "3", "--out", str(spec))
     audit = ["--spec", str(spec), "--cvrs", SMALL_CVRS, "--state", str(tmp_path / "state.json")]
@@ -1138,10 +1139,10 @@ def _escalating_audit(capsys, tmp_path):
     paper.write_text("ballot_id,ranking\n" + "".join(
         f"{line.split(',')[0]},\n" if i % 4 == 0 else f"{line}\n" for i, line in enumerate(records)
     ))
-    code, _, _ = run(capsys, "audit", "round", *audit, "--manifest", str(first), "--interpretations", str(paper),
-                     "--next-manifest", str(second))
+    code, out, _ = run(capsys, "--format", "json", "audit", "round", *audit, "--manifest", str(first),
+                       "--interpretations", str(paper), "--next-manifest", str(second))
     assert code == 5
-    return audit, first, second, paper
+    return audit, first, second, paper, json.loads(out)
 
 
 def test_audit_state_replays_every_draw(capsys, tmp_path):
@@ -1150,7 +1151,7 @@ def test_audit_state_replays_every_draw(capsys, tmp_path):
     drawn ballot for every assertion, records each round's draws, and the
     reported p-values are those of scoring every draw one ballot at a time,
     each against its own round's paper."""
-    audit, first, second, paper = _escalating_audit(capsys, tmp_path)
+    audit, first, second, paper, _ = _escalating_audit(capsys, tmp_path)
     code, out, _ = run(capsys, "--format", "json", "audit", "round", *audit, "--manifest", str(second),
                        "--interpretations", SMALL_CVRS)
     assert code == 0
@@ -1171,6 +1172,61 @@ def test_audit_state_replays_every_draw(capsys, tmp_path):
                 replayed = km_step(replayed, discrepancy(e.assertion, cvrs[ballot], paper_of[ballot]))
         assert reported[e.assertion.key]["p_value"] == replayed.p_value
         assert state["assertions"][e.assertion.key]["p_value"] == replayed.p_value
+
+
+# Loads each audit state given, replays it and scores it with model and risk
+# alone, and prints every assertion's p-value and draws per state, a claim of
+# 10**12 draws' refusal and the package modules loaded.  The package
+# namespace is made without running its __init__, which re-exports the
+# generator from viability.
+REPLAY_WITH_MODEL_AND_RISK = """
+import json, sys, types
+package = types.ModuleType("hamilton_rla")
+package.__path__ = [sys.argv[1]]
+sys.modules["hamilton_rla"] = package
+from hamilton_rla import model, risk
+
+spec, cvrs = model.load_audit_spec(sys.argv[2]), model.load_cvrs(sys.argv[3])
+assertions, rounds = [(e.assertion, float(e.margin)) for e in spec.entries], []
+for path in sys.argv[4:]:
+    state = model.load_audit_state(path)
+    pairs, _ = risk.replay_rounds(state["seed"], cvrs, state["rounds"])
+    states, status, _ = risk.run_audit_round(assertions, pairs, state["alpha"], state["gamma"], spec.total_ballots)
+    rounds.append({"status": status, "assertions": {k: [s.p_value, s.draws] for k, s in states.items()}})
+try:
+    risk.replay_rounds(state["seed"], cvrs, [{"draws": 10**12, "interpretations": {}}])
+    refused = None
+except model.ElectionDataError as exc:
+    refused = str(exc)
+modules = sorted(name for name in sys.modules if name.startswith("hamilton_rla"))
+print(json.dumps({"rounds": rounds, "refused": refused, "modules": modules}))
+"""
+
+
+def test_saved_state_replays_with_model_and_risk_alone(capsys, tmp_path):
+    """Each round's saved state, loaded with ``model``, replayed with
+    ``risk.replay_rounds`` and scored with ``risk.run_audit_round`` in a
+    process that imports neither ``cli`` nor ``viability``, gives that
+    round's ``--format json`` status, p-values and draws.  A claim of 10**12
+    draws is refused by the replay itself, before any draw."""
+    audit, _, second, _, first_out = _escalating_audit(capsys, tmp_path)
+    state, after_first = Path(audit[-1]), tmp_path / "state1.json"
+    after_first.write_bytes(state.read_bytes())
+    code, out, _ = run(capsys, "--format", "json", "audit", "round", *audit, "--manifest", str(second),
+                       "--interpretations", SMALL_CVRS)
+    assert code == 0
+    package = Path(__file__).resolve().parents[1] / "src" / "hamilton_rla"
+    done = subprocess.run([sys.executable, "-c", REPLAY_WITH_MODEL_AND_RISK, str(package), audit[1], SMALL_CVRS,
+                           str(after_first), str(state)], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    replayed = json.loads(done.stdout)
+    for reported, rnd in zip([first_out, json.loads(out)], replayed["rounds"], strict=True):
+        assert rnd["status"] == reported["status"]
+        assert rnd["assertions"] == {k: [a["p_value"], a["draws"]] for k, a in reported["assertions"].items()}
+    assert [rnd["status"] for rnd in replayed["rounds"]] == ["escalate", "confirmed"]
+    assert replayed["refused"] == "audit state records 1000000000000 draws, beyond the contest's 120 ballots"
+    assert "hamilton_rla.model" in replayed["modules"] and "hamilton_rla.risk" in replayed["modules"]
+    assert not {"hamilton_rla.cli", "hamilton_rla.viability"} & set(replayed["modules"])
 
 
 def test_escalating_round_without_next_manifest_writes_it_beside_the_manifest(capsys, tmp_path):
@@ -1202,7 +1258,7 @@ def test_audit_round_refuses_interpretations_missing_a_drawn_ballot(capsys, tmp_
     round whose interpretations miss one of its ballots is refused with
     exit 2, before any scoring, and writes no next manifest and leaves the
     state as it was."""
-    audit, _, second, _ = _escalating_audit(capsys, tmp_path)
+    audit, _, second, _, _ = _escalating_audit(capsys, tmp_path)
     missing = read_manifest(second)[0]
     partial = tmp_path / "partial.csv"
     lines = Path(SMALL_CVRS).read_text().splitlines(keepends=True)
@@ -1223,7 +1279,7 @@ def _claim_draws(state: Path, claimed: int, interpretations: dict[str, str]) -> 
     ``claimed`` draws and reads ``interpretations`` off the papers."""
     doc = json.loads(state.read_text())
     doc["state"]["rounds"] = [{"draws": claimed, "interpretations": interpretations}]
-    doc["checksum"] = _state_checksum(doc["state"])
+    doc["checksum"] = state_checksum(doc["state"])
     state.write_text(json.dumps(doc))
 
 
@@ -1314,7 +1370,7 @@ def test_audit_round_refuses_a_nonpositive_stated_margin(capsys, tmp_path, margi
     spec.write_text(json.dumps(doc))
     signed = json.loads(state.read_text())
     signed["state"]["spec_sha256"] = hashlib.sha256(spec.read_bytes()).hexdigest()
-    signed["checksum"] = _state_checksum(signed["state"])
+    signed["checksum"] = state_checksum(signed["state"])
     state.write_text(json.dumps(signed))
     saved = state.read_bytes()
     code, out, err = run(capsys, "audit", "round", *audit, "--manifest", str(manifest),
@@ -1363,7 +1419,7 @@ def test_audit_round_ignores_state_summary(capsys, tmp_path, case):
     """The state's draw count and per-assertion summary are derived from the
     recorded rounds and never read: editing them (and re-checksumming) leaves
     the next round's output unchanged."""
-    audit, _, second, _ = _escalating_audit(capsys, tmp_path)
+    audit, _, second, _, _ = _escalating_audit(capsys, tmp_path)
     state = Path(audit[-1])
     saved = state.read_bytes()
     follow_up = ["--format", "json", "audit", "round", *audit, "--manifest", str(second),
@@ -1371,7 +1427,7 @@ def test_audit_round_ignores_state_summary(capsys, tmp_path, case):
     expected = run(capsys, *follow_up)
     doc = json.loads(saved)
     SUMMARY_EDITS[case](doc["state"])
-    doc["checksum"] = _state_checksum(doc["state"])
+    doc["checksum"] = state_checksum(doc["state"])
     state.write_text(json.dumps(doc))
     assert run(capsys, *follow_up) == expected
 
@@ -1541,7 +1597,7 @@ def test_failed_state_write_keeps_the_recorded_rounds(capsys, monkeypatch, tmp_p
     file) exits 2 naming the state, leaves the state's bytes as the last
     round wrote them and no temporary file beside it; the round can then be
     run again."""
-    audit, _, second, _ = _escalating_audit(capsys, tmp_path)
+    audit, _, second, _, _ = _escalating_audit(capsys, tmp_path)
     state = tmp_path / "state.json"
     before, files = state.read_bytes(), sorted(tmp_path.iterdir())
 

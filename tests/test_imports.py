@@ -44,3 +44,29 @@ def test_every_import_is_at_module_level(path):
         if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in allowed
     ]
     assert not misplaced, f"imports below module level: {misplaced}"
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules ``module`` imports, directly or through them."""
+    found, pending = set(), [module]
+    while pending:
+        tree = ast.parse((SRC / "hamilton_rla" / f"{pending.pop()}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):  # absolute: hamilton_rla.x or from hamilton_rla import x
+                prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+                names = [name.split(".")[1] for name in (prefix + alias.name for alias in node.names)
+                         if name.startswith("hamilton_rla.")]
+            else:
+                continue
+            pending.extend(set(names) - found)
+            found.update(names)
+    return found
+
+
+@pytest.mark.parametrize("module", ["model", "risk"])
+def test_state_and_replay_modules_need_neither_cli_nor_viability(module):
+    """``model`` reads the audit state and ``risk`` replays it, so a round can
+    be checked without the command line or the assertion search."""
+    assert not _package_imports(module) & {"cli", "viability"}
